@@ -40,6 +40,7 @@ from .geometry import (
     push_forward,
 )
 from .reconstruct import (
+    BatteryError,
     CalibrationError,
     ProbeTemplate,
     reconstruct_profile,
@@ -251,11 +252,13 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(out: Path, cfg_path: Path | None, stages: dict, outputs: list[Path]) -> None:
+def _write_manifest(out: Path, cfg_path: Path | None, stages: dict, outputs: list[Path],
+                    counters: dict | None = None) -> None:
     manifest = {
         "tool_version": __version__,
         "config_sha256": _sha256(cfg_path) if cfg_path else None,
         "stage_seconds": {k: round(v, 6) for k, v in stages.items()},
+        "counters": counters or {},
         "outputs": {p.name: _sha256(p) for p in outputs if p.exists()},
     }
     _write_json(out / "manifest.json", manifest)
@@ -552,7 +555,8 @@ def cmd_reconstruct(args) -> int:
     _write_json(outdir / "report.json", payload)
     _write_ladder_csv(outdir / "ladders.csv", report.order0_ladders + report.order_m_ladders)
     outputs = [outdir / "report.json", outdir / "ladders.csv"]
-    _write_manifest(outdir, Path(args.config), stages, outputs)
+    order0 = {k: getattr(report.order0, k) for k in ("method", "passes", "final_change")}
+    _write_manifest(outdir, Path(args.config), stages, outputs, {"order0": order0})
     print(f"order-0: lambda = {report.order0.lam:.6f}, mu = {report.order0.mu:.6f}")
     for mode, r in report.order_m.items():
         print(f"order-{r.m} [{mode:>16s}]: dlam = {r.dlam:+.6f}, dmu = {r.dmu:+.6f}")
@@ -653,7 +657,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ConfigError as e:
+    except (ConfigError, BatteryError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (ForwardError, CalibrationError) as e:

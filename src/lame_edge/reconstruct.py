@@ -17,7 +17,7 @@ and the report carries their Frobenius distances and a verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .forward import (
     pairing_grid,
     warm_tables,
 )
-from .stroh import impedance, quadratic_form
+from .stroh import impedance, impedance_basis  # noqa: F401 (perfbench wraps this binding)
 
 __all__ = [
     "BatteryError",
@@ -49,6 +49,8 @@ __all__ = [
     "extrapolate",
     "homogeneous_pairing_value",
     "leading_order_response",
+    "order0_coefficients",
+    "order0_model",
     "order0_response",
     "recover_order0",
     "recover_order_m",
@@ -339,8 +341,12 @@ def run_ladder(
 
 
 # ---------------------------------------------------------------------------
-# order-0 recovery (2-unknown nonlinear solve)
+# order-0 recovery (rational two-unknown least squares)
 # ---------------------------------------------------------------------------
+
+_SCAN = np.linspace(math.log(1e-8), math.log(1e6), 281)  # s = log(t + 2/3), t = lam/mu
+_STEP_TOL, _MAX_STEPS = 1e-13, 100  # Gauss-Newton: relative (lam, mu) step
+_PASS_TOL, _MAX_PASSES = 1e-12, 200  # deflation fixed point: relative (lam, mu) change
 
 
 @dataclass(frozen=True)
@@ -350,103 +356,102 @@ class Order0Result:
     residual: float
     ok: bool
     method: str
-    n_iterations: int
+    n_iterations: int  # Gauss-Newton steps of the last solve
+    passes: int  # deflation passes of refine_order0 (0 for a single solve)
+    final_change: float  # relative (lam, mu) change of the last step or pass
 
 
-def _order0_predictions(templates, lam: float, mu: float) -> np.ndarray:
-    return np.array(
-        [quadratic_form(impedance(lam, mu, t.omega), t.a) for t in templates]
-    )
+def _relative_change(old, new) -> float:
+    return max(abs(new[0] - old[0]), abs(new[1] - old[1])) / max(abs(new[0]), abs(new[1]))
 
 
-def recover_order0(
-    limits,
-    init: tuple[float, float] = (1.0, 1.0),
-    tol: float = 1e-12,
-    max_iter: int = 60,
-) -> Order0Result:
-    """Damped Gauss-Newton for (lam, mu) from order-0 limits.
+def order0_coefficients(templates) -> np.ndarray:
+    """Rows (alpha, beta) = (a^H Z_lam a, a^H Z_mu a) per probe (see stroh.impedance_basis).
 
-    ``limits`` is a sequence of (ProbeTemplate, limit) pairs; at least two
-    probes with distinct impedance responses are required. Falls back to a
-    coarse admissible grid search if Newton stalls; an irreducible residual is
-    flagged rather than silently absorbed.
+    Below rank 2 the limits fix one combination of the moduli: BatteryError."""
+    templates = list(templates)
+    rows = np.array([[np.vdot(t.a, Zc @ t.a).real for Zc in impedance_basis(t.omega)]
+                     for t in templates])
+    sv = np.linalg.svd(rows, compute_uv=False)
+    if sv.size < 2 or sv[1] <= 1e-10 * sv[0]:
+        names = ", ".join(t.name for t in templates)
+        raise BatteryError(f"order-0 battery cannot separate lambda from mu: rows "
+                           f"(a^H Z_lam a, a^H Z_mu a) have rank < 2 for probes [{names}]")
+    return rows
+
+
+def order0_model(coeffs, lam: float, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Limits p = a^H Z a = mu (alpha lam + beta mu)/(lam + 3 mu), one per row
+    of ``coeffs``, and their analytic Jacobian dp/d(lam, mu), shape (n, 2)."""
+    alpha, beta = np.asarray(coeffs, dtype=float).T
+    d = lam + 3.0 * mu
+    p = mu * (alpha * lam + beta * mu) / d
+    J = np.column_stack([mu**2 * (3.0 * alpha - beta),
+                         alpha * lam**2 + 2.0 * beta * lam * mu + 3.0 * beta * mu**2]) / d**2
+    return p, J
+
+
+def recover_order0(limits) -> Order0Result:
+    """Least-squares (lam, mu) from (ProbeTemplate, limit) pairs.
+
+    Variable projection (Golub & Pereyra 1973): for fixed t = lam/mu the model
+    is linear in mu, so a scan of the mu-projected residual over log(t + 2/3)
+    gives a global start. Gauss-Newton with the analytic Jacobian, its steps
+    halved to stay admissible and, above 1e-6 relative, to lower the residual,
+    polishes it until a step moves (lam, mu) by at most 1e-13 relative. ``ok``
+    requires convergence and a residual within 1e-3 of the largest limit.
     """
-    templates = [t for t, _ in limits]
-    target = np.array([float(np.real(v)) for _, v in limits])
-    if len(templates) < 2:
-        raise BatteryError("order-0 recovery needs at least two probes")
-
-    def residual(lam, mu):
-        return _order0_predictions(templates, lam, mu) - target
-
-    def solve_from(lam, mu, method):
-        n_iter = 0
-        r = residual(lam, mu)
-        cost = float(np.dot(r, r))
-        for n_iter in range(1, max_iter + 1):
-            h = 1e-7
-            J = np.column_stack([
-                (residual(lam + h, mu) - r) / h,
-                (residual(lam, mu + h) - r) / h,
-            ])
-            try:
-                step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-            except np.linalg.LinAlgError:
-                break
-            lam_n, mu_n = lam, mu
-            damping = 1.0
-            improved = False
-            for _ in range(30):
-                cand = (lam + damping * step[0], mu + damping * step[1])
-                if cand[1] > 1e-8 and 3.0 * cand[0] + 2.0 * cand[1] > 1e-8:
-                    rc = residual(*cand)
-                    cc = float(np.dot(rc, rc))
-                    if cc < cost:
-                        lam_n, mu_n, r, cost = cand[0], cand[1], rc, cc
-                        improved = True
-                        break
-                damping /= 2.0
-            lam, mu = lam_n, mu_n
-            if not improved or cost < tol**2:
-                break
-        return lam, mu, math.sqrt(cost), n_iter, method
-
-    lam, mu, res, n_iter, method = solve_from(*init, "newton")
-    scale = max(np.abs(target).max(), 1.0)
-    if res > 1e-6 * scale:
-        best = (lam, mu, res)
-        for lam0 in np.geomspace(0.1, 10.0, 12):
-            for mu0 in np.geomspace(0.1, 10.0, 12):
-                l2, m2, r2, _, _ = solve_from(lam0, mu0, "grid+newton")
-                if r2 < best[2]:
-                    best = (l2, m2, r2)
-        lam, mu, res = best
-        method = "grid+newton"
-    ok = res <= 1e-3 * scale
-    return Order0Result(float(lam), float(mu), float(res), bool(ok), method, n_iter)
+    C = order0_coefficients(t for t, _ in limits)
+    y = np.array([float(np.real(v)) for _, v in limits])
+    t = np.exp(_SCAN) - 2.0 / 3.0
+    G = (np.outer(t, C[:, 0]) + C[:, 1]) / (t + 3.0)[:, None]  # p / mu at each node
+    gy, gg = G @ y, np.einsum("ij,ij->i", G, G)
+    k = int(np.argmin(np.where(gy > 0.0, -gy**2 / gg, np.inf)))
+    mu = gy[k] / gg[k] if gy[k] > 0.0 else 1.0
+    x = np.array([mu * t[k], mu])
+    p, J = order0_model(C, *x)
+    converged, change, n_iter = False, 0.0, 0
+    while not converged and n_iter < _MAX_STEPS:
+        n_iter += 1
+        step = np.linalg.lstsq(J, y - p, rcond=None)[0]
+        for _ in range(60):
+            lam, mu = x + step
+            change = _relative_change(x, x + step)
+            if mu > 0.0 and 3.0 * lam + 2.0 * mu > 0.0:
+                p_new, J_new = order0_model(C, lam, mu)
+                # below 1e-6 the residual's drop is under its rounding error
+                if np.linalg.norm(p_new - y) < np.linalg.norm(p - y) or change <= 1e-6:
+                    break
+            step /= 2.0
+        else:  # no admissible step
+            break
+        x, p, J = x + step, p_new, J_new
+        converged = change <= _STEP_TOL
+    res = float(np.linalg.norm(p - y))
+    ok = converged and res <= 1e-3 * max(np.abs(y).max(), 1.0)
+    return Order0Result(float(x[0]), float(x[1]), res, bool(ok), "varpro+gauss-newton",
+                        n_iter, 0, change)
 
 
-def homogeneous_pairing_value(
-    template: ProbeTemplate,
-    N: int,
-    rho_tilde: int,
-    cutoff: CutoffProfile,
-    lam: float,
-    mu: float,
-    quad: QuadratureSettings = DEFAULT_QUAD,
-) -> float:
-    """Finite-N pairing of a homogeneous half-space, in closed form.
+def _pairing_moments(template: ProbeTemplate, N: int, rho_tilde: int,
+                     cutoff: CutoffProfile, quad: QuadratureSettings) -> np.ndarray:
+    """(G_lam, G_mu): a half-space pairs, with M(k) = |k| R Z R^T on the forward
+    pairing's grid, to mu/(lam + 3 mu) (lam G_lam + mu G_mu), as Z is linear."""
+    grid = pairing_grid(ProbeSpec(template.a, template.omega, int(N), rho_tilde, 0, cutoff),
+                        quad)
+    return np.array([np.sum(grid.weights * grid.form_values(grid.r[:, None, None] * Zc,
+                                                             template.a))
+                     for Zc in impedance_basis((1.0, 0.0, 0.0))])
 
-    Uses M(k) = |k| R Z R^T on the same quadrature grid as the forward
-    pairing; no depth integration is involved. This is the exactly computable
-    part of the finite-N error of a pairing ladder.
-    """
-    probe = ProbeSpec(template.a, template.omega, int(N), rho_tilde, 0, cutoff)
-    grid = pairing_grid(probe, quad)
-    Z = impedance(lam, mu, (1.0, 0.0, 0.0)).matrix
-    M0 = grid.r[:, None, None] * Z[None, :, :]
-    return float(np.sum(grid.weights * grid.form_values(M0, template.a)))
+
+def homogeneous_pairing_value(template: ProbeTemplate, N: int, rho_tilde: int,
+                              cutoff: CutoffProfile, lam: float, mu: float,
+                              quad: QuadratureSettings = DEFAULT_QUAD) -> float:
+    """Finite-N pairing of a homogeneous half-space, in closed form: the
+    exactly computable part of the finite-N error of a pairing ladder."""
+    check_admissible(lam, mu)
+    G = _pairing_moments(template, N, rho_tilde, cutoff, quad)
+    return float(mu / (lam + 3.0 * mu) * (lam * G[0] + mu * G[1]))
 
 
 def refine_order0(
@@ -454,47 +459,40 @@ def refine_order0(
     cutoff: CutoffProfile,
     rho_tilde: int,
     quad: QuadratureSettings = DEFAULT_QUAD,
-    iterations: int = 3,
 ) -> tuple[Order0Result, dict]:
     """Order-0 recovery with model-deflated ladder extrapolation.
 
     The finite-N error of an order-0 ladder is dominated by the spectral
     spread of the probe acting on the homogeneous symbol |k| Z, which is
-    computable exactly. Each iteration deflates the measured ladder by the
-    model factor at the current (lam, mu), refits the remaining stratified
-    correction (a 1/N series), and re-solves for the moduli; the fixed point
-    is reached in two or three passes.
+    computable exactly. Each pass deflates the measured ladders by the model
+    factor at the current (lam, mu), refits the remaining stratified
+    correction (a 1/N series) and re-solves for the moduli, until (lam, mu)
+    moves by at most 1e-12 relative; ``ok`` is False if the pass cap comes first.
     """
-    # initial estimate from the plain structured fits
+    C = order0_coefficients(lr.template for lr in ladders)
+    rho = 1.0 / rho_tilde
+    fits = []  # per ladder: moments (nN, 2), first row of the fit's pseudo-inverse
+    for lr in ladders:
+        Nf = lr.N_values.astype(float)
+        # deflation leaves the stratified 1/N series with even spread
+        # corrections: exponents {1, 1 + 2 rho, 2}
+        A = np.column_stack([np.ones(Nf.size), Nf**-1.0, Nf ** -(1.0 + 2.0 * rho), Nf**-2.0])
+        G = np.array([_pairing_moments(lr.template, n, rho_tilde, cutoff, quad)
+                      for n in lr.N_values])
+        fits.append((G, np.linalg.pinv(A)[0]))
     order0 = recover_order0([(lr.template, lr.limit) for lr in ladders])
-    lam, mu = order0.lam, order0.mu
-    refined: dict[str, float] = {}
-    for _ in range(iterations):
-        pairs = []
-        for lr in ladders:
-            model = np.array([
-                homogeneous_pairing_value(lr.template, int(n), rho_tilde, cutoff, lam, mu, quad)
-                for n in lr.N_values
-            ])
-            form_inf = quadratic_form(impedance(lam, mu, lr.template.omega), lr.template.a)
-            deflator = model / form_inf
-            tilted = np.real(lr.values) / deflator
-            Nf = lr.N_values.astype(float)
-            # deflation leaves the stratified 1/N series with even spread
-            # corrections: exponents {1, 1 + 2 rho, 2}
-            rho = 1.0 / rho_tilde
-            A = np.column_stack(
-                [np.ones(Nf.size), Nf**-1.0, Nf ** -(1.0 + 2.0 * rho), Nf**-2.0]
-            )
-            coef, *_ = np.linalg.lstsq(A, tilted, rcond=None)
-            refined[lr.template.name] = float(coef[0])
-            pairs.append((lr.template, float(coef[0])))
-        order0 = recover_order0(pairs, init=(lam, mu))
-        if abs(order0.lam - lam) < 1e-10 and abs(order0.mu - mu) < 1e-10:
-            lam, mu = order0.lam, order0.mu
-            break
+    for passes in range(1, _MAX_PASSES + 1):
         lam, mu = order0.lam, order0.mu
-    return order0, refined
+        # deflator: model pairing over its N = infinity limit (mu/(lam + 3 mu) cancels)
+        limits = [(lr.template, float(w @ (lr.values.real * (c @ (lam, mu)) / (G @ (lam, mu)))))
+                  for lr, (G, w), c in zip(ladders, fits, C)]
+        order0 = recover_order0(limits)
+        change = _relative_change((lam, mu), (order0.lam, order0.mu))
+        if change <= _PASS_TOL:
+            break
+    return (replace(order0, ok=order0.ok and change <= _PASS_TOL, passes=passes,
+                    final_change=change),
+            {t.name: v for t, v in limits})
 
 
 # ---------------------------------------------------------------------------
@@ -754,6 +752,7 @@ def reconstruct_profile(
 ) -> ReconstructionReport:
     """Order-0 recovery followed by order-m recovery in every available mode."""
     battery = battery if battery is not None else default_battery()
+    order0_coefficients(battery)  # reject an unidentifiable battery before any ladder
     order0_ladders = runner(profile, battery, N_list, 0, cutoff, rho_tilde, quad)
     rt = rho_tilde if rho_tilde is not None else ProbeSpec.auto_rho_tilde(0)
     cut = cutoff if cutoff is not None else GaussianCutoff()

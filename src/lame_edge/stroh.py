@@ -32,6 +32,7 @@ __all__ = [
     "characteristic_det_factored",
     "eigen_jordan",
     "impedance",
+    "impedance_basis",
     "quadratic_form",
     "reference_chain",
     "sigma_basis",
@@ -273,33 +274,27 @@ class ImpedanceTensor:
     mu: float
 
 
-def impedance(lam: float, mu: float, omega, variant: str = "iota_squared") -> ImpedanceTensor:
-    """Surface impedance tensor with iota = (w2, -w1, 0).
+def impedance_basis(omega, variant: str = "iota_squared") -> tuple[np.ndarray, np.ndarray]:
+    """(Z_lam, Z_mu) with Z = mu/(lam+3mu) (lam Z_lam + mu Z_mu) and iota = (w2, -w1, 0).
 
-    Diagonal: (mu/(lam+3mu)) * (2(lam+2mu) - (lam+mu) * iota_i^2) for the
-    iota_squared variant (the one the forward oracle validates), or with a
-    linear iota_i for the iota_linear variant. Off-diagonal (i < j, remaining
-    index k): (mu/(lam+3mu)) * (-(lam+mu) iota_i iota_j + i (-1)^k 2 mu iota_k),
-    completed Hermitian.
-    """
-    check_admissible(lam, mu)
+    Z_lam = 2I - iota iota^T, Z_mu = 4I - iota iota^T + 2i [iota]_x (cross-product
+    matrix). iota_squared is the variant the forward oracle validates;
+    iota_linear puts iota_i for iota_i^2 on the diagonal."""
     if variant not in ("iota_squared", "iota_linear"):
         raise ValueError(f"unknown impedance variant: {variant!r}")
     w = _as_tangent(omega)
     iota = np.array([w[1], -w[0], 0.0])
-    f = mu / (lam + 3.0 * mu)
-    Z = np.zeros((3, 3), dtype=complex)
-    for i in range(3):
-        di = iota[i] ** 2 if variant == "iota_squared" else iota[i]
-        Z[i, i] = f * (2.0 * (lam + 2.0 * mu) - (lam + mu) * di)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            k1 = 6 - (i + 1) - (j + 1)  # remaining index, 1-based
-            Z[i, j] = f * (
-                -(lam + mu) * iota[i] * iota[j] + 1.0j * (-1.0) ** k1 * 2.0 * mu * iota[k1 - 1]
-            )
-            Z[j, i] = np.conj(Z[i, j])
-    return ImpedanceTensor(Z, w, variant, lam, mu)
+    outer = np.outer(iota, iota)
+    np.fill_diagonal(outer, iota**2 if variant == "iota_squared" else iota)
+    return 2.0 * np.eye(3) - outer, 4.0 * np.eye(3) - outer + 2.0j * np.cross(np.eye(3), iota)
+
+
+def impedance(lam: float, mu: float, omega, variant: str = "iota_squared") -> ImpedanceTensor:
+    """Surface impedance tensor Z, Hermitian; see :func:`impedance_basis`."""
+    check_admissible(lam, mu)
+    Z_lam, Z_mu = impedance_basis(omega, variant)
+    Z = mu / (lam + 3.0 * mu) * (lam * Z_lam + mu * Z_mu)
+    return ImpedanceTensor(Z, _as_tangent(omega), variant, lam, mu)
 
 
 def quadratic_form(Z: ImpedanceTensor | np.ndarray, a) -> float:

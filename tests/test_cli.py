@@ -162,6 +162,9 @@ class TestReconstructCommand:
         assert report["order0"]["lambda"] == pytest.approx(1.0, rel=0.05)
         assert set(report["order_m"]) == {"plus_one", "plus_a3_squared", "predicted"}
         assert report["variant_verdict"] == "calibration-only"
+        order0 = json.loads((out1 / "manifest.json").read_text())["counters"]["order0"]
+        assert order0["method"] == report["order0"]["method"]
+        assert order0["passes"] >= 1 and order0["final_change"] <= 1e-12
 
     def test_parallel_runner_matches_serial(self, tmp_path):
         path = write_config(tmp_path, order=0, ladder=[8, 16, 32, 64],
@@ -172,6 +175,14 @@ class TestReconstructCommand:
                      "--jobs", "2"]) == EXIT_OK
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
         assert (out1 / "ladders.csv").read_bytes() == (out2 / "ladders.csv").read_bytes()
+
+    def test_unidentifiable_battery_exits_config(self, tmp_path, capsys):
+        # e3 and tangent probes see the same combination of lambda and mu
+        path = write_config(tmp_path, order=0,
+                            probes={"kinds": ["e3", "tangent"], "directions": [[1.0, 0.0]]})
+        rc = main(["reconstruct", "--config", str(path), "--out", str(tmp_path / "rank")])
+        assert rc == EXIT_CONFIG
+        assert "config error: order-0 battery cannot separate" in capsys.readouterr().err
 
     def test_expect_breach_exits_2(self, tmp_path):
         path = write_config(

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lame_edge.ansatz import GaussianCutoff
 from lame_edge.elastic import LameProfile
+from lame_edge.forward import DEFAULT_QUAD
 from lame_edge.reconstruct import (
     BatteryError,
     ProbeTemplate,
@@ -11,10 +14,14 @@ from lame_edge.reconstruct import (
     extrapolate,
     homogeneous_pairing_value,
     leading_order_response,
+    order0_coefficients,
+    order0_model,
     order0_response,
     recover_order0,
     recover_order_m,
+    refine_order0,
     run_ladder,
+    serial_ladder_runner,
     closed_form_response,
 )
 from lame_edge.stroh import impedance, quadratic_form
@@ -168,6 +175,102 @@ class TestRecoverOrder0:
         t = ProbeTemplate.named("e3", (1.0, 0.0))
         with pytest.raises(BatteryError):
             recover_order0([(t, 1.6)])
+
+    def test_unidentifiable_battery_rejected(self):
+        # e3 and tangent probes share the row (a^H Z_lam a, a^H Z_mu a) = (2, 4):
+        # their limits fix one combination of the moduli, not both
+        battery = [ProbeTemplate.named("e3", (1.0, 0.0)),
+                   ProbeTemplate.named("tangent", (0.0, 1.0)),
+                   ProbeTemplate.named("e3", (0.0, 1.0))]
+        limits = [(t, order0_response(t.a, t.omega, 2.0, 1.0)) for t in battery]
+        with pytest.raises(BatteryError, match="cannot separate lambda from mu"):
+            recover_order0(limits)
+
+    def test_complex_amplitude_closed_loop(self):
+        # the model is the form a^H Z a that the pairing integrates, not
+        # quadratic_form's sum Z_ij a_i conj(a_j): they differ for complex a
+        mixed = ProbeTemplate("mixed", np.array([1.0, 0.0, 1.0j]), np.array(E1))
+        battery = [mixed, ProbeTemplate.named("e3", (1.0, 0.0))]
+        p, _ = order0_model(order0_coefficients(battery), 2.0, 1.0)
+        assert p[0] == pytest.approx(4.0, rel=1e-14)
+        assert quadratic_form(impedance(2.0, 1.0, E1), mixed.a) == pytest.approx(2.4)
+        limits = [(t, order0_response(t.a, t.omega, 2.0, 1.0)) for t in battery]
+        res = recover_order0(limits)
+        assert res.ok
+        assert res.lam == pytest.approx(2.0, rel=1e-10)
+        assert res.mu == pytest.approx(1.0, rel=1e-10)
+
+
+unit_complex = st.tuples(*[st.floats(-1.0, 1.0)] * 6).map(
+    lambda x: np.array(x[:3]) + 1j * np.array(x[3:])
+).filter(lambda a: np.linalg.norm(a) > 0.1)
+moduli = st.tuples(st.floats(0.2, 3.0), st.floats(-7.0, 1.5)).map(
+    lambda x: (x[0] * (-2.0 / 3.0 + 10.0 ** x[1]), x[0])  # t = lam/mu down to -2/3 + 1e-7
+)
+directions = st.floats(0.0, 2.0 * np.pi).map(lambda th: np.array([np.cos(th), np.sin(th), 0.0]))
+
+
+def with_companions(a, om):
+    """Probe a plus e3 and sigma1 at om, whose rows alone have rank 2."""
+    return [ProbeTemplate("a", a, om), ProbeTemplate.named("e3", om[:2]),
+            ProbeTemplate.named("sigma1", om[:2])]
+
+
+class TestOrder0Model:
+    @settings(max_examples=150, deadline=None)
+    @given(moduli, directions, unit_complex)
+    def test_predictions_match_family_energy(self, lm, om, a):
+        battery = with_companions(a, om)
+        p, _ = order0_model(order0_coefficients(battery), *lm)
+        np.testing.assert_allclose(p, [order0_response(t.a, t.omega, *lm) for t in battery],
+                                   rtol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(moduli, st.floats(0.1, 10.0))
+    def test_degree_one_homogeneity(self, lm, s):
+        C = order0_coefficients(default_battery())
+        p, _ = order0_model(C, *lm)
+        ps, _ = order0_model(C, s * lm[0], s * lm[1])
+        np.testing.assert_allclose(ps, s * p, rtol=1e-13)
+
+    @settings(max_examples=100, deadline=None)
+    @given(moduli, directions, unit_complex)
+    def test_jacobian_matches_central_difference(self, lm, om, a):
+        lam, mu = lm
+        C = order0_coefficients(with_companions(a, om))
+        _, J = order0_model(C, lam, mu)
+        h = 1e-6 * mu
+        fd = np.column_stack([
+            (order0_model(C, lam + h, mu)[0] - order0_model(C, lam - h, mu)[0]) / (2 * h),
+            (order0_model(C, lam, mu + h)[0] - order0_model(C, lam, mu - h)[0]) / (2 * h),
+        ])
+        np.testing.assert_allclose(J, fd, rtol=1e-7, atol=1e-9 * np.abs(J).max())
+
+    @settings(max_examples=100, deadline=None)
+    @given(moduli, unit_complex)
+    def test_closed_loop_recovery(self, lm, a):
+        battery = default_battery() + [ProbeTemplate("a", a, np.array(E1))]
+        limits = [(t, order0_response(t.a, t.omega, *lm)) for t in battery]
+        res = recover_order0(limits)
+        scale = max(abs(lm[0]), lm[1])
+        assert res.ok
+        assert abs(res.lam - lm[0]) <= 1e-10 * scale
+        assert abs(res.mu - lm[1]) <= 1e-10 * scale
+
+
+class TestRefineOrder0:
+    def test_fixed_point_on_homogeneous_ladders(self):
+        cut = GaussianCutoff()
+        prof = LameProfile.constant(2.0, 1.0, name="hom21-six")
+        ladders = serial_ladder_runner(prof, default_battery(), [16, 32, 64, 128, 256], 0,
+                                       cut, 4, DEFAULT_QUAD)
+        res, refined = refine_order0(ladders, cut, 4)
+        assert res.ok
+        assert res.lam == pytest.approx(2.0, rel=1e-5)
+        assert res.mu == pytest.approx(1.0, rel=1e-5)
+        assert 1 <= res.passes < 200
+        assert res.final_change <= 1e-12
+        assert set(refined) == {t.name for t in default_battery()}
 
 
 class TestRecoverOrderM:
