@@ -259,7 +259,11 @@ def taylor_truncate(profile: LameProfile, m: int) -> TruncatedProfile:
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """Sampled admissibility of a profile on [0, H]."""
+    """Minima of mu and 3*lambda + 2*mu on [0, H].
+
+    Exact for polynomial profiles (``n_samples`` = 0); otherwise taken over
+    ``n_samples`` equispaced samples.
+    """
 
     H: float
     n_samples: int
@@ -271,14 +275,40 @@ class AdmissibilityReport:
         object.__setattr__(self, "passed", self.min_mu > 0.0 and self.min_bulk > 0.0)
 
 
+def _polynomial_min(p: np.polynomial.Polynomial, H: float) -> float:
+    """Exact minimum of p on [0, H]: endpoints and critical points.
+
+    Every root of p' is evaluated at its real part clipped into [0, H]; the
+    extra points lie in the interval, so they cannot hide the minimum. A root
+    that overflows (negligible leading coefficient) clips to an endpoint.
+    """
+    with np.errstate(over="ignore"):
+        roots = p.deriv().roots().real
+    y = np.concatenate([[0.0, H], np.clip(roots, 0.0, H)])
+    return float(p(y).min())
+
+
 def validate_admissibility(
     profile: LameProfile, H: float, n_samples: int = 1024
 ) -> AdmissibilityReport:
-    """Dense-sampling admissibility check of mu > 0 and 3*lambda + 2*mu > 0 on [0, H]."""
+    """Check mu > 0 and 3*lambda + 2*mu > 0 on [0, H].
+
+    Decided exactly for polynomial profiles (``n_samples`` is then unused);
+    other profiles are sampled densely.
+    """
     if H <= 0.0:
         raise ValueError("H must be positive")
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
+    if profile.is_polynomial:
+        lam = np.polynomial.Polynomial(profile.lam_coeffs)
+        mu = np.polynomial.Polynomial(profile.mu_coeffs)
+        return AdmissibilityReport(
+            H=float(H),
+            n_samples=0,
+            min_mu=_polynomial_min(mu, H),
+            min_bulk=_polynomial_min(3.0 * lam + 2.0 * mu, H),
+        )
     y = np.linspace(0.0, H, n_samples)
     lam = np.asarray(profile.lam(y), dtype=float)
     mu = np.asarray(profile.mu(y), dtype=float)

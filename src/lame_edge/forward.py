@@ -6,17 +6,33 @@ a traction trace through the 3x3 symbol M(k); the sign of M is fixed by
 requiring the equal-slot pairing <traction, trace> to be positive (elastic
 energy), which makes M Hermitian positive definite.
 
-The primary solver propagates the impedance (a matrix Riccati flow) from a
-truncation depth H(k) = min(H_max, efolds/|k|) to the surface, initialized
-with the frozen-coefficient half-space impedance built from the Jordan family
-of the depth-frozen first-order system. A brute-force orthonormalized
-subspace march provides an independent oracle.
+The primary solver propagates the impedance S = -M (a matrix Riccati flow)
+from a truncation depth H(k) = min(H_max, efolds/|k|) to the surface,
+initialized with the frozen-coefficient half-space impedance. Isotropy and
+depth-only coefficients give M(k) = R(theta) M0(|k|) R(theta)^T with
+M0(r) = M(r e1), and at k = r e1 the flow decouples exactly into an SH scalar
+S22 and a Hermitian P-SV block [[S11, i b], [-i b, S33]] with S11, S33, b
+real; every other entry stays zero. The state is therefore 4 reals per
+radial node, (S11, S22, S33, b), and with g = lam/(lam+2mu), p = 1/mu,
+q = 1/(lam+2mu), P = 4mu(lam+mu)/(lam+2mu):
+
+    dS11 = rho^2 P - 2 rho g b - (p S11^2 + q b^2)
+    dS22 = rho^2 mu - p S22^2
+    dS33 = 2 rho b - (p b^2 + q S33^2)
+    db   = rho (S11 - g S33) - b (p S11 + q S33)
+
+in physical depth (rho = r) or in scaled depth t = r y3 for S / r (rho = 1).
+One core, :func:`_radial_symbols`, integrates this for a batch of radial
+nodes; the radial tables and :func:`dtn_symbol` (a batch of one, rotated)
+both use it. The orthonormalized subspace march on the full 6x3 system is
+the independent oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -24,7 +40,7 @@ from scipy.interpolate import CubicSpline
 
 from .ansatz import ProbeSpec
 from .elastic import LameProfile, taylor_truncate, validate_admissibility
-from .stroh import reference_chain
+from .stroh import impedance_basis, reference_chain
 
 __all__ = [
     "DtnSymbol",
@@ -92,6 +108,7 @@ def _coeff_blocks(lam: float, mu: float, what: np.ndarray):
     return T, A, Q
 
 
+_E1 = np.array([1.0, 0.0, 0.0])
 _E3 = np.array([0.0, 0.0, 1.0])
 
 
@@ -150,20 +167,68 @@ class DtnSymbol:
         return float(np.abs(M - M.conj().T).max()) / s
 
 
-def _riccati_rhs_factory(profile: LameProfile, kn: float, what: np.ndarray):
-    """d S_hat / dt on the scaled depth t = |k| y3, S_hat = S / |k|."""
+def _assemble(s: np.ndarray) -> np.ndarray:
+    """3x3 Hermitian symbols from reduced rows (M11, M22, M33, Im M13) on the last axis."""
+    M = np.zeros(s.shape[:-1] + (3, 3), dtype=complex)
+    M[..., [0, 1, 2], [0, 1, 2]] = s[..., :3]
+    M[..., 0, 2] = 1.0j * s[..., 3]
+    M[..., 2, 0] = -1.0j * s[..., 3]
+    return M
 
-    def rhs(t, y):
-        S = y.reshape(3, 3)
-        lam = float(profile.lam(t / kn))
-        mu = float(profile.mu(t / kn))
-        T, A, Q = _coeff_blocks(lam, mu, what)
-        Ti = np.diag(1.0 / np.diag(T))
-        AtTi = A.T @ Ti
-        dS = (Q - AtTi @ A) - 1.0j * AtTi @ S + 1.0j * S @ Ti @ A - S @ Ti @ S
-        return dS.ravel()
 
-    return rhs
+def _riccati_rhs(s, y, profile: LameProfile, scale, rho):
+    """The reduced impedance flow on (S11, S22, S33, b), nodes on the trailing axis."""
+    S11, S22, S33, b = y.reshape(4, -1)
+    lam, mu = profile.lam(s / scale), profile.mu(s / scale)
+    p, q = 1.0 / mu, 1.0 / (lam + 2.0 * mu)
+    g = lam * q
+    return np.concatenate([
+        rho**2 * 4.0 * mu * (lam + mu) * q - 2.0 * rho * g * b - (p * S11**2 + q * b**2),
+        rho**2 * mu - p * S22**2,
+        2.0 * rho * b - (p * b**2 + q * S33**2),
+        rho * (S11 - g * S33) - b * (p * S11 + q * S33),
+    ])
+
+
+def _radial_symbols(
+    profile: LameProfile,
+    nodes: np.ndarray,
+    tol: float,
+    frame: HalfSpaceFrame,
+) -> tuple[np.ndarray, int]:
+    """The Riccati core: reduced M0(r) = M(r e1) at every node, and the step count.
+
+    Returns rows (M11, M22, M33, Im M13), shape (n, 4). Nodes with
+    r <= efolds/H_max share the physical depth span [H_max, 0] (rho = r);
+    deeper-frequency nodes share the scaled span t = r y3 in [efolds, 0]
+    (rho = 1, state S / r). Each band is one joint integration of 4 reals per
+    node, started from the frozen half-space impedance S = -rho Z(lam(H), mu(H)).
+    """
+    z_lam, z_mu = (np.array([B[0, 0].real, B[1, 1].real, B[2, 2].real, B[0, 2].imag])[:, None]
+                   for B in impedance_basis(_E1))
+    split = frame.efolds / frame.H_max
+    out = np.empty((nodes.size, 4))
+    n_steps = 0
+    for band, scaled in ((nodes <= split, False), (nodes > split, True)):
+        rs = nodes[band]
+        if not rs.size:
+            continue
+        scale = rs if scaled else 1.0
+        rho = rs / scale
+        H = frame.efolds / rs if scaled else np.full(rs.size, frame.H_max)
+        lamH, muH = profile.lam(H), profile.mu(H)
+        y0 = -rho * muH / (lamH + 3.0 * muH) * (lamH * z_lam + muH * z_mu)
+        span = (frame.efolds if scaled else frame.H_max, 0.0)
+        sol = solve_ivp(_riccati_rhs, span, y0.ravel(), method="DOP853",
+                        rtol=tol, atol=tol, args=(profile, scale, rho))
+        if not sol.success:
+            raise ForwardError(
+                f"Riccati integration ({'deep' if scaled else 'shallow'} band) failed "
+                f"at {'t' if scaled else 'y3'} = {sol.t[-1]}: {sol.message}"
+            )
+        out[band] = (-scale * sol.y[:, -1].reshape(4, -1)).T
+        n_steps += int(sol.t.size)
+    return out, n_steps
 
 
 def dtn_symbol(
@@ -173,12 +238,13 @@ def dtn_symbol(
     frame: HalfSpaceFrame = DEFAULT_FRAME,
     check_admissibility: bool = True,
 ) -> DtnSymbol:
-    """Surface DtN symbol M(k) by stable impedance marching.
+    """Surface DtN symbol M(k) = R(theta) M0(|k|) R(theta)^T by stable impedance marching.
 
-    Integrates the impedance Riccati flow from the truncation depth
-    (initialized with the frozen-coefficient half-space impedance) down to
-    the surface. The flow contracts toward the decaying-family impedance, so
-    truncation and initialization errors decay like exp(-2 |k| (H - y3)).
+    A batch of one on the Riccati core, which integrates the impedance flow
+    from the truncation depth (initialized with the frozen-coefficient
+    half-space impedance) to the surface. The flow contracts toward the
+    decaying-family impedance, so truncation and initialization errors decay
+    like exp(-2 |k| (H - y3)).
     """
     kn, what = _unit_tangent(k)
     H = frame.depth(k)
@@ -189,29 +255,10 @@ def dtn_symbol(
                 f"profile inadmissible on [0, {H}]: min mu = {rep.min_mu}, "
                 f"min 3lam+2mu = {rep.min_bulk}"
             )
-    if kn == 0.0:
-        return DtnSymbol(np.zeros(2), np.zeros((3, 3), complex), H, "riccati", tol, 0)
-    lamH = float(profile.lam(H))
-    muH = float(profile.mu(H))
-    S_init = -half_space_impedance(lamH, muH, kn * what[:2]) / kn
-    rhs = _riccati_rhs_factory(profile, kn, what)
-    sol = solve_ivp(
-        rhs,
-        (kn * H, 0.0),
-        S_init.ravel(),
-        method="DOP853",
-        rtol=tol,
-        atol=tol,
-    )
-    if not sol.success:
-        raise ForwardError(
-            f"Riccati integration failed at t = {sol.t[-1]} "
-            f"(depth {sol.t[-1] / kn}): {sol.message}"
-        )
-    S0 = sol.y[:, -1].reshape(3, 3)
-    M = -kn * S0
-    M = 0.5 * (M + M.conj().T)  # flow preserves Hermiticity; discard roundoff skew
-    return DtnSymbol(kn * what[:2], M, H, "riccati", tol, int(sol.t.size))
+    M0, n_steps = _radial_symbols(profile, np.array([kn]), tol, frame)
+    c, s = what[0], what[1]
+    R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])  # takes e1 to k/|k|
+    return DtnSymbol(kn * what[:2], R @ _assemble(M0[0]) @ R.T, H, "riccati", tol, n_steps)
 
 
 def dtn_symbol_march(
@@ -257,97 +304,6 @@ def dtn_symbol_march(
     return -kn * S0
 
 
-def _batch_radial_symbols(
-    profile: LameProfile,
-    nodes: np.ndarray,
-    tol: float,
-    frame: HalfSpaceFrame,
-) -> np.ndarray:
-    """M(r e1) for every radial node, integrating all Riccati flows jointly.
-
-    Nodes with r <= efolds/H_max share the depth span [H_max, 0] and are
-    integrated in physical depth; deeper-frequency nodes share the scaled span
-    [efolds, 0]. Identical truncation policy and initialization as
-    :func:`dtn_symbol`, amortizing the integrator overhead across nodes.
-    """
-    e1 = np.array([1.0, 0.0, 0.0])
-    P31 = np.outer(_E3, e1)
-    P13 = np.outer(e1, _E3)
-    P11 = np.outer(e1, e1)
-    I3 = np.eye(3)
-    split = frame.efolds / frame.H_max
-    out = np.zeros((nodes.size, 3, 3), dtype=complex)
-
-    def init_S(rs: np.ndarray, scaled: bool) -> np.ndarray:
-        S0 = np.empty((rs.size, 3, 3), dtype=complex)
-        for i, r in enumerate(rs):
-            if r == 0.0:
-                S0[i] = 0.0
-                continue
-            H = frame.depth((r, 0.0))
-            lamH, muH = float(profile.lam(H)), float(profile.mu(H))
-            M = half_space_impedance(lamH, muH, (r, 0.0))
-            S0[i] = -M / (r if scaled else 1.0)
-        return S0
-
-    low = nodes[nodes <= split]
-    if low.size:
-        rs = low
-
-        def rhs_low(y3, y):
-            S = y.reshape(-1, 3, 3)
-            lam = float(profile.lam(y3))
-            mu = float(profile.mu(y3))
-            Ti = np.diag([1.0 / mu, 1.0 / mu, 1.0 / (lam + 2.0 * mu)])
-            Ah = lam * P31 + mu * P13
-            Qh = (lam + mu) * P11 + mu * I3
-            P1 = Qh - Ah.T @ Ti @ Ah
-            B1 = Ah.T @ Ti
-            B2 = Ti @ Ah
-            r2 = (rs**2)[:, None, None]
-            r1 = rs[:, None, None]
-            dS = r2 * P1 - 1.0j * r1 * (B1 @ S) + 1.0j * r1 * (S @ B2) - S @ Ti @ S
-            return dS.ravel()
-
-        sol = solve_ivp(
-            rhs_low, (frame.H_max, 0.0), init_S(rs, scaled=False).ravel(),
-            method="DOP853", rtol=tol, atol=tol,
-        )
-        if not sol.success:
-            raise ForwardError(f"batched Riccati (shallow band) failed: {sol.message}")
-        out[nodes <= split] = -sol.y[:, -1].reshape(-1, 3, 3)
-
-    high = nodes[nodes > split]
-    if high.size:
-        rs = high
-
-        def rhs_high(t, y):
-            S = y.reshape(-1, 3, 3)
-            lam = np.asarray(profile.lam(t / rs), dtype=float)
-            mu = np.asarray(profile.mu(t / rs), dtype=float)
-            n = rs.size
-            Ti = np.zeros((n, 3, 3))
-            Ti[:, 0, 0] = 1.0 / mu
-            Ti[:, 1, 1] = 1.0 / mu
-            Ti[:, 2, 2] = 1.0 / (lam + 2.0 * mu)
-            Ah = lam[:, None, None] * P31 + mu[:, None, None] * P13
-            Qh = (lam + mu)[:, None, None] * P11 + mu[:, None, None] * I3
-            AtTi = np.transpose(Ah, (0, 2, 1)) @ Ti
-            dS = (Qh - AtTi @ Ah) - 1.0j * (AtTi @ S) + 1.0j * (S @ Ti @ Ah) - S @ Ti @ S
-            return dS.ravel()
-
-        sol = solve_ivp(
-            rhs_high, (frame.efolds, 0.0), init_S(rs, scaled=True).ravel(),
-            method="DOP853", rtol=tol, atol=tol,
-        )
-        if not sol.success:
-            raise ForwardError(f"batched Riccati (deep band) failed: {sol.message}")
-        out[nodes > split] = -rs[:, None, None] * sol.y[:, -1].reshape(-1, 3, 3)
-
-    out = 0.5 * (out + np.conj(np.transpose(out, (0, 2, 1))))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # radial DtN tables (isotropy + depth-only coefficients => M(k) = R M0(|k|) R^T)
 # ---------------------------------------------------------------------------
@@ -390,11 +346,9 @@ class RadialDtnTable:
                 f"profile inadmissible on [0, {frame.H_max}]: "
                 f"min mu = {rep.min_mu}, min 3lam+2mu = {rep.min_bulk}"
             )
-        self.values = _batch_radial_symbols(
-            profile, self.nodes, self.riccati_tol, frame
-        )
-        self._re = CubicSpline(self.nodes, self.values.real, axis=0)
-        self._im = CubicSpline(self.nodes, self.values.imag, axis=0)
+        reduced, _ = _radial_symbols(profile, self.nodes, self.riccati_tol, frame)
+        self.values = _assemble(reduced)
+        self._spline = CubicSpline(self.nodes, reduced, axis=0)
 
     def symbol_radial(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -402,7 +356,7 @@ class RadialDtnTable:
             raise ForwardError(
                 f"radial table covers |k| <= {self.nodes[-1]:.3f}, requested {r.max():.3f}"
             )
-        return self._re(r) + 1.0j * self._im(r)
+        return _assemble(self._spline(r))
 
     def forms(self, kx: np.ndarray, ky: np.ndarray, a: np.ndarray) -> np.ndarray:
         """Hermitian forms a^H M(k) a on arrays of frequency components."""
@@ -513,6 +467,15 @@ class PolarGrid:
         return np.real(np.einsum("rij,tij->rt", M0, B))
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre rule on [-1, 1], computed once per n (read-only)."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def pairing_grid(probe: ProbeSpec, quad: QuadratureSettings) -> PolarGrid:
     """Polar quadrature grid for one probe.
 
@@ -524,7 +487,7 @@ def pairing_grid(probe: ProbeSpec, quad: QuadratureSettings) -> PolarGrid:
     W = probe.cutoff.spectral_halfwidth(quad.tail_tol)
     spread = W * N ** (1.0 - rho)
     r_lo, r_hi = max(0.0, N - spread), N + spread
-    x, w = np.polynomial.legendre.leggauss(2 * quad.nodes)
+    x, w = _gauss_legendre(2 * quad.nodes)
     r = 0.5 * (r_hi - r_lo) * x + 0.5 * (r_hi + r_lo)
     wr = 0.5 * (r_hi - r_lo) * w
 
@@ -535,7 +498,7 @@ def pairing_grid(probe: ProbeSpec, quad: QuadratureSettings) -> PolarGrid:
         wt = np.full(n_t, 2.0 * math.pi / n_t)
     else:
         half = 1.05 * math.asin(min(1.0, spread / N))
-        xt, wwt = np.polynomial.legendre.leggauss(n_t)
+        xt, wwt = _gauss_legendre(n_t)
         theta = theta0 + half * xt
         wt = half * wwt
 
@@ -658,7 +621,7 @@ def limit_quadrature(
     """
     mass = 1.0 if cutoff is None else cutoff.l2_mass()
     upper = 0.5 / math.sqrt(N)
-    x, w = np.polynomial.legendre.leggauss(n_quad)
+    x, w = _gauss_legendre(n_quad)
     y3 = 0.5 * upper * (x + 1.0)
     wy = 0.5 * upper * w
     fk = np.zeros_like(y3)

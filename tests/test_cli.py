@@ -68,6 +68,16 @@ class TestValidate:
         path.write_text(json.dumps(cfg))
         assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
 
+    def test_narrow_dip_between_samples_rejected(self, tmp_path):
+        # mu < 0 only near y3 = 1, between samples 255 and 256 of 512 on [0, 2]
+        path = write_config(tmp_path, order=0)
+        cfg = json.loads(path.read_text())
+        cfg["profile"]["mu"] = [1e4 - 1e-3, -2e4, 1e4]
+        path.write_text(json.dumps(cfg))
+        assert any("inadmissible" in e for e in cross_field_errors(cfg))
+        rc = main(["reconstruct", "--config", str(path), "--out", str(tmp_path / "dip")])
+        assert rc == EXIT_CONFIG
+
     def test_schema_violation(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"version": 1, "profile": {}}))

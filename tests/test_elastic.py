@@ -134,6 +134,23 @@ class TestProfiles:
         assert rep.passed
         assert rep.min_bulk == pytest.approx(0.2)
 
+    def test_admissibility_exact_between_samples(self):
+        # mu = 1e4 (y - 1)^2 - 1e-3 dips below zero only within 3.2e-4 of
+        # y = 1, the midpoint between samples 255 and 256 of 512 on [0, 2]
+        prof = LameProfile.from_polynomial([1.0], [1e4 - 1e-3, -2e4, 1e4])
+        y = np.linspace(0.0, 2.0, 512)
+        assert prof.mu(y).min() > 0.0
+        rep = validate_admissibility(prof, H=2.0, n_samples=512)
+        assert rep.n_samples == 0 and not rep.passed
+        assert rep.min_mu == pytest.approx(-1e-3, rel=1e-6)
+        assert rep.min_bulk == pytest.approx(3.0 - 2e-3, rel=1e-12)
+
+    def test_admissibility_sampled_for_callables(self):
+        prof = LameProfile(lambda y, order=0: 1.0 + 0.0 * y, lambda y, order=0: 1.0 + y)
+        rep = validate_admissibility(prof, H=1.0, n_samples=11)
+        assert rep.passed and rep.n_samples == 11
+        assert rep.min_bulk == pytest.approx(5.0)
+
     def test_surface_derivatives(self):
         prof = LameProfile.from_polynomial([1.0, 0.3, 0.1], [2.0, 0.2])
         assert float(prof.lam(0.0, 1)) == pytest.approx(0.3)

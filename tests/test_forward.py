@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lame_edge.ansatz import BumpCutoff, GaussianCutoff, ProbeSpec
-from lame_edge.elastic import LameProfile
+from lame_edge.elastic import LameProfile, validate_admissibility
 from lame_edge.forward import (
     DEFAULT_FRAME,
     ForwardError,
@@ -112,7 +114,9 @@ class TestDtnSymbol:
         rng = np.random.default_rng(4)
         for trial in range(20):
             prof = random_profile(rng, f"rand{trial}")
-            kn = rng.uniform(0.5, 40.0)
+            # log-uniform over both bands: physical depth (|k| <= efolds/H_max = 7)
+            # and scaled depth
+            kn = np.exp(rng.uniform(np.log(0.5), np.log(300.0)))
             th = rng.uniform(0, 2 * np.pi)
             k = kn * np.array([np.cos(th), np.sin(th)])
             M1 = dtn_symbol(prof, k).matrix
@@ -154,11 +158,50 @@ class TestRadialTable:
             ft = tab.forms(np.array([k[0]]), np.array([k[1]]), a)[0]
             assert abs(fd - ft) <= 1e-8 * abs(fd)
 
+    def test_narrow_dip_between_samples_rejected(self):
+        # mu < 0 only within 3.2e-4 of y3 = 1, the midpoint between samples 255
+        # and 256 of a 512-point grid on [0, 2]; the exact check still sees it
+        prof = LameProfile.from_polynomial([1.0], [1e4 - 1e-3, -2e4, 1e4])
+        with pytest.raises(ForwardError, match="inadmissible"):
+            RadialDtnTable(prof, 60.0)
+
     def test_out_of_range_rejected(self):
         prof = LameProfile.constant(1.0, 1.0)
         tab = RadialDtnTable(prof, 10.0)
         with pytest.raises(ForwardError, match="radial table"):
             tab.symbol_radial(np.array([50.0]))
+
+
+moduli = st.tuples(st.floats(0.2, 3.0), st.floats(-7.0, 1.5)).map(
+    lambda x: (x[0] * (-2.0 / 3.0 + 10.0 ** x[1]), x[0])  # lam/mu down to -2/3 + 1e-7
+)
+slopes = st.floats(-0.4, 0.4)
+
+
+class TestReducedCore:
+    """Structure of M0(r) = M(r e1): SH scalar plus Hermitian P-SV block."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(moduli, slopes, slopes, slopes, slopes)
+    def test_decoupled_hermitian_positive_definite(self, lm, l1, l2, m1, m2):
+        lam0, mu0 = lm
+        prof = LameProfile.from_polynomial([lam0, l1, l2], [mu0, m1, m2])
+        assume(validate_admissibility(prof, DEFAULT_FRAME.H_max).passed)
+        tab = RadialDtnTable(prof, 60.0)
+        V = tab.values
+        assert tab.nodes.max() > 48.0  # both bands and the geometric nodes
+        assert np.all(V[:, [0, 1, 1, 2], [1, 0, 2, 1]] == 0.0)
+        assert np.all(np.diagonal(V, axis1=1, axis2=2).imag == 0.0)
+        assert np.all(V[:, 0, 2] == -V[:, 2, 0])
+        assert np.all(V[:, 0, 2].real == 0.0)
+        assert np.linalg.eigvalsh(V[tab.nodes > 0.0]).min() > 0.0
+
+    @settings(max_examples=12, deadline=None)
+    @given(moduli)
+    def test_constant_profile_is_degree_one_impedance(self, lm):
+        tab = RadialDtnTable(LameProfile.constant(*lm), 60.0)
+        exact = tab.nodes[:, None, None] * impedance(*lm, E1).matrix
+        assert np.abs(tab.values - exact).max() <= 1e-9 * np.abs(exact).max()
 
 
 @pytest.fixture(scope="module")
