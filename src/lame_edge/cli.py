@@ -30,7 +30,7 @@ from .ansatz import (
     smallness_ok,
 )
 from .elastic import LameProfile, validate_admissibility
-from .forward import ForwardError, QuadratureSettings
+from .forward import ForwardError, QuadratureSettings, polar_grid
 from .geometry import (
     FlatPatch,
     ParaboloidPatch,
@@ -236,15 +236,16 @@ def _fmt(x: float) -> str:
     return f"{x:.12e}"
 
 
-def _write_ladder_csv(path: Path, ladders) -> None:
-    lines = ["N,probe_id,m,re,im,tail,rate"]
+def _write_ladder_csv(path: Path, ladders, nodes: int | None = None) -> None:
+    """One row per ladder point; the last column is the extrapolation rate, or
+    the polar grid size per pairing when ``nodes`` is given."""
+    lines = [f"N,probe_id,m,re,im,tail,{'rate' if nodes is None else 'nodes'}"]
     for lr in ladders:
+        last = _fmt(lr.extrapolation.rate) if nodes is None else nodes
         for i, n in enumerate(lr.N_values):
             tail = float(lr.tails[i]) if lr.tails is not None else 0.0
-            lines.append(
-                f"{int(n)},{lr.template.name},{lr.m},{_fmt(lr.values[i].real)},"
-                f"{_fmt(lr.values[i].imag)},{_fmt(tail)},{_fmt(lr.extrapolation.rate)}"
-            )
+            lines.append(f"{int(n)},{lr.template.name},{lr.m},{_fmt(lr.values[i].real)},"
+                         f"{_fmt(lr.values[i].imag)},{_fmt(tail)},{last}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -419,16 +420,7 @@ def cmd_forward(args) -> int:
     elapsed = time.perf_counter() - t0
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    n_nodes = 4 * quad.nodes**2  # polar grid size per pairing
-    lines = ["N,probe_id,m,re,im,tail,nodes"]
-    for lr in ladders:
-        for i, n in enumerate(lr.N_values):
-            tail = float(lr.tails[i]) if lr.tails is not None else 0.0
-            lines.append(
-                f"{int(n)},{lr.template.name},{lr.m},{_fmt(lr.values[i].real)},"
-                f"{_fmt(lr.values[i].imag)},{_fmt(tail)},{n_nodes}"
-            )
-    (outdir / "pairings.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_ladder_csv(outdir / "pairings.csv", ladders, nodes=4 * quad.nodes**2)
     _write_manifest(outdir, Path(args.config), {"forward": elapsed},
                     [outdir / "pairings.csv"])
     print(f"wrote {outdir / 'pairings.csv'} ({len(ladders)} ladders)")
@@ -527,6 +519,7 @@ def cmd_reconstruct(args) -> int:
     quad = quad_from_config(cfg, args.tol_scale)
     runner = make_runner(args.jobs)
     stages: dict[str, float] = {}
+    grids0 = polar_grid.cache_info()  # this process only: --jobs workers keep their own
     t0 = time.perf_counter()
     report = reconstruct_profile(
         profile,
@@ -540,6 +533,7 @@ def cmd_reconstruct(args) -> int:
         runner=runner,
     )
     stages["reconstruct"] = time.perf_counter() - t0
+    grids1 = polar_grid.cache_info()
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -556,7 +550,9 @@ def cmd_reconstruct(args) -> int:
     _write_ladder_csv(outdir / "ladders.csv", report.order0_ladders + report.order_m_ladders)
     outputs = [outdir / "report.json", outdir / "ladders.csv"]
     order0 = {k: getattr(report.order0, k) for k in ("method", "passes", "final_change")}
-    _write_manifest(outdir, Path(args.config), stages, outputs, {"order0": order0})
+    grids = {"built": grids1.misses - grids0.misses, "reused": grids1.hits - grids0.hits}
+    _write_manifest(outdir, Path(args.config), stages, outputs,
+                    {"order0": order0, "pairing_grids": grids})
     print(f"order-0: lambda = {report.order0.lam:.6f}, mu = {report.order0.mu:.6f}")
     for mode, r in report.order_m.items():
         print(f"order-{r.m} [{mode:>16s}]: dlam = {r.dlam:+.6f}, dmu = {r.dmu:+.6f}")

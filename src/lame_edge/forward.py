@@ -26,6 +26,14 @@ One core, :func:`_radial_symbols`, integrates this for a batch of radial
 nodes; the radial tables and :func:`dtn_symbol` (a batch of one, rotated)
 both use it. The orthonormalized subspace march on the full 6x3 system is
 the independent oracle.
+
+Pairings never assemble the 3x3 symbol: with b = R(theta)^T a and
+rows = (M11, M22, M33, Im M13), a^H M(k) a = rows(|k|) . C(a) f(theta), where
+f = (1, cos, sin, cos 2., sin 2.)(theta) and C(a) f = (|b1|^2, |b2|^2, |a3|^2,
+-2 Im(conj(b1) a3)). In the offset angle phi = theta - theta0 the polar grid's
+weights W(r, phi) do not depend on the probe direction, so a pairing is
+sum(rows * (F @ C(a')^T)) with a' = R(theta0)^T a and F = W @ f(phi)^T, the
+grid's memoised angular moments.
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ __all__ = [
     "half_space_impedance",
     "limit_quadrature",
     "pairing",
-    "pairing_grid",
+    "polar_grid",
     "required_k_max",
     "warm_tables",
 ]
@@ -110,6 +118,10 @@ def _coeff_blocks(lam: float, mu: float, what: np.ndarray):
 
 _E1 = np.array([1.0, 0.0, 0.0])
 _E3 = np.array([0.0, 0.0, 1.0])
+# (Z_lam, Z_mu)(e1) of stroh.impedance_basis as reduced rows, shape (2, 4)
+Z_ROWS_E1 = np.array([[B[0, 0].real, B[1, 1].real, B[2, 2].real, B[0, 2].imag]
+                      for B in impedance_basis(_E1)])
+Z_ROWS_E1.setflags(write=False)
 
 
 def depth_stroh(profile: LameProfile, y3: float, k) -> np.ndarray:
@@ -176,6 +188,20 @@ def _assemble(s: np.ndarray) -> np.ndarray:
     return M
 
 
+def _form_coefficients(a) -> np.ndarray:
+    """C(a), shape (4, 5): C(a) f(theta) = Phi(theta) for b = R(theta)^T a (module docstring)."""
+    a = np.asarray(a, dtype=complex)
+    h, d = 0.5 * (abs(a[0]) ** 2 + abs(a[1]) ** 2), 0.5 * (abs(a[0]) ** 2 - abs(a[1]) ** 2)
+    x, (u, v) = (a[0].conj() * a[1]).real, (a[:2].conj() * a[2]).imag
+    return np.array([[h, 0.0, 0.0, d, x], [h, 0.0, 0.0, -d, -x],
+                     [abs(a[2]) ** 2, 0.0, 0.0, 0.0, 0.0], [0.0, -2.0 * u, -2.0 * v, 0.0, 0.0]])
+
+
+def _harmonics(c, s) -> np.ndarray:
+    """f(theta) = (1, cos, sin, cos 2theta, sin 2theta) from c, s = cos, sin; trailing axis 5."""
+    return np.stack([np.ones_like(c), c, s, c * c - s * s, 2.0 * c * s], axis=-1)
+
+
 def _riccati_rhs(s, y, profile: LameProfile, scale, rho):
     """The reduced impedance flow on (S11, S22, S33, b), nodes on the trailing axis."""
     S11, S22, S33, b = y.reshape(4, -1)
@@ -204,8 +230,7 @@ def _radial_symbols(
     (rho = 1, state S / r). Each band is one joint integration of 4 reals per
     node, started from the frozen half-space impedance S = -rho Z(lam(H), mu(H)).
     """
-    z_lam, z_mu = (np.array([B[0, 0].real, B[1, 1].real, B[2, 2].real, B[0, 2].imag])[:, None]
-                   for B in impedance_basis(_E1))
+    z_lam, z_mu = Z_ROWS_E1[:, :, None]
     split = frame.efolds / frame.H_max
     out = np.empty((nodes.size, 4))
     n_steps = 0
@@ -315,6 +340,7 @@ class RadialDtnTable:
     Rotation equivariance of isotropic depth-only media reduces the 2D symbol
     to the radial table: M(k) = R(theta) M0(|k|) R(theta)^T with the in-plane
     rotation taking e1 to k/|k| (validated against direct solves in tests).
+    ``reduced`` holds M0 at the nodes as rows (M11, M22, M33, Im M13), shape (n, 4).
     """
 
     def __init__(
@@ -346,31 +372,32 @@ class RadialDtnTable:
                 f"profile inadmissible on [0, {frame.H_max}]: "
                 f"min mu = {rep.min_mu}, min 3lam+2mu = {rep.min_bulk}"
             )
-        reduced, _ = _radial_symbols(profile, self.nodes, self.riccati_tol, frame)
-        self.values = _assemble(reduced)
-        self._spline = CubicSpline(self.nodes, reduced, axis=0)
+        self.reduced, _ = _radial_symbols(profile, self.nodes, self.riccati_tol, frame)
+        self._spline = CubicSpline(self.nodes, self.reduced, axis=0)
 
-    def symbol_radial(self, r: np.ndarray) -> np.ndarray:
+    @property
+    def values(self) -> np.ndarray:
+        """M0 at the nodes as 3x3 Hermitian symbols, shape (n, 3, 3)."""
+        return _assemble(self.reduced)
+
+    def rows(self, r: np.ndarray) -> np.ndarray:
+        """Spline of the reduced rows (M11, M22, M33, Im M13) of M0(r), trailing axis 4."""
         r = np.asarray(r, dtype=float)
         if np.any(r > self.nodes[-1] + 1e-9):
             raise ForwardError(
                 f"radial table covers |k| <= {self.nodes[-1]:.3f}, requested {r.max():.3f}"
             )
-        return _assemble(self._spline(r))
+        return self._spline(r)
+
+    def symbol_radial(self, r: np.ndarray) -> np.ndarray:
+        return _assemble(self.rows(r))
 
     def forms(self, kx: np.ndarray, ky: np.ndarray, a: np.ndarray) -> np.ndarray:
         """Hermitian forms a^H M(k) a on arrays of frequency components."""
         r = np.hypot(kx, ky)
-        M0 = self.symbol_radial(r)
         safe = np.where(r > 0.0, r, 1.0)
-        c, s = kx / safe, ky / safe
-        # b = R(theta)^T a, trailing axis 3
-        b = np.empty(r.shape + (3,), dtype=complex)
-        b[..., 0] = c * a[0] + s * a[1]
-        b[..., 1] = -s * a[0] + c * a[1]
-        b[..., 2] = a[2]
-        vals = np.einsum("...ij,...i,...j->...", M0, b.conj(), b)
-        return np.where(r > 0.0, vals, 0.0)
+        Phi = _harmonics(kx / safe, ky / safe) @ _form_coefficients(a).T
+        return np.where(r > 0.0, np.sum(self.rows(r) * Phi, axis=-1), 0.0)
 
 
 def _table_cache(profile: LameProfile) -> dict:
@@ -418,19 +445,11 @@ DEFAULT_QUAD = QuadratureSettings()
 
 @dataclass(frozen=True)
 class PairingResult:
-    """Localized DN pairing value with quadrature diagnostics."""
+    """Localized DN pairing value and its quadrature tail estimate."""
 
     value: complex
     probe: ProbeSpec
-    profile_name: str
-    n_nodes: int
-    halfwidth: float
     tail_estimate: float
-    k_max: float
-
-    @property
-    def relative_imag(self) -> float:
-        return abs(self.value.imag) / max(abs(self.value.real), 1e-300)
 
 
 @dataclass(frozen=True)
@@ -440,31 +459,21 @@ class PolarGrid:
     The symbol M(k) = R(theta) M0(|k|) R(theta)^T is smooth in polar
     coordinates but has a conical kink at k = 0 in Cartesian ones; at desk
     scale the probe's spectral support straddles the origin, so a tensor grid
-    converges slowly while the polar grid converges spectrally. ``weights``
-    already carries the measure r dr dtheta, the squared cutoff transform and
-    the probe normalization, so a pairing is sum(weights * F(r, theta)) with
-    F the Hermitian symbol form.
+    converges slowly while the polar grid converges spectrally. The weights
+    W(r, phi) (measure, squared cutoff transform, probe normalization) are
+    kept as their angular moments F = W @ f(phi)^T, shape (nr, 5).
     """
 
     r: np.ndarray
-    theta: np.ndarray
-    weights: np.ndarray  # (nr, ntheta)
-    halfwidth: float
+    moments: np.ndarray
 
-    def rotated_amplitudes(self, a: np.ndarray) -> np.ndarray:
-        """b(theta) = R(theta)^T a for each angular node, shape (nt, 3)."""
-        c, s = np.cos(self.theta), np.sin(self.theta)
-        b = np.empty((self.theta.size, 3), dtype=complex)
-        b[:, 0] = c * a[0] + s * a[1]
-        b[:, 1] = -s * a[0] + c * a[1]
-        b[:, 2] = a[2]
-        return b
-
-    def form_values(self, M0: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """F(r, theta) = Re b(theta)^H M0(r) b(theta), shape (nr, nt)."""
-        b = self.rotated_amplitudes(np.asarray(a, dtype=complex))
-        B = np.einsum("ti,tj->tij", b.conj(), b)
-        return np.real(np.einsum("rij,tij->rt", M0, B))
+    def contract(self, rows: np.ndarray, a, omega) -> np.ndarray:
+        """Sum of W * rows(r) . Phi(theta0 + phi) for a probe (a, omega); ``rows``
+        has shape (..., nr, 4) and the leading axes are kept."""
+        theta0 = math.atan2(omega[1], omega[0])
+        c, s = math.cos(theta0), math.sin(theta0)
+        a_probe = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]]) @ np.asarray(a)
+        return np.sum(rows * (self.moments @ _form_coefficients(a_probe).T), axis=(-2, -1))
 
 
 @lru_cache(maxsize=None)
@@ -476,42 +485,42 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def pairing_grid(probe: ProbeSpec, quad: QuadratureSettings) -> PolarGrid:
-    """Polar quadrature grid for one probe.
+@lru_cache(maxsize=8)
+def polar_grid(N: int, rho_tilde: int, cutoff, quad: QuadratureSettings) -> PolarGrid:
+    """Direction-free polar quadrature grid, memoised (read-only arrays).
 
     Radial Gauss-Legendre nodes cover [max(0, N - spread), N + spread] with
     spread = W N^{1-rho}; the angular range is the full circle while the
     spectral support contains the origin, otherwise the subtended wedge.
+    Cutoffs key the memo by identity; eight entries hold one ladder's grids.
     """
-    N, rho = probe.N, probe.rho
-    W = probe.cutoff.spectral_halfwidth(quad.tail_tol)
+    rho = 1.0 / rho_tilde
+    W = cutoff.spectral_halfwidth(quad.tail_tol)
     spread = W * N ** (1.0 - rho)
     r_lo, r_hi = max(0.0, N - spread), N + spread
     x, w = _gauss_legendre(2 * quad.nodes)
     r = 0.5 * (r_hi - r_lo) * x + 0.5 * (r_hi + r_lo)
     wr = 0.5 * (r_hi - r_lo) * w
 
-    theta0 = math.atan2(probe.omega[1], probe.omega[0])
     n_t = 2 * quad.nodes
     if spread >= N:
-        theta = theta0 - math.pi + 2.0 * math.pi * np.arange(n_t) / n_t
+        phi = -math.pi + 2.0 * math.pi * np.arange(n_t) / n_t
         wt = np.full(n_t, 2.0 * math.pi / n_t)
     else:
         half = 1.05 * math.asin(min(1.0, spread / N))
         xt, wwt = _gauss_legendre(n_t)
-        theta = theta0 + half * xt
+        phi = half * xt
         wt = half * wwt
 
-    dist2 = (
-        r[:, None] ** 2
-        + float(N) ** 2
-        - 2.0 * float(N) * r[:, None] * np.cos(theta[None, :] - theta0)
-    )
+    dist2 = r[:, None] ** 2 + float(N) ** 2 - 2.0 * float(N) * r[:, None] * np.cos(phi)
     kappa = N ** (rho - 1.0) * np.sqrt(np.maximum(dist2, 0.0))
-    eta2 = np.abs(probe.cutoff.fourier_radial(kappa)) ** 2
+    eta2 = np.abs(cutoff.fourier_radial(kappa)) ** 2
     prefactor = N ** (2.0 * rho - 3.0) / (4.0 * math.pi**2)
     weights = prefactor * eta2 * (wr * r)[:, None] * wt[None, :]
-    return PolarGrid(r, theta, weights, W)
+    moments = weights @ _harmonics(np.cos(phi), np.sin(phi))
+    for arr in (r, moments):
+        arr.setflags(write=False)
+    return PolarGrid(r, moments)
 
 
 def required_k_max(probe: ProbeSpec, quad: QuadratureSettings = DEFAULT_QUAD) -> float:
@@ -549,14 +558,7 @@ def pairing(
     over the polar grid, wide enough that the excluded spectral tail is below
     quad.tail_tol of the cutoff mass.
     """
-    grid = pairing_grid(probe, quad)
-    k_max = float(grid.r.max())
-    table = _get_table(profile, k_max, quad)
-    M0 = table.symbol_radial(grid.r)
-    value = complex(np.sum(grid.weights * grid.form_values(M0, probe.a)))
-    tail = quad.tail_tol * abs(value)
-    return PairingResult(value, probe, profile.name, grid.weights.size,
-                         grid.halfwidth, tail, k_max)
+    return _pair(probe, quad, profile)
 
 
 def difference_pairing(
@@ -577,16 +579,19 @@ def difference_pairing(
         raise ValueError(
             f"profile carries derivatives to order {profile.max_derivative_order}, got m = {m}"
         )
-    truncated = _truncation_for(profile, m)
-    grid = pairing_grid(probe, quad)
+    return _pair(probe, quad, profile, _truncation_for(profile, m))
+
+
+def _pair(probe: ProbeSpec, quad: QuadratureSettings, profile: LameProfile,
+          truncated: LameProfile | None = None) -> PairingResult:
+    """Contract the table rows of ``profile`` (minus those of ``truncated``) on the probe's grid."""
+    grid = polar_grid(probe.N, probe.rho_tilde, probe.cutoff, quad)
     k_max = float(grid.r.max())
-    table_full = _get_table(profile, k_max, quad)
-    table_trunc = _get_table(truncated, k_max, quad)
-    M0 = table_full.symbol_radial(grid.r) - table_trunc.symbol_radial(grid.r)
-    value = complex(np.sum(grid.weights * grid.form_values(M0, probe.a)))
-    tail = quad.tail_tol * abs(value)
-    return PairingResult(value, probe, f"{profile.name}-minus-trunc{m}",
-                         grid.weights.size, grid.halfwidth, tail, k_max)
+    rows = _get_table(profile, k_max, quad).rows(grid.r)
+    if truncated is not None:
+        rows = rows - _get_table(truncated, k_max, quad).rows(grid.r)
+    value = complex(grid.contract(rows, probe.a, probe.omega))
+    return PairingResult(value, probe, quad.tail_tol * abs(value))
 
 
 def _truncation_for(profile: LameProfile, m: int) -> LameProfile:

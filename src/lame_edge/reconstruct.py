@@ -27,9 +27,10 @@ from .forward import (
     DEFAULT_QUAD,
     PairingResult,
     QuadratureSettings,
+    Z_ROWS_E1,
     difference_pairing,
     pairing,
-    pairing_grid,
+    polar_grid,
     warm_tables,
 )
 from .stroh import impedance, impedance_basis  # noqa: F401 (perfbench wraps this binding)
@@ -391,8 +392,9 @@ def order0_model(coeffs, lam: float, mu: float) -> tuple[np.ndarray, np.ndarray]
     return p, J
 
 
-def recover_order0(limits) -> Order0Result:
-    """Least-squares (lam, mu) from (ProbeTemplate, limit) pairs.
+def recover_order0(limits, coeffs: np.ndarray | None = None) -> Order0Result:
+    """Least-squares (lam, mu) from (ProbeTemplate, limit) pairs; ``coeffs`` may
+    carry their :func:`order0_coefficients` when the same battery is solved repeatedly.
 
     Variable projection (Golub & Pereyra 1973): for fixed t = lam/mu the model
     is linear in mu, so a scan of the mu-projected residual over log(t + 2/3)
@@ -401,7 +403,7 @@ def recover_order0(limits) -> Order0Result:
     polishes it until a step moves (lam, mu) by at most 1e-13 relative. ``ok``
     requires convergence and a residual within 1e-3 of the largest limit.
     """
-    C = order0_coefficients(t for t, _ in limits)
+    C = order0_coefficients(t for t, _ in limits) if coeffs is None else coeffs
     y = np.array([float(np.real(v)) for _, v in limits])
     t = np.exp(_SCAN) - 2.0 / 3.0
     G = (np.outer(t, C[:, 0]) + C[:, 1]) / (t + 3.0)[:, None]  # p / mu at each node
@@ -437,11 +439,8 @@ def _pairing_moments(template: ProbeTemplate, N: int, rho_tilde: int,
                      cutoff: CutoffProfile, quad: QuadratureSettings) -> np.ndarray:
     """(G_lam, G_mu): a half-space pairs, with M(k) = |k| R Z R^T on the forward
     pairing's grid, to mu/(lam + 3 mu) (lam G_lam + mu G_mu), as Z is linear."""
-    grid = pairing_grid(ProbeSpec(template.a, template.omega, int(N), rho_tilde, 0, cutoff),
-                        quad)
-    return np.array([np.sum(grid.weights * grid.form_values(grid.r[:, None, None] * Zc,
-                                                             template.a))
-                     for Zc in impedance_basis((1.0, 0.0, 0.0))])
+    grid = polar_grid(int(N), rho_tilde, cutoff, quad)
+    return grid.contract(Z_ROWS_E1[:, None, :] * grid.r[:, None], template.a, template.omega)
 
 
 def homogeneous_pairing_value(template: ProbeTemplate, N: int, rho_tilde: int,
@@ -480,13 +479,13 @@ def refine_order0(
         G = np.array([_pairing_moments(lr.template, n, rho_tilde, cutoff, quad)
                       for n in lr.N_values])
         fits.append((G, np.linalg.pinv(A)[0]))
-    order0 = recover_order0([(lr.template, lr.limit) for lr in ladders])
+    order0 = recover_order0([(lr.template, lr.limit) for lr in ladders], C)
     for passes in range(1, _MAX_PASSES + 1):
         lam, mu = order0.lam, order0.mu
         # deflator: model pairing over its N = infinity limit (mu/(lam + 3 mu) cancels)
         limits = [(lr.template, float(w @ (lr.values.real * (c @ (lam, mu)) / (G @ (lam, mu)))))
                   for lr, (G, w), c in zip(ladders, fits, C)]
-        order0 = recover_order0(limits)
+        order0 = recover_order0(limits, C)
         change = _relative_change((lam, mu), (order0.lam, order0.mu))
         if change <= _PASS_TOL:
             break

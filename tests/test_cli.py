@@ -175,6 +175,11 @@ class TestReconstructCommand:
         order0 = json.loads((out1 / "manifest.json").read_text())["counters"]["order0"]
         assert order0["method"] == report["order0"]["method"]
         assert order0["passes"] >= 1 and order0["final_change"] <= 1e-12
+        # each run loads its own cutoff, so it builds (and reuses) the same grids
+        grids = [json.loads((o / "manifest.json").read_text())["counters"]["pairing_grids"]
+                 for o in (out1, out2)]
+        assert grids[0] == grids[1]
+        assert 1 <= grids[0]["built"] < grids[0]["reused"]
 
     def test_parallel_runner_matches_serial(self, tmp_path):
         path = write_config(tmp_path, order=0, ladder=[8, 16, 32, 64],

@@ -7,6 +7,9 @@ from lame_edge.ansatz import BumpCutoff, GaussianCutoff, ProbeSpec
 from lame_edge.elastic import LameProfile, validate_admissibility
 from lame_edge.forward import (
     DEFAULT_FRAME,
+    _assemble,
+    _form_coefficients,
+    _harmonics,
     ForwardError,
     QuadratureSettings,
     RadialDtnTable,
@@ -17,6 +20,8 @@ from lame_edge.forward import (
     half_space_impedance,
     limit_quadrature,
     pairing,
+    polar_grid,
+    warm_tables,
 )
 from lame_edge.stroh import impedance, stroh_matrix
 
@@ -257,6 +262,62 @@ class TestPairing:
         res = pairing(prof, probe, QuadratureSettings(nodes=128, tail_tol=1e-6))
         assert res.value.real > 0.0
         assert abs(res.value.imag) <= 1e-8 * res.value.real
+
+
+GRAD = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2], name="grad-contract")
+GAUSS = GaussianCutoff()
+reals = st.floats(-3.0, 3.0)
+complex_amplitudes = st.tuples(*[reals] * 6).map(
+    lambda x: np.array(x[:3]) + 1j * np.array(x[3:]))
+
+
+class TestReducedContraction:
+    """a^H M a = rows . Phi, and pairings on the direction-free memoised grid."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.tuples(*[reals] * 4), complex_amplitudes, st.floats(-7.0, 7.0))
+    def test_contraction_equals_assembled_form(self, rows, a, theta):
+        rows = np.array(rows)
+        c, s = np.cos(theta), np.sin(theta)
+        b = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]]) @ a  # R(theta)^T a
+        full = np.vdot(b, _assemble(rows) @ b).real
+        reduced = rows @ _form_coefficients(a) @ _harmonics(c, s)
+        scale = np.abs(rows).sum() * np.vdot(a, a).real
+        assert abs(reduced - full) <= 1e-13 * max(scale, 1e-300)
+
+    @settings(max_examples=10, deadline=None)
+    @given(complex_amplitudes, st.floats(0.0, 2.0 * np.pi), st.floats(-np.pi, np.pi),
+           st.sampled_from([(32, 4), (4096, 3)]))  # full-circle and wedge grids
+    def test_pairing_rotation_equivariant(self, a, theta, alpha, n_rt):
+        N, rt = n_rt
+        assume(np.vdot(a, a).real > 1e-3)
+        c, s = np.cos(alpha), np.sin(alpha)
+        rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        omega = np.array([np.cos(theta), np.sin(theta), 0.0])
+        v0 = pairing(GRAD, ProbeSpec(a, omega, N, rt, 0, GAUSS)).value
+        v1 = pairing(GRAD, ProbeSpec(rot @ a, rot @ omega, N, rt, 0, GAUSS)).value
+        assert abs(v1 - v0) <= 1e-12 * abs(v0)
+
+    def test_grid_memo_keys_cutoffs_by_identity(self):
+        quad = QuadratureSettings()
+        g = polar_grid(64, 4, GAUSS, quad)
+        assert polar_grid(64, 4, GAUSS, QuadratureSettings()) is g
+        assert not g.moments.flags.writeable and not g.r.flags.writeable
+        assert polar_grid(64, 4, GaussianCutoff(), quad) is not g
+
+    def test_values_independent_of_grid_memo_history(self):
+        a = np.array([0.4, -1.0j, 0.7])
+        probes = [ProbeSpec(a, (0.6, 0.8, 0.0), n, 4, 1, GAUSS) for n in (16, 32, 64, 128)]
+        warm_tables(GRAD, probes[-1], m=1)
+
+        def values(order):
+            return {p.N: (pairing(GRAD, p).value, difference_pairing(GRAD, 1, p).value)
+                    for p in order}
+
+        first = values(probes)
+        polar_grid.cache_clear()
+        assert values(probes[::-1]) == first
+        assert values(probes) == first
 
 
 class TestDifferencePairing:
