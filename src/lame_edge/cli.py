@@ -13,10 +13,9 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,7 @@ from .ansatz import (
     smallness_ok,
 )
 from .elastic import LameProfile, validate_admissibility
-from .forward import ForwardError, QuadratureSettings, polar_grid
+from .forward import ForwardError, QuadratureSettings, polar_grid, symbol_memo
 from .geometry import (
     FlatPatch,
     ParaboloidPatch,
@@ -44,7 +43,6 @@ from .reconstruct import (
     CalibrationError,
     ProbeTemplate,
     reconstruct_profile,
-    run_ladder,
     serial_ladder_runner,
     closed_form_response,
 )
@@ -266,71 +264,6 @@ def _write_manifest(out: Path, cfg_path: Path | None, stages: dict, outputs: lis
 
 
 # ---------------------------------------------------------------------------
-# parallel ladder runner (per-probe process jobs)
-# ---------------------------------------------------------------------------
-
-
-def _ladder_job(payload: dict):
-    profile = LameProfile.from_polynomial(
-        payload["lam_coeffs"], payload["mu_coeffs"],
-        max_derivative_order=payload["m_prof"], name=payload["name"],
-    )
-    cutoff = (
-        GaussianCutoff(payload["cutoff_sigma"])
-        if payload["cutoff_kind"] == "gaussian"
-        else BumpCutoff()
-    )
-    template = ProbeTemplate(payload["t_name"], np.asarray(payload["a"]),
-                             np.asarray(payload["omega"]))
-    quad = QuadratureSettings(*payload["quad"])
-    return run_ladder(
-        profile, template, payload["N_list"], payload["m"],
-        cutoff=cutoff, rho_tilde=payload["rho_tilde"], quad=quad,
-    )
-
-
-def make_runner(jobs: int):
-    """Ladder runner: serial for jobs <= 1, else a per-probe process pool.
-
-    Results are gathered in submission order, so the output is identical to
-    the serial path.
-    """
-    if jobs <= 1:
-        return serial_ladder_runner
-
-    def runner(profile, battery, N_list, m, cutoff, rho_tilde, quad):
-        if not profile.is_polynomial:
-            return serial_ladder_runner(profile, battery, N_list, m, cutoff,
-                                        rho_tilde, quad)
-        cutoff = cutoff if cutoff is not None else GaussianCutoff()
-        kind = "gaussian" if isinstance(cutoff, GaussianCutoff) else "bump"
-        sigma = getattr(cutoff, "sigma", 1.0 / 3.0)
-        payloads = [
-            {
-                "lam_coeffs": profile.lam_coeffs,
-                "mu_coeffs": profile.mu_coeffs,
-                "m_prof": profile.max_derivative_order,
-                "name": profile.name,
-                "t_name": t.name,
-                "a": t.a,
-                "omega": t.omega,
-                "N_list": list(N_list),
-                "m": m,
-                "cutoff_kind": kind,
-                "cutoff_sigma": sigma,
-                "rho_tilde": rho_tilde,
-                "quad": (quad.nodes, quad.tail_tol, quad.riccati_tol,
-                         quad.table_low_step, quad.table_high_points),
-            }
-            for t in battery
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_ladder_job, payloads))
-
-    return runner
-
-
-# ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
@@ -410,13 +343,12 @@ def cmd_forward(args) -> int:
     battery = battery_from_config(cfg)
     cutoff = cutoff_from_config(cfg)
     quad = quad_from_config(cfg, args.tol_scale)
-    runner = make_runner(args.jobs)
     orders = [0] + ([cfg["order"]] if cfg["order"] >= 1 else [])
     ladders = []
     t0 = time.perf_counter()
     for m in orders:
-        ladders.extend(runner(profile, battery, cfg["ladder"], m, cutoff,
-                              cfg.get("rho_tilde"), quad))
+        ladders.extend(serial_ladder_runner(profile, battery, cfg["ladder"], m, cutoff,
+                                            cfg.get("rho_tilde"), quad))
     elapsed = time.perf_counter() - t0
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -517,9 +449,8 @@ def cmd_reconstruct(args) -> int:
     battery = battery_from_config(cfg)
     cutoff = cutoff_from_config(cfg)
     quad = quad_from_config(cfg, args.tol_scale)
-    runner = make_runner(args.jobs)
     stages: dict[str, float] = {}
-    grids0 = polar_grid.cache_info()  # this process only: --jobs workers keep their own
+    grids0, symbols0 = polar_grid.cache_info(), dict(symbol_memo.counts)
     t0 = time.perf_counter()
     report = reconstruct_profile(
         profile,
@@ -530,7 +461,6 @@ def cmd_reconstruct(args) -> int:
         rho_tilde=cfg.get("rho_tilde"),
         quad=quad,
         calibrate=cfg.get("calibrate", True),
-        runner=runner,
     )
     stages["reconstruct"] = time.perf_counter() - t0
     grids1 = polar_grid.cache_info()
@@ -551,8 +481,13 @@ def cmd_reconstruct(args) -> int:
     outputs = [outdir / "report.json", outdir / "ladders.csv"]
     order0 = {k: getattr(report.order0, k) for k in ("method", "passes", "final_change")}
     grids = {"built": grids1.misses - grids0.misses, "reused": grids1.hits - grids0.hits}
+    symbols = {k: v - symbols0[k] for k, v in symbol_memo.counts.items()}
+    calibration = report.calibration.ladders.values() if report.calibration else []
+    flags = Counter(lr.extrapolation.flag for lr in report.order0_ladders
+                    + report.order_m_ladders + [lr for lrs in calibration for lr in lrs])
     _write_manifest(outdir, Path(args.config), stages, outputs,
-                    {"order0": order0, "pairing_grids": grids})
+                    {"order0": order0, "pairing_grids": grids, "symbols": symbols,
+                     "extrapolation_flags": flags})
     print(f"order-0: lambda = {report.order0.lam:.6f}, mu = {report.order0.mu:.6f}")
     for mode, r in report.order_m.items():
         print(f"order-{r.m} [{mode:>16s}]: dlam = {r.dlam:+.6f}, dmu = {r.dmu:+.6f}")
@@ -627,9 +562,6 @@ def main(argv=None) -> int:
             p.add_argument("--out", required=True, help="output directory")
         else:
             p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--jobs", type=int,
-                       default=int(os.environ.get("LAME_EDGE_JOBS", "1")),
-                       help="parallel worker count (default: LAME_EDGE_JOBS or 1)")
         p.add_argument("--tol-scale", type=float, default=1.0,
                        help="scale factor on quadrature tolerances")
 

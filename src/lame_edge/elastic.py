@@ -173,19 +173,10 @@ class LameProfile:
         holder_exponent: float = 0.9,
         name: str = "profile",
     ) -> "LameProfile":
-        """Profile from ascending polynomial coefficients in y3."""
-        lp = np.polynomial.Polynomial(list(lam_coeffs))
-        mp = np.polynomial.Polynomial(list(mu_coeffs))
-
-        def lam(y3, order=0):
-            return lp.deriv(order)(y3) if order else lp(y3)
-
-        def mu(y3, order=0):
-            return mp.deriv(order)(y3) if order else mp(y3)
-
+        """Profile from ascending polynomial coefficients in y3 (Horner evaluation)."""
         return LameProfile(
-            lam,
-            mu,
+            _horner(lam_coeffs),
+            _horner(mu_coeffs),
             max_derivative_order,
             holder_exponent,
             lam_coeffs=list(lam_coeffs),
@@ -223,6 +214,20 @@ class LameProfile:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"LameProfile({self.name}, m={self.max_derivative_order})"
+
+
+def _horner(coeffs: Sequence[float]) -> Callable[[np.ndarray, int], np.ndarray]:
+    """f(y3, order): d^order of the polynomial, Horner as in polyval (bit-identical)."""
+    c0 = tuple(float(c) for c in coeffs)
+
+    def f(y3, order=0):
+        c = np.polynomial.polynomial.polyder(c0, order) if order else c0
+        v = c[-1] + y3 * 0
+        for ci in c[-2::-1]:
+            v = ci + v * y3
+        return v
+
+    return f
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,13 @@ q = 1/(lam+2mu), P = 4mu(lam+mu)/(lam+2mu):
     db   = rho (S11 - g S33) - b (p S11 + q S33)
 
 in physical depth (rho = r) or in scaled depth t = r y3 for S / r (rho = 1).
-One core, :func:`_radial_symbols`, integrates this for a batch of radial
-nodes; the radial tables and :func:`dtn_symbol` (a batch of one, rotated)
-both use it. The orthonormalized subspace march on the full 6x3 system is
+One core, :func:`_radial_symbols`, integrates this jointly for a batch of
+radial nodes with an in-house DOP853 (:func:`_dop853`) that accepts a step on
+the largest single-node error, so every node meets the tolerance on its own.
+A ladder's symbol (:func:`warm_tables`) is M0 at exactly the radial nodes of
+its polar grids, one integration per profile (none for a constant profile,
+whose rows are r Z), memoised by content; :func:`dtn_symbol` is a batch of
+one, rotated. The orthonormalized subspace march on the full 6x3 system is
 the independent oracle.
 
 Pairings never assemble the 3x3 symbol: with b = R(theta)^T a and
@@ -39,12 +43,11 @@ grid's memoised angular moments.
 from __future__ import annotations
 
 import math
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from .ansatz import ProbeSpec
 from .elastic import LameProfile, taylor_truncate, validate_admissibility
@@ -65,7 +68,7 @@ __all__ = [
     "limit_quadrature",
     "pairing",
     "polar_grid",
-    "required_k_max",
+    "symbol_memo",
     "warm_tables",
 ]
 
@@ -202,18 +205,116 @@ def _harmonics(c, s) -> np.ndarray:
     return np.stack([np.ones_like(c), c, s, c * c - s * s, 2.0 * c * s], axis=-1)
 
 
-def _riccati_rhs(s, y, profile: LameProfile, scale, rho):
-    """The reduced impedance flow on (S11, S22, S33, b), nodes on the trailing axis."""
-    S11, S22, S33, b = y.reshape(4, -1)
-    lam, mu = profile.lam(s / scale), profile.mu(s / scale)
-    p, q = 1.0 / mu, 1.0 / (lam + 2.0 * mu)
-    g = lam * q
-    return np.concatenate([
-        rho**2 * 4.0 * mu * (lam + mu) * q - 2.0 * rho * g * b - (p * S11**2 + q * b**2),
-        rho**2 * mu - p * S22**2,
-        2.0 * rho * b - (p * b**2 + q * S33**2),
-        rho * (S11 - g * S33) - b * (p * S11 + q * S33),
-    ])
+# DOP853 (Hairer, Norsett & Wanner, Solving ODE I, sec. II.10): stage matrix A,
+# stage nodes C (its row sums), 8th-order weights B, 5th/3rd-order error weights
+_DOP_A = np.zeros((12, 12))
+for _i, _row in enumerate((
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+     -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+     12.360567175794303, 0.6433927460157636),
+), start=1):
+    _DOP_A[_i, :len(_row)] = _row
+_DOP_C = _DOP_A.sum(axis=1)
+_DOP_B = np.array([0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+                   1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+                   -0.1521609496625161, 0.20136540080403034, 0.04471061572777259])
+_DOP_E3 = _DOP_B.copy()
+_DOP_E3[[0, 8, 11]] -= (0.244094488188976377952755905512, 0.733846688281611857341361741547,
+                        0.220588235294117647058823529412e-1)
+_DOP_E5 = np.array([0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+                    -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+                    0.3341791187130175, 0.08192320648511571, -0.022355307863886294])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+
+
+def _node_norm(x: np.ndarray) -> float:
+    """Largest per-node RMS of x, components on axis 0 and nodes on axis 1."""
+    return float(np.sqrt(np.max(np.mean(x * x, axis=0))))
+
+
+def _dop853(fun, t0: float, t1: float, y0: np.ndarray, tol: float) -> tuple[np.ndarray, int, int]:
+    """y(t1) for y' = fun(t, y, out), where ``fun`` writes y' into ``out``.
+
+    ``y0`` has shape (m, n): m components of each of n uncoupled nodes. Each
+    node's error is DOP853's combined 5th/3rd-order estimate over its own
+    components (atol = rtol = tol); a step is accepted when the largest is
+    below 1, so no node is diluted by the rest. Step control and the initial
+    step follow Hairer, Norsett & Wanner (II.4). Returns y(t1) and the
+    accepted and rejected step counts.
+    """
+    y = np.array(y0, dtype=float)
+    K = np.empty((13,) + y.shape)
+    Kf = K.reshape(13, -1)
+    direction, span = math.copysign(1.0, t1 - t0), abs(t1 - t0)
+    fun(t0, y, K[0])
+    scale = tol + tol * np.abs(y)
+    d0, d1 = _node_norm(y / scale), _node_norm(K[0] / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    fun(t0 + direction * h0, y + direction * h0 * K[0], K[1])
+    d = max(d1, _node_norm((K[1] - K[0]) / scale) / h0)
+    h_abs = min(100.0 * h0, span, max(1e-6, 1e-3 * h0) if d <= 1e-15 else (0.01 / d) ** 0.125)
+    t, accepted, rejected, retried = t0, 0, 0, False
+    while t != t1:
+        min_step = 10.0 * abs(np.nextafter(t, direction * math.inf) - t)
+        h_abs = h_abs if h_abs >= min_step else min_step  # a NaN estimate too
+        t_new = t1 if h_abs >= abs(t1 - t) else t + direction * h_abs
+        h = t_new - t
+        for s in range(1, 12):
+            fun(t + _DOP_C[s] * h, y + h * (_DOP_A[s, :s] @ Kf[:s]).reshape(y.shape), K[s])
+        y_new = y + h * (_DOP_B @ Kf[:12]).reshape(y.shape)
+        scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
+        e5, e3 = (np.sum(((E @ Kf[:12]).reshape(y.shape) / scale) ** 2, axis=0)
+                  for E in (_DOP_E5, _DOP_E3))
+        err = abs(h) * float(np.max(e5 / np.sqrt(np.maximum((e5 + 0.01 * e3) * y.shape[0],
+                                                            1e-300))))
+        if not err < 1.0:  # NaN rejects too
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err**-0.125)
+            rejected, retried = rejected + 1, True
+            if h_abs < min_step:
+                raise ForwardError(f"Riccati integration: step size underflow at t = {t}")
+            continue
+        factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**-0.125)
+        h_abs *= min(1.0, factor) if retried else factor
+        t, y, accepted, retried = t_new, y_new, accepted + 1, False
+        fun(t, y, K[0])
+    return y, accepted, rejected
+
+
+def _riccati_rhs(tau, y, out, profile: LameProfile, H, c, rho) -> None:
+    """d/dtau: c times the module docstring's flow at y3 = tau H, on rows (S11,
+    S22, S33, b) of y, nodes on the trailing axis; written into ``out``."""
+    S11, S22, S33, b = y
+    y3 = tau * H
+    lam, mu = profile.lam(y3), profile.mu(y3)
+    d = 1.0 / (lam + 2.0 * mu)
+    p, q, g = c / mu, c * d, lam * d
+    cr, cr2 = c * rho, c * rho**2
+    out[0] = cr2 * (4.0 * mu * (lam + mu) * d) - b * (2.0 * cr * g + q * b) - p * S11**2
+    out[1] = cr2 * mu - p * S22**2
+    out[2] = 2.0 * cr * b - (p * b**2 + q * S33**2)
+    out[3] = cr * (S11 - g * S33) - b * (p * S11 + q * S33)
+
+
+def _check_admissible(profile: LameProfile, H: float, n_samples: int) -> None:
+    rep = validate_admissibility(profile, H, n_samples=n_samples)
+    if not rep.passed:
+        raise ForwardError(f"profile inadmissible on [0, {H}]: min mu = {rep.min_mu}, "
+                           f"min 3lam+2mu = {rep.min_bulk}")
 
 
 def _radial_symbols(
@@ -221,39 +322,27 @@ def _radial_symbols(
     nodes: np.ndarray,
     tol: float,
     frame: HalfSpaceFrame,
-) -> tuple[np.ndarray, int]:
-    """The Riccati core: reduced M0(r) = M(r e1) at every node, and the step count.
+) -> tuple[np.ndarray, int, int]:
+    """The Riccati core: reduced M0(r) = M(r e1) at every node, and the step counts.
 
-    Returns rows (M11, M22, M33, Im M13), shape (n, 4). Nodes with
-    r <= efolds/H_max share the physical depth span [H_max, 0] (rho = r);
-    deeper-frequency nodes share the scaled span t = r y3 in [efolds, 0]
-    (rho = 1, state S / r). Each band is one joint integration of 4 reals per
-    node, started from the frozen half-space impedance S = -rho Z(lam(H), mu(H)).
+    Returns rows (M11, M22, M33, Im M13), shape (n, 4), and the accepted and
+    rejected steps. Each node runs from its truncation depth H(r) to the
+    surface in tau = y3 / H, from 1 to 0, started from the frozen half-space
+    impedance S = -rho Z(lam(H), mu(H)). Nodes with r <= efolds/H_max carry S
+    (rho = r, physical depth, c = H_max); deeper-frequency nodes carry S / r
+    (rho = 1, scaled depth t = r y3, c = efolds). All nodes, 4 reals each, are
+    one joint integration.
     """
+    scaled = nodes > frame.efolds / frame.H_max
+    sigma = np.where(scaled, nodes, 1.0)  # the state is S / sigma
+    rho = nodes / sigma
+    H = np.where(scaled, frame.efolds / sigma, frame.H_max)
+    lamH, muH = profile.lam(H), profile.mu(H)
     z_lam, z_mu = Z_ROWS_E1[:, :, None]
-    split = frame.efolds / frame.H_max
-    out = np.empty((nodes.size, 4))
-    n_steps = 0
-    for band, scaled in ((nodes <= split, False), (nodes > split, True)):
-        rs = nodes[band]
-        if not rs.size:
-            continue
-        scale = rs if scaled else 1.0
-        rho = rs / scale
-        H = frame.efolds / rs if scaled else np.full(rs.size, frame.H_max)
-        lamH, muH = profile.lam(H), profile.mu(H)
-        y0 = -rho * muH / (lamH + 3.0 * muH) * (lamH * z_lam + muH * z_mu)
-        span = (frame.efolds if scaled else frame.H_max, 0.0)
-        sol = solve_ivp(_riccati_rhs, span, y0.ravel(), method="DOP853",
-                        rtol=tol, atol=tol, args=(profile, scale, rho))
-        if not sol.success:
-            raise ForwardError(
-                f"Riccati integration ({'deep' if scaled else 'shallow'} band) failed "
-                f"at {'t' if scaled else 'y3'} = {sol.t[-1]}: {sol.message}"
-            )
-        out[band] = (-scale * sol.y[:, -1].reshape(4, -1)).T
-        n_steps += int(sol.t.size)
-    return out, n_steps
+    y0 = -rho * muH / (lamH + 3.0 * muH) * (lamH * z_lam + muH * z_mu)
+    y, accepted, rejected = _dop853(
+        lambda tau, y, dy: _riccati_rhs(tau, y, dy, profile, H, H * sigma, rho), 1.0, 0.0, y0, tol)
+    return (-sigma * y).T, accepted, rejected
 
 
 def dtn_symbol(
@@ -261,7 +350,6 @@ def dtn_symbol(
     k,
     tol: float = 1e-10,
     frame: HalfSpaceFrame = DEFAULT_FRAME,
-    check_admissibility: bool = True,
 ) -> DtnSymbol:
     """Surface DtN symbol M(k) = R(theta) M0(|k|) R(theta)^T by stable impedance marching.
 
@@ -273,14 +361,8 @@ def dtn_symbol(
     """
     kn, what = _unit_tangent(k)
     H = frame.depth(k)
-    if check_admissibility:
-        rep = validate_admissibility(profile, H, n_samples=64)
-        if not rep.passed:
-            raise ForwardError(
-                f"profile inadmissible on [0, {H}]: min mu = {rep.min_mu}, "
-                f"min 3lam+2mu = {rep.min_bulk}"
-            )
-    M0, n_steps = _radial_symbols(profile, np.array([kn]), tol, frame)
+    _check_admissible(profile, H, n_samples=64)
+    M0, n_steps, _ = _radial_symbols(profile, np.array([kn]), tol, frame)
     c, s = what[0], what[1]
     R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])  # takes e1 to k/|k|
     return DtnSymbol(kn * what[:2], R @ _assemble(M0[0]) @ R.T, H, "riccati", tol, n_steps)
@@ -330,98 +412,95 @@ def dtn_symbol_march(
 
 
 # ---------------------------------------------------------------------------
-# radial DtN tables (isotropy + depth-only coefficients => M(k) = R M0(|k|) R^T)
+# radial symbol tables (isotropy + depth-only coefficients => M(k) = R M0(|k|) R^T)
 # ---------------------------------------------------------------------------
 
 
 class RadialDtnTable:
-    """Spline table of M0(r) := M(r e1) for one profile.
+    """M0(r) := M(r e1) of one profile at explicit radii, from one joint solve.
 
-    Rotation equivariance of isotropic depth-only media reduces the 2D symbol
-    to the radial table: M(k) = R(theta) M0(|k|) R(theta)^T with the in-plane
-    rotation taking e1 to k/|k| (validated against direct solves in tests).
-    ``reduced`` holds M0 at the nodes as rows (M11, M22, M33, Im M13), shape (n, 4).
+    Isotropic depth-only media have M(k) = R(theta) M0(|k|) R(theta)^T, with
+    the in-plane rotation taking e1 to k/|k|. ``reduced`` holds M0 at the
+    sorted distinct ``nodes`` as rows (M11, M22, M33, Im M13), shape (n, 4):
+    r Z(lam, mu) for a constant profile (``steps`` None), else the Riccati
+    core's, each node within ``riccati_tol`` (``steps``: accepted, rejected).
+    Requests are answered at the nodes only, up to the bound ``k_max``.
     """
 
     def __init__(
         self,
         profile: LameProfile,
         k_max: float,
+        radii,
         riccati_tol: float = 1e-10,
         frame: HalfSpaceFrame = DEFAULT_FRAME,
-        low_cut: float = 48.0,
-        low_step: float = 0.125,
-        high_points: int = 385,
     ) -> None:
         self.profile = profile
         self.k_max = float(k_max)
-        self.riccati_tol = float(riccati_tol)
-        self.frame = frame
-        # M0(r) varies on the scale 1/(2 H_max) near the origin; resolve it
-        origin = np.linspace(0.0, min(1.0, k_max), 129)
-        low = np.arange(0.0, min(low_cut, k_max) + low_step, low_step)
-        if k_max > low_cut:
-            high = np.geomspace(low_cut + low_step, k_max * 1.01, high_points)
-            nodes = np.concatenate([origin, low, high])
+        self.nodes = np.unique(np.asarray(radii, dtype=float))
+        if self.nodes[0] < 0.0 or self.nodes[-1] > self.k_max:
+            raise ValueError(f"radii must lie in [0, k_max = {self.k_max}]")
+        _check_admissible(profile, frame.H_max, n_samples=256)
+        if profile.is_polynomial and not any(profile.lam_coeffs[1:] + profile.mu_coeffs[1:]):
+            lam, mu = profile.lam_coeffs[0], profile.mu_coeffs[0]
+            z = mu / (lam + 3.0 * mu) * (lam * Z_ROWS_E1[0] + mu * Z_ROWS_E1[1])
+            self.reduced, self.steps = self.nodes[:, None] * z, None
         else:
-            nodes = np.concatenate([origin, low])
-        self.nodes = np.unique(nodes)
-        rep = validate_admissibility(profile, frame.H_max, n_samples=256)
-        if not rep.passed:
-            raise ForwardError(
-                f"profile inadmissible on [0, {frame.H_max}]: "
-                f"min mu = {rep.min_mu}, min 3lam+2mu = {rep.min_bulk}"
-            )
-        self.reduced, _ = _radial_symbols(profile, self.nodes, self.riccati_tol, frame)
-        self._spline = CubicSpline(self.nodes, self.reduced, axis=0)
-
-    @property
-    def values(self) -> np.ndarray:
-        """M0 at the nodes as 3x3 Hermitian symbols, shape (n, 3, 3)."""
-        return _assemble(self.reduced)
+            self.reduced, *steps = _radial_symbols(profile, self.nodes, riccati_tol, frame)
+            self.steps = tuple(steps)
+        for arr in (self.nodes, self.reduced):
+            arr.setflags(write=False)
 
     def rows(self, r: np.ndarray) -> np.ndarray:
-        """Spline of the reduced rows (M11, M22, M33, Im M13) of M0(r), trailing axis 4."""
+        """Reduced rows (M11, M22, M33, Im M13) of M0 at radii that are nodes, trailing axis 4."""
         r = np.asarray(r, dtype=float)
-        if np.any(r > self.nodes[-1] + 1e-9):
+        if np.any(r > self.k_max):
             raise ForwardError(
-                f"radial table covers |k| <= {self.nodes[-1]:.3f}, requested {r.max():.3f}"
+                f"radial table covers |k| <= {self.k_max:.3f}, requested {r.max():.3f}"
             )
-        return self._spline(r)
-
-    def symbol_radial(self, r: np.ndarray) -> np.ndarray:
-        return _assemble(self.rows(r))
-
-    def forms(self, kx: np.ndarray, ky: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """Hermitian forms a^H M(k) a on arrays of frequency components."""
-        r = np.hypot(kx, ky)
-        safe = np.where(r > 0.0, r, 1.0)
-        Phi = _harmonics(kx / safe, ky / safe) @ _form_coefficients(a).T
-        return np.where(r > 0.0, np.sum(self.rows(r) * Phi, axis=-1), 0.0)
+        i = np.minimum(np.searchsorted(self.nodes, r), self.nodes.size - 1)
+        if np.any(self.nodes[i] != r):
+            raise ForwardError("radial table holds M0 only at its nodes")
+        return self.reduced[i]
 
 
-def _table_cache(profile: LameProfile) -> dict:
-    cache = getattr(profile, "_dtn_table_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(profile, "_dtn_table_cache", cache)
-    return cache
+class SymbolMemo:
+    """Ladder symbol tables, least recently used dropped past ``maxsize``, keyed
+    by profile content (coefficients without trailing zeros; the object for
+    callables), the ladder's grid keys and the quadrature settings (riccati_tol).
+    ``counts`` accumulates Riccati solves, exact constants, memo hits, integrated
+    nodes and accepted / rejected steps over the process."""
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize, self._tables = maxsize, OrderedDict()
+        self.counts = Counter(dict.fromkeys(("riccati_solves", "exact_constants", "memo_hits",
+                                             "nodes", "steps_accepted", "steps_rejected"), 0))
+
+    def table(self, profile: LameProfile, N_list: tuple, rho_tilde: int, cutoff,
+              quad: "QuadratureSettings") -> RadialDtnTable:
+        content = profile if not profile.is_polynomial else tuple(
+            tuple(np.trim_zeros(np.array(c), "b")) for c in (profile.lam_coeffs, profile.mu_coeffs))
+        key = (content, N_list, rho_tilde, cutoff, quad)
+        if key in self._tables:
+            self._tables.move_to_end(key)
+            self.counts["memo_hits"] += 1
+            return self._tables[key]
+        radii = np.concatenate([polar_grid(n, rho_tilde, cutoff, quad).r for n in N_list])
+        table = self._tables[key] = RadialDtnTable(profile, radii.max(), radii, quad.riccati_tol)
+        if table.steps is None:
+            self.counts["exact_constants"] += 1
+        else:
+            self.counts.update(riccati_solves=1, nodes=table.nodes.size,
+                               steps_accepted=table.steps[0], steps_rejected=table.steps[1])
+        if len(self._tables) > self.maxsize:
+            self._tables.popitem(last=False)
+        return table
+
+    def clear(self) -> None:
+        self._tables.clear()
 
 
-def _get_table(profile: LameProfile, k_max: float, settings: "QuadratureSettings") -> RadialDtnTable:
-    key = (settings.riccati_tol, settings.table_low_step, settings.table_high_points)
-    cache = _table_cache(profile)
-    table = cache.get(key)
-    if table is None or table.k_max < k_max:
-        table = RadialDtnTable(
-            profile,
-            k_max * 1.05,
-            riccati_tol=settings.riccati_tol,
-            low_step=settings.table_low_step,
-            high_points=settings.table_high_points,
-        )
-        cache[key] = table
-    return table
+symbol_memo = SymbolMemo(maxsize=16)
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +510,11 @@ def _get_table(profile: LameProfile, k_max: float, settings: "QuadratureSettings
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Pairing quadrature and table resolution knobs."""
+    """Pairing quadrature and Riccati tolerance knobs."""
 
     nodes: int = 96
     tail_tol: float = 1e-8
     riccati_tol: float = 1e-10
-    table_low_step: float = 0.125
-    table_high_points: int = 385
 
 
 DEFAULT_QUAD = QuadratureSettings()
@@ -523,42 +600,39 @@ def polar_grid(N: int, rho_tilde: int, cutoff, quad: QuadratureSettings) -> Pola
     return PolarGrid(r, moments)
 
 
-def required_k_max(probe: ProbeSpec, quad: QuadratureSettings = DEFAULT_QUAD) -> float:
-    """Largest |k| the pairing quadrature of this probe can request."""
-    W = probe.cutoff.spectral_halfwidth(quad.tail_tol)
-    return probe.N + W * probe.N ** (1.0 - probe.rho)
-
-
 def warm_tables(
     profile: LameProfile,
-    probe: ProbeSpec,
+    N_list,
+    rho_tilde: int,
+    cutoff,
     quad: QuadratureSettings = DEFAULT_QUAD,
     m: int = 0,
-) -> None:
-    """Build the radial tables needed by a ladder up to this probe's N.
-
-    Calling this with the largest ladder probe first makes every subsequent
-    pairing interpolate from one fixed table, so ladder values are independent
-    of the order (or process) in which they are evaluated.
+) -> tuple[RadialDtnTable, ...]:
+    """The symbol value of one ladder: the profile's table at the radii of all
+    the ladder's polar grids and, for m >= 1, its order-m truncation's; from
+    :data:`symbol_memo`, so values do not depend on evaluation order or history.
     """
-    k_max = required_k_max(probe, quad)
-    _get_table(profile, k_max, quad)
-    if m >= 1:
-        _get_table(_truncation_for(profile, m), k_max, quad)
+    N_list = tuple(int(n) for n in N_list)
+    profiles = [profile] + ([taylor_truncate(profile, m).result] if m >= 1 else [])
+    return tuple(symbol_memo.table(p, N_list, int(rho_tilde), cutoff, quad) for p in profiles)
 
 
 def pairing(
     profile: LameProfile,
     probe: ProbeSpec,
     quad: QuadratureSettings = DEFAULT_QUAD,
+    tables: tuple[RadialDtnTable, ...] | None = None,
 ) -> PairingResult:
     """<Lambda_C phi^N, conj(phi^N)> via the tangential-Fourier identity.
 
     value = (2 pi)^-2 N^{2 rho - 3} int |eta_hat(kappa(k))|^2 a^H M(k) a dk
     over the polar grid, wide enough that the excluded spectral tail is below
-    quad.tail_tol of the cutoff mass.
+    quad.tail_tol of the cutoff mass. ``tables`` is the profile's ladder value
+    from :func:`warm_tables`; without it the probe's own grid is solved.
     """
-    return _pair(probe, quad, profile)
+    if tables is None:
+        tables = warm_tables(profile, [probe.N], probe.rho_tilde, probe.cutoff, quad)
+    return _pair(probe, quad, tables[:1])
 
 
 def difference_pairing(
@@ -566,12 +640,14 @@ def difference_pairing(
     m: int,
     probe: ProbeSpec,
     quad: QuadratureSettings = DEFAULT_QUAD,
+    tables: tuple[RadialDtnTable, ...] | None = None,
 ) -> PairingResult:
     """pairing(profile) - pairing(truncated profile), on one shared grid.
 
-    The shared grid (same polar nodes, same radial table nodes) makes the
-    correlated part of the quadrature error cancel, which matters because the
-    m-th order signal is O(N^-m) relative to each term.
+    The shared nodes (same polar grid, same radial radii) make the correlated
+    part of the quadrature error cancel, which matters because the m-th order
+    signal is O(N^-m) relative to each term. ``tables`` is the order-m ladder
+    value from :func:`warm_tables`; without it the probe's own grid is solved.
     """
     if m < 1:
         raise ValueError("difference pairing requires m >= 1 (m = 0 is pairing)")
@@ -579,29 +655,20 @@ def difference_pairing(
         raise ValueError(
             f"profile carries derivatives to order {profile.max_derivative_order}, got m = {m}"
         )
-    return _pair(probe, quad, profile, _truncation_for(profile, m))
+    if tables is None:
+        tables = warm_tables(profile, [probe.N], probe.rho_tilde, probe.cutoff, quad, m)
+    return _pair(probe, quad, tables)
 
 
-def _pair(probe: ProbeSpec, quad: QuadratureSettings, profile: LameProfile,
-          truncated: LameProfile | None = None) -> PairingResult:
-    """Contract the table rows of ``profile`` (minus those of ``truncated``) on the probe's grid."""
+def _pair(probe: ProbeSpec, quad: QuadratureSettings,
+          tables: tuple[RadialDtnTable, ...]) -> PairingResult:
+    """Contract the rows of ``tables[0]`` (minus those of ``tables[1]``) on the probe's grid."""
     grid = polar_grid(probe.N, probe.rho_tilde, probe.cutoff, quad)
-    k_max = float(grid.r.max())
-    rows = _get_table(profile, k_max, quad).rows(grid.r)
-    if truncated is not None:
-        rows = rows - _get_table(truncated, k_max, quad).rows(grid.r)
+    rows = tables[0].rows(grid.r)
+    if len(tables) > 1:
+        rows = rows - tables[1].rows(grid.r)
     value = complex(grid.contract(rows, probe.a, probe.omega))
     return PairingResult(value, probe, quad.tail_tol * abs(value))
-
-
-def _truncation_for(profile: LameProfile, m: int) -> LameProfile:
-    cache = getattr(profile, "_truncation_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(profile, "_truncation_cache", cache)
-    if m not in cache:
-        cache[m] = taylor_truncate(profile, m).result
-    return cache[m]
 
 
 # ---------------------------------------------------------------------------

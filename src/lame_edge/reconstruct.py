@@ -62,6 +62,7 @@ __all__ = [
 ]
 
 VARIANTS = ("plus_one", "plus_a3_squared")
+DEFAULT_CUTOFF = GaussianCutoff()  # one object, so the grid and symbol memos share it
 
 
 class BatteryError(ValueError):
@@ -319,20 +320,17 @@ def run_ladder(
 ) -> LadderResult:
     """Ladder of pairing (m = 0) or N^m-scaled difference pairings (m >= 1)."""
     N = _check_dyadic(N_list)
-    cutoff = cutoff if cutoff is not None else GaussianCutoff()
+    cutoff = cutoff if cutoff is not None else DEFAULT_CUTOFF
     rt = rho_tilde if rho_tilde is not None else ProbeSpec.auto_rho_tilde(m)
-    # one table covering the whole ladder, so values are grouping-independent
-    warm_tables(profile, ProbeSpec(template.a, template.omega, int(N[-1]), rt, m, cutoff),
-                quad, m=m)
-    vals = np.empty(N.size, dtype=complex)
-    tails = np.empty(N.size)
+    tables = warm_tables(profile, N, rt, cutoff, quad, m)
+    vals, tails = np.empty(N.size, dtype=complex), np.empty(N.size)
     for i, n in enumerate(N):
         probe = ProbeSpec(template.a, template.omega, int(n), rt, m, cutoff)
         if m == 0:
-            res: PairingResult = pairing(profile, probe, quad)
+            res: PairingResult = pairing(profile, probe, quad, tables)
             vals[i] = res.value
         else:
-            res = difference_pairing(profile, m, probe, quad)
+            res = difference_pairing(profile, m, probe, quad, tables)
             vals[i] = n**m * res.value
         tails[i] = res.tail_estimate
     rho = 1.0 / rt
@@ -586,7 +584,7 @@ class CalibrationError(RuntimeError):
 
 
 def serial_ladder_runner(profile, battery, N_list, m, cutoff, rho_tilde, quad):
-    """Default ladder executor: one profile, every battery probe, in order."""
+    """The ladders of one profile for every battery probe, in order."""
     return [
         run_ladder(profile, t, N_list, m, cutoff=cutoff, rho_tilde=rho_tilde, quad=quad)
         for t in battery
@@ -622,7 +620,6 @@ def calibrate_order_m(
     quad: QuadratureSettings = DEFAULT_QUAD,
     linearity_tol: float = 0.03,
     mixed_derivatives: tuple[float, float] = (0.4, 0.5),
-    runner=serial_ladder_runner,
 ) -> CalibrationResult:
     """Measure the order-m design matrix from the forward solver.
 
@@ -639,7 +636,7 @@ def calibrate_order_m(
     ladders: dict[str, list[LadderResult]] = {}
     cols = {}
     for key, prof in (("lam", lam_prof), ("mu", mu_prof), ("mixed", mix_prof)):
-        lrs = runner(prof, battery, N_list, m, cutoff, rho_tilde, quad)
+        lrs = serial_ladder_runner(prof, battery, N_list, m, cutoff, rho_tilde, quad)
         ladders[key] = lrs
         cols[key] = np.array([float(np.real(lr.limit)) for lr in lrs])
 
@@ -747,15 +744,14 @@ def reconstruct_profile(
     quad: QuadratureSettings = DEFAULT_QUAD,
     calibrate: bool = True,
     ground_truth: dict | None = None,
-    runner=serial_ladder_runner,
 ) -> ReconstructionReport:
     """Order-0 recovery followed by order-m recovery in every available mode."""
     battery = battery if battery is not None else default_battery()
     order0_coefficients(battery)  # reject an unidentifiable battery before any ladder
-    order0_ladders = runner(profile, battery, N_list, 0, cutoff, rho_tilde, quad)
+    cutoff = cutoff if cutoff is not None else DEFAULT_CUTOFF
+    order0_ladders = serial_ladder_runner(profile, battery, N_list, 0, cutoff, rho_tilde, quad)
     rt = rho_tilde if rho_tilde is not None else ProbeSpec.auto_rho_tilde(0)
-    cut = cutoff if cutoff is not None else GaussianCutoff()
-    order0, refined_limits = refine_order0(order0_ladders, cut, rt, quad)
+    order0, refined_limits = refine_order0(order0_ladders, cutoff, rt, quad)
     base = (order0.lam, order0.mu)
 
     order_m_ladders = []
@@ -764,7 +760,8 @@ def reconstruct_profile(
     conds: dict[str, float] = {}
     verdict = "calibration-only"
     if m >= 1:
-        order_m_ladders = runner(profile, battery, N_list, m, cutoff, rho_tilde, quad)
+        order_m_ladders = serial_ladder_runner(profile, battery, N_list, m, cutoff,
+                                               rho_tilde, quad)
         pairs = [(lr.template, lr) for lr in order_m_ladders]
         for mode in (*VARIANTS, "predicted"):
             r = recover_order_m(pairs, m, mode, base)
@@ -773,7 +770,6 @@ def reconstruct_profile(
         if calibrate:
             calibration = calibrate_order_m(
                 m, battery, N_list, base, cutoff=cutoff, rho_tilde=rho_tilde, quad=quad,
-                runner=runner,
             )
             r = recover_order_m(pairs, m, "calibrated", base, calibration)
             order_m["calibrated"] = r

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +35,15 @@ def write_config(tmp_path: Path, **overrides) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is only for the bump cutoff, which imports it lazily
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import lame_edge.cli; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    out = subprocess.run([sys.executable, "-c", code, str(REPO / "src")],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestValidate:
@@ -180,16 +191,25 @@ class TestReconstructCommand:
                  for o in (out1, out2)]
         assert grids[0] == grids[1]
         assert 1 <= grids[0]["built"] < grids[0]["reused"]
-
-    def test_parallel_runner_matches_serial(self, tmp_path):
-        path = write_config(tmp_path, order=0, ladder=[8, 16, 32, 64],
-                            probes={"kinds": ["e3", "sigma1"], "directions": [[1.0, 0.0]]})
-        out1, out2 = tmp_path / "serial", tmp_path / "jobs2"
-        assert main(["reconstruct", "--config", str(path), "--out", str(out1)]) == EXIT_OK
-        assert main(["reconstruct", "--config", str(path), "--out", str(out2),
-                     "--jobs", "2"]) == EXIT_OK
-        assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
-        assert (out1 / "ladders.csv").read_bytes() == (out2 / "ladders.csv").read_bytes()
+        # the symbol memo keys cutoffs by identity too: each run solves the
+        # profile once; its order-1 truncation is constant, so exact
+        counters = [json.loads((o / "manifest.json").read_text())["counters"]
+                    for o in (out1, out2)]
+        assert counters[0]["symbols"] == counters[1]["symbols"]
+        assert counters[0]["extrapolation_flags"] == counters[1]["extrapolation_flags"]
+        symbols = counters[0]["symbols"]
+        assert (symbols["riccati_solves"], symbols["exact_constants"]) == (1, 1)
+        assert symbols["steps_accepted"] > 0 and symbols["memo_hits"] == 4
+        assert sum(counters[0]["extrapolation_flags"].values()) == 4
+        # the bundled gradient config: the main profile and three calibration
+        # profiles are solved; both truncations are exact constants
+        out3 = tmp_path / "bundled"
+        main(["reconstruct", "--config", str(REPO / "configs" / "gradient.json"),
+              "--out", str(out3)])
+        counters = json.loads((out3 / "manifest.json").read_text())["counters"]
+        assert (counters["symbols"]["riccati_solves"],
+                counters["symbols"]["exact_constants"]) == (4, 2)
+        assert sum(counters["extrapolation_flags"].values()) == 6 + 6 + 3 * 6
 
     def test_unidentifiable_battery_exits_config(self, tmp_path, capsys):
         # e3 and tangent probes see the same combination of lambda and mu

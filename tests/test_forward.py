@@ -1,3 +1,8 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +13,8 @@ from lame_edge.elastic import LameProfile, validate_admissibility
 from lame_edge.forward import (
     DEFAULT_FRAME,
     _assemble,
+    _dop853,
+    _radial_symbols,
     _form_coefficients,
     _harmonics,
     ForwardError,
@@ -21,6 +28,7 @@ from lame_edge.forward import (
     limit_quadrature,
     pairing,
     polar_grid,
+    symbol_memo,
     warm_tables,
 )
 from lame_edge.stroh import impedance, stroh_matrix
@@ -68,6 +76,21 @@ class TestDepthStroh:
         K = depth_stroh(prof, 1.0, (1.0, 0.0))
         K_ref = stroh_matrix(1.3, 1.0, E1).matrix
         assert np.allclose(K, K_ref, atol=1e-14)
+
+
+class TestIntegrator:
+    def test_linear_flow_and_nonfinite_refusal(self):
+        def decay(t, y, out):
+            out[:] = -y * np.arange(1, 4)  # nodes with rates 1, 2, 3
+
+        y, accepted, rejected = _dop853(decay, 1.0, 0.0, np.ones((4, 3)), 1e-10)
+        assert np.abs(y / np.exp(np.arange(1, 4)) - 1.0).max() <= 1e-9 and accepted > 0
+
+        def blows_up(t, y, out):
+            out[:] = -y if t > 0.5 else np.inf
+
+        with pytest.raises(ForwardError, match="step size"), np.errstate(invalid="ignore"):
+            _dop853(blows_up, 1.0, 0.0, np.ones((4, 3)), 1e-10)
 
 
 class TestHalfSpaceImpedance:
@@ -143,24 +166,30 @@ class TestDtnSymbol:
         assert np.dot(DEFAULT_FRAME.outward_normal, [0, 0, 1]) == -1.0
 
 
+LADDER = (16, 32, 64, 128, 256)
+
+
 class TestRadialTable:
     def test_table_matches_direct_solves(self):
+        # the ladder value against one-node solves at its own radii, both bands
         prof = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2], name="grad")
-        tab = RadialDtnTable(prof, 120.0)
-        for r in (0.04, 0.7, 5.3, 17.9, 49.7, 101.3):
+        tab, = warm_tables(prof, LADDER, 4, GaussianCutoff())
+        for r in tab.nodes[::40]:
             Md = dtn_symbol(prof, (r, 0.0)).matrix
-            Mt = tab.symbol_radial(np.array([r]))[0]
-            assert np.abs(Md - Mt).max() <= 1e-6 * max(np.abs(Md).max(), 1e-3)
+            Mt = _assemble(tab.rows(r))
+            assert np.abs(Md - Mt).max() <= 1e-8 * max(np.abs(Md).max(), 1e-3)
 
     def test_rotation_equivariance(self):
         prof = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2], name="grad")
-        tab = RadialDtnTable(prof, 120.0)
+        ks = ((30.0, 40.0), (-5.0, 2.0), (60.0, -80.0))
+        tab = RadialDtnTable(prof, 120.0, [np.hypot(*k) for k in ks])
         rng = np.random.default_rng(5)
         a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        for k in ((30.0, 40.0), (-5.0, 2.0), (60.0, -80.0)):
+        for k in ks:
             direct = dtn_symbol(prof, k).matrix
             fd = complex(np.einsum("ij,i,j->", direct, a.conj(), a))
-            ft = tab.forms(np.array([k[0]]), np.array([k[1]]), a)[0]
+            c, s = np.array(k) / np.hypot(*k)
+            ft = tab.rows(np.hypot(*k)) @ _form_coefficients(a) @ _harmonics(c, s)
             assert abs(fd - ft) <= 1e-8 * abs(fd)
 
     def test_narrow_dip_between_samples_rejected(self):
@@ -168,15 +197,18 @@ class TestRadialTable:
         # and 256 of a 512-point grid on [0, 2]; the exact check still sees it
         prof = LameProfile.from_polynomial([1.0], [1e4 - 1e-3, -2e4, 1e4])
         with pytest.raises(ForwardError, match="inadmissible"):
-            RadialDtnTable(prof, 60.0)
+            RadialDtnTable(prof, 60.0, [1.0, 60.0])
 
     def test_out_of_range_rejected(self):
         prof = LameProfile.constant(1.0, 1.0)
-        tab = RadialDtnTable(prof, 10.0)
+        tab = RadialDtnTable(prof, 10.0, np.linspace(0.0, 10.0, 11))
         with pytest.raises(ForwardError, match="radial table"):
-            tab.symbol_radial(np.array([50.0]))
+            tab.rows(np.array([50.0]))
+        with pytest.raises(ForwardError, match="only at its nodes"):
+            tab.rows(np.array([5.5]))
 
 
+RADII = np.linspace(0.0, 60.0, 241)
 moduli = st.tuples(st.floats(0.2, 3.0), st.floats(-7.0, 1.5)).map(
     lambda x: (x[0] * (-2.0 / 3.0 + 10.0 ** x[1]), x[0])  # lam/mu down to -2/3 + 1e-7
 )
@@ -192,9 +224,9 @@ class TestReducedCore:
         lam0, mu0 = lm
         prof = LameProfile.from_polynomial([lam0, l1, l2], [mu0, m1, m2])
         assume(validate_admissibility(prof, DEFAULT_FRAME.H_max).passed)
-        tab = RadialDtnTable(prof, 60.0)
-        V = tab.values
-        assert tab.nodes.max() > 48.0  # both bands and the geometric nodes
+        tab = RadialDtnTable(prof, 60.0, RADII)
+        V = _assemble(tab.reduced)
+        assert tab.nodes.max() > 48.0  # both bands
         assert np.all(V[:, [0, 1, 1, 2], [1, 0, 2, 1]] == 0.0)
         assert np.all(np.diagonal(V, axis1=1, axis2=2).imag == 0.0)
         assert np.all(V[:, 0, 2] == -V[:, 2, 0])
@@ -204,9 +236,30 @@ class TestReducedCore:
     @settings(max_examples=12, deadline=None)
     @given(moduli)
     def test_constant_profile_is_degree_one_impedance(self, lm):
-        tab = RadialDtnTable(LameProfile.constant(*lm), 60.0)
+        tab = RadialDtnTable(LameProfile.constant(*lm), 60.0, RADII)
         exact = tab.nodes[:, None, None] * impedance(*lm, E1).matrix
-        assert np.abs(tab.values - exact).max() <= 1e-9 * np.abs(exact).max()
+        assert np.abs(_assemble(tab.reduced) - exact).max() <= 1e-9 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("lm", [(-1.8331, 2.75), (-0.66666, 1.0)])
+    @pytest.mark.parametrize("ladder", [
+        (LADDER, 4, 96), (LADDER, 5, 96), ((8, 16, 32, 64), 4, 48),  # m = 0/1, m = 2, CLI tests
+        None,  # the stiffest physical-depth nodes among many benign ones
+    ])
+    def test_every_node_within_tolerance(self, lm, ladder):
+        # through the integrator (the tables' exact constant path bypassed): the
+        # error is controlled per node, so none exceeds the tolerance by the
+        # dilution an RMS over all nodes allows
+        tol = 1e-10
+        if ladder is None:
+            radii = np.r_[np.linspace(0.01, 1.0, 200), 6.99, 7.0, 7.01]
+        else:
+            Ns, rho_tilde, nodes = ladder
+            radii = np.unique(np.concatenate(
+                [polar_grid(n, rho_tilde, GAUSS, QuadratureSettings(nodes=nodes)).r for n in Ns]))
+        rows, _, _ = _radial_symbols(LameProfile.constant(*lm), radii, tol, DEFAULT_FRAME)
+        exact = radii[:, None, None] * impedance(*lm, E1).matrix
+        err = np.abs(_assemble(rows) - exact).max(axis=(1, 2)) / np.abs(exact).max(axis=(1, 2))
+        assert err.max() <= 2.0 * tol
 
 
 @pytest.fixture(scope="module")
@@ -251,10 +304,8 @@ class TestPairing:
         prof = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2], name="tabref")
         probe = ProbeSpec(np.array([0, 0, 1.0]), E1, 64, 4, 0, gauss)
         v1 = pairing(prof, probe, QuadratureSettings()).value
-        v2 = pairing(
-            prof, probe, QuadratureSettings(table_low_step=0.0625, table_high_points=769)
-        ).value
-        assert abs(v1 - v2) <= 1e-6 * abs(v1)
+        v2 = pairing(prof, probe, QuadratureSettings(riccati_tol=1e-12)).value
+        assert abs(v1 - v2) <= 1e-9 * abs(v1)
 
     def test_bump_cutoff_pairing(self):
         prof = LameProfile.constant(1.0, 1.0)
@@ -306,18 +357,32 @@ class TestReducedContraction:
         assert polar_grid(64, 4, GaussianCutoff(), quad) is not g
 
     def test_values_independent_of_grid_memo_history(self):
-        a = np.array([0.4, -1.0j, 0.7])
-        probes = [ProbeSpec(a, (0.6, 0.8, 0.0), n, 4, 1, GAUSS) for n in (16, 32, 64, 128)]
-        warm_tables(GRAD, probes[-1], m=1)
-
-        def values(order):
-            return {p.N: (pairing(GRAD, p).value, difference_pairing(GRAD, 1, p).value)
-                    for p in order}
-
-        first = values(probes)
+        first = pairing_bits(LADDER[:4])
         polar_grid.cache_clear()
-        assert values(probes[::-1]) == first
-        assert values(probes) == first
+        symbol_memo.clear()
+        assert pairing_bits(LADDER[3::-1]) == first
+        assert pairing_bits(LADDER[:4]) == first
+        code = ("import json, sys; sys.path[:0] = sys.argv[1:]; import test_forward as t; "
+                "print(json.dumps(t.pairing_bits(t.LADDER[3::-1])))")
+        here = Path(__file__).resolve().parent
+        fresh = subprocess.run([sys.executable, "-c", code, str(here), str(here.parent / "src")],
+                               capture_output=True, text=True, check=True)
+        assert {int(n): v for n, v in json.loads(fresh.stdout).items()} == first
+
+
+def pairing_bits(Ns) -> dict:
+    """Pairing and order-1 difference pairing of GRAD per N, standalone and on
+    the ladder's tables, as exact hex strings."""
+    a = np.array([0.4, -1.0j, 0.7])
+    tables = [warm_tables(GRAD, LADDER[:4], 4, GAUSS, m=m) for m in (0, 1)]
+    out = {}
+    for n in Ns:
+        p = ProbeSpec(a, (0.6, 0.8, 0.0), n, 4, 1, GAUSS)
+        values = (pairing(GRAD, p), difference_pairing(GRAD, 1, p),
+                  pairing(GRAD, p, tables=tables[0]),
+                  difference_pairing(GRAD, 1, p, tables=tables[1]))
+        out[n] = [v.value.real.hex() + v.value.imag.hex() for v in values]
+    return out
 
 
 class TestDifferencePairing:

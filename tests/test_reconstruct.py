@@ -9,6 +9,7 @@ from lame_edge.forward import DEFAULT_QUAD
 from lame_edge.reconstruct import (
     BatteryError,
     ProbeTemplate,
+    calibrate_order_m,
     default_battery,
     design_matrix,
     extrapolate,
@@ -338,6 +339,19 @@ class TestLadders:
             probe = ProbeSpec(t.a, t.omega, N, 4, 0, cut)
             measured = pairing(prof, probe).value.real
             assert model == pytest.approx(measured, rel=2e-6)
+
+
+class TestCalibration:
+    def test_rounding_change_of_base_leaves_matrix(self):
+        # the order-1 truncations are constant, so exact: a rounding-level move
+        # of the base moves only the one Riccati solve per profile, not the
+        # difference of two solves with different step sequences
+        base = (0.9999161175742259, 1.000014643959749)
+        cals = [calibrate_order_m(1, default_battery(), [16, 32, 64, 128, 256], b,
+                                  cutoff=GaussianCutoff(), rho_tilde=4)
+                for b in (base, (base[0] * (1.0 - 5e-15), base[1]))]
+        assert np.abs(cals[1].matrix / cals[0].matrix - 1.0).max() <= 1e-9
+        assert cals[1].linearity_error == pytest.approx(cals[0].linearity_error, rel=1e-8)
 
 
 class TestOrderTwoEndToEnd:
