@@ -20,7 +20,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .elastic import LameProfile
+from .elastic import LameProfile, isotropic_components
 from .stroh import acoustic_bracket, sigma_basis
 
 __all__ = [
@@ -143,10 +143,11 @@ class BumpCutoff(CutoffProfile):
 
     The classic mollifier (s = 1) exceeds 1 by about 7% once its L2 mass is
     normalized; the default sharpness 0.7 keeps 0 <= eta <= 1, unit L2 mass
-    and unit-disc support simultaneously. Derivatives are generated
-    symbolically once per multi-index and evaluated only strictly inside the
-    disc (exactly zero outside). The Fourier transform is tabulated once by a
-    high-resolution Hankel quadrature.
+    and unit-disc support simultaneously. Derivatives are closed forms, a
+    polynomial in z' and 1/(1-|z'|^2) times the bump, built once per
+    multi-index and evaluated only strictly inside the disc (exactly zero
+    outside). The Fourier transform is tabulated once by a high-resolution
+    Hankel quadrature.
     """
 
     def __init__(self, sharpness: float = 0.7, n_fourier: int = 2048,
@@ -177,14 +178,20 @@ class BumpCutoff(CutoffProfile):
         )
 
     def _derivative_factory(self, beta):
-        import sympy as sp
+        # eta = amp h(q) with h = exp(-s u), u = 1/(1 - q), q = x^2 + y^2, so
+        # h^(n) = P_n(u) h with P_0 = 1, P_{n+1} = u^2 (P_n' - s P_n); x and y enter
+        # separably: d_x^a g(x^2) = sum_k a!/(k! (a-2k)!) (2x)^(a-2k) g^(a-k)(x^2)
+        pp, s, amp = np.polynomial.polynomial, self.sharpness, self.amplitude
+        P = [np.array([1.0])]
+        for _ in range(sum(beta)):
+            P.append(pp.polymulx(pp.polymulx(pp.polysub(pp.polyder(P[-1]), s * P[-1]))))
 
-        x, y = sp.symbols("x y", real=True)
-        expr = sp.exp(-sp.Rational(self.sharpness).limit_denominator(10**9)
-                      / (1 - x**2 - y**2))
-        expr = sp.diff(expr, x, beta[0], y, beta[1])
-        f = sp.lambdify((x, y), sp.simplify(expr), modules="numpy")
-        amp = self.amplitude
+        def chain(a):
+            return [(k, math.factorial(a) / (math.factorial(k) * math.factorial(a - 2 * k)))
+                    for k in range(a // 2 + 1)]
+
+        terms = [(ck * cj, beta[0] - 2 * k, beta[1] - 2 * j, P[sum(beta) - k - j])
+                 for k, ck in chain(beta[0]) for j, cj in chain(beta[1])]
 
         def fn(pts: np.ndarray) -> np.ndarray:
             pts = np.asarray(pts, dtype=float)
@@ -193,7 +200,9 @@ class BumpCutoff(CutoffProfile):
             out = np.zeros_like(r2)
             mask = r2 < 1.0 - 1e-12
             if np.any(mask):
-                out[mask] = amp * np.asarray(f(x_[mask], y_[mask]), dtype=float)
+                x2, y2, u = 2.0 * x_[mask], 2.0 * y_[mask], 1.0 / (1.0 - r2[mask])
+                poly = sum(c * x2**ex * y2**ey * pp.polyval(u, Pn) for c, ex, ey, Pn in terms)
+                out[mask] = amp * poly * np.exp(-s * u)
             return out
 
         return fn
@@ -696,14 +705,6 @@ _FD2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 _OFFS = np.arange(-2, 3)
 
 
-def _iso_components(lam: float, mu: float) -> np.ndarray:
-    d = np.eye(3)
-    return (
-        lam * np.einsum("ij,kl->ijkl", d, d)
-        + mu * (np.einsum("ik,jl->ijkl", d, d) + np.einsum("il,jk->ijkl", d, d))
-    )
-
-
 def _apply_operator_fd(
     profile: LameProfile,
     evaluator: Callable[[np.ndarray], np.ndarray],
@@ -765,8 +766,8 @@ def _apply_operator_fd(
     dmu = np.asarray(profile.mu(y3, 1), dtype=float)
 
     for p in range(n):
-        C = _iso_components(lam[p], mu[p])
-        dC = _iso_components(dlam[p], dmu[p])
+        C = isotropic_components(lam[p], mu[p])
+        dC = isotropic_components(dlam[p], dmu[p])
         acc = np.zeros(3, dtype=complex)
         for j in range(3):
             for l in range(3):

@@ -241,9 +241,8 @@ def _write_ladder_csv(path: Path, ladders, nodes: int | None = None) -> None:
     for lr in ladders:
         last = _fmt(lr.extrapolation.rate) if nodes is None else nodes
         for i, n in enumerate(lr.N_values):
-            tail = float(lr.tails[i]) if lr.tails is not None else 0.0
             lines.append(f"{int(n)},{lr.template.name},{lr.m},{_fmt(lr.values[i].real)},"
-                         f"{_fmt(lr.values[i].imag)},{_fmt(tail)},{last}")
+                         f"{_fmt(lr.values[i].imag)},{_fmt(float(lr.tails[i]))},{last}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

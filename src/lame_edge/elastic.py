@@ -20,6 +20,7 @@ __all__ = [
     "TruncatedProfile",
     "check_admissible",
     "energy_density",
+    "isotropic_components",
     "taylor_truncate",
     "tensor_components",
     "validate_admissibility",
@@ -41,24 +42,24 @@ def check_admissible(lam: float, mu: float) -> None:
         )
 
 
-def tensor_components(lam: float, mu: float) -> np.ndarray:
-    """Full rank-4 components C_ijkl = lam d_ij d_kl + mu (d_ik d_jl + d_il d_jk).
+def isotropic_components(lam, mu) -> np.ndarray:
+    """C_ijkl = lam d_ij d_kl + mu (d_ik d_jl + d_il d_jk), unchecked.
 
-    Parameters
-    ----------
-    lam, mu : float
-        Admissible moduli (checked).
-
-    Returns
-    -------
-    (3, 3, 3, 3) float array with both minor and major symmetries exact.
+    Linear in (lam, mu), so it also takes modulus derivatives, which need not
+    be admissible.
     """
-    check_admissible(lam, mu)
     d = np.eye(3)
     return (
         lam * np.einsum("ij,kl->ijkl", d, d)
         + mu * (np.einsum("ik,jl->ijkl", d, d) + np.einsum("il,jk->ijkl", d, d))
     )
+
+
+def tensor_components(lam: float, mu: float) -> np.ndarray:
+    """:func:`isotropic_components` of admissible moduli (checked): a (3, 3, 3, 3)
+    float array with both minor and major symmetries exact."""
+    check_admissible(lam, mu)
+    return isotropic_components(lam, mu)
 
 
 def voigt_matrix(lam: float, mu: float) -> np.ndarray:
@@ -88,9 +89,6 @@ class IsotropicTensor:
     @property
     def components(self) -> np.ndarray:
         return tensor_components(self.lam, self.mu)
-
-    def convexity_constant(self) -> float:
-        return min(2.0 * self.mu, 3.0 * self.lam + 2.0 * self.mu)
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,7 @@ import numpy as np
 
 from .ansatz import ProbeSpec
 from .elastic import LameProfile, taylor_truncate, validate_admissibility
-from .stroh import impedance_basis, reference_chain
+from .stroh import _taq, first_order_matrix, impedance_basis, reference_chain
 
 __all__ = [
     "DtnSymbol",
@@ -110,17 +110,7 @@ def _unit_tangent(k) -> tuple[float, np.ndarray]:
     return kn, np.array([k[0] / kn, k[1] / kn, 0.0])
 
 
-def _coeff_blocks(lam: float, mu: float, what: np.ndarray):
-    """T, A = <e3, what>, Q = <what, what> for a unit tangent ``what``."""
-    T = np.diag([mu, mu, lam + 2.0 * mu])
-    w = what
-    A = lam * np.outer(_E3, w) + mu * np.outer(w, _E3)
-    Q = (lam + mu) * np.outer(w, w) + mu * np.eye(3)
-    return T, A, Q
-
-
 _E1 = np.array([1.0, 0.0, 0.0])
-_E3 = np.array([0.0, 0.0, 1.0])
 # (Z_lam, Z_mu)(e1) of stroh.impedance_basis as reduced rows, shape (2, 4)
 Z_ROWS_E1 = np.array([[B[0, 0].real, B[1, 1].real, B[2, 2].real, B[0, 2].imag]
                       for B in impedance_basis(_E1)])
@@ -134,17 +124,8 @@ def depth_stroh(profile: LameProfile, y3: float, k) -> np.ndarray:
     constant profile and |k| = 1 the two agree exactly.
     """
     kn, what = _unit_tangent(k)
-    lam = float(profile.lam(y3))
-    mu = float(profile.mu(y3))
-    T, Ah, Qh = _coeff_blocks(lam, mu, what)
-    A, Q = kn * Ah, kn**2 * Qh
-    Ti = np.diag(1.0 / np.diag(T))
-    K = np.zeros((6, 6), dtype=complex)
-    K[:3, :3] = -Ti @ A
-    K[:3, 3:] = Ti
-    K[3:, :3] = -Q + A.T @ Ti @ A
-    K[3:, 3:] = -A.T @ Ti
-    return K
+    T, A, Q = _taq(float(profile.lam(y3)), float(profile.mu(y3)), what)
+    return first_order_matrix(T, kn * A, kn**2 * Q)
 
 
 def half_space_impedance(lam: float, mu: float, k) -> np.ndarray:
@@ -317,12 +298,8 @@ def _check_admissible(profile: LameProfile, H: float, n_samples: int) -> None:
                            f"min 3lam+2mu = {rep.min_bulk}")
 
 
-def _radial_symbols(
-    profile: LameProfile,
-    nodes: np.ndarray,
-    tol: float,
-    frame: HalfSpaceFrame,
-) -> tuple[np.ndarray, int, int]:
+def _radial_symbols(profile: LameProfile, nodes: np.ndarray,
+                    tol: float) -> tuple[np.ndarray, int, int]:
     """The Riccati core: reduced M0(r) = M(r e1) at every node, and the step counts.
 
     Returns rows (M11, M22, M33, Im M13), shape (n, 4), and the accepted and
@@ -331,12 +308,13 @@ def _radial_symbols(
     impedance S = -rho Z(lam(H), mu(H)). Nodes with r <= efolds/H_max carry S
     (rho = r, physical depth, c = H_max); deeper-frequency nodes carry S / r
     (rho = 1, scaled depth t = r y3, c = efolds). All nodes, 4 reals each, are
-    one joint integration.
+    one joint integration. Depths follow :data:`DEFAULT_FRAME`.
     """
-    scaled = nodes > frame.efolds / frame.H_max
+    H_max, efolds = DEFAULT_FRAME.H_max, DEFAULT_FRAME.efolds
+    scaled = nodes > efolds / H_max
     sigma = np.where(scaled, nodes, 1.0)  # the state is S / sigma
     rho = nodes / sigma
-    H = np.where(scaled, frame.efolds / sigma, frame.H_max)
+    H = np.where(scaled, efolds / sigma, H_max)
     lamH, muH = profile.lam(H), profile.mu(H)
     z_lam, z_mu = Z_ROWS_E1[:, :, None]
     y0 = -rho * muH / (lamH + 3.0 * muH) * (lamH * z_lam + muH * z_mu)
@@ -345,12 +323,7 @@ def _radial_symbols(
     return (-sigma * y).T, accepted, rejected
 
 
-def dtn_symbol(
-    profile: LameProfile,
-    k,
-    tol: float = 1e-10,
-    frame: HalfSpaceFrame = DEFAULT_FRAME,
-) -> DtnSymbol:
+def dtn_symbol(profile: LameProfile, k, tol: float = 1e-10) -> DtnSymbol:
     """Surface DtN symbol M(k) = R(theta) M0(|k|) R(theta)^T by stable impedance marching.
 
     A batch of one on the Riccati core, which integrates the impedance flow
@@ -360,55 +333,45 @@ def dtn_symbol(
     like exp(-2 |k| (H - y3)).
     """
     kn, what = _unit_tangent(k)
-    H = frame.depth(k)
+    H = DEFAULT_FRAME.depth(k)
     _check_admissible(profile, H, n_samples=64)
-    M0, n_steps, _ = _radial_symbols(profile, np.array([kn]), tol, frame)
+    M0, n_steps, _ = _radial_symbols(profile, np.array([kn]), tol)
     c, s = what[0], what[1]
     R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])  # takes e1 to k/|k|
     return DtnSymbol(kn * what[:2], R @ _assemble(M0[0]) @ R.T, H, "riccati", tol, n_steps)
 
 
-def dtn_symbol_march(
-    profile: LameProfile,
-    k,
-    n_steps: int = 600,
-    frame: HalfSpaceFrame = DEFAULT_FRAME,
-) -> np.ndarray:
+def dtn_symbol_march(profile: LameProfile, k, n_steps: int = 600) -> np.ndarray:
     """Independent oracle: orthonormalized marching of the decaying subspace.
 
-    Fixed-grid RK4 on the full 6x3 linear system with per-step QR
-    re-orthonormalization; M is recovered from the surface trace pair.
+    Fixed-grid RK4 on the full 6x3 linear system dW/dt = i K W in scaled depth
+    t = |k| y3, with per-step QR re-orthonormalization; M is recovered from
+    the surface trace pair (the traction is i times the lower block).
     """
     kn, what = _unit_tangent(k)
     if kn == 0.0:
         return np.zeros((3, 3), dtype=complex)
-    H = frame.depth(k)
+    H = DEFAULT_FRAME.depth(k)
 
-    def sys_rhs(t, Y):
-        lam = float(profile.lam(t / kn))
-        mu = float(profile.mu(t / kn))
-        T, A, Q = _coeff_blocks(lam, mu, what)
-        Ti = np.diag(1.0 / np.diag(T))
-        top = -1.0j * Ti @ A @ Y[:3] + Ti @ Y[3:]
-        bot = (Q - A.T @ Ti @ A) @ Y[:3] - 1.0j * A.T @ Ti @ Y[3:]
-        return np.vstack([top, bot])
+    def sys_rhs(t, W):
+        T, A, Q = _taq(float(profile.lam(t / kn)), float(profile.mu(t / kn)), what)
+        return 1.0j * first_order_matrix(T, A, Q) @ W
 
     lamH = float(profile.lam(H))
     muH = float(profile.mu(H))
     S_H = -half_space_impedance(lamH, muH, kn * what[:2]) / kn
-    Y = np.vstack([np.eye(3, dtype=complex), S_H])
+    W = np.vstack([np.eye(3, dtype=complex), -1.0j * S_H])
     t = kn * H
     dt = -t / n_steps
     for _ in range(n_steps):
-        k1 = sys_rhs(t, Y)
-        k2 = sys_rhs(t + dt / 2, Y + dt / 2 * k1)
-        k3 = sys_rhs(t + dt / 2, Y + dt / 2 * k2)
-        k4 = sys_rhs(t + dt, Y + dt * k3)
-        Y = Y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        k1 = sys_rhs(t, W)
+        k2 = sys_rhs(t + dt / 2, W + dt / 2 * k1)
+        k3 = sys_rhs(t + dt / 2, W + dt / 2 * k2)
+        k4 = sys_rhs(t + dt, W + dt * k3)
+        W = W + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t += dt
-        Y, _ = np.linalg.qr(Y)
-    S0 = Y[3:] @ np.linalg.inv(Y[:3])
-    return -kn * S0
+        W, _ = np.linalg.qr(W)
+    return -kn * 1.0j * W[3:] @ np.linalg.inv(W[:3])
 
 
 # ---------------------------------------------------------------------------
@@ -433,20 +396,19 @@ class RadialDtnTable:
         k_max: float,
         radii,
         riccati_tol: float = 1e-10,
-        frame: HalfSpaceFrame = DEFAULT_FRAME,
     ) -> None:
         self.profile = profile
         self.k_max = float(k_max)
         self.nodes = np.unique(np.asarray(radii, dtype=float))
         if self.nodes[0] < 0.0 or self.nodes[-1] > self.k_max:
             raise ValueError(f"radii must lie in [0, k_max = {self.k_max}]")
-        _check_admissible(profile, frame.H_max, n_samples=256)
+        _check_admissible(profile, DEFAULT_FRAME.H_max, n_samples=256)
         if profile.is_polynomial and not any(profile.lam_coeffs[1:] + profile.mu_coeffs[1:]):
             lam, mu = profile.lam_coeffs[0], profile.mu_coeffs[0]
             z = mu / (lam + 3.0 * mu) * (lam * Z_ROWS_E1[0] + mu * Z_ROWS_E1[1])
             self.reduced, self.steps = self.nodes[:, None] * z, None
         else:
-            self.reduced, *steps = _radial_symbols(profile, self.nodes, riccati_tol, frame)
+            self.reduced, *steps = _radial_symbols(profile, self.nodes, riccati_tol)
             self.steps = tuple(steps)
         for arr in (self.nodes, self.reduced):
             arr.setflags(write=False)

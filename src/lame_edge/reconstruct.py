@@ -170,76 +170,46 @@ class ExtrapolationResult:
     limit: complex
     rate: float
     fit_residual: float
-    flag: str  # "fit" | "fixed_rate" | "converged" | "noise_floor"
+    flag: str  # "structured" | "converged" | "noise_floor"
     uncertainty: float
 
 
-def extrapolate(
-    N_values,
-    values,
-    fallback_rate: float | None = None,
-    min_points: int = 4,
-    rho: float | None = None,
-) -> ExtrapolationResult:
+def extrapolate(N_values, values, rho: float) -> ExtrapolationResult:
     """Extrapolate a dyadic ladder of pairing values to N = infinity.
 
-    With ``rho`` given, the convergence-error ladder of the pairing quadrature
-    is known: radial cutoffs kill odd powers of the spectral spread N^-rho, and
-    the symbol expansion contributes integer powers of 1/N, so the error is a
-    series in N^{-2 rho}. The primary model is therefore the structured fit
+    The convergence-error ladder of the pairing quadrature is known: radial
+    cutoffs kill odd powers of the spectral spread N^-rho, and the symbol
+    expansion contributes integer powers of 1/N, so the error is a series in
+    N^{-2 rho}. The limit is the structured fit
 
         S(N) = S* + c1 N^{-2 rho} + c2 N^{-4 rho} + c3 N^{-6 rho},
 
-    solved by least squares. Without ``rho`` a single-power fit with a free
-    exponent (log-log regression on consecutive differences, then a geometric
-    tail sum) is used; it remains the fallback when the structured fit would
-    be underdetermined. A converged ladder short-circuits, and a ladder whose
-    differences grow at the tail is flagged as a noise floor.
+    solved by least squares on at least four points. A converged ladder
+    short-circuits, and a ladder whose differences grow at the tail is flagged
+    as a noise floor.
     """
     N = np.asarray(N_values, dtype=float)
     S = np.asarray(values, dtype=complex)
-    if N.size < min_points:
-        raise ValueError(f"need at least {min_points} ladder points")
+    if N.size < 4:
+        raise ValueError("need at least 4 ladder points")
     d = np.diff(S)
     mag = np.abs(d)
     scale = max(np.abs(S).max(), 1e-300)
     if mag.max() <= 1e-13 * scale:
         return ExtrapolationResult(complex(S[-1]), math.inf, 0.0, "converged",
                                    float(mag.max()))
-    if mag.size >= 2 and mag[-1] > 2.0 * mag[-2]:
+    if mag[-1] > 2.0 * mag[-2]:
         return ExtrapolationResult(complex(S[-1]), 0.0, math.inf, "noise_floor",
                                    float(3.0 * mag[-1]))
 
-    if rho is not None:
-        n_terms = min(3, N.size - 1)
-        exps = [2.0 * rho * (j + 1) for j in range(n_terms)]
-        A = np.column_stack([np.ones(N.size)] + [N**-e for e in exps])
-        coef, res, *_ = np.linalg.lstsq(A, S, rcond=None)
-        fit_vals = A @ coef
-        rms = float(np.linalg.norm(fit_vals - S) / math.sqrt(N.size))
-        limit = complex(coef[0])
-        # uncertainty: misfit plus a fraction of the least-resolved term
-        tail_term = abs(coef[-1]) * N[-1] ** -exps[-1]
-        unc = float(rms + 0.5 * tail_term)
-        return ExtrapolationResult(limit, exps[0], rms, "structured", unc)
-
-    safe = np.maximum(mag, 1e-300)
-    A = np.column_stack([np.ones(d.size), np.log(N[:-1])])
-    coef, res, *_ = np.linalg.lstsq(A, np.log(safe), rcond=None)
-    q = -float(coef[1])
-    fit_residual = float(np.sqrt(res[0] / d.size)) if res.size else 0.0
-    x = 2.0**-q
-    ill = not (0.02 < q < 6.0) or x >= 0.97 or fit_residual > 1.0
-    if ill:
-        q = fallback_rate if fallback_rate is not None else 0.5
-        x = 2.0**-q
-        tail = d[-1] * x / (1.0 - x)
-        return ExtrapolationResult(
-            complex(S[-1] + tail), q, fit_residual, "fixed_rate", float(2.0 * abs(tail))
-        )
-    tail = d[-1] * x / (1.0 - x)
-    unc = abs(tail) * max(fit_residual, 0.1)
-    return ExtrapolationResult(complex(S[-1] + tail), q, fit_residual, "fit", float(unc))
+    exps = [2.0 * rho * (j + 1) for j in range(3)]
+    A = np.column_stack([np.ones(N.size)] + [N**-e for e in exps])
+    coef, *_ = np.linalg.lstsq(A, S, rcond=None)
+    rms = float(np.linalg.norm(A @ coef - S) / math.sqrt(N.size))
+    # uncertainty: misfit plus a fraction of the least-resolved term
+    tail_term = abs(coef[-1]) * N[-1] ** -exps[-1]
+    return ExtrapolationResult(complex(coef[0]), exps[0], rms, "structured",
+                               float(rms + 0.5 * tail_term))
 
 
 @dataclass(frozen=True)
@@ -286,7 +256,7 @@ class LadderResult:
     N_values: np.ndarray
     values: np.ndarray  # scaled: pairing for m=0, N^m * difference for m>=1
     extrapolation: ExtrapolationResult
-    tails: np.ndarray = None  # quadrature tail estimates, one per N
+    tails: np.ndarray  # quadrature tail estimates, one per N
 
     @property
     def limit(self) -> complex:
@@ -316,7 +286,6 @@ def run_ladder(
     cutoff: CutoffProfile | None = None,
     rho_tilde: int | None = None,
     quad: QuadratureSettings = DEFAULT_QUAD,
-    fallback_rate: float | None = None,
 ) -> LadderResult:
     """Ladder of pairing (m = 0) or N^m-scaled difference pairings (m >= 1)."""
     N = _check_dyadic(N_list)
@@ -333,10 +302,7 @@ def run_ladder(
             res = difference_pairing(profile, m, probe, quad, tables)
             vals[i] = n**m * res.value
         tails[i] = res.tail_estimate
-    rho = 1.0 / rt
-    fb = fallback_rate if fallback_rate is not None else 2.0 * rho
-    ext = extrapolate(N, vals, fallback_rate=fb, rho=rho)
-    return LadderResult(template, m, N, vals, ext, tails)
+    return LadderResult(template, m, N, vals, extrapolate(N, vals, rho=1.0 / rt), tails)
 
 
 # ---------------------------------------------------------------------------

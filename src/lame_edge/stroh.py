@@ -31,6 +31,7 @@ __all__ = [
     "characteristic_det",
     "characteristic_det_factored",
     "eigen_jordan",
+    "first_order_matrix",
     "impedance",
     "impedance_basis",
     "quadratic_form",
@@ -90,10 +91,22 @@ def acoustic_matrix(lam: float, mu: float, xi, zeta) -> AcousticBlock:
 
 
 def _taq(lam: float, mu: float, omega: np.ndarray):
-    T = acoustic_bracket(lam, mu, _E3, _E3)
-    A = acoustic_bracket(lam, mu, _E3, omega)
-    Q = acoustic_bracket(lam, mu, omega, omega)
+    """T = <e3,e3>, A = <e3,omega>, Q = <omega,omega> for a unit tangent omega."""
+    T = np.diag([mu, mu, lam + 2.0 * mu])
+    A = lam * np.outer(_E3, omega) + mu * np.outer(omega, _E3)
+    Q = (lam + mu) * np.outer(omega, omega) + mu * np.eye(3)
     return T, A, Q
+
+
+def first_order_matrix(T: np.ndarray, A: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The 6x6 K of the module docstring from its blocks; T must be diagonal."""
+    Ti = np.diag(1.0 / np.diag(T))
+    K = np.zeros((6, 6), dtype=complex)
+    K[:3, :3] = -Ti @ A
+    K[:3, 3:] = Ti
+    K[3:, :3] = -Q + A.T @ Ti @ A
+    K[3:, 3:] = -A.T @ Ti
+    return K
 
 
 @dataclass(frozen=True)
@@ -120,14 +133,7 @@ def stroh_matrix(lam: float, mu: float, omega) -> StrohMatrix:
     """Assemble K for an admissible medium and unit tangent omega."""
     check_admissible(lam, mu)
     w = _as_tangent(omega)
-    T, A, Q = _taq(lam, mu, w)
-    Ti = np.diag(1.0 / np.diag(T))  # T = diag(mu, mu, lam + 2 mu)
-    K = np.zeros((6, 6), dtype=complex)
-    K[:3, :3] = -Ti @ A
-    K[:3, 3:] = Ti
-    K[3:, :3] = -Q + A.T @ Ti @ A
-    K[3:, 3:] = -A.T @ Ti
-    return StrohMatrix(K, w, lam, mu)
+    return StrohMatrix(first_order_matrix(*_taq(lam, mu, w)), w, lam, mu)
 
 
 def characteristic_det(lam: float, mu: float, omega, sigma: complex) -> complex:
@@ -298,10 +304,10 @@ def impedance(lam: float, mu: float, omega, variant: str = "iota_squared") -> Im
 
 
 def quadratic_form(Z: ImpedanceTensor | np.ndarray, a) -> float:
-    """Real Hermitian form sum_ij Z_ij a_i conj(a_j)."""
+    """Real Hermitian form a^H Z a = sum_ij conj(a_i) Z_ij a_j, the pairing's limit."""
     M = Z.matrix if isinstance(Z, ImpedanceTensor) else np.asarray(Z)
     a = np.asarray(a, dtype=complex).ravel()
-    val = complex(np.einsum("ij,i,j->", M, a, np.conj(a)))
+    val = complex(np.vdot(a, M @ a))
     if abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):
         raise ValueError(f"quadratic form not real: {val}")
     return val.real

