@@ -133,22 +133,96 @@ CONFIG_SCHEMA = {
 }
 
 
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+}
+# bound keyword -> (message, test that the number fails); as in Draft 2020-12,
+# a NaN passes every bound
+_BOUNDS = {
+    "minimum": ("less than the minimum of", lambda v, b: v < b),
+    "maximum": ("greater than the maximum of", lambda v, b: v > b),
+    "exclusiveMinimum": ("less than or equal to the minimum of", lambda v, b: v <= b),
+    "exclusiveMaximum": ("greater than or equal to the maximum of", lambda v, b: v >= b),
+}
+_KEYWORDS = {"type", "const", "enum", "required", "properties", "additionalProperties",
+             "items", "minItems", "maxItems", *_BOUNDS}
+
+
+def _same(a, b) -> bool:
+    """JSON equality: a boolean never equals a number."""
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+def check_schema(instance, schema: dict, path: tuple = ()) -> None:
+    """Validate a parsed JSON value against the subset of JSON Schema that
+    :data:`CONFIG_SCHEMA` uses; raise :class:`ConfigError` at the first violation.
+
+    Draft 2020-12 semantics, except that ``integer`` means an ``int``: never a
+    bool, and never an integral float such as 1.0, which Draft 2020-12 accepts
+    but the run cannot use. Any keyword outside that subset raises
+    ``NotImplementedError``.
+    """
+    def fail(message: str):
+        raise ConfigError(f"schema violation at {list(path)}: {message}")
+
+    unknown = schema.keys() - _KEYWORDS
+    if unknown:
+        raise NotImplementedError(f"schema keywords {sorted(unknown)} are not checked")
+    types = schema.get("type")
+    if types is not None:
+        types = [types] if isinstance(types, str) else types
+        if not any(_TYPES[t](instance) for t in types):
+            fail(f"{instance!r} is not of type {', '.join(map(repr, types))}")
+    if "const" in schema and not _same(instance, schema["const"]):
+        fail(f"{schema['const']!r} was expected")
+    if "enum" in schema and not any(_same(instance, e) for e in schema["enum"]):
+        fail(f"{instance!r} is not one of {schema['enum']!r}")
+    if _TYPES["number"](instance):
+        for key, (words, fails) in _BOUNDS.items():
+            if key in schema and fails(instance, schema[key]):
+                fail(f"{instance!r} is {words} {schema[key]!r}")
+    if isinstance(instance, dict):
+        for key in schema.get("required", ()):
+            if key not in instance:
+                fail(f"{key!r} is a required property")
+        props, extra = schema.get("properties", {}), schema.get("additionalProperties", True)
+        for key, value in instance.items():
+            if key in props:
+                check_schema(value, props[key], (*path, key))
+            elif extra is False:
+                fail(f"additional property {key!r} is not allowed")
+            elif extra is not True:
+                check_schema(value, extra, (*path, key))
+    if isinstance(instance, list):
+        if len(instance) < schema.get("minItems", 0):
+            fail(f"{instance!r} has fewer than {schema['minItems']} items")
+        if len(instance) > schema.get("maxItems", len(instance)):
+            fail(f"{instance!r} has more than {schema['maxItems']} items")
+        if "items" in schema:
+            for i, value in enumerate(instance):
+                check_schema(value, schema["items"], (*path, i))
+
+
+def _reject_constant(name: str):
+    raise ConfigError(f"config is not valid JSON: {name} is not a number")
+
+
 def load_config(path: str | Path) -> dict:
     """Load, schema-validate and cross-field-validate a config file."""
-    import jsonschema
-
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     try:
-        cfg = json.loads(raw)
+        cfg = json.loads(raw, parse_constant=_reject_constant)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as e:
-        raise ConfigError(f"schema violation at {list(e.absolute_path)}: {e.message}") from e
+    check_schema(cfg, CONFIG_SCHEMA)
 
     errors = cross_field_errors(cfg)
     if errors:

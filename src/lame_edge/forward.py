@@ -352,25 +352,22 @@ def dtn_symbol_march(profile: LameProfile, k, n_steps: int = 600) -> np.ndarray:
     if kn == 0.0:
         return np.zeros((3, 3), dtype=complex)
     H = DEFAULT_FRAME.depth(k)
-
-    def sys_rhs(t, W):
-        T, A, Q = _taq(float(profile.lam(t / kn)), float(profile.mu(t / kn)), what)
-        return 1.0j * first_order_matrix(T, A, Q) @ W
+    # i K at every RK4 stage depth, t = |k| H down to 0 in half steps
+    y3 = H * (1.0 - np.arange(2 * n_steps + 1) / (2 * n_steps))
+    iK = 1.0j * first_order_matrix(*_taq(profile.lam(y3), profile.mu(y3), what))
 
     lamH = float(profile.lam(H))
     muH = float(profile.mu(H))
     S_H = -half_space_impedance(lamH, muH, kn * what[:2]) / kn
     W = np.vstack([np.eye(3, dtype=complex), -1.0j * S_H])
-    t = kn * H
-    dt = -t / n_steps
-    for _ in range(n_steps):
-        k1 = sys_rhs(t, W)
-        k2 = sys_rhs(t + dt / 2, W + dt / 2 * k1)
-        k3 = sys_rhs(t + dt / 2, W + dt / 2 * k2)
-        k4 = sys_rhs(t + dt, W + dt * k3)
-        W = W + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += dt
-        W, _ = np.linalg.qr(W)
+    # the RK4 step of a linear system is a matrix: W -> P W, all steps at once
+    dt, eye = -kn * H / n_steps, np.eye(6)
+    K0, Kh, K1 = iK[:-1:2], iK[1::2], iK[2::2]
+    k2 = Kh @ (eye + dt / 2 * K0)
+    k3 = Kh @ (eye + dt / 2 * k2)
+    k4 = K1 @ (eye + dt * k3)
+    for P in eye + dt / 6 * (K0 + 2 * k2 + 2 * k3 + k4):
+        W, _ = np.linalg.qr(P @ W)
     return -kn * 1.0j * W[3:] @ np.linalg.inv(W[:3])
 
 

@@ -90,22 +90,36 @@ def acoustic_matrix(lam: float, mu: float, xi, zeta) -> AcousticBlock:
     return AcousticBlock(acoustic_bracket(lam, mu, xi, zeta), xi, zeta, lam, mu)
 
 
-def _taq(lam: float, mu: float, omega: np.ndarray):
-    """T = <e3,e3>, A = <e3,omega>, Q = <omega,omega> for a unit tangent omega."""
-    T = np.diag([mu, mu, lam + 2.0 * mu])
+def _taq(lam, mu, omega: np.ndarray):
+    """T = <e3,e3>, A = <e3,omega>, Q = <omega,omega> for a unit tangent omega.
+
+    ``lam`` and ``mu`` may be arrays; the blocks then carry their shape as
+    leading axes, shape (..., 3, 3).
+    """
+    lam, mu = np.asarray(lam, dtype=float), np.asarray(mu, dtype=float)
+    T = np.zeros(np.broadcast(lam, mu).shape + (3, 3))
+    T[..., 0, 0] = T[..., 1, 1] = mu
+    T[..., 2, 2] = lam + 2.0 * mu
+    lam, mu = lam[..., None, None], mu[..., None, None]
     A = lam * np.outer(_E3, omega) + mu * np.outer(omega, _E3)
     Q = (lam + mu) * np.outer(omega, omega) + mu * np.eye(3)
     return T, A, Q
 
 
 def first_order_matrix(T: np.ndarray, A: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """The 6x6 K of the module docstring from its blocks; T must be diagonal."""
-    Ti = np.diag(1.0 / np.diag(T))
-    K = np.zeros((6, 6), dtype=complex)
-    K[:3, :3] = -Ti @ A
-    K[:3, 3:] = Ti
-    K[3:, :3] = -Q + A.T @ Ti @ A
-    K[3:, 3:] = -A.T @ Ti
+    """The 6x6 K of the module docstring from its blocks; T must be diagonal.
+
+    Broadcasts over leading axes: blocks of shape (..., 3, 3) give (..., 6, 6).
+    """
+    i = np.arange(3)
+    Ti = np.zeros_like(T)
+    Ti[..., i, i] = 1.0 / T[..., i, i]
+    At = np.swapaxes(A, -1, -2)
+    K = np.zeros(T.shape[:-2] + (6, 6), dtype=complex)
+    K[..., :3, :3] = -Ti @ A
+    K[..., :3, 3:] = Ti
+    K[..., 3:, :3] = -Q + At @ Ti @ A
+    K[..., 3:, 3:] = -At @ Ti
     return K
 
 

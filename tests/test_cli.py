@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,6 +47,19 @@ def test_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_config_loading_leaves_jsonschema_unloaded():
+    # the schema is checked in-house; jsonschema and its dependencies are for tests only
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from lame_edge.cli import load_config, main; [load_config(p) for p in sys.argv[2:]]; "
+            "assert all(main(['validate', '--config', p]) == 0 for p in sys.argv[2:]); "
+            "print([m for m in sys.modules "
+            "if m.split('.')[0] in ('jsonschema', 'referencing', 'attrs', 'rpds')])")
+    configs = [str(REPO / "configs" / f"{name}.json") for name in ("gradient", "homogeneous")]
+    out = subprocess.run([sys.executable, "-c", code, str(REPO / "src"), *configs],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
+
+
 class TestValidate:
     def test_bundled_configs_valid(self):
         for name in ("homogeneous", "gradient"):
@@ -89,9 +103,34 @@ class TestValidate:
         rc = main(["reconstruct", "--config", str(path), "--out", str(tmp_path / "dip")])
         assert rc == EXIT_CONFIG
 
-    def test_schema_violation(self, tmp_path):
+    def test_schema_violation(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"version": 1, "profile": {}}))
+        assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+        assert ("config invalid: schema violation at []: 'order' is a required property"
+                in capsys.readouterr().err)
+        path = write_config(tmp_path, probes={"kinds": ["e3"], "directions": [[1.0]]})
+        with pytest.raises(ConfigError, match=re.escape(
+                "schema violation at ['probes', 'directions', 0]: ")):
+            load_config(path)
+
+    @pytest.mark.parametrize("overrides, where", [
+        ({"order": 1.0}, "['order']"),
+        ({"quadrature": {"nodes": 96.0}}, "['quadrature', 'nodes']"),
+    ])
+    def test_integral_float_is_not_an_integer(self, tmp_path, capsys, overrides, where):
+        # an integral float would pass a Draft 2020-12 validator, then crash the run
+        path = write_config(tmp_path, **overrides)
+        rc = main(["reconstruct", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert f"config error: schema violation at {where}: " in capsys.readouterr().err
+
+    def test_non_finite_number_rejected(self, tmp_path):
+        # json.loads accepts NaN and Infinity, which would pass every schema bound
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace('"p": 0.9', '"p": NaN'))
+        with pytest.raises(ConfigError, match="NaN is not a number"):
+            load_config(path)
         assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
 
     def test_missing_file(self, tmp_path):

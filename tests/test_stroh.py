@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from lame_edge.stroh import (
+    _taq,
     acoustic_bracket,
     acoustic_matrix,
     characteristic_det,
     characteristic_det_factored,
     eigen_jordan,
+    first_order_matrix,
     impedance,
     quadratic_form,
     reference_chain,
@@ -111,6 +113,16 @@ class TestStrohMatrix:
         S = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         P = np.block([[S, np.zeros((3, 3))], [np.zeros((3, 3)), S]])
         assert np.allclose(K2, P @ K1 @ P, atol=1e-13)
+
+    def test_blocks_broadcast_over_moduli(self):
+        rng = np.random.default_rng(11)
+        _, _, om = random_admissible(rng)
+        media = [random_admissible(rng)[:2] for _ in range(6)]
+        lam, mu = (np.reshape(v, (2, 3)) for v in zip(*media))
+        K = first_order_matrix(*_taq(lam, mu, om))
+        assert K.shape == (2, 3, 6, 6)
+        for Ki, (l, m) in zip(K.reshape(6, 6, 6), media):
+            assert np.allclose(Ki, stroh_matrix(l, m, om).matrix, rtol=1e-15, atol=1e-15)
 
     def test_requires_unit_tangent(self):
         with pytest.raises(ValueError):
