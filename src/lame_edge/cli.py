@@ -245,6 +245,14 @@ def cross_field_errors(cfg: dict) -> list[str]:
             f"smallness condition fails: (1 - 1/{rt})*({order} + {p}) = "
             f"{(1 - rho) * (order + p):.4g} < {order} + 1/{rt} = {order + rho:.4g}"
         )
+    for m in sorted({0, order}) if rt is None else ():
+        try:
+            ProbeSpec.auto_rho_tilde(m, p)
+        except ValueError as e:
+            errors.append(f"rho_tilde null: {e}")
+    cutoff = cfg.get("cutoff", {})
+    if cutoff.get("kind") == "bump" and "sigma" in cutoff:
+        errors.append("cutoff.sigma applies only to kind 'gaussian'; the bump has a fixed width")
     ladder = cfg["ladder"]
     if any(b != 2 * a for a, b in zip(ladder, ladder[1:])):
         errors.append(f"ladder must be dyadic: {ladder}")
@@ -437,7 +445,7 @@ def cmd_ansatz_check(args) -> int:
     profile = profile_from_config(cfg)
     cutoff = cutoff_from_config(cfg)
     m = cfg["order"]
-    rt = cfg.get("rho_tilde") or ProbeSpec.auto_rho_tilde(m)
+    rt = cfg.get("rho_tilde") or ProbeSpec.auto_rho_tilde(m, cfg["profile"]["p"])
     d = cfg.get("probes", {}).get("directions", [[1.0, 0.0]])[0]
     nrm = math.hypot(d[0], d[1])
     omega = (d[0] / nrm, d[1] / nrm, 0.0)

@@ -396,7 +396,8 @@ class RadialDtnTable:
     ) -> None:
         self.profile = profile
         self.k_max = float(k_max)
-        self.nodes = np.unique(np.asarray(radii, dtype=float))
+        r = np.sort(np.asarray(radii, dtype=float), axis=None)
+        self.nodes = r[np.concatenate(([True], r[1:] != r[:-1]))]  # np.unique, minus numpy.ma
         if self.nodes[0] < 0.0 or self.nodes[-1] > self.k_max:
             raise ValueError(f"radii must lie in [0, k_max = {self.k_max}]")
         _check_admissible(profile, DEFAULT_FRAME.H_max, n_samples=256)

@@ -287,14 +287,16 @@ def run_ladder(
     rho_tilde: int | None = None,
     quad: QuadratureSettings = DEFAULT_QUAD,
 ) -> LadderResult:
-    """Ladder of pairing (m = 0) or N^m-scaled difference pairings (m >= 1)."""
+    """Ladder of pairing (m = 0) or N^m-scaled difference pairings (m >= 1); the
+    default rho_tilde is ProbeSpec.auto_rho_tilde for the order and the profile's p."""
     N = _check_dyadic(N_list)
     cutoff = cutoff if cutoff is not None else DEFAULT_CUTOFF
-    rt = rho_tilde if rho_tilde is not None else ProbeSpec.auto_rho_tilde(m)
+    p = profile.holder_exponent
+    rt = rho_tilde if rho_tilde is not None else ProbeSpec.auto_rho_tilde(m, p)
     tables = warm_tables(profile, N, rt, cutoff, quad, m)
     vals, tails = np.empty(N.size, dtype=complex), np.empty(N.size)
     for i, n in enumerate(N):
-        probe = ProbeSpec(template.a, template.omega, int(n), rt, m, cutoff)
+        probe = ProbeSpec(template.a, template.omega, int(n), rt, m, cutoff, p)
         if m == 0:
             res: PairingResult = pairing(profile, probe, quad, tables)
             vals[i] = res.value
@@ -643,7 +645,6 @@ class ReconstructionReport:
     m: int
     variant_verdict: str
     condition_numbers: dict
-    ground_truth: dict | None = None
     order0_refined_limits: dict | None = None
 
     def to_dict(self) -> dict:
@@ -695,8 +696,6 @@ class ReconstructionReport:
                 "distances": self.calibration.distances,
                 "base": list(self.calibration.base),
             }
-        if self.ground_truth is not None:
-            out["ground_truth"] = self.ground_truth
         return out
 
 
@@ -709,15 +708,16 @@ def reconstruct_profile(
     rho_tilde: int | None = None,
     quad: QuadratureSettings = DEFAULT_QUAD,
     calibrate: bool = True,
-    ground_truth: dict | None = None,
 ) -> ReconstructionReport:
-    """Order-0 recovery followed by order-m recovery in every available mode."""
+    """Order-0 recovery followed by order-m recovery in every available mode;
+    each order's rho_tilde (default as in run_ladder) serves all its ladders."""
     battery = battery if battery is not None else default_battery()
     order0_coefficients(battery)  # reject an unidentifiable battery before any ladder
     cutoff = cutoff if cutoff is not None else DEFAULT_CUTOFF
-    order0_ladders = serial_ladder_runner(profile, battery, N_list, 0, cutoff, rho_tilde, quad)
-    rt = rho_tilde if rho_tilde is not None else ProbeSpec.auto_rho_tilde(0)
-    order0, refined_limits = refine_order0(order0_ladders, cutoff, rt, quad)
+    p = profile.holder_exponent
+    rt0, rtm = (ProbeSpec.auto_rho_tilde(k, p) if rho_tilde is None else rho_tilde for k in (0, m))
+    order0_ladders = serial_ladder_runner(profile, battery, N_list, 0, cutoff, rt0, quad)
+    order0, refined_limits = refine_order0(order0_ladders, cutoff, rt0, quad)
     base = (order0.lam, order0.mu)
 
     order_m_ladders = []
@@ -726,8 +726,7 @@ def reconstruct_profile(
     conds: dict[str, float] = {}
     verdict = "calibration-only"
     if m >= 1:
-        order_m_ladders = serial_ladder_runner(profile, battery, N_list, m, cutoff,
-                                               rho_tilde, quad)
+        order_m_ladders = serial_ladder_runner(profile, battery, N_list, m, cutoff, rtm, quad)
         pairs = [(lr.template, lr) for lr in order_m_ladders]
         for mode in (*VARIANTS, "predicted"):
             r = recover_order_m(pairs, m, mode, base)
@@ -735,7 +734,7 @@ def reconstruct_profile(
             conds[mode] = r.condition
         if calibrate:
             calibration = calibrate_order_m(
-                m, battery, N_list, base, cutoff=cutoff, rho_tilde=rho_tilde, quad=quad,
+                m, battery, N_list, base, cutoff=cutoff, rho_tilde=rtm, quad=quad,
             )
             r = recover_order_m(pairs, m, "calibrated", base, calibration)
             order_m["calibrated"] = r
@@ -753,6 +752,5 @@ def reconstruct_profile(
         m=m,
         variant_verdict=verdict,
         condition_numbers=conds,
-        ground_truth=ground_truth,
         order0_refined_limits=refined_limits,
     )

@@ -94,7 +94,6 @@ def gradient_run(gauss):
     report = reconstruct_profile(
         profile, 1, LADDER, battery=default_battery(), cutoff=gauss,
         rho_tilde=4, calibrate=True,
-        ground_truth={"dlam": 0.3, "dmu": 0.2, "lambda": 1.0, "mu": 1.0},
     )
     elapsed = time.perf_counter() - t0
     return {"report": report, "elapsed": elapsed}

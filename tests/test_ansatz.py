@@ -89,6 +89,24 @@ class TestCutoffs:
         W = bump.spectral_halfwidth(1e-6)
         assert 10.0 < W < 200.0
 
+    def test_bump_fourier_matches_hankel_reference(self, bump):
+        # eta_hat(k) = 2 pi int_0^1 r eta(r) J0(k r) dr on a 600-node radial rule,
+        # J0(z) = (2 pi)^-1 int_0^2pi cos(z sin t) dt by the periodic trapezoid rule
+        x, w = np.polynomial.legendre.leggauss(600)
+        r, wr = 0.5 * (x + 1.0), 0.5 * w
+        eta = bump.value(np.column_stack([r, np.zeros_like(r)]))
+        theta = 2.0 * np.pi * np.arange(512) / 512
+        k = np.array([0.0, 1.0, 7.5, 50.0, 103.0, 200.0, 200.5, 250.0, 400.0])
+        j0 = np.cos(np.multiply.outer(np.outer(k, r), np.sin(theta))).mean(axis=-1)
+        reference = 2.0 * np.pi * (j0 * (wr * r * eta)).sum(axis=1)
+        assert np.abs(bump.fourier_radial(k) - reference).max() <= 1e-12 * reference[0]
+        assert bump.fourier_radial(k.reshape(3, 3)).shape == (3, 3)
+
+    def test_bump_spectral_halfwidths_pinned(self, bump):
+        # the tail scan's grid points, as found from the former Hankel table
+        assert bump.spectral_halfwidth(1e-8) == 94.57743038593063
+        assert bump.spectral_halfwidth(1e-6) == 52.56472887151929
+
 
 class TestProbeSpec:
     def test_smallness_condition_enforced(self, gauss):

@@ -39,12 +39,25 @@ def write_config(tmp_path: Path, **overrides) -> Path:
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy is only for the bump cutoff, which imports it lazily
+    # the package needs only numpy; scipy is not a dependency
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import lame_edge.cli; "
             "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
     out = subprocess.run([sys.executable, "-c", code, str(REPO / "src")],
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_bump_runs_without_scipy(tmp_path):
+    # a None entry in sys.modules makes every scipy import fail
+    path = write_config(tmp_path, cutoff={"kind": "bump"})
+    code = ("import sys; sys.modules['scipy'] = None; sys.path.insert(0, sys.argv[1]); "
+            "from lame_edge.cli import main; "
+            "print([main([cmd, '--config', sys.argv[2], '--out', sys.argv[3] + cmd]) "
+            "for cmd in ('forward', 'reconstruct')])")
+    out = subprocess.run([sys.executable, "-c", code, str(REPO / "src"), str(path),
+                          str(tmp_path / "out-")], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[0, 0]"
 
 
 def test_config_loading_leaves_jsonschema_unloaded():
@@ -133,6 +146,23 @@ class TestValidate:
             load_config(path)
         assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
 
+    def test_bump_sigma_rejected(self, tmp_path, capsys):
+        # the bump has a fixed width; a sigma would be silently ignored
+        path = write_config(tmp_path, cutoff={"kind": "bump", "sigma": 0.05})
+        assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+        assert "cutoff.sigma" in capsys.readouterr().err
+        rc = main(["reconstruct", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+
+    def test_null_rho_tilde_without_admissible_default(self, tmp_path, capsys):
+        # p = 0.01 needs rho_tilde >= 101 at order 0, beyond the default search
+        path = write_config(tmp_path, rho_tilde=None)
+        cfg = json.loads(path.read_text())
+        cfg["profile"]["p"] = 0.01
+        path.write_text(json.dumps(cfg))
+        assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+        assert "no admissible rho_tilde for m=0, p=0.01" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
 
@@ -204,6 +234,13 @@ class TestAnsatzCheck:
         assert rows[0] == "N,residual_norm,fitted_slope"
         assert len(rows) == 5
 
+    def test_null_rho_tilde_follows_holder_exponent(self, tmp_path, capsys):
+        # p = 0.3 fails smallness at the p = 0.9 default rho_tilde 4; 5 is admissible
+        path = write_config(tmp_path, order=0, ladder=[8, 16, 32, 64], rho_tilde=None,
+                            profile={"lambda": [1.0], "mu": [1.0], "m": 2, "p": 0.3})
+        assert main(["ansatz-check", "--config", str(path), "--out", str(tmp_path / "a")]) == EXIT_OK
+        assert "(bound exponent 1.8)" in capsys.readouterr().out
+
 
 class TestReconstructCommand:
     def test_small_run_and_determinism(self, tmp_path):
@@ -249,6 +286,21 @@ class TestReconstructCommand:
         assert (counters["symbols"]["riccati_solves"],
                 counters["symbols"]["exact_constants"]) == (4, 2)
         assert sum(counters["extrapolation_flags"].values()) == 6 + 6 + 3 * 6
+
+    def test_null_rho_tilde_follows_holder_exponent(self, tmp_path):
+        # p = 0.3 admits rho_tilde 5 at order 0 and 8 at order 1 (4 fails smallness);
+        # the structured extrapolation rate is 2 / rho_tilde
+        cfg = json.loads((REPO / "configs" / "gradient.json").read_text())
+        cfg["profile"]["p"], cfg["rho_tilde"], cfg["calibrate"] = 0.3, None, False
+        del cfg["expect"]
+        path = tmp_path / "p03.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "p03"
+        assert main(["reconstruct", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        rows = [line.rsplit(",", 5) for line in (out / "ladders.csv").read_text().splitlines()]
+        assert rows[0][1:] == ["m", "re", "im", "tail", "rate"]
+        assert {(m, rate) for _, m, _, _, _, rate in rows[1:]} == {
+            ("0", "4.000000000000e-01"), ("1", "2.500000000000e-01")}
 
     def test_unidentifiable_battery_exits_config(self, tmp_path, capsys):
         # e3 and tangent probes see the same combination of lambda and mu

@@ -199,6 +199,25 @@ class TestRadialTable:
         with pytest.raises(ForwardError, match="inadmissible"):
             RadialDtnTable(prof, 60.0, [1.0, 60.0])
 
+    def test_nodes_sorted_and_distinct(self):
+        tab = RadialDtnTable(LameProfile.constant(1.0, 1.0), 10.0,
+                             [[3.0, 0.5, 3.0], [10.0, 0.0, 0.5]])
+        assert tab.nodes.tolist() == [0.0, 0.5, 3.0, 10.0]
+
+    def test_table_build_leaves_numpy_ma_unloaded(self):
+        # np.unique imports numpy.ma on first use, inside the first timed pass
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "from lame_edge.ansatz import GaussianCutoff; "
+                "from lame_edge.elastic import LameProfile; "
+                "from lame_edge.forward import warm_tables; "
+                "prof = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2]); "
+                "warm_tables(prof, [16, 32, 64, 128, 256], 4, GaussianCutoff(), m=1); "
+                "print('numpy.ma' in sys.modules)")
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run([sys.executable, "-c", code, str(src)],
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
     def test_out_of_range_rejected(self):
         prof = LameProfile.constant(1.0, 1.0)
         tab = RadialDtnTable(prof, 10.0, np.linspace(0.0, 10.0, 11))
