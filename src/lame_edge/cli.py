@@ -10,6 +10,7 @@ manifest.json together with the sha256 inventory of the other outputs.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -319,13 +320,15 @@ def _fmt(x: float) -> str:
 def _write_ladder_csv(path: Path, ladders, nodes: int | None = None) -> None:
     """One row per ladder point; the last column is the extrapolation rate, or
     the polar grid size per pairing when ``nodes`` is given."""
-    lines = [f"N,probe_id,m,re,im,tail,{'rate' if nodes is None else 'nodes'}"]
-    for lr in ladders:
-        last = _fmt(lr.extrapolation.rate) if nodes is None else nodes
-        for i, n in enumerate(lr.N_values):
-            lines.append(f"{int(n)},{lr.template.name},{lr.m},{_fmt(lr.values[i].real)},"
-                         f"{_fmt(lr.values[i].imag)},{_fmt(float(lr.tails[i]))},{last}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")  # quotes probe ids such as e3@(1,0)
+        writer.writerow(["N", "probe_id", "m", "re", "im", "tail",
+                         "rate" if nodes is None else "nodes"])
+        for lr in ladders:
+            last = _fmt(lr.extrapolation.rate) if nodes is None else nodes
+            for i, n in enumerate(lr.N_values):
+                writer.writerow([int(n), lr.template.name, lr.m, _fmt(lr.values[i].real),
+                                 _fmt(lr.values[i].imag), _fmt(float(lr.tails[i])), last])
 
 
 def _sha256(path: Path) -> str:

@@ -128,7 +128,8 @@ class LameProfile:
     Parameters
     ----------
     lam, mu : callable
-        f(y3, order) -> value; y3 may be an array.
+        f(y3, order) -> value; y3 may be an array of any shape, and the
+        callable must act elementwise on it (a scalar value broadcasts).
     max_derivative_order : int
         m >= 0; derivatives up to this order must evaluate at y3 = 0.
     holder_exponent : float

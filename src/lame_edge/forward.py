@@ -25,6 +25,10 @@ in physical depth (rho = r) or in scaled depth t = r y3 for S / r (rho = 1).
 One core, :func:`_radial_symbols`, integrates this jointly for a batch of
 radial nodes with an in-house DOP853 (:func:`_dop853`) that accepts a step on
 the largest single-node error, so every node meets the tolerance on its own.
+The flow is split in two: the depth coefficients (p, q, g and the constant
+terms, which depend on tau alone) are evaluated once per step for all 12
+stage times on the (stage, node) grid, and the flow proper writes each row
+into the stage's output in place from the state and one stage's coefficients.
 A ladder's symbol (:func:`warm_tables`) is M0 at exactly the radial nodes of
 its polar grids, one integration per profile (none for a constant profile,
 whose rows are r Z), memoised by content; :func:`dtn_symbol` is a batch of
@@ -228,35 +232,51 @@ def _node_norm(x: np.ndarray) -> float:
     return float(np.sqrt(np.max(np.mean(x * x, axis=0))))
 
 
-def _dop853(fun, t0: float, t1: float, y0: np.ndarray, tol: float) -> tuple[np.ndarray, int, int]:
-    """y(t1) for y' = fun(t, y, out), where ``fun`` writes y' into ``out``.
+def _dop853(coefficients, flow, t0: float, t1: float, y0: np.ndarray,
+            tol: float) -> tuple[np.ndarray, int, int, int]:
+    """y(t1) for y' = f(t, y), split into depth coefficients and an in-place flow.
+
+    ``coefficients(taus)`` returns the depth-only coefficients at the 1-D
+    array of times ``taus``, stacked on a leading axis; ``flow(y, C, i, out)``
+    writes f(taus[i], y) into ``out`` from the i-th of them, so the flow itself
+    touches only the state. Each attempted step asks for its coefficients
+    once, at all 12 stage times t + C[1:12] h and at t_new (exactly: the
+    first-same-as-last evaluation that starts the next step), and builds each
+    stage state in one preallocated buffer.
 
     ``y0`` has shape (m, n): m components of each of n uncoupled nodes. Each
     node's error is DOP853's combined 5th/3rd-order estimate over its own
     components (atol = rtol = tol); a step is accepted when the largest is
     below 1, so no node is diluted by the rest. Step control and the initial
-    step follow Hairer, Norsett & Wanner (II.4). Returns y(t1) and the
-    accepted and rejected step counts.
+    step follow Hairer, Norsett & Wanner (II.4). Returns y(t1), the accepted
+    and rejected step counts and the number of flow evaluations.
     """
     y = np.array(y0, dtype=float)
     K = np.empty((13,) + y.shape)
     Kf = K.reshape(13, -1)
+    stage = np.empty_like(y)
+    stage_f = stage.reshape(-1)
     direction, span = math.copysign(1.0, t1 - t0), abs(t1 - t0)
-    fun(t0, y, K[0])
+    flow(y, coefficients(np.array([t0])), 0, K[0])
     scale = tol + tol * np.abs(y)
     d0, d1 = _node_norm(y / scale), _node_norm(K[0] / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-    fun(t0 + direction * h0, y + direction * h0 * K[0], K[1])
+    flow(y + direction * h0 * K[0], coefficients(np.array([t0 + direction * h0])), 0, K[1])
     d = max(d1, _node_norm((K[1] - K[0]) / scale) / h0)
     h_abs = min(100.0 * h0, span, max(1e-6, 1e-3 * h0) if d <= 1e-15 else (0.01 / d) ** 0.125)
-    t, accepted, rejected, retried = t0, 0, 0, False
+    t, accepted, rejected, retried, evaluations = t0, 0, 0, False, 2
     while t != t1:
         min_step = 10.0 * abs(np.nextafter(t, direction * math.inf) - t)
         h_abs = h_abs if h_abs >= min_step else min_step  # a NaN estimate too
         t_new = t1 if h_abs >= abs(t1 - t) else t + direction * h_abs
         h = t_new - t
+        C = coefficients(np.append(t + _DOP_C[1:12] * h, t_new))
         for s in range(1, 12):
-            fun(t + _DOP_C[s] * h, y + h * (_DOP_A[s, :s] @ Kf[:s]).reshape(y.shape), K[s])
+            np.matmul(_DOP_A[s, :s], Kf[:s], out=stage_f)
+            stage_f *= h
+            stage += y
+            flow(stage, C, s - 1, K[s])
+        evaluations += 11
         y_new = y + h * (_DOP_B @ Kf[:12]).reshape(y.shape)
         scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
         e5, e3 = (np.sum(((E @ Kf[:12]).reshape(y.shape) / scale) ** 2, axis=0)
@@ -272,23 +292,9 @@ def _dop853(fun, t0: float, t1: float, y0: np.ndarray, tol: float) -> tuple[np.n
         factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**-0.125)
         h_abs *= min(1.0, factor) if retried else factor
         t, y, accepted, retried = t_new, y_new, accepted + 1, False
-        fun(t, y, K[0])
-    return y, accepted, rejected
-
-
-def _riccati_rhs(tau, y, out, profile: LameProfile, H, c, rho) -> None:
-    """d/dtau: c times the module docstring's flow at y3 = tau H, on rows (S11,
-    S22, S33, b) of y, nodes on the trailing axis; written into ``out``."""
-    S11, S22, S33, b = y
-    y3 = tau * H
-    lam, mu = profile.lam(y3), profile.mu(y3)
-    d = 1.0 / (lam + 2.0 * mu)
-    p, q, g = c / mu, c * d, lam * d
-    cr, cr2 = c * rho, c * rho**2
-    out[0] = cr2 * (4.0 * mu * (lam + mu) * d) - b * (2.0 * cr * g + q * b) - p * S11**2
-    out[1] = cr2 * mu - p * S22**2
-    out[2] = 2.0 * cr * b - (p * b**2 + q * S33**2)
-    out[3] = cr * (S11 - g * S33) - b * (p * S11 + q * S33)
+        flow(y, C, 11, K[0])
+        evaluations += 1
+    return y, accepted, rejected, evaluations
 
 
 def _check_admissible(profile: LameProfile, H: float, n_samples: int) -> None:
@@ -299,16 +305,19 @@ def _check_admissible(profile: LameProfile, H: float, n_samples: int) -> None:
 
 
 def _radial_symbols(profile: LameProfile, nodes: np.ndarray,
-                    tol: float) -> tuple[np.ndarray, int, int]:
+                    tol: float) -> tuple[np.ndarray, int, int, int]:
     """The Riccati core: reduced M0(r) = M(r e1) at every node, and the step counts.
 
-    Returns rows (M11, M22, M33, Im M13), shape (n, 4), and the accepted and
-    rejected steps. Each node runs from its truncation depth H(r) to the
-    surface in tau = y3 / H, from 1 to 0, started from the frozen half-space
-    impedance S = -rho Z(lam(H), mu(H)). Nodes with r <= efolds/H_max carry S
-    (rho = r, physical depth, c = H_max); deeper-frequency nodes carry S / r
-    (rho = 1, scaled depth t = r y3, c = efolds). All nodes, 4 reals each, are
-    one joint integration. Depths follow :data:`DEFAULT_FRAME`.
+    Returns rows (M11, M22, M33, Im M13), shape (n, 4), the accepted and
+    rejected steps and the flow evaluations. Each node runs from its
+    truncation depth H(r) to the surface in tau = y3 / H, from 1 to 0, started
+    from the frozen half-space impedance S = -rho Z(lam(H), mu(H)). Nodes with
+    r <= efolds/H_max carry S (rho = r, physical depth, c = H_max);
+    deeper-frequency nodes carry S / r (rho = 1, scaled depth t = r y3,
+    c = efolds). All nodes, 4 reals each, are one joint integration of c
+    times the module docstring's flow at y3 = tau H. Its depth coefficients
+    are evaluated per step on the (stage, node) grid; the flow then writes
+    each row in place. Depths follow :data:`DEFAULT_FRAME`.
     """
     H_max, efolds = DEFAULT_FRAME.H_max, DEFAULT_FRAME.efolds
     scaled = nodes > efolds / H_max
@@ -318,9 +327,57 @@ def _radial_symbols(profile: LameProfile, nodes: np.ndarray,
     lamH, muH = profile.lam(H), profile.mu(H)
     z_lam, z_mu = Z_ROWS_E1[:, :, None]
     y0 = -rho * muH / (lamH + 3.0 * muH) * (lamH * z_lam + muH * z_mu)
-    y, accepted, rejected = _dop853(
-        lambda tau, y, dy: _riccati_rhs(tau, y, dy, profile, H, H * sigma, rho), 1.0, 0.0, y0, tol)
-    return (-sigma * y).T, accepted, rejected
+    c = H * sigma
+    cr, cr2 = c * rho, c * rho**2
+    two_cr = 2.0 * cr
+
+    def coefficients(taus):
+        y3 = taus[:, None] * H
+        lam = np.broadcast_to(profile.lam(y3), y3.shape)
+        mu = np.broadcast_to(profile.mu(y3), y3.shape)
+        d = 1.0 / (lam + 2.0 * mu)
+        g = lam * d
+        # c p, c q, g, the constant terms c rho^2 P of dS11 and c rho^2 mu of dS22, 2 c rho g
+        return c / mu, c * d, g, cr2 * (4.0 * mu * (lam + mu) * d), cr2 * mu, two_cr * g
+
+    scratch = np.empty((2, nodes.size))
+
+    def flow(y, C, i, out):
+        S11, S22, S33, b = y
+        u, v = scratch
+        p, q, g, a11, a22, gb = (x[i] for x in C)
+        # dS11 = a11 - b (gb + q b) - p S11^2
+        np.multiply(q, b, out=u)
+        u += gb
+        u *= b
+        np.subtract(a11, u, out=out[0])
+        np.multiply(S11, S11, out=u)
+        u *= p
+        out[0] -= u
+        # dS22 = a22 - p S22^2
+        np.multiply(S22, S22, out=u)
+        u *= p
+        np.subtract(a22, u, out=out[1])
+        # dS33 = 2 c rho b - (p b^2 + q S33^2)
+        np.multiply(b, b, out=u)
+        u *= p
+        np.multiply(S33, S33, out=v)
+        v *= q
+        u += v
+        np.multiply(two_cr, b, out=out[2])
+        out[2] -= u
+        # db = c rho (S11 - g S33) - b (p S11 + q S33)
+        np.multiply(g, S33, out=u)
+        np.subtract(S11, u, out=u)
+        u *= cr
+        np.multiply(p, S11, out=v)
+        np.multiply(q, S33, out=out[3])
+        v += out[3]
+        v *= b
+        np.subtract(u, v, out=out[3])
+
+    y, *counts = _dop853(coefficients, flow, 1.0, 0.0, y0, tol)
+    return (-sigma * y).T, *counts
 
 
 def dtn_symbol(profile: LameProfile, k, tol: float = 1e-10) -> DtnSymbol:
@@ -335,7 +392,7 @@ def dtn_symbol(profile: LameProfile, k, tol: float = 1e-10) -> DtnSymbol:
     kn, what = _unit_tangent(k)
     H = DEFAULT_FRAME.depth(k)
     _check_admissible(profile, H, n_samples=64)
-    M0, n_steps, _ = _radial_symbols(profile, np.array([kn]), tol)
+    M0, n_steps, *_ = _radial_symbols(profile, np.array([kn]), tol)
     c, s = what[0], what[1]
     R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])  # takes e1 to k/|k|
     return DtnSymbol(kn * what[:2], R @ _assemble(M0[0]) @ R.T, H, "riccati", tol, n_steps)
@@ -383,7 +440,8 @@ class RadialDtnTable:
     the in-plane rotation taking e1 to k/|k|. ``reduced`` holds M0 at the
     sorted distinct ``nodes`` as rows (M11, M22, M33, Im M13), shape (n, 4):
     r Z(lam, mu) for a constant profile (``steps`` None), else the Riccati
-    core's, each node within ``riccati_tol`` (``steps``: accepted, rejected).
+    core's, each node within ``riccati_tol`` (``steps``: accepted and rejected
+    steps, flow evaluations).
     Requests are answered at the nodes only, up to the bound ``k_max``.
     """
 
@@ -429,12 +487,13 @@ class SymbolMemo:
     by profile content (coefficients without trailing zeros; the object for
     callables), the ladder's grid keys and the quadrature settings (riccati_tol).
     ``counts`` accumulates Riccati solves, exact constants, memo hits, integrated
-    nodes and accepted / rejected steps over the process."""
+    nodes, accepted / rejected steps and flow evaluations over the process."""
 
     def __init__(self, maxsize: int) -> None:
         self.maxsize, self._tables = maxsize, OrderedDict()
         self.counts = Counter(dict.fromkeys(("riccati_solves", "exact_constants", "memo_hits",
-                                             "nodes", "steps_accepted", "steps_rejected"), 0))
+                                             "nodes", "steps_accepted", "steps_rejected",
+                                             "rhs_evaluations"), 0))
 
     def table(self, profile: LameProfile, N_list: tuple, rho_tilde: int, cutoff,
               quad: "QuadratureSettings") -> RadialDtnTable:
@@ -450,8 +509,9 @@ class SymbolMemo:
         if table.steps is None:
             self.counts["exact_constants"] += 1
         else:
-            self.counts.update(riccati_solves=1, nodes=table.nodes.size,
-                               steps_accepted=table.steps[0], steps_rejected=table.steps[1])
+            accepted, rejected, evaluations = table.steps
+            self.counts.update(riccati_solves=1, nodes=table.nodes.size, steps_accepted=accepted,
+                               steps_rejected=rejected, rhs_evaluations=evaluations)
         if len(self._tables) > self.maxsize:
             self._tables.popitem(last=False)
         return table

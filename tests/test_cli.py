@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import re
 import subprocess
 import sys
@@ -206,10 +208,26 @@ class TestForwardCommand:
         rows = (out / "pairings.csv").read_text().splitlines()
         assert rows[0] == "N,probe_id,m,re,im,tail,nodes"
         assert len(rows) == 5
-        assert rows[1].startswith("8,sigma1@(1,0),0,")
+        assert rows[1].startswith('8,"sigma1@(1,0)",0,')
         assert rows[1].endswith(f",{4 * 48**2}")
         manifest = json.loads((out / "manifest.json").read_text())
         assert "pairings.csv" in manifest["outputs"]
+
+
+class TestCsvOutputs:
+    def test_rows_parse_under_their_header(self, tmp_path):
+        # probe ids such as e3@(1,0) hold a comma, so the field must be quoted
+        path = write_config(tmp_path, order=0)
+        assert main(["forward", "--config", str(path), "--out", str(tmp_path / "f")]) == EXIT_OK
+        assert main(["reconstruct", "--config", str(path), "--out", str(tmp_path / "r")]) == EXIT_OK
+        for csv_path in (tmp_path / "f" / "pairings.csv", tmp_path / "r" / "ladders.csv"):
+            with csv_path.open(newline="") as f:
+                rows = list(csv.DictReader(f))
+            assert len(rows) == 2 * 4
+            for row in rows:
+                assert len(row) == 7 and None not in row
+                assert row["probe_id"] in ("e3@(1,0)", "sigma1@(1,0)")
+                assert int(row["m"]) == 0 and math.isfinite(float(row["re"]))
 
 
 class TestTolScale:
@@ -283,8 +301,13 @@ class TestReconstructCommand:
         main(["reconstruct", "--config", str(REPO / "configs" / "gradient.json"),
               "--out", str(out3)])
         counters = json.loads((out3 / "manifest.json").read_text())["counters"]
-        assert (counters["symbols"]["riccati_solves"],
-                counters["symbols"]["exact_constants"]) == (4, 2)
+        symbols = counters["symbols"]
+        assert (symbols["riccati_solves"], symbols["exact_constants"]) == (4, 2)
+        # DOP853 evaluates the flow twice to start a solve, 11 times per
+        # attempted step and once more (first same as last) per accepted one
+        assert symbols["rhs_evaluations"] == (2 * symbols["riccati_solves"]
+                                              + 12 * symbols["steps_accepted"]
+                                              + 11 * symbols["steps_rejected"])
         assert sum(counters["extrapolation_flags"].values()) == 6 + 6 + 3 * 6
 
     def test_null_rho_tilde_follows_holder_exponent(self, tmp_path):
@@ -297,9 +320,11 @@ class TestReconstructCommand:
         path.write_text(json.dumps(cfg))
         out = tmp_path / "p03"
         assert main(["reconstruct", "--config", str(path), "--out", str(out)]) == EXIT_OK
-        rows = [line.rsplit(",", 5) for line in (out / "ladders.csv").read_text().splitlines()]
-        assert rows[0][1:] == ["m", "re", "im", "tail", "rate"]
-        assert {(m, rate) for _, m, _, _, _, rate in rows[1:]} == {
+        with (out / "ladders.csv").open(newline="") as f:
+            reader = csv.DictReader(f)
+            rows = list(reader)
+        assert reader.fieldnames[2:] == ["m", "re", "im", "tail", "rate"]
+        assert {(row["m"], row["rate"]) for row in rows} == {
             ("0", "4.000000000000e-01"), ("1", "2.500000000000e-01")}
 
     def test_unidentifiable_battery_exits_config(self, tmp_path, capsys):

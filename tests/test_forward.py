@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -80,17 +81,101 @@ class TestDepthStroh:
 
 class TestIntegrator:
     def test_linear_flow_and_nonfinite_refusal(self):
-        def decay(t, y, out):
-            out[:] = -y * np.arange(1, 4)  # nodes with rates 1, 2, 3
+        rates = np.arange(1, 4)  # nodes with rates 1, 2, 3
 
-        y, accepted, rejected = _dop853(decay, 1.0, 0.0, np.ones((4, 3)), 1e-10)
+        def decay(y, C, i, out):
+            np.multiply(y, C[i], out=out)
+
+        y, accepted, rejected, evaluations = _dop853(
+            lambda taus: np.broadcast_to(-rates, (taus.size, 3)), decay,
+            1.0, 0.0, np.ones((4, 3)), 1e-10)
         assert np.abs(y / np.exp(np.arange(1, 4)) - 1.0).max() <= 1e-9 and accepted > 0
+        assert evaluations == 2 + 12 * accepted + 11 * rejected
 
-        def blows_up(t, y, out):
-            out[:] = -y if t > 0.5 else np.inf
+        def blows_up(taus):  # a coefficient that turns infinite for tau <= 0.5
+            return np.where(taus > 0.5, -1.0, np.inf)[:, None]
 
         with pytest.raises(ForwardError, match="step size"), np.errstate(invalid="ignore"):
-            _dop853(blows_up, 1.0, 0.0, np.ones((4, 3)), 1e-10)
+            _dop853(blows_up, decay, 1.0, 0.0, np.ones((4, 3)), 1e-10)
+
+
+def reference_flow(profile, nodes, tau, y):
+    """c times the module docstring's flow at y3 = tau H, written out plainly."""
+    H_max, efolds = DEFAULT_FRAME.H_max, DEFAULT_FRAME.efolds
+    scaled = nodes > efolds / H_max
+    sigma = np.where(scaled, nodes, 1.0)
+    rho = nodes / sigma
+    H = np.where(scaled, efolds / sigma, H_max)
+    c = H * sigma
+    S11, S22, S33, b = y
+    lam, mu = profile.lam(tau * H), profile.mu(tau * H)
+    d = 1.0 / (lam + 2.0 * mu)
+    p, q, g = c / mu, c * d, lam * d
+    cr, cr2 = c * rho, c * rho**2
+    return np.array([
+        cr2 * (4.0 * mu * (lam + mu) * d) - b * (2.0 * cr * g + q * b) - p * S11**2,
+        cr2 * mu - p * S22**2,
+        2.0 * cr * b - (p * b**2 + q * S33**2),
+        cr * (S11 - g * S33) - b * (p * S11 + q * S33),
+    ])
+
+
+def kernel_of(profile, nodes):
+    """The (coefficients, flow) pair the Riccati core hands to its integrator."""
+    seen = {}
+
+    def capture(coefficients, flow, t0, t1, y0, tol):
+        seen.update(coefficients=coefficients, flow=flow)
+        return y0, 0, 0, 0
+
+    with mock.patch("lame_edge.forward._dop853", capture):
+        _radial_symbols(profile, nodes, 1e-10)
+    return seen["coefficients"], seen["flow"]
+
+
+# an elementwise lam and a mu that returns a scalar, which the kernel broadcasts
+WAVY = LameProfile(lambda y, o: 1.0 + 0.2 * np.sin(y) if o == 0 else 0.2 * np.cos(y),
+                   lambda y, o: 1.5 if o == 0 else 0.0, max_derivative_order=1, name="wavy")
+
+
+class TestRiccatiKernel:
+    # subnormal coefficients are left out: validate_admissibility's root finder
+    # cannot take a subnormal leading coefficient (LinAlgError)
+    @settings(max_examples=40, deadline=None)
+    @given(lam=st.lists(st.floats(-0.3, 0.3, allow_subnormal=False), min_size=3, max_size=3),
+           mu=st.lists(st.floats(-0.3, 0.3, allow_subnormal=False), min_size=3, max_size=3),
+           base=st.tuples(st.floats(-0.5, 2.0), st.floats(0.8, 3.0)),
+           degree=st.integers(0, 3), callable_profile=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_flow_is_the_docstring_flow(self, lam, mu, base, degree, callable_profile, seed):
+        if callable_profile:
+            profile = WAVY
+        else:
+            profile = LameProfile.from_polynomial([base[0]] + lam[:degree], [base[1]] + mu[:degree])
+            assume(validate_admissibility(profile, DEFAULT_FRAME.H_max).passed)
+        rng = np.random.default_rng(seed)
+        nodes = np.sort(rng.uniform(0.0, 40.0, 9))  # both depth regimes
+        taus = rng.uniform(0.0, 1.0, 12)
+        coefficients, flow = kernel_of(profile, nodes)
+        C = coefficients(taus)
+        out = np.empty((4, nodes.size))
+        for i, tau in enumerate(taus):
+            y = rng.normal(size=(4, nodes.size))
+            flow(y, C, i, out)
+            assert out.tobytes() == reference_flow(profile, nodes, tau, y).tobytes()
+
+    @settings(max_examples=8, deadline=None)
+    @given(t=st.floats(0.1, 10.0))
+    def test_moduli_scaling(self, t):
+        # Z(t lam, t mu) = t Z carries over to the symbol: S -> t S solves the
+        # flow with (t lam, t mu); the integrator only meets it within tolerance
+        tol, base = 1e-10, [[1.0, 0.3, -0.05], [1.0, 0.2, 0.04]]
+        nodes = np.linspace(0.25, 40.0, 24)
+        rows, *_ = _radial_symbols(LameProfile.from_polynomial(*base), nodes, tol)
+        scaled, *_ = _radial_symbols(
+            LameProfile.from_polynomial(*(t * np.array(base))), nodes, tol)
+        err = np.abs(scaled - t * rows).max(axis=1) / np.abs(t * rows).max(axis=1)
+        assert err.max() <= 4.0 * tol
 
 
 class TestHalfSpaceImpedance:
@@ -275,7 +360,7 @@ class TestReducedCore:
             Ns, rho_tilde, nodes = ladder
             radii = np.unique(np.concatenate(
                 [polar_grid(n, rho_tilde, GAUSS, QuadratureSettings(nodes=nodes)).r for n in Ns]))
-        rows, _, _ = _radial_symbols(LameProfile.constant(*lm), radii, tol)
+        rows, *_ = _radial_symbols(LameProfile.constant(*lm), radii, tol)
         exact = radii[:, None, None] * impedance(*lm, E1).matrix
         err = np.abs(_assemble(rows) - exact).max(axis=(1, 2)) / np.abs(exact).max(axis=(1, 2))
         assert err.max() <= 2.0 * tol
