@@ -535,6 +535,7 @@ def cmd_reconstruct(args) -> int:
     quad = quad_from_config(cfg, args.tol_scale)
     stages: dict[str, float] = {}
     grids0, symbols0 = polar_grid.cache_info(), dict(symbol_memo.counts)
+    built0, seconds0 = len(symbol_memo.accepted), symbol_memo.seconds
     t0 = time.perf_counter()
     report = reconstruct_profile(
         profile,
@@ -547,6 +548,7 @@ def cmd_reconstruct(args) -> int:
         calibrate=cfg.get("calibrate", True),
     )
     stages["reconstruct"] = time.perf_counter() - t0
+    stages["symbols"] = symbol_memo.seconds - seconds0
     grids1 = polar_grid.cache_info()
 
     outdir = Path(args.out)
@@ -566,6 +568,9 @@ def cmd_reconstruct(args) -> int:
     order0 = {k: getattr(report.order0, k) for k in ("method", "passes", "final_change")}
     grids = {"built": grids1.misses - grids0.misses, "reused": grids1.hits - grids0.hits}
     symbols = {k: v - symbols0[k] for k, v in symbol_memo.counts.items()}
+    built = symbol_memo.accepted[built0:]
+    symbols["accepted_nodes"] = [n for n, _ in built]
+    symbols["refinements"] = [k for _, k in built]
     calibration = report.calibration.ladders.values() if report.calibration else []
     flags = Counter(lr.extrapolation.flag for lr in report.order0_ladders
                     + report.order_m_ladders + [lr for lrs in calibration for lr in lrs])

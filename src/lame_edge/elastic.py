@@ -282,12 +282,15 @@ class AdmissibilityReport:
 def _polynomial_min(p: np.polynomial.Polynomial, H: float) -> float:
     """Exact minimum of p on [0, H]: endpoints and critical points.
 
-    Every root of p' is evaluated at its real part clipped into [0, H]; the
-    extra points lie in the interval, so they cannot hide the minimum. A root
-    that overflows (negligible leading coefficient) clips to an endpoint.
+    Critical points are the roots of p' without its negligible leading terms
+    (below rounding of p' on [0, H]), whose companion matrix would overflow;
+    every root is evaluated, on the full p, at its real part clipped into
+    [0, H]. The extra points lie in the interval, so they cannot hide the minimum.
     """
-    with np.errstate(over="ignore"):
-        roots = p.deriv().roots().real
+    d = p.deriv().coef
+    size = np.abs(d) * H ** np.arange(d.size)
+    keep = np.flatnonzero(size > np.finfo(float).eps * size.max())  # empty if p' = 0
+    roots = np.polynomial.Polynomial(d[:keep[-1] + 1]).roots().real if keep.size else []
     y = np.concatenate([[0.0, H], np.clip(roots, 0.0, H)])
     return float(p(y).min())
 

@@ -29,11 +29,12 @@ The flow is split in two: the depth coefficients (p, q, g and the constant
 terms, which depend on tau alone) are evaluated once per step for all 12
 stage times on the (stage, node) grid, and the flow proper writes each row
 into the stage's output in place from the state and one stage's coefficients.
-A ladder's symbol (:func:`warm_tables`) is M0 at exactly the radial nodes of
-its polar grids, one integration per profile (none for a constant profile,
-whose rows are r Z), memoised by content; :func:`dtn_symbol` is a batch of
-one, rotated. The orthonormalized subspace march on the full 6x3 system is
-the independent oracle.
+A profile's symbol (:class:`RadialSymbol`) serves every radius: it
+interpolates R(r) = M0(r) - r Z(lam(0), mu(0)), smooth in s = r / (r + 2) on
+[0, 1], from certified Chebyshev points in s (none for a constant profile),
+memoised by profile content and tolerance alone, so all ladders of a profile
+share it. :func:`dtn_symbol`, a direct batch of one, rotated, checks it; the
+orthonormalized subspace march on the full 6x3 system is the independent oracle.
 
 Pairings never assemble the 3x3 symbol: with b = R(theta)^T a and
 rows = (M11, M22, M33, Im M13), a^H M(k) a = rows(|k|) . C(a) f(theta), where
@@ -47,6 +48,7 @@ grid's memoised angular moments.
 from __future__ import annotations
 
 import math
+import time
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -58,22 +60,10 @@ from .elastic import LameProfile, taylor_truncate, validate_admissibility
 from .stroh import _taq, first_order_matrix, impedance_basis, reference_chain
 
 __all__ = [
-    "DtnSymbol",
-    "ForwardError",
-    "HalfSpaceFrame",
-    "PairingResult",
-    "QuadratureSettings",
-    "RadialDtnTable",
-    "depth_stroh",
-    "difference_pairing",
-    "dtn_symbol",
-    "dtn_symbol_march",
-    "half_space_impedance",
-    "limit_quadrature",
-    "pairing",
-    "polar_grid",
-    "symbol_memo",
-    "warm_tables",
+    "DtnSymbol", "ForwardError", "HalfSpaceFrame", "PairingResult", "QuadratureSettings",
+    "RadialDtnTable", "RadialSymbol", "depth_stroh", "difference_pairing", "dtn_symbol",
+    "dtn_symbol_march", "half_space_impedance", "limit_quadrature", "pairing", "polar_grid",
+    "symbol_memo", "warm_tables",
 ]
 
 
@@ -92,9 +82,7 @@ class HalfSpaceFrame:
 
     def depth(self, k) -> float:
         kn = float(np.linalg.norm(k))
-        if kn == 0.0:
-            return self.H_max
-        return min(self.H_max, self.efolds / kn)
+        return self.H_max if kn == 0.0 else min(self.H_max, self.efolds / kn)
 
 
 DEFAULT_FRAME = HalfSpaceFrame()
@@ -429,95 +417,125 @@ def dtn_symbol_march(profile: LameProfile, k, n_steps: int = 600) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# radial symbol tables (isotropy + depth-only coefficients => M(k) = R M0(|k|) R^T)
+# radial symbols (isotropy + depth-only coefficients => M(k) = R M0(|k|) R^T)
 # ---------------------------------------------------------------------------
 
 
 class RadialDtnTable:
-    """M0(r) := M(r e1) of one profile at explicit radii, from one joint solve.
+    """M0 of one profile at explicit radii in [0, k_max], from one joint Riccati
+    solve: rows (M11, M22, M33, Im M13) ``reduced`` at ``nodes``, each within
+    ``riccati_tol``, and ``steps`` (accepted, rejected, flow evaluations)."""
 
-    Isotropic depth-only media have M(k) = R(theta) M0(|k|) R(theta)^T, with
-    the in-plane rotation taking e1 to k/|k|. ``reduced`` holds M0 at the
-    sorted distinct ``nodes`` as rows (M11, M22, M33, Im M13), shape (n, 4):
-    r Z(lam, mu) for a constant profile (``steps`` None), else the Riccati
-    core's, each node within ``riccati_tol`` (``steps``: accepted and rejected
-    steps, flow evaluations).
-    Requests are answered at the nodes only, up to the bound ``k_max``.
+    def __init__(self, profile: LameProfile, k_max: float, radii,
+                 riccati_tol: float = 1e-10) -> None:
+        self.nodes = np.asarray(radii, dtype=float)
+        if self.nodes.min() < 0.0 or self.nodes.max() > k_max:
+            raise ValueError(f"radii must lie in [0, k_max = {k_max}]")
+        self.reduced, *steps = _radial_symbols(profile, self.nodes, riccati_tol)
+        self.steps = tuple(steps)
+
+
+_FIRST_POINTS, _MAX_POINTS = 48, 1296  # Chebyshev points in s: 48 * 3^k, k <= 3
+
+
+class RadialSymbol:
+    """M0(r) of one profile at every r >= 0: rows(r) = r Z0 + R(s), s = r / (r + 2).
+
+    Z0 are the rows of Z(lam(0), mu(0)) at e1. The remainder R = M0 - r Z0 is
+    bounded and smooth in s on [0, 1] (the algebraic map of the half-line; Boyd,
+    Chebyshev and Fourier Spectral Methods, 2001, ch. 17), so it is held at
+    first-kind Chebyshev points ``s`` and interpolated barycentrically (Berrut
+    & Trefethen, SIAM Review 2004). From 48 points the count triples (they
+    nest: solved values are kept) until the trailing third of R's Chebyshev
+    coefficients is below ``riccati_tol`` times max(max |R|, max |Z0|); one
+    still above it at 1296 points is refused. Constant profiles have R = 0 and
+    ``s`` None. ``solves``: (nodes, accepted, rejected, flow evaluations) each.
     """
 
-    def __init__(
-        self,
-        profile: LameProfile,
-        k_max: float,
-        radii,
-        riccati_tol: float = 1e-10,
-    ) -> None:
-        self.profile = profile
-        self.k_max = float(k_max)
-        r = np.sort(np.asarray(radii, dtype=float), axis=None)
-        self.nodes = r[np.concatenate(([True], r[1:] != r[:-1]))]  # np.unique, minus numpy.ma
-        if self.nodes[0] < 0.0 or self.nodes[-1] > self.k_max:
-            raise ValueError(f"radii must lie in [0, k_max = {self.k_max}]")
+    def __init__(self, profile: LameProfile, riccati_tol: float = 1e-10) -> None:
         _check_admissible(profile, DEFAULT_FRAME.H_max, n_samples=256)
+        lam, mu = float(profile.lam(0.0)), float(profile.mu(0.0))
+        self.z0 = mu / (lam + 3.0 * mu) * (lam * Z_ROWS_E1[0] + mu * Z_ROWS_E1[1])
+        self.s = self.weights = self.remainder = None
+        self.solves: list[tuple[int, ...]] = []
         if profile.is_polynomial and not any(profile.lam_coeffs[1:] + profile.mu_coeffs[1:]):
-            lam, mu = profile.lam_coeffs[0], profile.mu_coeffs[0]
-            z = mu / (lam + 3.0 * mu) * (lam * Z_ROWS_E1[0] + mu * Z_ROWS_E1[1])
-            self.reduced, self.steps = self.nodes[:, None] * z, None
-        else:
-            self.reduced, *steps = _radial_symbols(profile, self.nodes, riccati_tol)
-            self.steps = tuple(steps)
-        for arr in (self.nodes, self.reduced):
+            return
+        n, R = _FIRST_POINTS, np.empty((0, 4))
+        while True:
+            theta = (2.0 * np.arange(n) + 1.0) * (math.pi / (2 * n))  # s ascending
+            new = (np.arange(n) % 3 != 1) | (R.size == 0)  # the n / 3 solved ones are 1::3
+            r = 2.0 * np.tan(0.5 * theta[new]) ** 2
+            table = RadialDtnTable(profile, r.max(), r, riccati_tol)
+            self.solves.append((r.size, *table.steps))
+            R, solved = np.empty((n, 4)), R
+            R[new], R[~new] = table.reduced - r[:, None] * self.z0, solved
+            tail = np.cos(np.outer(np.arange(n - n // 3, n), theta)) @ R * (2.0 / n)
+            scale = max(np.abs(R).max(), np.abs(self.z0).max())
+            if np.abs(tail).max() <= riccati_tol * scale:
+                break
+            if 3 * n > _MAX_POINTS:
+                raise ForwardError(f"radial symbol not resolved by {n} Chebyshev points: tail "
+                                   f"{np.abs(tail).max() / scale:.3g} of the row scale")
+            n *= 3
+        self.s, self.remainder = np.sin(0.5 * theta) ** 2, R
+        self.weights = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) * np.sin(theta)
+        for arr in (self.z0, self.s, self.weights, self.remainder):
             arr.setflags(write=False)
 
-    def rows(self, r: np.ndarray) -> np.ndarray:
-        """Reduced rows (M11, M22, M33, Im M13) of M0 at radii that are nodes, trailing axis 4."""
+    def rows(self, r) -> np.ndarray:
+        """Reduced rows (M11, M22, M33, Im M13) of M0 at radii r >= 0, trailing axis 4."""
         r = np.asarray(r, dtype=float)
-        if np.any(r > self.k_max):
-            raise ForwardError(
-                f"radial table covers |k| <= {self.k_max:.3f}, requested {r.max():.3f}"
-            )
-        i = np.minimum(np.searchsorted(self.nodes, r), self.nodes.size - 1)
-        if np.any(self.nodes[i] != r):
-            raise ForwardError("radial table holds M0 only at its nodes")
-        return self.reduced[i]
+        rows = r[..., None] * self.z0
+        if self.s is None:
+            return rows
+        s = (r / (r + 2.0)).reshape(-1, 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = self.weights / (s - self.s)
+            R = (q @ self.remainder) / q.sum(axis=1, keepdims=True)
+        hit, node = np.nonzero(s == self.s)
+        R[hit] = self.remainder[node]
+        return rows + R.reshape(rows.shape)
 
 
 class SymbolMemo:
-    """Ladder symbol tables, least recently used dropped past ``maxsize``, keyed
-    by profile content (coefficients without trailing zeros; the object for
-    callables), the ladder's grid keys and the quadrature settings (riccati_tol).
-    ``counts`` accumulates Riccati solves, exact constants, memo hits, integrated
-    nodes, accepted / rejected steps and flow evaluations over the process."""
+    """Radial symbols keyed by profile content (coefficients without trailing
+    zeros; the object for callables) and ``riccati_tol`` alone, least recently
+    used dropped past ``maxsize``. Over the process, ``counts`` sums the
+    symbols' solves, ``accepted`` lists each integrated symbol's (Chebyshev
+    points, refinements), and ``seconds`` is the time spent building them."""
 
     def __init__(self, maxsize: int) -> None:
-        self.maxsize, self._tables = maxsize, OrderedDict()
+        self.maxsize, self._symbols = maxsize, OrderedDict()
         self.counts = Counter(dict.fromkeys(("riccati_solves", "exact_constants", "memo_hits",
                                              "nodes", "steps_accepted", "steps_rejected",
                                              "rhs_evaluations"), 0))
+        self.accepted: list[tuple[int, int]] = []
+        self.seconds = 0.0
 
-    def table(self, profile: LameProfile, N_list: tuple, rho_tilde: int, cutoff,
-              quad: "QuadratureSettings") -> RadialDtnTable:
+    def symbol(self, profile: LameProfile, riccati_tol: float) -> RadialSymbol:
         content = profile if not profile.is_polynomial else tuple(
             tuple(np.trim_zeros(np.array(c), "b")) for c in (profile.lam_coeffs, profile.mu_coeffs))
-        key = (content, N_list, rho_tilde, cutoff, quad)
-        if key in self._tables:
-            self._tables.move_to_end(key)
+        key = (content, riccati_tol)
+        if key in self._symbols:
+            self._symbols.move_to_end(key)
             self.counts["memo_hits"] += 1
-            return self._tables[key]
-        radii = np.concatenate([polar_grid(n, rho_tilde, cutoff, quad).r for n in N_list])
-        table = self._tables[key] = RadialDtnTable(profile, radii.max(), radii, quad.riccati_tol)
-        if table.steps is None:
+            return self._symbols[key]
+        t0 = time.perf_counter()
+        symbol = self._symbols[key] = RadialSymbol(profile, riccati_tol)
+        self.seconds += time.perf_counter() - t0
+        if symbol.s is None:
             self.counts["exact_constants"] += 1
         else:
-            accepted, rejected, evaluations = table.steps
-            self.counts.update(riccati_solves=1, nodes=table.nodes.size, steps_accepted=accepted,
-                               steps_rejected=rejected, rhs_evaluations=evaluations)
-        if len(self._tables) > self.maxsize:
-            self._tables.popitem(last=False)
-        return table
+            for nodes, accepted, rejected, evaluations in symbol.solves:
+                self.counts.update(riccati_solves=1, nodes=nodes, steps_accepted=accepted,
+                                   steps_rejected=rejected, rhs_evaluations=evaluations)
+            self.accepted.append((symbol.s.size, len(symbol.solves) - 1))
+        if len(self._symbols) > self.maxsize:
+            self._symbols.popitem(last=False)
+        return symbol
 
     def clear(self) -> None:
-        self._tables.clear()
+        self._symbols.clear()
 
 
 symbol_memo = SymbolMemo(maxsize=16)
@@ -620,54 +638,37 @@ def polar_grid(N: int, rho_tilde: int, cutoff, quad: QuadratureSettings) -> Pola
     return PolarGrid(r, moments)
 
 
-def warm_tables(
-    profile: LameProfile,
-    N_list,
-    rho_tilde: int,
-    cutoff,
-    quad: QuadratureSettings = DEFAULT_QUAD,
-    m: int = 0,
-) -> tuple[RadialDtnTable, ...]:
-    """The symbol value of one ladder: the profile's table at the radii of all
-    the ladder's polar grids and, for m >= 1, its order-m truncation's; from
-    :data:`symbol_memo`, so values do not depend on evaluation order or history.
+def warm_tables(profile: LameProfile, quad: QuadratureSettings = DEFAULT_QUAD,
+                m: int = 0) -> tuple[RadialSymbol, ...]:
+    """The symbols of an order-m ladder: the profile's and, for m >= 1, its
+    order-m truncation's; from :data:`symbol_memo`, so values do not depend on
+    evaluation order or history, and every ladder of a profile shares them.
     """
-    N_list = tuple(int(n) for n in N_list)
     profiles = [profile] + ([taylor_truncate(profile, m).result] if m >= 1 else [])
-    return tuple(symbol_memo.table(p, N_list, int(rho_tilde), cutoff, quad) for p in profiles)
+    return tuple(symbol_memo.symbol(p, quad.riccati_tol) for p in profiles)
 
 
-def pairing(
-    profile: LameProfile,
-    probe: ProbeSpec,
-    quad: QuadratureSettings = DEFAULT_QUAD,
-    tables: tuple[RadialDtnTable, ...] | None = None,
-) -> PairingResult:
+def pairing(profile: LameProfile, probe: ProbeSpec, quad: QuadratureSettings = DEFAULT_QUAD,
+            symbols: tuple[RadialSymbol, ...] | None = None) -> PairingResult:
     """<Lambda_C phi^N, conj(phi^N)> via the tangential-Fourier identity.
 
     value = (2 pi)^-2 N^{2 rho - 3} int |eta_hat(kappa(k))|^2 a^H M(k) a dk
     over the polar grid, wide enough that the excluded spectral tail is below
-    quad.tail_tol of the cutoff mass. ``tables`` is the profile's ladder value
-    from :func:`warm_tables`; without it the probe's own grid is solved.
+    quad.tail_tol of the cutoff mass. ``symbols`` is the profile's ladder value
+    from :func:`warm_tables`, looked up when not given.
     """
-    if tables is None:
-        tables = warm_tables(profile, [probe.N], probe.rho_tilde, probe.cutoff, quad)
-    return _pair(probe, quad, tables[:1])
+    return _pair(probe, quad, (symbols or warm_tables(profile, quad))[:1])
 
 
-def difference_pairing(
-    profile: LameProfile,
-    m: int,
-    probe: ProbeSpec,
-    quad: QuadratureSettings = DEFAULT_QUAD,
-    tables: tuple[RadialDtnTable, ...] | None = None,
-) -> PairingResult:
+def difference_pairing(profile: LameProfile, m: int, probe: ProbeSpec,
+                       quad: QuadratureSettings = DEFAULT_QUAD,
+                       symbols: tuple[RadialSymbol, ...] | None = None) -> PairingResult:
     """pairing(profile) - pairing(truncated profile), on one shared grid.
 
     The shared nodes (same polar grid, same radial radii) make the correlated
     part of the quadrature error cancel, which matters because the m-th order
-    signal is O(N^-m) relative to each term. ``tables`` is the order-m ladder
-    value from :func:`warm_tables`; without it the probe's own grid is solved.
+    signal is O(N^-m) relative to each term. ``symbols`` is the order-m ladder
+    value from :func:`warm_tables`, looked up when not given.
     """
     if m < 1:
         raise ValueError("difference pairing requires m >= 1 (m = 0 is pairing)")
@@ -675,18 +676,16 @@ def difference_pairing(
         raise ValueError(
             f"profile carries derivatives to order {profile.max_derivative_order}, got m = {m}"
         )
-    if tables is None:
-        tables = warm_tables(profile, [probe.N], probe.rho_tilde, probe.cutoff, quad, m)
-    return _pair(probe, quad, tables)
+    return _pair(probe, quad, symbols or warm_tables(profile, quad, m))
 
 
 def _pair(probe: ProbeSpec, quad: QuadratureSettings,
-          tables: tuple[RadialDtnTable, ...]) -> PairingResult:
-    """Contract the rows of ``tables[0]`` (minus those of ``tables[1]``) on the probe's grid."""
+          symbols: tuple[RadialSymbol, ...]) -> PairingResult:
+    """Contract the rows of ``symbols[0]`` (minus those of ``symbols[1]``) on the probe's grid."""
     grid = polar_grid(probe.N, probe.rho_tilde, probe.cutoff, quad)
-    rows = tables[0].rows(grid.r)
-    if len(tables) > 1:
-        rows = rows - tables[1].rows(grid.r)
+    rows = symbols[0].rows(grid.r)
+    if len(symbols) > 1:
+        rows = rows - symbols[1].rows(grid.r)
     value = complex(grid.contract(rows, probe.a, probe.omega))
     return PairingResult(value, probe, quad.tail_tol * abs(value))
 

@@ -293,15 +293,15 @@ def run_ladder(
     cutoff = cutoff if cutoff is not None else DEFAULT_CUTOFF
     p = profile.holder_exponent
     rt = rho_tilde if rho_tilde is not None else ProbeSpec.auto_rho_tilde(m, p)
-    tables = warm_tables(profile, N, rt, cutoff, quad, m)
+    symbols = warm_tables(profile, quad, m)
     vals, tails = np.empty(N.size, dtype=complex), np.empty(N.size)
     for i, n in enumerate(N):
         probe = ProbeSpec(template.a, template.omega, int(n), rt, m, cutoff, p)
         if m == 0:
-            res: PairingResult = pairing(profile, probe, quad, tables)
+            res: PairingResult = pairing(profile, probe, quad, symbols)
             vals[i] = res.value
         else:
-            res = difference_pairing(profile, m, probe, quad, tables)
+            res = difference_pairing(profile, m, probe, quad, symbols)
             vals[i] = n**m * res.value
         tails[i] = res.tail_estimate
     return LadderResult(template, m, N, vals, extrapolate(N, vals, rho=1.0 / rt), tails)

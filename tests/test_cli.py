@@ -17,6 +17,7 @@ from lame_edge.cli import (
     load_config,
     main,
 )
+from lame_edge.forward import symbol_memo
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -117,6 +118,19 @@ class TestValidate:
         assert any("inadmissible" in e for e in cross_field_errors(cfg))
         rc = main(["reconstruct", "--config", str(path), "--out", str(tmp_path / "dip")])
         assert rc == EXIT_CONFIG
+
+    def test_negligible_leading_coefficient(self, tmp_path, capsys):
+        # a subnormal cubic term overflows the companion matrix of mu'; the
+        # critical points come from mu' without it, so the dip is still found
+        path = write_config(tmp_path, order=0)
+        cfg = json.loads(path.read_text())
+        cfg["profile"]["mu"] = [1e4 - 1e-3, -2e4, 1e4, 1e-310]
+        path.write_text(json.dumps(cfg))
+        assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+        assert "inadmissible" in capsys.readouterr().err
+        cfg["profile"]["mu"] = [1.0, 0.0, 0.25, 1e-310]
+        path.write_text(json.dumps(cfg))
+        assert main(["validate", "--config", str(path)]) == EXIT_OK
 
     def test_schema_violation(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -268,6 +282,7 @@ class TestReconstructCommand:
             expect={"lambda": 1.0, "mu": 1.0, "order0_rtol": 0.05},
         )
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        symbol_memo.clear()  # earlier tests solve the same profile
         rc1 = main(["reconstruct", "--config", str(path), "--out", str(out1)])
         rc2 = main(["reconstruct", "--config", str(path), "--out", str(out2)])
         assert rc1 == EXIT_OK and rc2 == EXIT_OK
@@ -285,24 +300,36 @@ class TestReconstructCommand:
                  for o in (out1, out2)]
         assert grids[0] == grids[1]
         assert 1 <= grids[0]["built"] < grids[0]["reused"]
-        # the symbol memo keys cutoffs by identity too: each run solves the
-        # profile once; its order-1 truncation is constant, so exact
-        counters = [json.loads((o / "manifest.json").read_text())["counters"]
-                    for o in (out1, out2)]
-        assert counters[0]["symbols"] == counters[1]["symbols"]
+        # the symbol memo keys by profile content alone: the first run solves
+        # the profile once at 48 Chebyshev points (its order-1 truncation is
+        # constant, so exact), the second reads both symbols from the memo
+        manifests = [json.loads((o / "manifest.json").read_text()) for o in (out1, out2)]
+        counters = [m["counters"] for m in manifests]
         assert counters[0]["extrapolation_flags"] == counters[1]["extrapolation_flags"]
         symbols = counters[0]["symbols"]
         assert (symbols["riccati_solves"], symbols["exact_constants"]) == (1, 1)
         assert symbols["steps_accepted"] > 0 and symbols["memo_hits"] == 4
+        assert (symbols["nodes"], symbols["accepted_nodes"], symbols["refinements"]) == (48, [48], [0])
+        again = counters[1]["symbols"]
+        assert (again["riccati_solves"], again["exact_constants"], again["memo_hits"]) == (0, 0, 6)
+        assert again["accepted_nodes"] == again["refinements"] == []
+        stages = manifests[0]["stage_seconds"]
+        assert 0.0 < stages["symbols"] <= stages["reconstruct"]
         assert sum(counters[0]["extrapolation_flags"].values()) == 4
-        # the bundled gradient config: the main profile and three calibration
-        # profiles are solved; both truncations are exact constants
+        # the bundled gradient config as in a fresh process (it shares the
+        # profile above): the main profile and three calibration profiles are
+        # solved; both truncations are exact constants
+        symbol_memo.clear()
         out3 = tmp_path / "bundled"
         main(["reconstruct", "--config", str(REPO / "configs" / "gradient.json"),
               "--out", str(out3)])
         counters = json.loads((out3 / "manifest.json").read_text())["counters"]
         symbols = counters["symbols"]
         assert (symbols["riccati_solves"], symbols["exact_constants"]) == (4, 2)
+        # each symbol resolved at 48 points, 20x fewer integrated radii than
+        # the 960 per ladder grid set of a table at the quadrature radii
+        assert symbols["accepted_nodes"] == [48] * 4 and symbols["refinements"] == [0] * 4
+        assert symbols["nodes"] == 192
         # DOP853 evaluates the flow twice to start a solve, 11 times per
         # attempted step and once more (first same as last) per accepted one
         assert symbols["rhs_evaluations"] == (2 * symbols["riccati_solves"]

@@ -21,6 +21,7 @@ from lame_edge.forward import (
     ForwardError,
     QuadratureSettings,
     RadialDtnTable,
+    RadialSymbol,
     depth_stroh,
     difference_pairing,
     dtn_symbol,
@@ -32,6 +33,7 @@ from lame_edge.forward import (
     symbol_memo,
     warm_tables,
 )
+from lame_edge.reconstruct import ProbeTemplate, run_ladder
 from lame_edge.stroh import impedance, stroh_matrix
 
 E1 = (1.0, 0.0, 0.0)
@@ -254,27 +256,40 @@ class TestDtnSymbol:
 LADDER = (16, 32, 64, 128, 256)
 
 
+RADII = np.linspace(0.0, 60.0, 241)
+moduli = st.tuples(st.floats(0.2, 3.0), st.floats(-7.0, 1.5)).map(
+    lambda x: (x[0] * (-2.0 / 3.0 + 10.0 ** x[1]), x[0])  # lam/mu down to -2/3 + 1e-7
+)
+slopes = st.floats(-0.4, 0.4)
+STEEP = LameProfile(lambda y, o=0: 1.0 + 2.0 * np.exp(-20.0 * y),
+                    lambda y, o=0: 1.0 + np.exp(-30.0 * y), name="steep")  # needs 144 points
+
+
 class TestRadialTable:
+    """The radial symbol: one certified Chebyshev interpolant per profile."""
+
     def test_table_matches_direct_solves(self):
-        # the ladder value against one-node solves at its own radii, both bands
+        # the interpolant against one-node solves at the ladder's radii, both bands
         prof = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2], name="grad")
-        tab, = warm_tables(prof, LADDER, 4, GaussianCutoff())
-        for r in tab.nodes[::40]:
+        sym, = warm_tables(prof)
+        radii = np.concatenate([polar_grid(n, 4, GaussianCutoff(), QuadratureSettings()).r
+                                for n in LADDER])
+        for r in radii[::40]:
             Md = dtn_symbol(prof, (r, 0.0)).matrix
-            Mt = _assemble(tab.rows(r))
+            Mt = _assemble(sym.rows(r))
             assert np.abs(Md - Mt).max() <= 1e-8 * max(np.abs(Md).max(), 1e-3)
 
     def test_rotation_equivariance(self):
         prof = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2], name="grad")
         ks = ((30.0, 40.0), (-5.0, 2.0), (60.0, -80.0))
-        tab = RadialDtnTable(prof, 120.0, [np.hypot(*k) for k in ks])
+        sym = RadialSymbol(prof)
         rng = np.random.default_rng(5)
         a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         for k in ks:
             direct = dtn_symbol(prof, k).matrix
             fd = complex(np.einsum("ij,i,j->", direct, a.conj(), a))
             c, s = np.array(k) / np.hypot(*k)
-            ft = tab.rows(np.hypot(*k)) @ _form_coefficients(a) @ _harmonics(c, s)
+            ft = sym.rows(np.hypot(*k)) @ _form_coefficients(a) @ _harmonics(c, s)
             assert abs(fd - ft) <= 1e-8 * abs(fd)
 
     def test_narrow_dip_between_samples_rejected(self):
@@ -282,21 +297,25 @@ class TestRadialTable:
         # and 256 of a 512-point grid on [0, 2]; the exact check still sees it
         prof = LameProfile.from_polynomial([1.0], [1e4 - 1e-3, -2e4, 1e4])
         with pytest.raises(ForwardError, match="inadmissible"):
-            RadialDtnTable(prof, 60.0, [1.0, 60.0])
+            RadialSymbol(prof)
 
     def test_nodes_sorted_and_distinct(self):
-        tab = RadialDtnTable(LameProfile.constant(1.0, 1.0), 10.0,
-                             [[3.0, 0.5, 3.0], [10.0, 0.0, 0.5]])
-        assert tab.nodes.tolist() == [0.0, 0.5, 3.0, 10.0]
+        # first-kind Chebyshev points in s, ascending in (0, 1); a refinement
+        # triples them, and the solved points are every third of the new set
+        sym = RadialSymbol(STEEP)
+        assert [n for n, *_ in sym.solves] == [48, 96]
+        assert sym.s.size == 144 and 0.0 < sym.s[0] and sym.s[-1] < 1.0
+        assert np.all(np.diff(sym.s) > 0.0)
+        np.testing.assert_allclose(sym.s[1::3], RadialSymbol(GRAD).s, rtol=1e-14)
+        assert RadialSymbol(LameProfile.constant(1.0, 1.0)).s is None
 
     def test_table_build_leaves_numpy_ma_unloaded(self):
         # np.unique imports numpy.ma on first use, inside the first timed pass
         code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-                "from lame_edge.ansatz import GaussianCutoff; "
                 "from lame_edge.elastic import LameProfile; "
                 "from lame_edge.forward import warm_tables; "
                 "prof = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2]); "
-                "warm_tables(prof, [16, 32, 64, 128, 256], 4, GaussianCutoff(), m=1); "
+                "warm_tables(prof, m=1); "
                 "print('numpy.ma' in sys.modules)")
         src = Path(__file__).resolve().parent.parent / "src"
         out = subprocess.run([sys.executable, "-c", code, str(src)],
@@ -304,19 +323,31 @@ class TestRadialTable:
         assert out.stdout.strip() == "False"
 
     def test_out_of_range_rejected(self):
-        prof = LameProfile.constant(1.0, 1.0)
-        tab = RadialDtnTable(prof, 10.0, np.linspace(0.0, 10.0, 11))
-        with pytest.raises(ForwardError, match="radial table"):
-            tab.rows(np.array([50.0]))
-        with pytest.raises(ForwardError, match="only at its nodes"):
-            tab.rows(np.array([5.5]))
+        # a symbol whose Chebyshev tail stays above the tolerance at the cap is
+        # refused, never accepted; a resolved one answers at every r >= 0; the
+        # joint solve under it takes radii in [0, k_max] only
+        with mock.patch("lame_edge.forward._MAX_POINTS", 48):
+            with pytest.raises(ForwardError, match="not resolved"):
+                RadialSymbol(STEEP)
+        rows = RadialSymbol(GRAD).rows(np.array([0.0, 5.5, 50.0, 1e6]))
+        assert np.all(np.isfinite(rows)) and np.abs(rows[0]).max() <= 1e-10
+        with pytest.raises(ValueError, match="k_max"):
+            RadialDtnTable(GRAD, 10.0, [1.0, 50.0])
 
-
-RADII = np.linspace(0.0, 60.0, 241)
-moduli = st.tuples(st.floats(0.2, 3.0), st.floats(-7.0, 1.5)).map(
-    lambda x: (x[0] * (-2.0 / 3.0 + 10.0 ** x[1]), x[0])  # lam/mu down to -2/3 + 1e-7
-)
-slopes = st.floats(-0.4, 0.4)
+    @settings(max_examples=12, deadline=None)
+    @given(moduli, st.lists(slopes, min_size=6, max_size=6),
+           st.lists(st.floats(0.0, 5000.0), min_size=1, max_size=8))
+    def test_interpolant_within_tolerance_of_direct_solves(self, lm, c, radii):
+        # admissible polynomials of degree <= 3 at radii in [0, 5000]: per node,
+        # relative to the row scale max(|rows(r)|, |Z0|)
+        prof = LameProfile.from_polynomial([lm[0], *c[:3]], [lm[1], *c[3:]])
+        assume(validate_admissibility(prof, DEFAULT_FRAME.H_max).passed)
+        sym = RadialSymbol(prof)
+        r = np.array(radii)
+        direct, *_ = _radial_symbols(prof, r, 1e-12)
+        rows = sym.rows(r)
+        scale = np.maximum(np.abs(rows).max(axis=1), np.abs(sym.z0).max())
+        assert np.all(np.abs(rows - direct).max(axis=1) <= 2e-10 * scale)
 
 
 class TestReducedCore:
@@ -328,21 +359,21 @@ class TestReducedCore:
         lam0, mu0 = lm
         prof = LameProfile.from_polynomial([lam0, l1, l2], [mu0, m1, m2])
         assume(validate_admissibility(prof, DEFAULT_FRAME.H_max).passed)
-        tab = RadialDtnTable(prof, 60.0, RADII)
-        V = _assemble(tab.reduced)
-        assert tab.nodes.max() > 48.0  # both bands
+        sym = RadialSymbol(prof)
+        V = _assemble(sym.rows(RADII))
+        assert sym.s is None or sym.s.max() > 48.0 / 50.0  # both bands: nodes beyond r = 48
         assert np.all(V[:, [0, 1, 1, 2], [1, 0, 2, 1]] == 0.0)
         assert np.all(np.diagonal(V, axis1=1, axis2=2).imag == 0.0)
         assert np.all(V[:, 0, 2] == -V[:, 2, 0])
         assert np.all(V[:, 0, 2].real == 0.0)
-        assert np.linalg.eigvalsh(V[tab.nodes > 0.0]).min() > 0.0
+        assert np.linalg.eigvalsh(V[RADII > 0.0]).min() > 0.0
 
     @settings(max_examples=12, deadline=None)
     @given(moduli)
     def test_constant_profile_is_degree_one_impedance(self, lm):
-        tab = RadialDtnTable(LameProfile.constant(*lm), 60.0, RADII)
-        exact = tab.nodes[:, None, None] * impedance(*lm, E1).matrix
-        assert np.abs(_assemble(tab.reduced) - exact).max() <= 1e-9 * np.abs(exact).max()
+        rows = RadialSymbol(LameProfile.constant(*lm)).rows(RADII)
+        exact = RADII[:, None, None] * impedance(*lm, E1).matrix
+        assert np.abs(_assemble(rows) - exact).max() <= 1e-9 * np.abs(exact).max()
 
     @pytest.mark.parametrize("lm", [(-1.8331, 2.75), (-0.66666, 1.0)])
     @pytest.mark.parametrize("ladder", [
@@ -461,31 +492,45 @@ class TestReducedContraction:
         assert polar_grid(64, 4, GaussianCutoff(), quad) is not g
 
     def test_values_independent_of_grid_memo_history(self):
-        first = pairing_bits(LADDER[:4])
+        first = pairing_bits(LADDER[:4], (4, 5))
         polar_grid.cache_clear()
         symbol_memo.clear()
-        assert pairing_bits(LADDER[3::-1]) == first
-        assert pairing_bits(LADDER[:4]) == first
+        assert pairing_bits(LADDER[3::-1], (5, 4)) == first
+        assert pairing_bits(LADDER[:4], (4, 5)) == first
         code = ("import json, sys; sys.path[:0] = sys.argv[1:]; import test_forward as t; "
-                "print(json.dumps(t.pairing_bits(t.LADDER[3::-1])))")
+                "print(json.dumps(t.pairing_bits(t.LADDER[3::-1], (5, 4))))")
         here = Path(__file__).resolve().parent
         fresh = subprocess.run([sys.executable, "-c", code, str(here), str(here.parent / "src")],
                                capture_output=True, text=True, check=True)
-        assert {int(n): v for n, v in json.loads(fresh.stdout).items()} == first
+        assert json.loads(fresh.stdout) == first
+
+    def test_ladders_of_one_profile_share_one_solve(self):
+        # the rho_tilde = 4 and 5 ladders, and the order-1 ladder, of one profile
+        # read one symbol: the memo keys it by content and tolerance alone
+        prof = LameProfile.from_polynomial([1.1, 0.3], [0.9, 0.2])
+        symbol_memo.clear()
+        before = dict(symbol_memo.counts)
+        for m, rt in ((0, 4), (0, 5), (1, 4)):
+            run_ladder(prof, ProbeTemplate.named("e3", (1.0, 0.0)), LADDER, m,
+                       cutoff=GAUSS, rho_tilde=rt)
+        delta = {k: v - before[k] for k, v in symbol_memo.counts.items()}
+        assert (delta["riccati_solves"], delta["exact_constants"]) == (1, 1)
+        assert delta["nodes"] == 48 and delta["memo_hits"] == 2
 
 
-def pairing_bits(Ns) -> dict:
-    """Pairing and order-1 difference pairing of GRAD per N, standalone and on
-    the ladder's tables, as exact hex strings."""
+def pairing_bits(Ns, rho_tildes) -> dict:
+    """Pairing and order-1 difference pairing of GRAD per rho_tilde and N,
+    standalone and on the ladder's symbols, as exact hex strings."""
     a = np.array([0.4, -1.0j, 0.7])
-    tables = [warm_tables(GRAD, LADDER[:4], 4, GAUSS, m=m) for m in (0, 1)]
     out = {}
-    for n in Ns:
-        p = ProbeSpec(a, (0.6, 0.8, 0.0), n, 4, 1, GAUSS)
-        values = (pairing(GRAD, p), difference_pairing(GRAD, 1, p),
-                  pairing(GRAD, p, tables=tables[0]),
-                  difference_pairing(GRAD, 1, p, tables=tables[1]))
-        out[n] = [v.value.real.hex() + v.value.imag.hex() for v in values]
+    for rt in rho_tildes:
+        symbols = [warm_tables(GRAD, m=m) for m in (0, 1)]
+        for n in Ns:
+            p = ProbeSpec(a, (0.6, 0.8, 0.0), n, rt, 1, GAUSS)
+            values = (pairing(GRAD, p), difference_pairing(GRAD, 1, p),
+                      pairing(GRAD, p, symbols=symbols[0]),
+                      difference_pairing(GRAD, 1, p, symbols=symbols[1]))
+            out[f"{rt}/{n}"] = [v.value.real.hex() + v.value.imag.hex() for v in values]
     return out
 
 
