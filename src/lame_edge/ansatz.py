@@ -319,218 +319,133 @@ def sigma_expand(a, lam: float, mu: float, omega) -> tuple[complex, complex, com
     return complex(c[0]), complex(c[1]), complex(c[2])
 
 
+
 # ---------------------------------------------------------------------------
-# z-polynomial representation: V = exp(-z3) * sum_d z3^d * combo_d(z'),
-# combo = {beta: C^3 vector} standing for sum_beta v_beta * d^beta eta(z')
+# corrector arrays: V = exp(-z3) sum_d z3^d sum_beta d^beta eta(z') P[d, b1, b2, :]
+# with beta = (b1, b2); trailing all-zero planes are trimmed on every axis
 # ---------------------------------------------------------------------------
 
-Combo = dict  # {(b1, b2): np.ndarray(3, complex)}
-ZPoly = dict  # {degree d: Combo}
+_GAMMA = ((1, 0), (0, 1))  # the tangential multi-indices of d/dz_1 and d/dz_2
 
 
-def _combo_add(dst: Combo, beta, vec) -> None:
-    cur = dst.get(beta)
-    dst[beta] = vec if cur is None else cur + vec
+def _trim(P: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    """P with its coefficient vectors of norm <= tol zeroed, trailing zero planes cut."""
+    P = np.where(np.linalg.norm(P, axis=-1, keepdims=True) > tol, P, 0.0)
+    nonzero = np.nonzero(np.any(P != 0.0, axis=-1))
+    return P[tuple(slice(0, int(i.max()) + 1 if i.size else 0) for i in nonzero)]
 
 
-def _poly_add(dst: ZPoly, d: int, combo: Combo, factor: complex = 1.0) -> None:
-    tgt = dst.setdefault(d, {})
-    for beta, vec in combo.items():
-        _combo_add(tgt, beta, factor * vec)
-
-
-def _poly_clean(p: ZPoly, tol: float = 0.0) -> ZPoly:
-    out: ZPoly = {}
-    for d, combo in p.items():
-        kept = {b: v for b, v in combo.items() if np.linalg.norm(v) > tol}
-        if kept:
-            out[d] = kept
+def _padded_sum(arrays: list[np.ndarray]) -> np.ndarray:
+    """Sum of coefficient arrays of different shapes."""
+    out = np.zeros(np.max([P.shape for P in arrays], axis=0), dtype=complex)
+    for P in arrays:
+        out[: P.shape[0], : P.shape[1], : P.shape[2]] += P
     return out
 
 
-def _poly_dz3(p: ZPoly) -> ZPoly:
-    """d/dz3 of exp(-z3) * poly, expressed in the same representation."""
-    out: ZPoly = {}
-    for d, combo in p.items():
-        _poly_add(out, d, combo, -1.0)
-        if d >= 1:
-            _poly_add(out, d - 1, combo, float(d))
+def _dz3(P: np.ndarray) -> np.ndarray:
+    """d/dz3 of exp(-z3) sum_d z3^d P[d]: coefficients -P[d] + (d + 1) P[d + 1]."""
+    out = -P
+    out[:-1] += np.arange(1, P.shape[0])[:, None, None, None] * P[1:]
     return out
 
 
-def _poly_dzt(p: ZPoly, t: int) -> ZPoly:
-    """Tangential derivative d/dz_t (t in {0, 1}) acting on the eta factors."""
-    out: ZPoly = {}
-    for d, combo in p.items():
-        tgt = out.setdefault(d, {})
-        for beta, vec in combo.items():
-            nb = (beta[0] + 1, beta[1]) if t == 0 else (beta[0], beta[1] + 1)
-            _combo_add(tgt, nb, vec)
-    return out
+def _frozen_terms(lam: float, mu: float, omega: np.ndarray, t: int) -> list:
+    """(k, gamma, M) terms, sum M d3^k d^gamma, of the frozen operator's part with t
+    tangential derivatives, in acoustic brackets <xi, zeta>:
 
-
-def _poly_mat(p: ZPoly, M: np.ndarray, factor: complex = 1.0) -> ZPoly:
-    out: ZPoly = {}
-    for d, combo in p.items():
-        out[d] = {beta: factor * (M @ vec) for beta, vec in combo.items()}
-    return out
-
-
-def _poly_shift(p: ZPoly, b: int) -> ZPoly:
-    return {d + b: combo for d, combo in p.items()}
-
-
-def _poly_accum(dst: ZPoly, src: ZPoly, factor: complex = 1.0) -> None:
-    for d, combo in src.items():
-        _poly_add(dst, d, combo, factor)
-
-
-def _poly_max_norm(p: ZPoly) -> float:
-    return max(
-        (np.linalg.norm(v) for combo in p.values() for v in combo.values()),
-        default=0.0,
-    )
-
-
-@dataclass(frozen=True)
-class _Brackets:
-    """Acoustic brackets of one (lam, mu) pair against e_t, e3 and omega."""
-
-    T: np.ndarray
-    A: np.ndarray  # <e3, omega>
-    Q: np.ndarray
-    Gt: tuple[np.ndarray, np.ndarray]  # <omega,e_t> + <e_t,omega>, t = 1, 2
-    Ht: tuple[np.ndarray, np.ndarray]  # <e_t,e3> + <e3,e_t>
-    Etu: tuple  # <e_t, e_u> for t,u = 1, 2
-    E3t: tuple[np.ndarray, np.ndarray]  # <e3, e_t>
-
-
-def _brackets(lam: float, mu: float, omega: np.ndarray) -> _Brackets:
+        t = 0:  <e3,e3> d3^2 + i(A + A^T) d3 - <omega,omega>,  A = <e3,omega>
+        t = 1:  i(<omega,e_u> + <e_u,omega>) d_u + (<e_u,e3> + <e3,e_u>) d_u d3
+        t = 2:  <e_u,e_v> d_u d_v
+    """
     br = lambda xi, zeta: acoustic_bracket(lam, mu, xi, zeta)
-    T = br(_E3, _E3)
-    A = br(_E3, omega)
-    Q = br(omega, omega)
-    Gt = tuple(br(omega, _E[t]) + br(_E[t], omega) for t in range(2))
-    Ht = tuple(br(_E[t], _E3) + br(_E3, _E[t]) for t in range(2))
-    Etu = tuple(tuple(br(_E[t], _E[u]) for u in range(2)) for t in range(2))
-    E3t = tuple(br(_E3, _E[t]) for t in range(2))
-    return _Brackets(T, A, Q, Gt, Ht, Etu, E3t)
+    if t == 0:
+        A = br(_E3, omega)
+        return [(2, (0, 0), br(_E3, _E3)), (1, (0, 0), 1.0j * (A + A.T)),
+                (0, (0, 0), -br(omega, omega))]
+    if t == 1:
+        return [term for u in range(2) for term in (
+            (0, _GAMMA[u], 1.0j * (br(omega, _E[u]) + br(_E[u], omega))),
+            (1, _GAMMA[u], br(_E[u], _E3) + br(_E3, _E[u])))]
+    return [(0, tuple(np.add(_GAMMA[u], _GAMMA[v])), br(_E[u], _E[v]))
+            for u in range(2) for v in range(2)]
 
 
-def _op0(B: _Brackets, p: ZPoly) -> ZPoly:
-    """Frozen-coefficient depth operator T d3^2 + i(A + A^T) d3 - Q."""
-    d1 = _poly_dz3(p)
-    d2 = _poly_dz3(d1)
-    out: ZPoly = {}
-    _poly_accum(out, _poly_mat(d2, B.T))
-    _poly_accum(out, _poly_mat(d1, B.A + B.A.T, 1.0j))
-    _poly_accum(out, _poly_mat(p, B.Q, -1.0))
-    return _poly_clean(out)
+def _gradient_terms(lam: float, mu: float, omega: np.ndarray, tau: int) -> list:
+    """(k, gamma, M) terms of the coefficient-gradient part for modulus derivatives
+    (lam, mu): <e3,e3> d3 + i<e3,omega> at tau = 0, <e3,e_u> d_u at tau = 1."""
+    br = lambda xi, zeta: acoustic_bracket(lam, mu, xi, zeta)
+    if tau == 0:
+        return [(1, (0, 0), br(_E3, _E3)), (0, (0, 0), 1.0j * br(_E3, omega))]
+    return [(0, _GAMMA[u], br(_E3, _E[u])) for u in range(2)]
 
 
-def _op1(B: _Brackets, p: ZPoly) -> ZPoly:
-    """One-tangential-derivative operator (mixed z', z3 terms)."""
-    out: ZPoly = {}
-    d3 = _poly_dz3(p)
-    for t in range(2):
-        dt = _poly_dzt(p, t)
-        _poly_accum(out, _poly_mat(dt, B.Gt[t], 1.0j))
-        dtd3 = _poly_dzt(d3, t)
-        _poly_accum(out, _poly_mat(dtd3, B.Ht[t]))
-    return _poly_clean(out)
+def _apply(terms: list, P: np.ndarray) -> np.ndarray:
+    """Coefficients of sum z3^b M d3^k d^gamma V over the terms (b, k, gamma, M)."""
+    D, K1, K2, _ = P.shape
+    shift = max((b for b, *_ in terms), default=0)
+    out = np.zeros((D + shift, K1 + 2, K2 + 2, 3), dtype=complex)
+    dP = [P, _dz3(P), _dz3(_dz3(P))]
+    for b, k, (g1, g2), M in terms:
+        out[b : b + D, g1 : g1 + K1, g2 : g2 + K2] += dP[k] @ M.T
+    return _trim(out)
 
 
-def _op2(B: _Brackets, p: ZPoly) -> ZPoly:
-    """Two-tangential-derivative operator."""
-    out: ZPoly = {}
-    for t in range(2):
-        for u in range(2):
-            dtu = _poly_dzt(_poly_dzt(p, t), u)
-            _poly_accum(out, _poly_mat(dtu, B.Etu[t][u]))
-    return _poly_clean(out)
-
-
-def _opd0(Bp: _Brackets, p: ZPoly) -> ZPoly:
-    """Coefficient-gradient operator, zero tangential derivatives."""
-    out: ZPoly = {}
-    _poly_accum(out, _poly_mat(_poly_dz3(p), Bp.T))
-    _poly_accum(out, _poly_mat(p, Bp.A, 1.0j))
-    return _poly_clean(out)
-
-
-def _opd1(Bp: _Brackets, p: ZPoly) -> ZPoly:
-    """Coefficient-gradient operator with one tangential derivative."""
-    out: ZPoly = {}
-    for t in range(2):
-        _poly_accum(out, _poly_mat(_poly_dzt(p, t), Bp.E3t[t]))
-    return _poly_clean(out)
+def _field(cutoff: CutoffProfile, P: np.ndarray, zp: np.ndarray, z3: np.ndarray) -> np.ndarray:
+    """sum_d z3^d sum_beta d^beta eta(z') P[d, beta] at points (zp, z3), evaluating
+    each nonzero beta's cutoff derivative once."""
+    powers = z3[..., None] ** np.arange(P.shape[0])
+    out = np.zeros(z3.shape + (3,), dtype=complex)
+    for b1, b2 in zip(*np.nonzero(np.any(P != 0.0, axis=(0, 3)))):
+        out += cutoff.derivative((b1, b2))(zp)[..., None] * (powers @ P[:, b1, b2])
+    return out
 
 
 def cascade_r1(lam: float, mu: float, omega, d: int) -> np.ndarray:
     """d * [2 <e3,e3> - i(<omega,e3> + <e3,omega>)], invertible for d >= 1."""
-    B = _brackets(lam, mu, np.asarray(omega, dtype=float))
-    return d * (2.0 * B.T - 1.0j * (B.A + B.A.T)).astype(complex)
+    A = acoustic_bracket(lam, mu, _E3, np.asarray(omega, dtype=float))
+    return d * (2.0 * acoustic_bracket(lam, mu, _E3, _E3) - 1.0j * (A + A.T)).astype(complex)
 
 
 def cascade_r2(lam: float, mu: float, omega, d: int) -> np.ndarray:
     """-d(d-1) <e3,e3>."""
-    B = _brackets(lam, mu, np.asarray(omega, dtype=float))
-    return (-d * (d - 1)) * B.T.astype(complex)
+    return (-d * (d - 1)) * acoustic_bracket(lam, mu, _E3, _E3).astype(complex)
 
 
 class CascadeError(RuntimeError):
     """The stacked cascade solve failed its residual test."""
 
 
-def _solve_l0(B: _Brackets, rhs: ZPoly, tol: float = 1e-10) -> ZPoly:
+def _solve_l0(op0: list, rhs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Solve op0 V = rhs for V = exp(-z3) * poly with V(0) = 0, bounded.
 
-    The solve is one stacked linear system per eta-derivative basis element.
-    Existence/uniqueness: the bounded solution with zero boundary trace is
-    unique, so the stacked system is exactly consistent; the residual is
-    asserted against ``tol``.
+    One least-squares solve takes every eta-derivative column beta at once, at
+    the smallest consistent degree: the rhs degree + 1, else + 2 (a higher
+    degree only worsens the conditioning). Existence/uniqueness: the bounded
+    solution with zero boundary trace is unique, so the stacked system is
+    exactly consistent; the residual is asserted against ``tol``.
     """
-    out: ZPoly = {}
-    if not rhs:
-        return out
-    betas = sorted({beta for combo in rhs.values() for beta in combo})
-    dmax = max(rhs.keys())
-    for extra in (1, 2):
-        dunk = dmax + extra
-        # columns: op0 applied to monomial basis z3^d e_i, d = 1..dunk
-        cols = []
-        for d in range(1, dunk + 1):
-            for i in range(3):
-                basis = {d: {(0, 0): np.eye(3)[i].astype(complex)}}
-                img = _op0(B, basis)
-                col = np.zeros(3 * (dunk + 1), dtype=complex)
-                for dd, combo in img.items():
-                    col[3 * dd : 3 * dd + 3] = combo[(0, 0)]
-                cols.append(col)
-        M = np.column_stack(cols)
-        ok = True
-        sol_per_beta = {}
-        for beta in betas:
-            F = np.zeros(3 * (dunk + 1), dtype=complex)
-            for d, combo in rhs.items():
-                if beta in combo:
-                    F[3 * d : 3 * d + 3] = combo[beta]
-            P, *_ = np.linalg.lstsq(M, F, rcond=None)
-            resid = np.linalg.norm(M @ P - F)
-            if resid > tol * max(1.0, np.linalg.norm(F)):
-                ok = False
-                break
-            sol_per_beta[beta] = P
-        if ok:
-            for beta, P in sol_per_beta.items():
-                for d in range(1, dunk + 1):
-                    vec = P[3 * (d - 1) : 3 * (d - 1) + 3]
-                    if np.linalg.norm(vec) > 0.0:
-                        _poly_add(out, d, {beta: vec})
-            return _poly_clean(out, tol=1e-14 * max(1.0, _poly_max_norm(rhs)))
+    D, K1, K2, _ = rhs.shape
+    if rhs.size == 0:
+        return rhs
+    F = rhs.transpose(0, 3, 1, 2).reshape(3 * D, K1 * K2)
+    # only the betas present: all-zero columns change LAPACK's rounding of the others
+    cols = np.flatnonzero(np.any(F != 0.0, axis=0))
+    for n in (D + 1, D + 2):  # unknowns z3^d e_i, d = 1 .. n - 1
+        Dz = np.diag(-np.ones(n)) + np.diag(np.arange(1.0, n), 1)
+        M = sum(np.kron(np.linalg.matrix_power(Dz, k), Mk) for _, k, _, Mk in op0)[:, 3:]
+        Fn = np.zeros((3 * n, cols.size), dtype=complex)
+        Fn[: 3 * D] = F[:, cols]
+        X = np.linalg.lstsq(M, Fn, rcond=None)[0]
+        resid = np.linalg.norm(M @ X - Fn, axis=0)
+        if np.all(resid <= tol * np.maximum(1.0, np.linalg.norm(Fn, axis=0))):
+            V = np.zeros((n, 3, K1 * K2), dtype=complex)
+            V[1:, :, cols] = X.reshape(n - 1, 3, cols.size)
+            scale = max(1.0, float(np.linalg.norm(rhs, axis=-1).max()))
+            return _trim(V.reshape(n, 3, K1, K2).transpose(0, 2, 3, 1), tol=1e-14 * scale)
+    degrees = np.nonzero(np.any(rhs != 0.0, axis=(1, 2, 3)))[0].tolist()
     raise CascadeError(
-        f"stacked cascade solve inconsistent up to degree {dmax + 2} "
-        f"(rhs degrees {sorted(rhs)})"
+        f"stacked cascade solve inconsistent up to degree {D + 1} (rhs degrees {degrees})"
     )
 
 
@@ -538,16 +453,17 @@ def _solve_l0(B: _Brackets, rhs: ZPoly, tol: float = 1e-10) -> ZPoly:
 class AnsatzSolution:
     """Corrector stack V^0 .. V^{m/rho} with its evaluator.
 
-    ``stack[n]`` is the ZPoly of V^n, i.e. V^n = exp(-z3) sum_d z3^d P_n^d(z')
-    with P_n^d a combination of eta derivatives.
+    ``stack[n]`` is the complex array P of V^n, of shape (degrees, b1, b2, 3):
+    V^n = exp(-z3) sum_d z3^d sum_beta d^beta eta(z') P[d, beta]. ``operators[s]``
+    lists the (b, k, gamma, M) terms of L_s, sum z3^b M d3^k d^gamma.
     """
 
     probe: ProbeSpec
     lam0: float
     mu0: float
     c_sigma: tuple[complex, complex, complex]
-    stack: list  # list[ZPoly]
-    operators: list = field(default_factory=list, repr=False)  # list[callable], L_s
+    stack: list  # list[np.ndarray]
+    operators: list = field(default_factory=list, repr=False)
 
     def evaluate(self, y: np.ndarray, n_terms: int | None = None) -> np.ndarray:
         """Phi^N at points y (..., 3), y3 >= 0."""
@@ -557,85 +473,52 @@ class AnsatzSolution:
         if np.any(y3 < -1e-15):
             raise ValueError("evaluation requires y3 >= 0")
         N, rho = probe.N, probe.rho
-        zp = N ** (1.0 - rho) * yp
-        z3 = N * y3
         amp = N ** (0.5 - rho)
         phase = np.exp(1j * N * (yp @ probe.omega[:2]))
-        envelope = np.exp(-z3)
-        total = np.zeros(y.shape[:-1] + (3,), dtype=complex)
+        envelope = np.exp(-N * y3)
         use = self.stack if n_terms is None else self.stack[:n_terms]
-        for n, poly in enumerate(use):
-            contrib = np.zeros_like(total)
-            for d, combo in poly.items():
-                zfac = z3**d
-                for beta, vec in combo.items():
-                    eta_b = probe.cutoff.derivative(beta)(zp)
-                    contrib += (zfac * eta_b)[..., None] * vec
-            total += N ** (-n * rho) * contrib
+        P = _padded_sum([N ** (-n * rho) * V for n, V in enumerate(use)])
+        total = _field(probe.cutoff, P, N ** (1.0 - rho) * yp, N * y3)
         return (amp * phase * envelope)[..., None] * total
 
     def cascade_residual(self, n: int, grid: Iterable[tuple[float, float, float]]) -> float:
         """Pointwise max of |op0 V^n + sum_s L_s V^{n-s}| on a (z1, z2, z3) grid."""
-        B = _brackets(self.lam0, self.mu0, self.probe.omega)
-        total: ZPoly = {}
-        _poly_accum(total, _op0(B, self.stack[n]))
-        for s in range(1, n + 1):
-            _poly_accum(total, self.operators[s](self.stack[n - s]))
-        total = _poly_clean(total)
-        worst = 0.0
-        for z1, z2, z3 in grid:
-            zp = np.array([z1, z2])
-            val = np.zeros(3, dtype=complex)
-            for d, combo in total.items():
-                for beta, vec in combo.items():
-                    val += z3**d * float(self.probe.cutoff.derivative(beta)(zp)) * vec
-            worst = max(worst, float(np.linalg.norm(val)) * math.exp(-z3))
-        return worst
+        op0 = [(0, *term) for term in _frozen_terms(self.lam0, self.mu0, self.probe.omega, 0)]
+        R = _padded_sum([_apply(op0, self.stack[n])]
+                        + [_apply(self.operators[s], self.stack[n - s]) for s in range(1, n + 1)])
+        z = np.array(list(grid), dtype=float)
+        vals = _field(self.probe.cutoff, R, z[:, :2], z[:, 2])
+        return float(np.max(np.linalg.norm(vals, axis=1) * np.exp(-z[:, 2])))
 
 
 def leading_profile(probe: ProbeSpec, lam0: float, mu0: float) -> AnsatzSolution:
     """V^0 only: exp(-z3) eta(z') (a + i c3 z3 sigma_2)."""
     c1, c2, c3 = sigma_expand(probe.a, lam0, mu0, probe.omega)
     S = sigma_basis(lam0, mu0, probe.omega)
-    v0: ZPoly = {0: {(0, 0): probe.a.astype(complex)}}
-    corr = 1.0j * c3 * S[:, 1]
-    if np.linalg.norm(corr) > 0.0:
-        v0[1] = {(0, 0): corr}
-    return AnsatzSolution(probe, lam0, mu0, (c1, c2, c3), [v0])
+    P = np.zeros((2, 1, 1, 3), dtype=complex)
+    P[0, 0, 0] = probe.a
+    P[1, 0, 0] = 1.0j * c3 * S[:, 1]
+    return AnsatzSolution(probe, lam0, mu0, (c1, c2, c3), [_trim(P)])
 
 
-def _assemble_operators(probe: ProbeSpec, profile: LameProfile, s_max: int):
-    """L_s, s = 0..s_max, for a depth-only profile (Taylor order m)."""
-    m = probe.m
+def _assemble_operators(probe: ProbeSpec, profile: LameProfile, s_max: int) -> list:
+    """Terms of L_s, s = 0..s_max, for a depth-only profile (Taylor order m).
+
+    L_s takes the part with t = s - b rho_tilde in {0, 1, 2} tangential
+    derivatives of each Taylor coefficient b, and the coefficient-gradient part
+    with tau = s - (b + 1) rho_tilde in {0, 1} of each derivative b + 1, both
+    multiplied by z3^b.
+    """
+    m, rt, omega = probe.m, probe.rho_tilde, probe.omega
     lam_b, mu_b = profile.taylor_coefficients(m)
-    rt = probe.rho_tilde
-    omega = probe.omega
-    B_b = [_brackets(lam_b[b], mu_b[b], omega) for b in range(m + 1)]
-    ops: list[Callable[[ZPoly], ZPoly]] = []
+    ops = []
     for s in range(s_max + 1):
-        terms: list[tuple[int, Callable, _Brackets]] = []
-        for b in range(m + 1):
-            t = s - b * rt
-            if t == 0:
-                terms.append((b, _op0, B_b[b]))
-            elif t == 1:
-                terms.append((b, _op1, B_b[b]))
-            elif t == 2:
-                terms.append((b, _op2, B_b[b]))
-        for b in range(m):
-            tau = s - (b + 1) * rt
-            if tau in (0, 1):
-                scale = b + 1
-                Bp = _brackets(scale * lam_b[b + 1], scale * mu_b[b + 1], omega)
-                terms.append((b, _opd0 if tau == 0 else _opd1, Bp))
-
-        def L_s(p: ZPoly, terms=tuple(terms)) -> ZPoly:
-            out: ZPoly = {}
-            for b, op, Bx in terms:
-                _poly_accum(out, _poly_shift(op(Bx, p), b))
-            return _poly_clean(out)
-
-        ops.append(L_s)
+        terms = [(b, *term) for b in range(m + 1) if 0 <= s - b * rt <= 2
+                 for term in _frozen_terms(lam_b[b], mu_b[b], omega, s - b * rt)]
+        terms += [(b, *term) for b in range(m) if 0 <= s - (b + 1) * rt <= 1
+                  for term in _gradient_terms((b + 1) * lam_b[b + 1], (b + 1) * mu_b[b + 1],
+                                              omega, s - (b + 1) * rt)]
+        ops.append(terms)
     return ops
 
 
@@ -643,7 +526,7 @@ def build_correctors(probe: ProbeSpec, profile: LameProfile) -> AnsatzSolution:
     """Full stack V^0 .. V^{m/rho} for a depth-only profile.
 
     Each cascade equation op0 V^n = -sum_{s=1..n} L_s V^{n-s} is solved exactly
-    (stacked linear solve per eta-derivative basis element) and the boundary
+    (one stacked linear solve for all eta-derivative columns) and the boundary
     traces V^n(z', 0) = 0 for n >= 1 hold by construction.
     """
     if probe.m > profile.max_derivative_order:
@@ -656,13 +539,9 @@ def build_correctors(probe: ProbeSpec, profile: LameProfile) -> AnsatzSolution:
     sol = leading_profile(probe, lam0, mu0)
     n_max = probe.n_correctors
     ops = _assemble_operators(probe, profile, n_max)
-    B0 = _brackets(lam0, mu0, probe.omega)
     for n in range(1, n_max + 1):
-        rhs: ZPoly = {}
-        for s in range(1, n + 1):
-            _poly_accum(rhs, ops[s](sol.stack[n - s]), -1.0)
-        rhs = _poly_clean(rhs, tol=1e-15)
-        sol.stack.append(_solve_l0(B0, rhs))
+        rhs = -_padded_sum([_apply(ops[s], sol.stack[n - s]) for s in range(1, n + 1)])
+        sol.stack.append(_solve_l0(ops[0], _trim(rhs, tol=1e-15)))
     sol.operators = ops
     return sol
 
@@ -709,65 +588,24 @@ def _apply_operator_fd(
     """
     n = centers.shape[0]
     offsets = np.stack(np.meshgrid(_OFFS, _OFFS, _OFFS, indexing="ij"), axis=-1)
-    pts = centers[:, None, None, None, :] + offsets[None] * steps[None, None, None, None, :]
-    vals = evaluator(pts.reshape(-1, 3)).reshape(n, 5, 5, 5, 3)
-
-    out = np.zeros((n, 3), dtype=complex)
-    w1 = {ax: _FD1 / steps[ax] for ax in range(3)}
-    w2 = {ax: _FD2 / steps[ax] ** 2 for ax in range(3)}
-    iC = np.array([2, 2, 2])  # index of the center in each stencil axis
-
-    def first(ax):
-        sl = [iC[0], iC[1], iC[2]]
-        acc = np.zeros((n, 3), dtype=complex)
-        for t, o in enumerate(_OFFS):
-            idx = list(sl)
-            idx[ax] = iC[ax] + o
-            acc += w1[ax][t] * vals[:, idx[0], idx[1], idx[2], :]
-        return acc
-
-    def second(ax):
-        acc = np.zeros((n, 3), dtype=complex)
-        for t, o in enumerate(_OFFS):
-            idx = [iC[0], iC[1], iC[2]]
-            idx[ax] = iC[ax] + o
-            acc += w2[ax][t] * vals[:, idx[0], idx[1], idx[2], :]
-        return acc
-
-    def mixed(ax1, ax2):
-        acc = np.zeros((n, 3), dtype=complex)
-        for t1, o1 in enumerate(_OFFS):
-            for t2, o2 in enumerate(_OFFS):
-                idx = [iC[0], iC[1], iC[2]]
-                idx[ax1] = iC[ax1] + o1
-                idx[ax2] = iC[ax2] + o2
-                acc += w1[ax1][t1] * w1[ax2][t2] * vals[:, idx[0], idx[1], idx[2], :]
-        return acc
-
-    hess = {}
+    u = evaluator((centers[:, None, None, None, :] + offsets * steps).reshape(-1, 3))
+    u = u.reshape(n, 5, 5, 5, 3)
+    w1, w2 = _FD1 / steps[:, None], _FD2 / steps[:, None] ** 2
+    # stencil lines through the center along each axis, planes through it per axis pair
+    lines = (u[:, :, 2, 2], u[:, 2, :, 2], u[:, 2, 2, :])
+    planes = {(0, 1): u[:, :, :, 2], (0, 2): u[:, :, 2, :], (1, 2): u[:, 2, :, :]}
+    grad = np.stack([w1[j] @ lines[j] for j in range(3)], axis=1)  # [center, l, k]
+    hess = np.empty((n, 3, 3, 3), dtype=complex)  # [center, j, l, k]
     for j in range(3):
-        for l in range(j, 3):
-            hess[(j, l)] = second(j) if j == l else mixed(j, l)
-    grad = {l: first(l) for l in range(3)}
+        hess[:, j, j] = w2[j] @ lines[j]
+    for (j, l), plane in planes.items():
+        hess[:, j, l] = hess[:, l, j] = w1[j] @ (w1[l] @ plane)
 
     y3 = centers[:, 2]
-    lam = np.asarray(profile.lam(y3), dtype=float)
-    mu = np.asarray(profile.mu(y3), dtype=float)
-    dlam = np.asarray(profile.lam(y3, 1), dtype=float)
-    dmu = np.asarray(profile.mu(y3, 1), dtype=float)
-
-    for p in range(n):
-        C = isotropic_components(lam[p], mu[p])
-        dC = isotropic_components(dlam[p], dmu[p])
-        acc = np.zeros(3, dtype=complex)
-        for j in range(3):
-            for l in range(3):
-                H = hess[(min(j, l), max(j, l))][p]
-                acc += C[:, j, :, l] @ H
-        for l in range(3):
-            acc += dC[:, 2, :, l] @ grad[l][p]
-        out[p] = acc
-    return out
+    col = lambda f, order: np.asarray(f(y3, order), dtype=float)[:, None, None, None, None]
+    C = isotropic_components(col(profile.lam, 0), col(profile.mu, 0))
+    dC = isotropic_components(col(profile.lam, 1), col(profile.mu, 1))
+    return np.einsum("nijkl,njlk->ni", C, hess) + np.einsum("nikl,nlk->ni", dC[:, :, 2], grad)
 
 
 @dataclass(frozen=True)
@@ -794,15 +632,17 @@ class DecayFit:
 
 
 def _two_term_exponent(N: np.ndarray, norms: np.ndarray, rho: float):
-    """Scan the leading exponent of c1 N^q + c2 N^{q-rho} by relative LSQ."""
-    best = (math.inf, 0.0, (0.0, 0.0))
-    for q in np.arange(0.0, 3.0 + 1e-9, 0.0025):
-        B = np.column_stack([N**q, N ** (q - rho)]) / norms[:, None]
-        c, *_ = np.linalg.lstsq(B, np.ones(N.size), rcond=None)
-        mis = float(np.linalg.norm(B @ c - 1.0))
-        if mis < best[0]:
-            best = (mis, float(q), (float(c[0]), float(c[1])))
-    return best[1], best[2], best[0]
+    """Scan the leading exponent q of c1 N^q + c2 N^{q-rho} by relative LSQ.
+
+    q runs over k * 0.0025, k = -1200 .. 1200: the bound 2 - m - rho is
+    negative from m = 2 on, and integer multiples keep the scanned values exact.
+    """
+    q = np.arange(-1200, 1201) * 0.0025
+    B = np.stack([N ** q[:, None], N ** (q[:, None] - rho)], axis=-1) / norms[:, None]
+    c = np.linalg.pinv(B) @ np.ones(N.size)
+    mis = np.linalg.norm(np.einsum("qnj,qj->qn", B, c) - 1.0, axis=1)
+    i = int(np.argmin(mis))
+    return float(q[i]), (float(c[i, 0]), float(c[i, 1])), float(mis[i])
 
 
 def residual_decay(

@@ -110,7 +110,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "nodes": {"type": "integer", "minimum": 8},
-                "tail_tol": {"type": "number", "exclusiveMinimum": 0},
+                "tail_tol": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
                 "riccati_tol": {"type": "number", "exclusiveMinimum": 0},
             },
         },
@@ -254,6 +254,9 @@ def cross_field_errors(cfg: dict) -> list[str]:
     cutoff = cfg.get("cutoff", {})
     if cutoff.get("kind") == "bump" and "sigma" in cutoff:
         errors.append("cutoff.sigma applies only to kind 'gaussian'; the bump has a fixed width")
+    for d in cfg.get("probes", {}).get("directions", []):
+        if math.hypot(d[0], d[1]) == 0.0:
+            errors.append(f"probe direction {d} is zero: a direction must be a nonzero tangent")
     ladder = cfg["ladder"]
     if any(b != 2 * a for a, b in zip(ladder, ladder[1:])):
         errors.append(f"ladder must be dyadic: {ladder}")
@@ -295,12 +298,12 @@ def battery_from_config(cfg: dict):
     return battery
 
 
-def quad_from_config(cfg: dict, tol_scale: float = 1.0) -> QuadratureSettings:
+def quad_from_config(cfg: dict) -> QuadratureSettings:
     q = cfg.get("quadrature", {})
     return QuadratureSettings(
         nodes=q.get("nodes", 96),
-        tail_tol=q.get("tail_tol", 1e-8) * tol_scale,
-        riccati_tol=q.get("riccati_tol", 1e-10) * tol_scale,
+        tail_tol=q.get("tail_tol", 1e-8),
+        riccati_tol=q.get("riccati_tol", 1e-10),
     )
 
 
@@ -426,7 +429,7 @@ def cmd_forward(args) -> int:
     profile = profile_from_config(cfg)
     battery = battery_from_config(cfg)
     cutoff = cutoff_from_config(cfg)
-    quad = quad_from_config(cfg, args.tol_scale)
+    quad = quad_from_config(cfg)
     orders = [0] + ([cfg["order"]] if cfg["order"] >= 1 else [])
     ladders = []
     t0 = time.perf_counter()
@@ -532,7 +535,7 @@ def cmd_reconstruct(args) -> int:
     profile = profile_from_config(cfg)
     battery = battery_from_config(cfg)
     cutoff = cutoff_from_config(cfg)
-    quad = quad_from_config(cfg, args.tol_scale)
+    quad = quad_from_config(cfg)
     stages: dict[str, float] = {}
     grids0, symbols0 = polar_grid.cache_info(), dict(symbol_memo.counts)
     built0, seconds0 = len(symbol_memo.accepted), symbol_memo.seconds
@@ -651,8 +654,6 @@ def main(argv=None) -> int:
             p.add_argument("--out", required=True, help="output directory")
         else:
             p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--tol-scale", type=float, default=1.0,
-                       help="scale factor on quadrature tolerances")
 
     add_common(sub.add_parser("validate", help="validate a config file"))
     add_common(sub.add_parser("stroh", help="print K, the Jordan chain and Z"))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elastic import AdmissibilityError, check_admissible
+from .elastic import check_admissible
 
 __all__ = [
     "AcousticBlock",
@@ -172,8 +172,6 @@ def sigma_basis(lam: float, mu: float, omega) -> np.ndarray:
         sigma_3 = (0, 0, -(lam + 3 mu)/(lam + mu)).
     """
     check_admissible(lam, mu)
-    if lam + mu <= 0.0:  # unreachable under admissibility; kept as a guard
-        raise AdmissibilityError(f"lam + mu = {lam + mu} <= 0: sigma_3 undefined")
     w = _as_tangent(omega)
     s = (lam + 3.0 * mu) / (lam + mu)
     return np.array(

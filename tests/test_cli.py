@@ -132,6 +132,21 @@ class TestValidate:
         path.write_text(json.dumps(cfg))
         assert main(["validate", "--config", str(path)]) == EXIT_OK
 
+    def test_zero_direction_named(self, tmp_path, capsys):
+        path = write_config(tmp_path, probes={"kinds": ["e3"], "directions": [[0.0, 0.0], [1.0, 0.0]]})
+        assert any("direction [0.0, 0.0] is zero" in e
+                   for e in cross_field_errors(json.loads(path.read_text())))
+        assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+        assert main(["stroh", "--config", str(path)]) == EXIT_CONFIG
+        assert main(["forward", "--config", str(path), "--out", str(tmp_path / "f")]) == EXIT_CONFIG
+        assert "is zero" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tail_tol", [1.0, 2.0])
+    def test_tail_tol_below_one(self, tmp_path, tail_tol):
+        path = write_config(tmp_path, quadrature={"nodes": 48, "tail_tol": tail_tol})
+        assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+        assert main(["reconstruct", "--config", str(path), "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+
     def test_schema_violation(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"version": 1, "profile": {}}))
@@ -242,17 +257,6 @@ class TestCsvOutputs:
                 assert len(row) == 7 and None not in row
                 assert row["probe_id"] in ("e3@(1,0)", "sigma1@(1,0)")
                 assert int(row["m"]) == 0 and math.isfinite(float(row["re"]))
-
-
-class TestTolScale:
-    def test_tol_scale_flag_parses_and_runs(self, tmp_path):
-        path = write_config(tmp_path, order=0, ladder=[8, 16, 32, 64],
-                            probes={"kinds": ["sigma1"], "directions": [[1.0, 0.0]]})
-        out = tmp_path / "ts"
-        rc = main(["forward", "--config", str(path), "--out", str(out),
-                   "--tol-scale", "10.0"])
-        assert rc == EXIT_OK
-        assert (out / "pairings.csv").exists()
 
 
 class TestAnsatzCheck:
