@@ -588,8 +588,10 @@ def _apply_operator_fd(
     """
     n = centers.shape[0]
     offsets = np.stack(np.meshgrid(_OFFS, _OFFS, _OFFS, indexing="ij"), axis=-1)
-    u = evaluator((centers[:, None, None, None, :] + offsets * steps).reshape(-1, 3))
-    u = u.reshape(n, 5, 5, 5, 3)
+    planar = (offsets == 0).any(axis=-1)  # the 61 points the stencils read; the rest stay 0
+    u = np.zeros((n, 5, 5, 5, 3), dtype=complex)
+    u[:, planar] = evaluator((centers[:, None] + offsets[planar] * steps).reshape(-1, 3)
+                             ).reshape(n, -1, 3)
     w1, w2 = _FD1 / steps[:, None], _FD2 / steps[:, None] ** 2
     # stencil lines through the center along each axis, planes through it per axis pair
     lines = (u[:, :, 2, 2], u[:, 2, :, 2], u[:, 2, 2, :])

@@ -257,6 +257,11 @@ def cross_field_errors(cfg: dict) -> list[str]:
     for d in cfg.get("probes", {}).get("directions", []):
         if math.hypot(d[0], d[1]) == 0.0:
             errors.append(f"probe direction {d} is zero: a direction must be a nonzero tangent")
+    expect = cfg.get("expect", {})
+    for key, other in (("lambda", "mu"), ("mu", "lambda"), ("dlam", "dmu"), ("dmu", "dlam")):
+        if key in expect and other not in expect:
+            errors.append(f"expect.{key} is given without expect.{other}: "
+                          "the two are checked together")
     ladder = cfg["ladder"]
     if any(b != 2 * a for a, b in zip(ladder, ladder[1:])):
         errors.append(f"ladder must be dyadic: {ladder}")
@@ -595,9 +600,7 @@ def _check_expectations(report, expect: dict) -> list[str]:
     if "lambda" in expect:
         rtol = expect.get("order0_rtol", 0.03)
         for name, got, want in (("lambda", report.order0.lam, expect["lambda"]),
-                                ("mu", report.order0.mu, expect.get("mu"))):
-            if want is None:
-                continue
+                                ("mu", report.order0.mu, expect["mu"])):
             if abs(got - want) > rtol * abs(want):
                 failures.append(f"order0 {name}: got {got:.6g}, want {want:g} (rtol {rtol:g})")
     if "dlam" in expect and report.order_m:

@@ -12,6 +12,9 @@ Three design matrices can drive the order-m recovery:
 
 The calibration is the ground truth; the others are hypotheses under test,
 and the report carries their Frobenius distances and a verdict.
+
+Order 0 is linear in x = (lam mu, mu^2)/(lam + 3 mu): one least-squares solve
+and an exact back-map give the moduli. Both orders solve through one SVD.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .ansatz import CutoffProfile, GaussianCutoff, ProbeSpec
 from .elastic import LameProfile, check_admissible
 from .forward import (
     DEFAULT_QUAD,
+    ForwardError,
     PairingResult,
     QuadratureSettings,
     Z_ROWS_E1,
@@ -51,8 +55,8 @@ __all__ = [
     "homogeneous_pairing_value",
     "leading_order_response",
     "order0_coefficients",
-    "order0_model",
     "order0_response",
+    "order0_variables",
     "recover_order0",
     "recover_order_m",
     "reconstruct_profile",
@@ -308,12 +312,27 @@ def run_ladder(
 
 
 # ---------------------------------------------------------------------------
-# order-0 recovery (rational two-unknown least squares)
+# order-0 recovery (linear least squares in x = (lam mu, mu^2)/(lam + 3 mu))
 # ---------------------------------------------------------------------------
 
-_SCAN = np.linspace(math.log(1e-8), math.log(1e6), 281)  # s = log(t + 2/3), t = lam/mu
-_STEP_TOL, _MAX_STEPS = 1e-13, 100  # Gauss-Newton: relative (lam, mu) step
 _PASS_TOL, _MAX_PASSES = 1e-12, 200  # deflation fixed point: relative (lam, mu) change
+_UNSEPARABLE = ("order-0 battery cannot separate lambda from mu: rows "
+                "(a^H Z_lam a, a^H Z_mu a) have rank < 2")
+
+
+def _least_squares(A, b, templates, failure: str):
+    """min |A x - b| from one SVD of A: the solution, its residual, the condition
+    number of A and its pseudo-inverse (which propagates noise on b into x).
+
+    Raises BatteryError(``failure``, naming the probes) when A is
+    rank-deficient by the relative rule s_min <= 1e-10 s_max."""
+    U, s, Vh = np.linalg.svd(A, full_matrices=False)
+    if s.size < 2 or s[-1] <= 1e-10 * s[0]:
+        names = ", ".join(t.name for t in templates)
+        raise BatteryError(f"{failure} for probes [{names}]")
+    pinv = (Vh.conj().T / s) @ U.conj().T
+    x = pinv @ b
+    return x, float(np.linalg.norm(A @ x - b)), float(s[0] / s[-1]), pinv
 
 
 @dataclass(frozen=True)
@@ -323,9 +342,8 @@ class Order0Result:
     residual: float
     ok: bool
     method: str
-    n_iterations: int  # Gauss-Newton steps of the last solve
-    passes: int  # deflation passes of refine_order0 (0 for a single solve)
-    final_change: float  # relative (lam, mu) change of the last step or pass
+    passes: int = 0  # deflation passes of refine_order0 (0 for a single solve)
+    final_change: float = 0.0  # relative (lam, mu) change of the last pass
 
 
 def _relative_change(old, new) -> float:
@@ -339,72 +357,45 @@ def order0_coefficients(templates) -> np.ndarray:
     templates = list(templates)
     rows = np.array([[np.vdot(t.a, Zc @ t.a).real for Zc in impedance_basis(t.omega)]
                      for t in templates])
-    sv = np.linalg.svd(rows, compute_uv=False)
-    if sv.size < 2 or sv[1] <= 1e-10 * sv[0]:
-        names = ", ".join(t.name for t in templates)
-        raise BatteryError(f"order-0 battery cannot separate lambda from mu: rows "
-                           f"(a^H Z_lam a, a^H Z_mu a) have rank < 2 for probes [{names}]")
+    _least_squares(rows, np.zeros(len(rows)), templates, _UNSEPARABLE)  # the rank rule
     return rows
 
 
-def order0_model(coeffs, lam: float, mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """Limits p = a^H Z a = mu (alpha lam + beta mu)/(lam + 3 mu), one per row
-    of ``coeffs``, and their analytic Jacobian dp/d(lam, mu), shape (n, 2)."""
-    alpha, beta = np.asarray(coeffs, dtype=float).T
-    d = lam + 3.0 * mu
-    p = mu * (alpha * lam + beta * mu) / d
-    J = np.column_stack([mu**2 * (3.0 * alpha - beta),
-                         alpha * lam**2 + 2.0 * beta * lam * mu + 3.0 * beta * mu**2]) / d**2
-    return p, J
+def order0_variables(lam: float, mu: float) -> np.ndarray:
+    """x = (lam mu, mu^2)/(lam + 3 mu), in which a probe's order-0 limit
+    a^H Z a = mu (alpha lam + beta mu)/(lam + 3 mu) is the linear form (alpha, beta) . x."""
+    return np.array([lam * mu, mu * mu]) / (lam + 3.0 * mu)
+
+
+def _moduli(x) -> tuple[float, float]:
+    """(lam, mu) from x by the exact back-map mu = x1 + 3 x2, lam = mu x1 / x2."""
+    mu = x[0] + 3.0 * x[1]
+    return float(mu * x[0] / x[1]), float(mu)
 
 
 def recover_order0(limits, coeffs: np.ndarray | None = None) -> Order0Result:
     """Least-squares (lam, mu) from (ProbeTemplate, limit) pairs; ``coeffs`` may
     carry their :func:`order0_coefficients` when the same battery is solved repeatedly.
 
-    Variable projection (Golub & Pereyra 1973): for fixed t = lam/mu the model
-    is linear in mu, so a scan of the mu-projected residual over log(t + 2/3)
-    gives a global start. Gauss-Newton with the analytic Jacobian, its steps
-    halved to stay admissible and, above 1e-6 relative, to lower the residual,
-    polishes it until a step moves (lam, mu) by at most 1e-13 relative. ``ok``
-    requires convergence and a residual within 1e-3 of the largest limit.
+    The limits are linear in x = (lam mu, mu^2)/(lam + 3 mu) (see
+    :func:`order0_variables`), so the solve is one linear least-squares step
+    followed by the exact back-map to (lam, mu). ``ok`` requires admissible
+    moduli (mu > 0 and 3 lam + 2 mu > 0, that is x2 > 0 and x1 > -2/3 x2) and
+    a residual within 1e-3 of the largest limit.
     """
-    C = order0_coefficients(t for t, _ in limits) if coeffs is None else coeffs
+    templates = [t for t, _ in limits]
+    C = order0_coefficients(templates) if coeffs is None else coeffs
     y = np.array([float(np.real(v)) for _, v in limits])
-    t = np.exp(_SCAN) - 2.0 / 3.0
-    G = (np.outer(t, C[:, 0]) + C[:, 1]) / (t + 3.0)[:, None]  # p / mu at each node
-    gy, gg = G @ y, np.einsum("ij,ij->i", G, G)
-    k = int(np.argmin(np.where(gy > 0.0, -gy**2 / gg, np.inf)))
-    mu = gy[k] / gg[k] if gy[k] > 0.0 else 1.0
-    x = np.array([mu * t[k], mu])
-    p, J = order0_model(C, *x)
-    converged, change, n_iter = False, 0.0, 0
-    while not converged and n_iter < _MAX_STEPS:
-        n_iter += 1
-        step = np.linalg.lstsq(J, y - p, rcond=None)[0]
-        for _ in range(60):
-            lam, mu = x + step
-            change = _relative_change(x, x + step)
-            if mu > 0.0 and 3.0 * lam + 2.0 * mu > 0.0:
-                p_new, J_new = order0_model(C, lam, mu)
-                # below 1e-6 the residual's drop is under its rounding error
-                if np.linalg.norm(p_new - y) < np.linalg.norm(p - y) or change <= 1e-6:
-                    break
-            step /= 2.0
-        else:  # no admissible step
-            break
-        x, p, J = x + step, p_new, J_new
-        converged = change <= _STEP_TOL
-    res = float(np.linalg.norm(p - y))
-    ok = converged and res <= 1e-3 * max(np.abs(y).max(), 1.0)
-    return Order0Result(float(x[0]), float(x[1]), res, bool(ok), "varpro+gauss-newton",
-                        n_iter, 0, change)
+    x, residual, _, _ = _least_squares(C, y, templates, _UNSEPARABLE)
+    admissible = x[1] > 0.0 and 3.0 * x[0] + 2.0 * x[1] > 0.0
+    ok = admissible and residual <= 1e-3 * max(np.abs(y).max(), 1.0)
+    return Order0Result(*_moduli(x), residual, bool(ok), "linear least squares")
 
 
 def _pairing_moments(template: ProbeTemplate, N: int, rho_tilde: int,
                      cutoff: CutoffProfile, quad: QuadratureSettings) -> np.ndarray:
     """(G_lam, G_mu): a half-space pairs, with M(k) = |k| R Z R^T on the forward
-    pairing's grid, to mu/(lam + 3 mu) (lam G_lam + mu G_mu), as Z is linear."""
+    pairing's grid, to (G_lam, G_mu) . x, as Z is linear (see order0_variables)."""
     grid = polar_grid(int(N), rho_tilde, cutoff, quad)
     return grid.contract(Z_ROWS_E1[:, None, :] * grid.r[:, None], template.a, template.omega)
 
@@ -416,7 +407,7 @@ def homogeneous_pairing_value(template: ProbeTemplate, N: int, rho_tilde: int,
     exactly computable part of the finite-N error of a pairing ladder."""
     check_admissible(lam, mu)
     G = _pairing_moments(template, N, rho_tilde, cutoff, quad)
-    return float(mu / (lam + 3.0 * mu) * (lam * G[0] + mu * G[1]))
+    return float(G @ order0_variables(lam, mu))
 
 
 def refine_order0(
@@ -430,31 +421,38 @@ def refine_order0(
     The finite-N error of an order-0 ladder is dominated by the spectral
     spread of the probe acting on the homogeneous symbol |k| Z, which is
     computable exactly. Each pass deflates the measured ladders by the model
-    factor at the current (lam, mu), refits the remaining stratified
-    correction (a 1/N series) and re-solves for the moduli, until (lam, mu)
-    moves by at most 1e-12 relative; ``ok`` is False if the pass cap comes first.
+    factor at the current x (see :func:`order0_variables`), refits the
+    remaining stratified correction (a 1/N series) and re-solves for x, until
+    (lam, mu) moves by at most 1e-12 relative; ``ok`` is False if the pass cap
+    comes first. The deflator (c . x)/(G . x) depends on lam/mu alone, so a
+    pass whose x is inadmissible is still well defined. All ladders share one N-list.
     """
-    C = order0_coefficients(lr.template for lr in ladders)
-    rho = 1.0 / rho_tilde
-    fits = []  # per ladder: moments (nN, 2), first row of the fit's pseudo-inverse
-    for lr in ladders:
-        Nf = lr.N_values.astype(float)
-        # deflation leaves the stratified 1/N series with even spread
-        # corrections: exponents {1, 1 + 2 rho, 2}
-        A = np.column_stack([np.ones(Nf.size), Nf**-1.0, Nf ** -(1.0 + 2.0 * rho), Nf**-2.0])
-        G = np.array([_pairing_moments(lr.template, n, rho_tilde, cutoff, quad)
-                      for n in lr.N_values])
-        fits.append((G, np.linalg.pinv(A)[0]))
-    order0 = recover_order0([(lr.template, lr.limit) for lr in ladders], C)
+    templates = [lr.template for lr in ladders]
+    C = order0_coefficients(templates)
+    N = ladders[0].N_values
+    if any(not np.array_equal(lr.N_values, N) for lr in ladders):
+        raise ValueError("refine_order0 needs ladders on one N-list")
+    Nf, rho = N.astype(float), 1.0 / rho_tilde
+    # deflation leaves the stratified 1/N series with even spread
+    # corrections: exponents {1, 1 + 2 rho, 2}; w takes a ladder to its limit
+    w = np.linalg.pinv(np.column_stack(
+        [np.ones(Nf.size), Nf**-1.0, Nf ** -(1.0 + 2.0 * rho), Nf**-2.0]))[0]
+    G = np.array([[_pairing_moments(t, n, rho_tilde, cutoff, quad) for n in N]
+                  for t in templates])  # (probe, N, 2)
+    values = np.array([lr.values.real for lr in ladders])
+    y = np.array([lr.limit.real for lr in ladders])
+    x, _, _, pinv = _least_squares(C, y, templates, _UNSEPARABLE)
+    moduli = _moduli(x)
     for passes in range(1, _MAX_PASSES + 1):
-        lam, mu = order0.lam, order0.mu
-        # deflator: model pairing over its N = infinity limit (mu/(lam + 3 mu) cancels)
-        limits = [(lr.template, float(w @ (lr.values.real * (c @ (lam, mu)) / (G @ (lam, mu)))))
-                  for lr, (G, w), c in zip(ladders, fits, C)]
-        order0 = recover_order0(limits, C)
-        change = _relative_change((lam, mu), (order0.lam, order0.mu))
+        # deflator: model pairing over its N = infinity limit
+        y = (values * ((C @ x)[:, None] / (G @ x))) @ w
+        x = pinv @ y
+        previous, moduli = moduli, _moduli(x)
+        change = _relative_change(previous, moduli)
         if change <= _PASS_TOL:
             break
+    limits = [(t, float(v)) for t, v in zip(templates, y)]
+    order0 = recover_order0(limits, C)  # the same pinv, so the same x as the last pass
     return (replace(order0, ok=order0.ok and change <= _PASS_TOL, passes=passes,
                     final_change=change),
             {t.name: v for t, v in limits})
@@ -521,25 +519,13 @@ def recover_order_m(
     """
     battery = [t for t, _ in limits]
     A = design_matrix(battery, m, mode, base, calibration)
-    if np.linalg.matrix_rank(A, tol=1e-10) < 2:
-        names = ", ".join(t.name for t in battery)
-        raise BatteryError(f"design matrix rank-deficient in mode {mode} for probes [{names}]")
-    b = np.array([
-        complex(v.limit) if isinstance(v, LadderResult) else complex(v)
-        for _, v in limits
-    ])
-    noises = np.array([
-        v.noise if isinstance(v, LadderResult) else 0.0 for _, v in limits
-    ])
-    x, res2, rank, svals = np.linalg.lstsq(A, b, rcond=None)
-    resid = float(np.linalg.norm(A @ x - b))
-    cond = float(svals[0] / svals[-1])
-    pinv = np.linalg.pinv(A)
+    b = np.array([complex(v.limit if isinstance(v, LadderResult) else v) for _, v in limits])
+    noises = np.array([v.noise if isinstance(v, LadderResult) else 0.0 for _, v in limits])
+    x, resid, cond, pinv = _least_squares(A, b, battery,
+                                          f"design matrix rank-deficient in mode {mode}")
     noise = np.sqrt((np.abs(pinv) ** 2) @ (noises**2))
-    return OrderMResult(
-        m, mode, float(np.real(x[0])), float(np.real(x[1])), resid, cond,
-        (float(noise[0]), float(noise[1])),
-    )
+    return OrderMResult(m, mode, float(np.real(x[0])), float(np.real(x[1])), resid, cond,
+                        (float(noise[0]), float(noise[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +696,8 @@ def reconstruct_profile(
     calibrate: bool = True,
 ) -> ReconstructionReport:
     """Order-0 recovery followed by order-m recovery in every available mode;
-    each order's rho_tilde (default as in run_ladder) serves all its ladders."""
+    each order's rho_tilde (default as in run_ladder) serves all its ladders.
+    Refined order-0 moduli that are inadmissible raise ForwardError."""
     battery = battery if battery is not None else default_battery()
     order0_coefficients(battery)  # reject an unidentifiable battery before any ladder
     cutoff = cutoff if cutoff is not None else DEFAULT_CUTOFF
@@ -719,6 +706,9 @@ def reconstruct_profile(
     order0_ladders = serial_ladder_runner(profile, battery, N_list, 0, cutoff, rt0, quad)
     order0, refined_limits = refine_order0(order0_ladders, cutoff, rt0, quad)
     base = (order0.lam, order0.mu)
+    if not (base[1] > 0.0 and 3.0 * base[0] + 2.0 * base[1] > 0.0):
+        raise ForwardError(f"order-0 recovery ended at inadmissible moduli lambda = {base[0]:.6g}, "
+                           f"mu = {base[1]:.6g}: the ladders admit no elastic half-space")
 
     order_m_ladders = []
     order_m: dict[str, OrderMResult] = {}

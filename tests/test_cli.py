@@ -11,6 +11,7 @@ import pytest
 from lame_edge.cli import (
     EXIT_ACCEPTANCE,
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     ConfigError,
     cross_field_errors,
@@ -92,6 +93,24 @@ class TestValidate:
         errors = cross_field_errors(json.loads(path.read_text()))
         assert any("dyadic" in e for e in errors)
         assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("expect, given, missing", [
+        ({"dlam": 0.3}, "dlam", "dmu"),
+        ({"dmu": 0.2, "rtol_calibrated": 0.05}, "dmu", "dlam"),
+        ({"mu": 1.0}, "mu", "lambda"),
+        ({"lambda": 1.0, "order0_rtol": 0.05}, "lambda", "mu"),
+    ])
+    def test_unpaired_expect_key_named(self, tmp_path, capsys, expect, given, missing):
+        # each pair is checked as one: alone, a key would fail with a KeyError
+        # (dlam) or never be checked (dmu, mu)
+        path = write_config(tmp_path, order=0, expect=expect)
+        message = f"expect.{given} is given without expect.{missing}"
+        assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        rc = main(["reconstruct", "--config", str(path), "--out", str(tmp_path / "r")])
+        assert rc == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_order_beyond_profile_derivatives(self, tmp_path):
         path = write_config(tmp_path)
@@ -365,6 +384,21 @@ class TestReconstructCommand:
         rc = main(["reconstruct", "--config", str(path), "--out", str(tmp_path / "rank")])
         assert rc == EXIT_CONFIG
         assert "config error: order-0 battery cannot separate" in capsys.readouterr().err
+
+    def test_inadmissible_order0_exits_numerical(self, tmp_path, capsys, monkeypatch):
+        # a refine that ends at inadmissible moduli stops the run before any
+        # order-m solve or calibration builds a profile on them
+        from lame_edge import reconstruct
+
+        def refine(ladders, cutoff, rho_tilde, quad):
+            return reconstruct.Order0Result(-0.7, 1.0, 0.0, False, "linear least squares"), {}
+
+        monkeypatch.setattr(reconstruct, "refine_order0", refine)
+        path = write_config(tmp_path)
+        rc = main(["reconstruct", "--config", str(path), "--out", str(tmp_path / "r")])
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical diagnostic: order-0 recovery ended at inadmissible moduli" in err
 
     def test_expect_breach_exits_2(self, tmp_path):
         path = write_config(

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lame_edge.ansatz import GaussianCutoff
@@ -16,8 +16,8 @@ from lame_edge.reconstruct import (
     homogeneous_pairing_value,
     leading_order_response,
     order0_coefficients,
-    order0_model,
     order0_response,
+    order0_variables,
     recover_order0,
     recover_order_m,
     refine_order0,
@@ -179,7 +179,7 @@ class TestRecoverOrder0:
         # quadratic_form computes too; the transposed sum would give 2.4 here
         mixed = ProbeTemplate("mixed", np.array([1.0, 0.0, 1.0j]), np.array(E1))
         battery = [mixed, ProbeTemplate.named("e3", (1.0, 0.0))]
-        p, _ = order0_model(order0_coefficients(battery), 2.0, 1.0)
+        p = order0_coefficients(battery) @ order0_variables(2.0, 1.0)
         assert p[0] == pytest.approx(4.0, rel=1e-14)
         assert quadratic_form(impedance(2.0, 1.0, E1), mixed.a) == pytest.approx(4.0)
         limits = [(t, order0_response(t.a, t.omega, 2.0, 1.0)) for t in battery]
@@ -209,7 +209,7 @@ class TestOrder0Model:
     @given(moduli, directions, unit_complex)
     def test_predictions_match_family_energy(self, lm, om, a):
         battery = with_companions(a, om)
-        p, _ = order0_model(order0_coefficients(battery), *lm)
+        p = order0_coefficients(battery) @ order0_variables(*lm)
         np.testing.assert_allclose(p, [order0_response(t.a, t.omega, *lm) for t in battery],
                                    rtol=1e-12)
 
@@ -217,22 +217,9 @@ class TestOrder0Model:
     @given(moduli, st.floats(0.1, 10.0))
     def test_degree_one_homogeneity(self, lm, s):
         C = order0_coefficients(default_battery())
-        p, _ = order0_model(C, *lm)
-        ps, _ = order0_model(C, s * lm[0], s * lm[1])
+        p = C @ order0_variables(*lm)
+        ps = C @ order0_variables(s * lm[0], s * lm[1])
         np.testing.assert_allclose(ps, s * p, rtol=1e-13)
-
-    @settings(max_examples=100, deadline=None)
-    @given(moduli, directions, unit_complex)
-    def test_jacobian_matches_central_difference(self, lm, om, a):
-        lam, mu = lm
-        C = order0_coefficients(with_companions(a, om))
-        _, J = order0_model(C, lam, mu)
-        h = 1e-6 * mu
-        fd = np.column_stack([
-            (order0_model(C, lam + h, mu)[0] - order0_model(C, lam - h, mu)[0]) / (2 * h),
-            (order0_model(C, lam, mu + h)[0] - order0_model(C, lam, mu - h)[0]) / (2 * h),
-        ])
-        np.testing.assert_allclose(J, fd, rtol=1e-7, atol=1e-9 * np.abs(J).max())
 
     @settings(max_examples=100, deadline=None)
     @given(moduli, unit_complex)
@@ -244,6 +231,24 @@ class TestOrder0Model:
         assert res.ok
         assert abs(res.lam - lm[0]) <= 1e-10 * scale
         assert abs(res.mu - lm[1]) <= 1e-10 * scale
+
+    @settings(max_examples=100, deadline=None)
+    @given(moduli, st.lists(st.floats(-0.02, 0.02), min_size=6, max_size=6),
+           st.floats(-0.05, 0.05), st.floats(-0.05, 0.05))
+    def test_noisy_solve_minimises_residual(self, lm, noise, dl, dm):
+        # the solve is the least-squares point over all x, so no admissible
+        # moduli fit noisy limits better: neither the truth nor a perturbation
+        battery = default_battery()
+        limits = [(t, order0_response(t.a, t.omega, *lm) * (1.0 + e))
+                  for t, e in zip(battery, noise)]
+        res = recover_order0(limits)
+        assume(res.mu > 0.0 and 3.0 * res.lam + 2.0 * res.mu > 0.0)
+        y = np.array([v for _, v in limits])
+        lam, mu = lm[0] + dl * lm[1], lm[1] * (1.0 + dm)
+        for moduli_ in (lm, (lam, mu)):
+            if moduli_[1] > 0.0 and 3.0 * moduli_[0] + 2.0 * moduli_[1] > 0.0:
+                model = [order0_response(t.a, t.omega, *moduli_) for t in battery]
+                assert res.residual <= np.linalg.norm(model - y) + 1e-13 * np.linalg.norm(y)
 
 
 class TestRefineOrder0:
@@ -259,6 +264,31 @@ class TestRefineOrder0:
         assert 1 <= res.passes < 200
         assert res.final_change <= 1e-12
         assert set(refined) == {t.name for t in default_battery()}
+
+    def test_ladders_on_different_n_lists_rejected(self):
+        # one ladder-fit pseudo-inverse serves every ladder of a refine
+        cut = GaussianCutoff()
+        prof = LameProfile.constant(2.0, 1.0, name="hom21-two-lists")
+        ladders = [run_ladder(prof, ProbeTemplate.named(kind, (1.0, 0.0)), N_list, 0, cut, 4)
+                   for kind, N_list in (("e3", [16, 32, 64, 128]), ("sigma1", [32, 64, 128, 256]))]
+        with pytest.raises(ValueError, match="one N-list"):
+            refine_order0(ladders, cut, 4)
+
+    def test_inadmissible_raw_solve_refines_to_truth(self):
+        # near the bulk bound the raw ladder limits solve to 3 lam + 2 mu < 0:
+        # that solve is not ok, the passes deflate from it all the same
+        cut = GaussianCutoff()
+        prof = LameProfile.constant(-0.66, 1.0, name="near-bulk-bound")
+        ladders = serial_ladder_runner(prof, default_battery(), [16, 32, 64, 128, 256], 0,
+                                       cut, 4, DEFAULT_QUAD)
+        limits = [(lr.template, lr.limit) for lr in ladders]
+        x = np.linalg.lstsq(order0_coefficients(default_battery()),
+                            [v.real for _, v in limits], rcond=None)[0]
+        assert x[1] > 0.0 and 3.0 * x[0] + 2.0 * x[1] < 0.0  # x1 < -2/3 x2
+        assert not recover_order0(limits).ok
+        res, _ = refine_order0(ladders, cut, 4)
+        assert res.ok and res.passes >= 1
+        assert abs(res.lam + 0.66) <= 1e-10 and abs(res.mu - 1.0) <= 1e-10
 
 
 class TestRecoverOrderM:
