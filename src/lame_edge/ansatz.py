@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .elastic import LameProfile, isotropic_components
-from .stroh import acoustic_bracket, sigma_basis
+from .stroh import _as_tangent, acoustic_bracket, sigma_basis
 
 __all__ = [
     "AnsatzSolution",
@@ -32,8 +32,6 @@ __all__ = [
     "ProbeSpec",
     "boundary_datum",
     "build_correctors",
-    "cascade_r1",
-    "cascade_r2",
     "evaluate_ansatz",
     "leading_profile",
     "residual_decay",
@@ -246,12 +244,7 @@ class ProbeSpec:
         if a.shape != (3,):
             raise ValueError("amplitude a must be a 3-vector")
         object.__setattr__(self, "a", a)
-        w = np.asarray(self.omega, dtype=float).ravel()
-        if w.size == 2:
-            w = np.array([w[0], w[1], 0.0])
-        if abs(w[2]) > 1e-14 or not np.isclose(np.linalg.norm(w), 1.0, atol=1e-12):
-            raise ValueError("omega must be a unit tangent (omega_3 = 0)")
-        object.__setattr__(self, "omega", w)
+        object.__setattr__(self, "omega", _as_tangent(self.omega))
         if self.N < 1:
             raise ValueError("N must be a positive integer")
         if self.rho_tilde < 2:
@@ -399,17 +392,6 @@ def _field(cutoff: CutoffProfile, P: np.ndarray, zp: np.ndarray, z3: np.ndarray)
     for b1, b2 in zip(*np.nonzero(np.any(P != 0.0, axis=(0, 3)))):
         out += cutoff.derivative((b1, b2))(zp)[..., None] * (powers @ P[:, b1, b2])
     return out
-
-
-def cascade_r1(lam: float, mu: float, omega, d: int) -> np.ndarray:
-    """d * [2 <e3,e3> - i(<omega,e3> + <e3,omega>)], invertible for d >= 1."""
-    A = acoustic_bracket(lam, mu, _E3, np.asarray(omega, dtype=float))
-    return d * (2.0 * acoustic_bracket(lam, mu, _E3, _E3) - 1.0j * (A + A.T)).astype(complex)
-
-
-def cascade_r2(lam: float, mu: float, omega, d: int) -> np.ndarray:
-    """-d(d-1) <e3,e3>."""
-    return (-d * (d - 1)) * acoustic_bracket(lam, mu, _E3, _E3).astype(complex)
 
 
 class CascadeError(RuntimeError):

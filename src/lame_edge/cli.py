@@ -262,6 +262,8 @@ def cross_field_errors(cfg: dict) -> list[str]:
         if key in expect and other not in expect:
             errors.append(f"expect.{key} is given without expect.{other}: "
                           "the two are checked together")
+    errors.extend(f"expect.{key} is never checked {why}"
+                  for key, why in _unchecked_expectations(cfg).items())
     ladder = cfg["ladder"]
     if any(b != 2 * a for a, b in zip(ladder, ladder[1:])):
         errors.append(f"ladder must be dyadic: {ladder}")
@@ -273,6 +275,42 @@ def cross_field_errors(cfg: dict) -> list[str]:
             f"min 3*lambda + 2*mu = {rep.min_bulk:.4g}"
         )
     return errors
+
+
+_ORDER_M_KEYS = ("dlam", "dmu", "rtol_calibrated", "rtol_best_closed_form", "null_noise_factor")
+
+
+def _null_target(expect: dict) -> bool:
+    """A zero (dlam, dmu) target is checked as a null test against the noise bound."""
+    return bool(np.allclose([expect["dlam"], expect["dmu"]], 0.0))
+
+
+def _unchecked_expectations(cfg: dict) -> dict[str, str]:
+    """The expect keys that :func:`_check_expectations` would skip for this
+    config, each with the reason."""
+    expect = cfg.get("expect", {})
+    given = [k for k in _ORDER_M_KEYS if k in expect]
+    calibrated = cfg.get("calibrate", True)
+    skipped = {}
+    if "order0_rtol" in expect and "lambda" not in expect:
+        skipped["order0_rtol"] = "without expect.lambda"
+    if cfg["order"] == 0:
+        skipped.update((k, "at order 0, which recovers no derivatives") for k in given)
+    elif not ("dlam" in expect and "dmu" in expect):
+        skipped.update((k, "without an expect.dlam/dmu target")
+                       for k in given if k not in ("dlam", "dmu"))
+    elif _null_target(expect):
+        skipped.update((k, "with a zero dlam/dmu target, which is checked as a null test")
+                       for k in ("rtol_calibrated", "rtol_best_closed_form") if k in expect)
+    else:
+        if "null_noise_factor" in expect:
+            skipped["null_noise_factor"] = "with a nonzero dlam/dmu target"
+        if not calibrated and "rtol_calibrated" in expect:
+            skipped["rtol_calibrated"] = "without calibration"
+        if not calibrated and "rtol_best_closed_form" not in expect:
+            skipped.update((k, "with a nonzero target but neither calibration nor "
+                               "expect.rtol_best_closed_form") for k in ("dlam", "dmu"))
+    return skipped
 
 
 def profile_from_config(cfg: dict) -> LameProfile:
@@ -318,7 +356,10 @@ def quad_from_config(cfg: dict) -> QuadratureSettings:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    """Strict JSON (RFC 8259): a NaN or infinity raises instead of writing a literal
+    that parsers reject."""
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n",
+                    encoding="utf-8")
 
 
 def _fmt(x: float) -> str:
@@ -605,7 +646,7 @@ def _check_expectations(report, expect: dict) -> list[str]:
                 failures.append(f"order0 {name}: got {got:.6g}, want {want:g} (rtol {rtol:g})")
     if "dlam" in expect and report.order_m:
         want = np.array([expect["dlam"], expect["dmu"]])
-        if np.allclose(want, 0.0):
+        if _null_target(expect):
             factor = expect.get("null_noise_factor", 3.0)
             for mode, r in report.order_m.items():
                 nb = np.asarray(r.noise_bound)

@@ -15,7 +15,6 @@ __all__ = [
     "AdmissibilityError",
     "AdmissibilityReport",
     "DisplacementJet",
-    "IsotropicTensor",
     "LameProfile",
     "TruncatedProfile",
     "check_admissible",
@@ -77,45 +76,28 @@ def voigt_matrix(lam: float, mu: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class IsotropicTensor:
-    """Pointwise isotropic elastic tensor."""
-
-    lam: float
-    mu: float
-
-    def __post_init__(self) -> None:
-        check_admissible(self.lam, self.mu)
-
-    @property
-    def components(self) -> np.ndarray:
-        return tensor_components(self.lam, self.mu)
-
-
-@dataclass(frozen=True)
 class DisplacementJet:
-    """Gradient of a displacement field at a point (complex allowed)."""
+    """Gradient of a displacement field at a point (complex allowed), with its
+    strain and divergence computed once."""
 
     gradient: np.ndarray  # (3, 3), entry [k, l] = d u_k / d y_l
+    strain: np.ndarray = field(init=False, repr=False)
+    div: complex = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         g = np.asarray(self.gradient, dtype=complex)
         if g.shape != (3, 3):
             raise ValueError(f"gradient must be 3x3, got {g.shape}")
         object.__setattr__(self, "gradient", g)
-
-    @property
-    def strain(self) -> np.ndarray:
-        return 0.5 * (self.gradient + self.gradient.T)
-
-    @property
-    def div(self) -> complex:
-        return complex(np.trace(self.gradient))
+        object.__setattr__(self, "strain", 0.5 * (g + g.T))
+        object.__setattr__(self, "div", complex(g[0, 0] + g[1, 1] + g[2, 2]))
 
 
-def energy_density(C: IsotropicTensor, ju: DisplacementJet, jv: DisplacementJet) -> complex:
-    """Sesquilinear energy density lam div(u) conj(div v) + 2 mu eps(u):conj(eps(v))."""
-    eu, ev = ju.strain, jv.strain
-    return C.lam * ju.div * np.conj(jv.div) + 2.0 * C.mu * np.sum(eu * np.conj(ev))
+def energy_density(lam, mu, ju: DisplacementJet, jv: DisplacementJet) -> complex:
+    """Sesquilinear energy density lam div(u) conj(div v) + 2 mu eps(u):conj(eps(v)),
+    unchecked: linear in (lam, mu), so it also takes modulus derivatives."""
+    return complex(lam * ju.div * jv.div.conjugate()
+                   + 2.0 * mu * np.vdot(jv.strain, ju.strain))
 
 
 class LameProfile:
@@ -196,9 +178,6 @@ class LameProfile:
 
     def mu(self, y3, order: int = 0):
         return self._mu(np.asarray(y3, dtype=float), order)
-
-    def at(self, y3: float) -> IsotropicTensor:
-        return IsotropicTensor(float(self.lam(y3)), float(self.mu(y3)))
 
     def taylor_coefficients(self, order: int) -> tuple[np.ndarray, np.ndarray]:
         """(lam_b, mu_b) with f(y3) ~ sum_b f_b y3^b up to the given order."""

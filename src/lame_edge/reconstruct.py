@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .ansatz import CutoffProfile, GaussianCutoff, ProbeSpec
-from .elastic import LameProfile, check_admissible
+from .elastic import DisplacementJet, LameProfile, check_admissible, energy_density
 from .forward import (
     DEFAULT_QUAD,
     ForwardError,
@@ -37,7 +37,7 @@ from .forward import (
     polar_grid,
     warm_tables,
 )
-from .stroh import impedance, impedance_basis  # noqa: F401 (perfbench wraps this binding)
+from .stroh import impedance, impedance_basis, sigma_basis  # noqa: F401 (perfbench wraps impedance)
 
 __all__ = [
     "BatteryError",
@@ -66,6 +66,7 @@ __all__ = [
 ]
 
 VARIANTS = ("plus_one", "plus_a3_squared")
+_E3 = np.array([0.0, 0.0, 1.0])
 DEFAULT_CUTOFF = GaussianCutoff()  # one object, so the grid and symbol memos share it
 
 
@@ -99,69 +100,53 @@ def closed_form_response(a, omega, m: int, dlam: float, dmu: float, variant: str
     )
 
 
-def _family_factors(a, omega, lam0: float, mu0: float):
-    """Divergence factor and strain polynomials of the decaying family.
+def _family_jets(a, omega, lam0: float, mu0: float) -> tuple[DisplacementJet, DisplacementJet]:
+    """Gradient jets (G0, G1) of the decaying family of the medium (lam0, mu0).
 
-    The family is exp(-z3)(a + i c3 z3 sigma_2); its scaled gradient produces
-    a constant divergence factor D and strain components that are linear
-    polynomials in z3. Returns D and the coefficients (s0, s1, s2) of
-    S(z3) = sum of squared strain magnitudes.
+    With sigma_2 and the sigma_3 coordinate c3 of a from stroh.sigma_basis (one
+    solve; ansatz.sigma_expand adds a residual check and a second basis, at twice
+    the cost), the family is u = exp(i omega.y' - y3)(a + y3 b), b = i c3 sigma_2,
+    and since i sigma_2 = (i omega, -1), its gradient is
+    exp(i omega.y' - y3)(G0 + y3 G1) with G0 = a (x) i sigma_2 + b (x) e3 and
+    G1 = b (x) i sigma_2.
     """
-    check_admissible(lam0, mu0)
+    S = sigma_basis(lam0, mu0, omega)
     a = np.asarray(a, dtype=complex).ravel()
-    w = np.asarray(omega, dtype=float).ravel()[:2]
-    s = (lam0 + 3.0 * mu0) / (lam0 + mu0)
-    c2 = a[0] * w[0] + a[1] * w[1]
-    c3 = (1j * c2 - a[2]) / s
-    D = (s - 1.0) * c3
+    d = 1j * S[:, 1]
+    b = np.linalg.solve(S, a)[2] * d
+    return DisplacementJet(np.outer(a, d) + np.outer(b, _E3)), DisplacementJet(np.outer(b, d))
 
-    e0, e1 = {}, {}
-    for i in range(2):
-        for j in range(2):
-            e0[i, j] = 1j * (a[i] * w[j] + a[j] * w[i]) / 2.0
-            e1[i, j] = -c3 * w[i] * w[j]
-    f0 = [((1j * a[2] * w[i] - a[i]) + 1j * c3 * w[i]) / 2.0 for i in range(2)]
-    f1 = [-1j * c3 * w[i] for i in range(2)]
-    g0 = -(a[2] + c3)
-    g1 = c3
 
-    def sq(x):
-        return float(np.real(x * np.conj(x)))
+def _family_moment(a, omega, m: int, lam, mu, lam0: float, mu0: float) -> float:
+    """Energy of the decaying family of (lam0, mu0) at moduli (lam, mu), weighted
+    by y3^m/m! over depth: with E_jk = energy_density(lam, mu, G_j, G_k),
 
-    s0 = sum(sq(e0[i, j]) for i in range(2) for j in range(2))
-    s0 += 2.0 * sum(sq(f) for f in f0) + sq(g0)
-    s1 = sum(2.0 * float(np.real(e0[i, j] * np.conj(e1[i, j]))) for i in range(2) for j in range(2))
-    s1 += 2.0 * sum(2.0 * float(np.real(f0[i] * np.conj(f1[i]))) for i in range(2))
-    s1 += 2.0 * float(np.real(g0 * np.conj(g1)))
-    s2 = sum(sq(e1[i, j]) for i in range(2) for j in range(2))
-    s2 += 2.0 * sum(sq(f) for f in f1) + sq(g1)
-    return D, (s0, s1, s2)
+        sum_jk E_jk int_0^inf y3^(m+j+k)/m! exp(-2 y3) dy3
+            = sum_jk E_jk (m+j+k)! / (m! 2^(m+j+k+1)).
+    """
+    jets = _family_jets(a, omega, lam0, mu0)
+    return sum(energy_density(lam, mu, ju, jv).real
+               * math.factorial(m + j + k) / (math.factorial(m) * 2.0 ** (m + j + k + 1))
+               for j, ju in enumerate(jets) for k, jv in enumerate(jets))
 
 
 def order0_response(a, omega, lam0: float, mu0: float) -> float:
-    """Predicted order-0 pairing limit from the decaying family energy.
+    """Predicted order-0 pairing limit: the family energy at (lam0, mu0), m = 0.
 
-    Equals the impedance quadratic form exactly (cross-checked in tests).
+    Equals the impedance quadratic form a^H Z a (cross-checked in tests).
     """
-    D, (s0, s1, s2) = _family_factors(a, omega, lam0, mu0)
-    return float(lam0 * abs(D) ** 2 / 2.0 + mu0 * (s0 + s1 / 2.0 + s2 / 2.0))
+    return _family_moment(a, omega, 0, lam0, mu0, lam0, mu0)
 
 
 def leading_order_response(
     a, omega, m: int, dlam: float, dmu: float, lam0: float, mu0: float
 ) -> float:
-    """Predicted order-m difference-pairing limit (corrector-inclusive).
-
-    Weighted moments of the family energy against (d^m lam, d^m mu) y3^m / m!:
-
-        dlam |D|^2 / 2^{m+1}
-        + dmu 2^{-m} [s0 + s1 (m+1)/2 + s2 (m+1)(m+2)/4].
-    """
+    """Predicted order-m difference-pairing limit (corrector-inclusive): the
+    family energy of (lam0, mu0) at (d^m lam, d^m mu) = (dlam, dmu), weighted by
+    y3^m / m! (see :func:`_family_moment`)."""
     if m < 1:
         raise ValueError("m >= 1; use order0_response for the plain pairing limit")
-    D, (s0, s1, s2) = _family_factors(a, omega, lam0, mu0)
-    mu_weight = s0 + s1 * (m + 1) / 2.0 + s2 * (m + 1) * (m + 2) / 4.0
-    return float(dlam * abs(D) ** 2 / 2.0 ** (m + 1) + dmu * mu_weight / 2.0**m)
+    return _family_moment(a, omega, m, dlam, dmu, lam0, mu0)
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +620,7 @@ class ReconstructionReport:
 
     def to_dict(self) -> dict:
         def ladder_dict(lr: LadderResult) -> dict:
+            rate = float(lr.extrapolation.rate)  # infinite for a converged ladder
             return {
                 "probe": lr.template.name,
                 "m": lr.m,
@@ -643,7 +629,7 @@ class ReconstructionReport:
                 "im": [float(v.imag) for v in lr.values],
                 "limit_re": float(lr.limit.real),
                 "limit_im": float(lr.limit.imag),
-                "rate": float(lr.extrapolation.rate),
+                "rate": rate if math.isfinite(rate) else None,
                 "fit_flag": lr.extrapolation.flag,
                 "noise": float(lr.noise),
             }

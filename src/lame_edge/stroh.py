@@ -56,13 +56,19 @@ def _as_tangent(omega) -> np.ndarray:
     if abs(w[2]) > 1e-14:
         raise ValueError(f"omega must be tangential (omega_3 = 0), got {w}")
     n = np.linalg.norm(w)
-    if not np.isclose(n, 1.0, rtol=0, atol=1e-12):
+    if not abs(n - 1.0) <= 1e-12:  # np.isclose(n, 1, rtol=0, atol=1e-12), 100x faster
         raise ValueError(f"omega must be a unit vector, |omega| = {n}")
     return w
 
 
-def acoustic_bracket(lam: float, mu: float, xi, zeta) -> np.ndarray:
-    """3x3 matrix <xi,zeta>_ik = sum_jl C_ijkl xi_j zeta_l (closed form)."""
+def acoustic_bracket(lam, mu, xi, zeta) -> np.ndarray:
+    """3x3 matrix <xi,zeta>_ik = sum_jl C_ijkl xi_j zeta_l (closed form).
+
+    ``lam`` and ``mu`` may be arrays; the bracket then carries their shape as
+    leading axes, shape (..., 3, 3).
+    """
+    lam = np.asarray(lam, dtype=float)[..., None, None]
+    mu = np.asarray(mu, dtype=float)[..., None, None]
     xi = np.asarray(xi, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
     return (
@@ -91,19 +97,10 @@ def acoustic_matrix(lam: float, mu: float, xi, zeta) -> AcousticBlock:
 
 
 def _taq(lam, mu, omega: np.ndarray):
-    """T = <e3,e3>, A = <e3,omega>, Q = <omega,omega> for a unit tangent omega.
-
-    ``lam`` and ``mu`` may be arrays; the blocks then carry their shape as
-    leading axes, shape (..., 3, 3).
-    """
-    lam, mu = np.asarray(lam, dtype=float), np.asarray(mu, dtype=float)
-    T = np.zeros(np.broadcast(lam, mu).shape + (3, 3))
-    T[..., 0, 0] = T[..., 1, 1] = mu
-    T[..., 2, 2] = lam + 2.0 * mu
-    lam, mu = lam[..., None, None], mu[..., None, None]
-    A = lam * np.outer(_E3, omega) + mu * np.outer(omega, _E3)
-    Q = (lam + mu) * np.outer(omega, omega) + mu * np.eye(3)
-    return T, A, Q
+    """T = <e3,e3>, A = <e3,omega>, Q = <omega,omega> for a unit tangent omega,
+    broadcast over modulus arrays as :func:`acoustic_bracket` is."""
+    return (acoustic_bracket(lam, mu, _E3, _E3), acoustic_bracket(lam, mu, _E3, omega),
+            acoustic_bracket(lam, mu, omega, omega))
 
 
 def first_order_matrix(T: np.ndarray, A: np.ndarray, Q: np.ndarray) -> np.ndarray:

@@ -13,8 +13,6 @@ from lame_edge.ansatz import (
     _apply_operator_fd,
     boundary_datum,
     build_correctors,
-    cascade_r1,
-    cascade_r2,
     evaluate_ansatz,
     leading_profile,
     residual_decay,
@@ -126,6 +124,14 @@ class TestProbeSpec:
             ProbeSpec(A_E3, E1, 8, 2, 1, gauss)
         ProbeSpec(A_E3, E1, 8, 4, 1, gauss)  # (0.75)(1.9) = 1.425 >= 1.25
 
+    def test_omega_unit_to_rounding(self, gauss):
+        # the direction rule of stroh._as_tangent, which reconstruct_profile applies
+        with pytest.raises(ValueError, match="unit vector"):
+            ProbeSpec(A_E3, (1.0 + 1e-7, 0.0), 16, 4, 0, gauss)
+        for t in np.linspace(0.0, 2.0 * np.pi, 13):
+            probe = ProbeSpec(A_E3, (np.cos(t), np.sin(t)), 16, 4, 0, gauss)
+            assert probe.omega[2] == 0.0
+
     def test_auto_rho_tilde(self):
         assert ProbeSpec.auto_rho_tilde(0) == 4
         assert ProbeSpec.auto_rho_tilde(1) == 4
@@ -205,14 +211,6 @@ class TestLeadingProfile:
 
 
 class TestCascade:
-    def test_r_matrices(self):
-        R1 = cascade_r1(1.0, 1.0, E1, 1)
-        assert R1[0, 2] == pytest.approx(-2.0j)
-        assert np.allclose(R1.real[np.ix_([0, 1, 2], [0, 1, 2])].diagonal(), [2.0, 2.0, 6.0])
-        assert abs(np.linalg.det(R1)) > 1e-8
-        R2 = cascade_r2(1.0, 1.0, E1, 3)
-        assert np.allclose(R2, -6.0 * np.diag([1.0, 1.0, 3.0]))
-
     def test_degree_bound_and_zero_trace(self, gauss):
         prof = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2])
         probe = ProbeSpec(A_E3, E1, 16, 4, 1, gauss)

@@ -112,6 +112,32 @@ class TestValidate:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("overrides, skipped", [
+        ({"order": 0, "expect": {"dlam": 9, "dmu": 9, "rtol_calibrated": 0.01}},
+         ["dlam", "dmu", "rtol_calibrated"]),
+        ({"expect": {"dlam": 0.3, "dmu": 0.2}}, ["dlam", "dmu"]),
+        ({"expect": {"dlam": 0.3, "dmu": 0.2, "rtol_calibrated": 0.05,
+                     "rtol_best_closed_form": 0.1}}, ["rtol_calibrated"]),
+        ({"calibrate": True, "expect": {"dlam": 0.0, "dmu": 0.0, "rtol_calibrated": 0.05}},
+         ["rtol_calibrated"]),
+        ({"expect": {"dlam": 0.0, "dmu": 0.0, "rtol_best_closed_form": 0.1}},
+         ["rtol_best_closed_form"]),
+        ({"expect": {"dlam": 0.3, "dmu": 0.2, "rtol_best_closed_form": 0.1,
+                     "null_noise_factor": 3.0}}, ["null_noise_factor"]),
+        ({"expect": {"null_noise_factor": 3.0}}, ["null_noise_factor"]),
+        ({"order": 0, "expect": {"order0_rtol": 0.05}}, ["order0_rtol"]),
+    ])
+    def test_unchecked_expect_key_named(self, tmp_path, capsys, overrides, skipped):
+        # a key the run would skip is a config error, not a silent pass
+        path = write_config(tmp_path, **overrides)
+        assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        rc = main(["reconstruct", "--config", str(path), "--out", str(tmp_path / "r")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == err.replace("config invalid", "config error")
+        assert sorted(re.findall(r"expect\.(\w+) is never checked", err)) == sorted(skipped)
+        assert not (tmp_path / "r").exists()
+
     def test_order_beyond_profile_derivatives(self, tmp_path):
         path = write_config(tmp_path)
         cfg = json.loads(path.read_text())
@@ -297,7 +323,31 @@ class TestAnsatzCheck:
         assert "(bound exponent 1.8)" in capsys.readouterr().out
 
 
+def strict_json(text: str):
+    """RFC 8259 JSON: the NaN and Infinity literals that json.loads accepts are rejected."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 class TestReconstructCommand:
+    def test_bundled_outputs_are_strict_json(self, tmp_path):
+        # the homogeneous run's six order-1 null ladders converge exactly: their
+        # infinite rate is null in report.json and stays inf in ladders.csv
+        converged = {}
+        for name in ("homogeneous", "gradient"):
+            out = tmp_path / name
+            main(["reconstruct", "--config", str(REPO / "configs" / f"{name}.json"),
+                  "--out", str(out)])
+            report = strict_json((out / "report.json").read_text())
+            strict_json((out / "manifest.json").read_text())
+            converged[name] = [lr for lr in report["ladders"] if lr["rate"] is None]
+            assert all(lr["fit_flag"] == "converged" for lr in converged[name])
+            with (out / "ladders.csv").open(newline="") as f:
+                rates = [row["rate"] for row in csv.DictReader(f)]
+            assert rates.count("inf") == sum(len(lr["N"]) for lr in converged[name])
+        assert (len(converged["homogeneous"]), len(converged["gradient"])) == (6, 0)
+
     def test_small_run_and_determinism(self, tmp_path):
         path = write_config(
             tmp_path,

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lame_edge.ansatz import GaussianCutoff
-from lame_edge.elastic import LameProfile
+from lame_edge.elastic import DisplacementJet, LameProfile, energy_density
 from lame_edge.forward import DEFAULT_QUAD
 from lame_edge.reconstruct import (
     BatteryError,
@@ -34,6 +36,31 @@ def random_admissible(rng):
     mu = rng.uniform(0.3, 2.5)
     lam = rng.uniform(-2.0 * mu / 3.0 + 0.1, 2.5)
     return lam, mu
+
+
+def laguerre_response(a, om, m, dlam, dmu, lam0, mu0, n=8):
+    """int_0^inf y3^m/m! E(y3) dy3 for the energy density E at moduli (dlam, dmu)
+    of the decaying family u = exp(i om.y' - y3)(a + y3 b), b = i c3 (w1, w2, i),
+    c3 = (i a.om - a3)(lam0 + mu0)/(lam0 + 3 mu0), sampled pointwise at y' = 0 on
+    an n-point Gauss-Laguerre rule in t = 2 y3 (exact for n >= 4 when m <= 3).
+
+    Returns the integral and its scale, the same integral at (|dlam|, |dmu|).
+    """
+    a = np.asarray(a, dtype=complex)
+    w = np.asarray(om, dtype=float)
+    c3 = (1j * (a[0] * w[0] + a[1] * w[1]) - a[2]) * (lam0 + mu0) / (lam0 + 3.0 * mu0)
+    b = 1j * c3 * np.array([w[0], w[1], 1j])
+    t, weights = np.polynomial.laguerre.laggauss(n)
+    value = scale = 0.0
+    for tk, wk in zip(t, weights):
+        y3 = tk / 2.0  # exp(-2 y3) dy3 = exp(-t) dt / 2; exp(-y3) leaves the gradient
+        u = a + y3 * b
+        grad = np.column_stack([1j * w[0] * u, 1j * w[1] * u, b - u])  # [k, l] = d_l u_k
+        jet = DisplacementJet(grad)
+        weight = wk / 2.0 * y3**m / math.factorial(m)
+        value += weight * energy_density(dlam, dmu, jet, jet).real
+        scale += weight * energy_density(abs(dlam), abs(dmu), jet, jet).real
+    return value, scale
 
 
 class TestClosedFormResponse:
@@ -75,6 +102,9 @@ class TestLeadingOrderResponse:
             a_real = rng.standard_normal(3)
             direct = quadratic_form(impedance(lam, mu, om), a_real)
             assert order0_response(a_real, om, lam, mu) == pytest.approx(direct, rel=1e-12)
+            quadrature, _ = laguerre_response(a, om, 0, lam, mu, lam, mu)
+            assert quadrature == pytest.approx(quadratic_form(impedance(lam, mu, om), a),
+                                               rel=1e-12)
 
     def test_unit_base_rows(self):
         assert leading_order_response((0, 0, 1.0), E1, 1, 1.0, 0.0, 1.0, 1.0) == pytest.approx(1 / 16)
@@ -196,6 +226,18 @@ moduli = st.tuples(st.floats(0.2, 3.0), st.floats(-7.0, 1.5)).map(
     lambda x: (x[0] * (-2.0 / 3.0 + 10.0 ** x[1]), x[0])  # t = lam/mu down to -2/3 + 1e-7
 )
 directions = st.floats(0.0, 2.0 * np.pi).map(lambda th: np.array([np.cos(th), np.sin(th), 0.0]))
+
+
+class TestFamilyMoments:
+    @settings(max_examples=100, deadline=None)
+    @given(moduli, directions, unit_complex, st.integers(1, 3),
+           *[st.floats(-10.0, 10.0, allow_subnormal=False)] * 2)
+    def test_response_is_depth_quadrature_of_energy(self, lm, om, a, m, dlam, dmu):
+        # checks the moment weights (m+j+k)!/(m! 2^(m+j+k+1)) against pointwise
+        # samples; subnormal derivatives are left out, as they carry no relative precision
+        want, scale = laguerre_response(a, om, m, dlam, dmu, *lm)
+        got = leading_order_response(a, om, m, dlam, dmu, *lm)
+        assert abs(got - want) <= 1e-12 * scale
 
 
 def with_companions(a, om):
