@@ -30,7 +30,8 @@ from .ansatz import (
     smallness_ok,
 )
 from .elastic import LameProfile, validate_admissibility
-from .forward import ForwardError, QuadratureSettings, polar_grid, symbol_memo
+from .forward import (ForwardError, QuadratureSettings, interpolation_counts, polar_grid,
+                      symbol_memo)
 from .geometry import (
     FlatPatch,
     ParaboloidPatch,
@@ -584,6 +585,7 @@ def cmd_reconstruct(args) -> int:
     quad = quad_from_config(cfg)
     stages: dict[str, float] = {}
     grids0, symbols0 = polar_grid.cache_info(), dict(symbol_memo.counts)
+    weights0 = dict(interpolation_counts)
     built0, seconds0 = len(symbol_memo.accepted), symbol_memo.seconds
     t0 = time.perf_counter()
     report = reconstruct_profile(
@@ -615,7 +617,8 @@ def cmd_reconstruct(args) -> int:
     _write_ladder_csv(outdir / "ladders.csv", report.order0_ladders + report.order_m_ladders)
     outputs = [outdir / "report.json", outdir / "ladders.csv"]
     order0 = {k: getattr(report.order0, k) for k in ("method", "passes", "final_change")}
-    grids = {"built": grids1.misses - grids0.misses, "reused": grids1.hits - grids0.hits}
+    grids = {"built": grids1.misses - grids0.misses, "reused": grids1.hits - grids0.hits,
+             **{f"weights_{k}": v - weights0[k] for k, v in interpolation_counts.items()}}
     symbols = {k: v - symbols0[k] for k, v in symbol_memo.counts.items()}
     built = symbol_memo.accepted[built0:]
     symbols["accepted_nodes"] = [n for n, _ in built]

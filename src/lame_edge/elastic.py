@@ -23,7 +23,6 @@ __all__ = [
     "taylor_truncate",
     "tensor_components",
     "validate_admissibility",
-    "voigt_matrix",
 ]
 
 
@@ -59,20 +58,6 @@ def tensor_components(lam: float, mu: float) -> np.ndarray:
     float array with both minor and major symmetries exact."""
     check_admissible(lam, mu)
     return isotropic_components(lam, mu)
-
-
-def voigt_matrix(lam: float, mu: float) -> np.ndarray:
-    """6x6 Voigt matrix of the isotropic tensor (order 11, 22, 33, 23, 13, 12).
-
-    Its smallest eigenvalue is min(2*mu, 3*lam + 2*mu), which is the sharp
-    strong-convexity constant over symmetric strains.
-    """
-    check_admissible(lam, mu)
-    V = np.zeros((6, 6))
-    V[:3, :3] = lam
-    V[np.diag_indices(3)] += 2.0 * mu
-    V[3, 3] = V[4, 4] = V[5, 5] = 2.0 * mu
-    return V
 
 
 @dataclass(frozen=True)

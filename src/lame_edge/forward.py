@@ -25,10 +25,10 @@ in physical depth (rho = r) or in scaled depth t = r y3 for S / r (rho = 1).
 One core, :func:`_radial_symbols`, integrates this jointly for a batch of
 radial nodes with an in-house DOP853 (:func:`_dop853`) that accepts a step on
 the largest single-node error, so every node meets the tolerance on its own.
-The flow is split in two: the depth coefficients (p, q, g and the constant
-terms, which depend on tau alone) are evaluated once per step for all 12
-stage times on the (stage, node) grid, and the flow proper writes each row
-into the stage's output in place from the state and one stage's coefficients.
+The flow is linear in 11 monomials of the state (S11, S22, S33, b, their
+squares, S11 b, S33 b, 1) with coefficients that depend on depth alone: these
+are evaluated once per step for all 12 stage times on the (stage, node) grid,
+and a flow evaluation builds the monomials and contracts them once.
 A profile's symbol (:class:`RadialSymbol`) serves every radius: it
 interpolates R(r) = M0(r) - r Z(lam(0), mu(0)), smooth in s = r / (r + 2) on
 [0, 1], from certified Chebyshev points in s (none for a constant profile),
@@ -42,7 +42,8 @@ f = (1, cos, sin, cos 2., sin 2.)(theta) and C(a) f = (|b1|^2, |b2|^2, |a3|^2,
 -2 Im(conj(b1) a3)). In the offset angle phi = theta - theta0 the polar grid's
 weights W(r, phi) do not depend on the probe direction, so a pairing is
 sum(rows * (F @ C(a')^T)) with a' = R(theta0)^T a and F = W @ f(phi)^T, the
-grid's memoised angular moments.
+grid's memoised angular moments. The rows at the grid's radii are one
+barycentric product, whose weights the grid keeps per Chebyshev point count.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter, OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -62,8 +63,8 @@ from .stroh import _taq, first_order_matrix, impedance_basis, reference_chain
 __all__ = [
     "DtnSymbol", "ForwardError", "HalfSpaceFrame", "PairingResult", "QuadratureSettings",
     "RadialDtnTable", "RadialSymbol", "depth_stroh", "difference_pairing", "dtn_symbol",
-    "dtn_symbol_march", "half_space_impedance", "limit_quadrature", "pairing", "polar_grid",
-    "symbol_memo", "warm_tables",
+    "dtn_symbol_march", "half_space_impedance", "interpolation_counts", "limit_quadrature",
+    "pairing", "polar_grid", "symbol_memo", "warm_tables",
 ]
 
 
@@ -212,6 +213,7 @@ _DOP_E3[[0, 8, 11]] -= (0.244094488188976377952755905512, 0.73384668828161185734
 _DOP_E5 = np.array([0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
                     -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
                     0.3341791187130175, 0.08192320648511571, -0.022355307863886294])
+_DOP_AB, _DOP_E = np.vstack([_DOP_A, _DOP_B]), np.array([_DOP_E5, _DOP_E3])
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
 
@@ -229,8 +231,10 @@ def _dop853(coefficients, flow, t0: float, t1: float, y0: np.ndarray,
     writes f(taus[i], y) into ``out`` from the i-th of them, so the flow itself
     touches only the state. Each attempted step asks for its coefficients
     once, at all 12 stage times t + C[1:12] h and at t_new (exactly: the
-    first-same-as-last evaluation that starts the next step), and builds each
-    stage state in one preallocated buffer.
+    first-same-as-last evaluation that starts the next step), and takes
+    h (A; B) once: each stage state is y + (h A[s, :s]) @ K[:s] in one
+    preallocated buffer. The increment is summed before it meets y, so y is
+    rounded once per stage.
 
     ``y0`` has shape (m, n): m components of each of n uncoupled nodes. Each
     node's error is DOP853's combined 5th/3rd-order estimate over its own
@@ -240,8 +244,8 @@ def _dop853(coefficients, flow, t0: float, t1: float, y0: np.ndarray,
     and rejected step counts and the number of flow evaluations.
     """
     y = np.array(y0, dtype=float)
-    K = np.empty((13,) + y.shape)
-    Kf = K.reshape(13, -1)
+    K = np.empty((12,) + y.shape)
+    Kf = K.reshape(12, -1)
     stage = np.empty_like(y)
     stage_f = stage.reshape(-1)
     direction, span = math.copysign(1.0, t1 - t0), abs(t1 - t0)
@@ -259,16 +263,15 @@ def _dop853(coefficients, flow, t0: float, t1: float, y0: np.ndarray,
         t_new = t1 if h_abs >= abs(t1 - t) else t + direction * h_abs
         h = t_new - t
         C = coefficients(np.append(t + _DOP_C[1:12] * h, t_new))
+        hAB = h * _DOP_AB
         for s in range(1, 12):
-            np.matmul(_DOP_A[s, :s], Kf[:s], out=stage_f)
-            stage_f *= h
+            np.matmul(hAB[s, :s], Kf[:s], out=stage_f)
             stage += y
             flow(stage, C, s - 1, K[s])
         evaluations += 11
-        y_new = y + h * (_DOP_B @ Kf[:12]).reshape(y.shape)
+        y_new = y + (hAB[12] @ Kf).reshape(y.shape)
         scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-        e5, e3 = (np.sum(((E @ Kf[:12]).reshape(y.shape) / scale) ** 2, axis=0)
-                  for E in (_DOP_E5, _DOP_E3))
+        e5, e3 = np.sum(((_DOP_E @ Kf).reshape((2,) + y.shape) / scale) ** 2, axis=1)
         err = abs(h) * float(np.max(e5 / np.sqrt(np.maximum((e5 + 0.01 * e3) * y.shape[0],
                                                             1e-300))))
         if not err < 1.0:  # NaN rejects too
@@ -303,9 +306,12 @@ def _radial_symbols(profile: LameProfile, nodes: np.ndarray,
     r <= efolds/H_max carry S (rho = r, physical depth, c = H_max);
     deeper-frequency nodes carry S / r (rho = 1, scaled depth t = r y3,
     c = efolds). All nodes, 4 reals each, are one joint integration of c
-    times the module docstring's flow at y3 = tau H. Its depth coefficients
-    are evaluated per step on the (stage, node) grid; the flow then writes
-    each row in place. Depths follow :data:`DEFAULT_FRAME`.
+    times the module docstring's flow at y3 = tau H, which is linear in the
+    monomials (S11, S22, S33, b, S11^2, S22^2, S33^2, b^2, S11 b, S33 b, 1).
+    Their coefficients depend on depth alone and are evaluated per step on
+    the (stage, node) grid, shape (stage, 4, 11, node); a flow evaluation
+    builds the monomials and contracts them once. Depths follow
+    :data:`DEFAULT_FRAME`.
     """
     H_max, efolds = DEFAULT_FRAME.H_max, DEFAULT_FRAME.efolds
     scaled = nodes > efolds / H_max
@@ -321,48 +327,28 @@ def _radial_symbols(profile: LameProfile, nodes: np.ndarray,
 
     def coefficients(taus):
         y3 = taus[:, None] * H
-        lam = np.broadcast_to(profile.lam(y3), y3.shape)
-        mu = np.broadcast_to(profile.mu(y3), y3.shape)
+        zero = 0.0 * y3  # a profile may answer with a scalar
+        lam, mu = profile.lam(y3) + zero, profile.mu(y3) + zero
         d = 1.0 / (lam + 2.0 * mu)
         g = lam * d
-        # c p, c q, g, the constant terms c rho^2 P of dS11 and c rho^2 mu of dS22, 2 c rho g
-        return c / mu, c * d, g, cr2 * (4.0 * mu * (lam + mu) * d), cr2 * mu, two_cr * g
+        p, q = c / mu, c * d
+        # row k of C[i] holds dS_k's coefficient of each monomial (docstring order)
+        C = np.zeros((taus.size, 4, 11, nodes.size))
+        C[:, [0, 1, 2, 3], [4, 5, 7, 8]] = -p[:, None]
+        C[:, [0, 2, 3], [7, 6, 9]] = -q[:, None]
+        C[:, 0, 3], C[:, 0, 10] = -two_cr * g, cr2 * (4.0 * mu * (lam + mu) * d)
+        C[:, 1, 10] = cr2 * mu
+        C[:, 2, 3] = two_cr
+        C[:, 3, 0], C[:, 3, 2] = cr, -cr * g
+        return C
 
-    scratch = np.empty((2, nodes.size))
+    monomials = np.ones((11, nodes.size))
 
     def flow(y, C, i, out):
-        S11, S22, S33, b = y
-        u, v = scratch
-        p, q, g, a11, a22, gb = (x[i] for x in C)
-        # dS11 = a11 - b (gb + q b) - p S11^2
-        np.multiply(q, b, out=u)
-        u += gb
-        u *= b
-        np.subtract(a11, u, out=out[0])
-        np.multiply(S11, S11, out=u)
-        u *= p
-        out[0] -= u
-        # dS22 = a22 - p S22^2
-        np.multiply(S22, S22, out=u)
-        u *= p
-        np.subtract(a22, u, out=out[1])
-        # dS33 = 2 c rho b - (p b^2 + q S33^2)
-        np.multiply(b, b, out=u)
-        u *= p
-        np.multiply(S33, S33, out=v)
-        v *= q
-        u += v
-        np.multiply(two_cr, b, out=out[2])
-        out[2] -= u
-        # db = c rho (S11 - g S33) - b (p S11 + q S33)
-        np.multiply(g, S33, out=u)
-        np.subtract(S11, u, out=u)
-        u *= cr
-        np.multiply(p, S11, out=v)
-        np.multiply(q, S33, out=out[3])
-        v += out[3]
-        v *= b
-        np.subtract(u, v, out=out[3])
+        np.copyto(monomials[:4], y)
+        np.multiply(y, y, out=monomials[4:8])
+        np.multiply(y[::2], y[3], out=monomials[8:10])
+        np.einsum("kmn,mn->kn", C[i], monomials, out=out)
 
     y, *counts = _dop853(coefficients, flow, 1.0, 0.0, y0, tol)
     return (-sigma * y).T, *counts
@@ -482,19 +468,29 @@ class RadialSymbol:
         for arr in (self.z0, self.s, self.weights, self.remainder):
             arr.setflags(write=False)
 
-    def rows(self, r) -> np.ndarray:
-        """Reduced rows (M11, M22, M33, Im M13) of M0 at radii r >= 0, trailing axis 4."""
+    def interpolation(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Barycentric data from the Chebyshev points to the 1-D radii ``r``:
+        q = weights / (s(r) - s_j) and its row sums, a row that hits a point
+        exactly replaced by that point's unit vector. It depends on ``r`` and
+        the point count alone, so symbols of one count share it."""
+        s = (r / (r + 2.0))[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = self.weights / (s - self.s)
+        hit, node = np.nonzero(s == self.s)
+        q[hit] = 0.0
+        q[hit, node] = 1.0
+        return q, q.sum(axis=1, keepdims=True)
+
+    def rows(self, r, interpolation=None) -> np.ndarray:
+        """Reduced rows (M11, M22, M33, Im M13) of M0 at radii r >= 0, trailing
+        axis 4; ``interpolation`` is :meth:`interpolation` at r, computed when
+        not given."""
         r = np.asarray(r, dtype=float)
         rows = r[..., None] * self.z0
         if self.s is None:
             return rows
-        s = (r / (r + 2.0)).reshape(-1, 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = self.weights / (s - self.s)
-            R = (q @ self.remainder) / q.sum(axis=1, keepdims=True)
-        hit, node = np.nonzero(s == self.s)
-        R[hit] = self.remainder[node]
-        return rows + R.reshape(rows.shape)
+        q, total = interpolation or self.interpolation(r.reshape(-1))
+        return rows + ((q @ self.remainder) / total).reshape(rows.shape)
 
 
 class SymbolMemo:
@@ -576,11 +572,25 @@ class PolarGrid:
     scale the probe's spectral support straddles the origin, so a tensor grid
     converges slowly while the polar grid converges spectrally. The weights
     W(r, phi) (measure, squared cutoff transform, probe normalization) are
-    kept as their angular moments F = W @ f(phi)^T, shape (nr, 5).
+    kept as their angular moments F = W @ f(phi)^T, shape (nr, 5). The
+    barycentric data of :meth:`rows` are kept per Chebyshev point count.
     """
 
     r: np.ndarray
     moments: np.ndarray
+    interpolations: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def rows(self, symbol: RadialSymbol) -> np.ndarray:
+        """``symbol.rows(r)`` at the grid's radii; counted in :data:`interpolation_counts`."""
+        if symbol.s is None:
+            return symbol.rows(self.r)
+        n = symbol.s.size
+        interpolation_counts["reused" if n in self.interpolations else "built"] += 1
+        if n not in self.interpolations:
+            self.interpolations[n] = symbol.interpolation(self.r)
+            for arr in self.interpolations[n]:
+                arr.setflags(write=False)
+        return symbol.rows(self.r, self.interpolations[n])
 
     def contract(self, rows: np.ndarray, a, omega) -> np.ndarray:
         """Sum of W * rows(r) . Phi(theta0 + phi) for a probe (a, omega); ``rows``
@@ -600,14 +610,19 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-@lru_cache(maxsize=8)
+# barycentric data of PolarGrid.rows over the process, per (grid, point count)
+interpolation_counts = Counter(built=0, reused=0)
+
+
+@lru_cache(maxsize=64)
 def polar_grid(N: int, rho_tilde: int, cutoff, quad: QuadratureSettings) -> PolarGrid:
     """Direction-free polar quadrature grid, memoised (read-only arrays).
 
     Radial Gauss-Legendre nodes cover [max(0, N - spread), N + spread] with
     spread = W N^{1-rho}; the angular range is the full circle while the
     spectral support contains the origin, otherwise the subtended wedge.
-    Cutoffs key the memo by identity; eight entries hold one ladder's grids.
+    Cutoffs key the memo by identity. A run's ladders share one cutoff, so
+    the 64 entries hold every grid of a run with up to 64 (N, rho_tilde) pairs.
     """
     rho = 1.0 / rho_tilde
     W = cutoff.spectral_halfwidth(quad.tail_tol)
@@ -683,9 +698,9 @@ def _pair(probe: ProbeSpec, quad: QuadratureSettings,
           symbols: tuple[RadialSymbol, ...]) -> PairingResult:
     """Contract the rows of ``symbols[0]`` (minus those of ``symbols[1]``) on the probe's grid."""
     grid = polar_grid(probe.N, probe.rho_tilde, probe.cutoff, quad)
-    rows = symbols[0].rows(grid.r)
+    rows = grid.rows(symbols[0])
     if len(symbols) > 1:
-        rows = rows - symbols[1].rows(grid.r)
+        rows = rows - grid.rows(symbols[1])
     value = complex(grid.contract(rows, probe.a, probe.omega))
     return PairingResult(value, probe, quad.tail_tol * abs(value))
 

@@ -22,12 +22,10 @@ import numpy as np
 from .elastic import check_admissible
 
 __all__ = [
-    "AcousticBlock",
     "ChainError",
     "ImpedanceTensor",
     "StrohMatrix",
     "StrohSpectrum",
-    "acoustic_matrix",
     "characteristic_det",
     "characteristic_det_factored",
     "eigen_jordan",
@@ -78,24 +76,6 @@ def acoustic_bracket(lam, mu, xi, zeta) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class AcousticBlock:
-    """Acoustic bracket together with its generators and source moduli."""
-
-    matrix: np.ndarray
-    xi: np.ndarray
-    zeta: np.ndarray
-    lam: float
-    mu: float
-
-
-def acoustic_matrix(lam: float, mu: float, xi, zeta) -> AcousticBlock:
-    check_admissible(lam, mu)
-    xi = np.asarray(xi, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
-    return AcousticBlock(acoustic_bracket(lam, mu, xi, zeta), xi, zeta, lam, mu)
-
-
 def _taq(lam, mu, omega: np.ndarray):
     """T = <e3,e3>, A = <e3,omega>, Q = <omega,omega> for a unit tangent omega,
     broadcast over modulus arrays as :func:`acoustic_bracket` is."""
@@ -128,16 +108,6 @@ class StrohMatrix:
     omega: np.ndarray
     lam: float
     mu: float
-
-    @property
-    def blocks(self) -> dict[str, np.ndarray]:
-        K = self.matrix
-        return {
-            "top_left": K[:3, :3],
-            "top_right": K[:3, 3:],
-            "bottom_left": K[3:, :3],
-            "bottom_right": K[3:, 3:],
-        }
 
 
 def stroh_matrix(lam: float, mu: float, omega) -> StrohMatrix:

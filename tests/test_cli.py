@@ -373,6 +373,8 @@ class TestReconstructCommand:
                  for o in (out1, out2)]
         assert grids[0] == grids[1]
         assert 1 <= grids[0]["built"] < grids[0]["reused"]
+        # every symbol has 48 Chebyshev points: one set of weights per grid
+        assert grids[0]["weights_built"] == grids[0]["built"] < grids[0]["weights_reused"]
         # the symbol memo keys by profile content alone: the first run solves
         # the profile once at 48 Chebyshev points (its order-1 truncation is
         # constant, so exact), the second reads both symbols from the memo

@@ -9,7 +9,6 @@ from lame_edge.elastic import (
     taylor_truncate,
     tensor_components,
     validate_admissibility,
-    voigt_matrix,
 )
 
 
@@ -47,16 +46,27 @@ class TestTensorComponents:
             assert np.array_equal(C, C.transpose(2, 3, 0, 1))  # major
             assert np.array_equal(C, C.transpose(1, 0, 2, 3))  # minor
 
-    def test_voigt_convexity_constant(self):
-        rng = np.random.default_rng(12)
-        for _ in range(200):
-            lam, mu = random_admissible(rng)
-            ev = np.linalg.eigvalsh(voigt_matrix(lam, mu))
-            assert ev.min() > 0.0
-            assert np.isclose(ev.min(), min(2.0 * mu, 3.0 * lam + 2.0 * mu), rtol=1e-12)
+
+# symmetric strains, orthonormal in the Frobenius product (Voigt order 11, 22, 33, 23, 13, 12)
+I3 = np.eye(3)
+STRAIN_BASIS = [np.diag(e) for e in I3] + [
+    (np.outer(I3[i], I3[j]) + np.outer(I3[j], I3[i])) / np.sqrt(2.0)
+    for i, j in ((1, 2), (0, 2), (0, 1))]
 
 
 class TestEnergyDensity:
+    def test_voigt_convexity_constant(self):
+        # the energy's Gram matrix on symmetric strains has smallest eigenvalue
+        # min(2 mu, 3 lam + 2 mu): the sharp strong-convexity constant
+        jets = [DisplacementJet(E) for E in STRAIN_BASIS]
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            lam, mu = random_admissible(rng)
+            G = np.array([[energy_density(lam, mu, ju, jv).real for ju in jets] for jv in jets])
+            ev = np.linalg.eigvalsh(G)
+            assert ev.min() > 0.0
+            assert np.isclose(ev.min(), min(2.0 * mu, 3.0 * lam + 2.0 * mu), rtol=1e-12)
+
     def test_identity_gradient(self):
         j = DisplacementJet(np.eye(3))
         assert energy_density(2.0, 1.0, j, j) == pytest.approx(24.0)

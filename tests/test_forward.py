@@ -22,11 +22,13 @@ from lame_edge.forward import (
     QuadratureSettings,
     RadialDtnTable,
     RadialSymbol,
+    Z_ROWS_E1,
     depth_stroh,
     difference_pairing,
     dtn_symbol,
     dtn_symbol_march,
     half_space_impedance,
+    interpolation_counts,
     limit_quadrature,
     pairing,
     polar_grid,
@@ -101,8 +103,9 @@ class TestIntegrator:
             _dop853(blows_up, decay, 1.0, 0.0, np.ones((4, 3)), 1e-10)
 
 
-def reference_flow(profile, nodes, tau, y):
-    """c times the module docstring's flow at y3 = tau H, written out plainly."""
+def reference_terms(profile, nodes, tau, y):
+    """The terms of c times the module docstring's flow at y3 = tau H, one
+    list per row, written out plainly."""
     H_max, efolds = DEFAULT_FRAME.H_max, DEFAULT_FRAME.efolds
     scaled = nodes > efolds / H_max
     sigma = np.where(scaled, nodes, 1.0)
@@ -114,12 +117,12 @@ def reference_flow(profile, nodes, tau, y):
     d = 1.0 / (lam + 2.0 * mu)
     p, q, g = c / mu, c * d, lam * d
     cr, cr2 = c * rho, c * rho**2
-    return np.array([
-        cr2 * (4.0 * mu * (lam + mu) * d) - b * (2.0 * cr * g + q * b) - p * S11**2,
-        cr2 * mu - p * S22**2,
-        2.0 * cr * b - (p * b**2 + q * S33**2),
-        cr * (S11 - g * S33) - b * (p * S11 + q * S33),
-    ])
+    return [
+        [cr2 * (4.0 * mu * (lam + mu) * d), -2.0 * cr * g * b, -q * b**2, -p * S11**2],
+        [cr2 * mu, -p * S22**2],
+        [2.0 * cr * b, -p * b**2, -q * S33**2],
+        [cr * S11, -cr * g * S33, -p * S11 * b, -q * S33 * b],
+    ]
 
 
 def kernel_of(profile, nodes):
@@ -150,6 +153,8 @@ class TestRiccatiKernel:
            degree=st.integers(0, 3), callable_profile=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
     def test_flow_is_the_docstring_flow(self, lam, mu, base, degree, callable_profile, seed):
+        # the kernel sums the terms in its own order, so each entry matches the
+        # plain sum to rounding: 8 eps of the sum of the terms' magnitudes
         if callable_profile:
             profile = WAVY
         else:
@@ -164,7 +169,24 @@ class TestRiccatiKernel:
         for i, tau in enumerate(taus):
             y = rng.normal(size=(4, nodes.size))
             flow(y, C, i, out)
-            assert out.tobytes() == reference_flow(profile, nodes, tau, y).tobytes()
+            terms = [np.array(row) for row in reference_terms(profile, nodes, tau, y)]
+            reference = np.array([row.sum(axis=0) for row in terms])
+            magnitude = np.array([np.abs(row).sum(axis=0) for row in terms])
+            assert np.all(np.abs(out - reference) <= 8.0 * np.finfo(float).eps * magnitude)
+
+    @pytest.mark.parametrize("lam, mu", [(1.0, 1.0), (0.5203, 1.5608), (9.33, 1.0),
+                                          (-0.4, 1.0), (3.0, 0.5), (20.0, 1.0)])
+    def test_constant_profile_drift(self, lam, mu):
+        # the flow is stationary on a constant profile, so M0 / r = Z0 exactly;
+        # what the integrator's rounding makes of it is the noise in a nearly
+        # constant profile's remainder. The radii are those of RadialSymbol's
+        # first 48 Chebyshev points in [0.25, 1000], both depth regimes
+        theta = (2.0 * np.arange(48) + 1.0) * (np.pi / 96)
+        radii = 2.0 * np.tan(0.5 * theta) ** 2
+        radii = radii[(radii >= 0.25) & (radii <= 1000.0)]
+        z0 = mu / (lam + 3.0 * mu) * (lam * Z_ROWS_E1[0] + mu * Z_ROWS_E1[1])
+        rows, *_ = _radial_symbols(LameProfile.constant(lam, mu), radii, 1e-10)
+        assert np.abs(rows / radii[:, None] - z0).max() <= 2e-11 * np.abs(z0).max()
 
     @settings(max_examples=8, deadline=None)
     @given(t=st.floats(0.1, 10.0))
@@ -503,6 +525,33 @@ class TestReducedContraction:
         fresh = subprocess.run([sys.executable, "-c", code, str(here), str(here.parent / "src")],
                                capture_output=True, text=True, check=True)
         assert json.loads(fresh.stdout) == first
+
+    def test_ladder_bits_independent_of_cache_history(self):
+        # a sweep-shaped run (2 profiles, orders 0 to 2, rho_tilde 4 and 5)
+        # builds each of its 10 (N, rho_tilde) grids once, and its ladders are
+        # the same bits with cold caches, warm ones and after both memos evict
+        cutoff, template = GaussianCutoff(), ProbeTemplate.named("sigma1", (0.6, 0.8))
+        profiles = [LameProfile.from_polynomial([1.5, 0.2, -0.05], [1.0, -0.1, 0.04]),
+                    LameProfile.from_polynomial([1.3, -0.1, 0.08], [0.95, 0.15, -0.03])]
+
+        def sweep():
+            return [run_ladder(p, template, LADDER, m, cutoff=cutoff,
+                               rho_tilde=4 if m < 2 else 5).values.tobytes()
+                    for p in profiles for m in (0, 1, 2)]
+
+        polar_grid.cache_clear()
+        symbol_memo.clear()
+        weights = interpolation_counts["built"]
+        cold = sweep()
+        # every symbol here has 48 Chebyshev points: one set of weights per grid
+        assert polar_grid.cache_info().misses == interpolation_counts["built"] - weights == 10
+        assert sweep() == cold
+        for n in range(1, 65):  # 64 other grids, then 16 other (exact) symbols
+            polar_grid(n, 4, cutoff, QuadratureSettings(nodes=4))
+        for i in range(16):
+            symbol_memo.symbol(LameProfile.constant(1.0 + i / 16, 1.0), 1e-10)
+        assert sweep() == cold
+        assert polar_grid.cache_info().misses == 10 + 64 + 10
 
     def test_ladders_of_one_profile_share_one_solve(self):
         # the rho_tilde = 4 and 5 ladders, and the order-1 ladder, of one profile
