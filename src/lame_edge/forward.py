@@ -24,7 +24,10 @@ q = 1/(lam+2mu), P = 4mu(lam+mu)/(lam+2mu):
 in physical depth (rho = r) or in scaled depth t = r y3 for S / r (rho = 1).
 One core, :func:`_radial_symbols`, integrates this jointly for a batch of
 radial nodes with an in-house DOP853 (:func:`_dop853`) that accepts a step on
-the largest single-node error, so every node meets the tolerance on its own.
+the largest single-node error, each weighted by how much of it reaches the
+surface (the flow contracts at 2|k| in depth), so every node meets the
+tolerance at the surface on its own; every step stays inside DOP853's
+stability interval.
 The flow is linear in 11 monomials of the state (S11, S22, S33, b, their
 squares, S11 b, S33 b, 1) with coefficients that depend on depth alone: these
 are evaluated once per step for all 12 stage times on the (stage, node) grid,
@@ -108,6 +111,12 @@ _E1 = np.array([1.0, 0.0, 0.0])
 Z_ROWS_E1 = np.array([[B[0, 0].real, B[1, 1].real, B[2, 2].real, B[0, 2].imag]
                       for B in impedance_basis(_E1)])
 Z_ROWS_E1.setflags(write=False)
+
+
+def _impedance_rows(lam, mu) -> np.ndarray:
+    """Rows of Z(lam, mu) at e1, trailing axis 4, for moduli of one shape."""
+    lam, mu = np.asarray(lam, dtype=float)[..., None], np.asarray(mu, dtype=float)[..., None]
+    return mu / (lam + 3.0 * mu) * (lam * Z_ROWS_E1[0] + mu * Z_ROWS_E1[1])
 
 
 def depth_stroh(profile: LameProfile, y3: float, k) -> np.ndarray:
@@ -215,6 +224,7 @@ _DOP_E5 = np.array([0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044
                     0.3341791187130175, 0.08192320648511571, -0.022355307863886294])
 _DOP_AB, _DOP_E = np.vstack([_DOP_A, _DOP_B]), np.array([_DOP_E5, _DOP_E3])
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_DOP_STABILITY = 6.3936515  # |R(z)| = 1 at z = -6.39..., R the stability function of (A, B)
 
 
 def _node_norm(x: np.ndarray) -> float:
@@ -222,8 +232,8 @@ def _node_norm(x: np.ndarray) -> float:
     return float(np.sqrt(np.max(np.mean(x * x, axis=0))))
 
 
-def _dop853(coefficients, flow, t0: float, t1: float, y0: np.ndarray,
-            tol: float) -> tuple[np.ndarray, int, int, int]:
+def _dop853(coefficients, flow, t0: float, t1: float, y0: np.ndarray, tol: float,
+            rate: np.ndarray) -> tuple[np.ndarray, int, int, int, int]:
     """y(t1) for y' = f(t, y), split into depth coefficients and an in-place flow.
 
     ``coefficients(taus)`` returns the depth-only coefficients at the 1-D
@@ -236,14 +246,27 @@ def _dop853(coefficients, flow, t0: float, t1: float, y0: np.ndarray,
     preallocated buffer. The increment is summed before it meets y, so y is
     rounded once per stage.
 
-    ``y0`` has shape (m, n): m components of each of n uncoupled nodes. Each
-    node's error is DOP853's combined 5th/3rd-order estimate over its own
-    components (atol = rtol = tol); a step is accepted when the largest is
-    below 1, so no node is diluted by the rest. Step control and the initial
-    step follow Hairer, Norsett & Wanner (II.4). Returns y(t1), the accepted
-    and rejected step counts and the number of flow evaluations.
+    ``y0`` has shape (m, n): m components of each of n uncoupled nodes, and
+    ``rate`` (shape (n,)) is a lower bound on the rate at which each node's
+    linearised flow contracts toward t1, with eigenvalues at most double.
+    Each node's error is DOP853's combined 5th/3rd-order estimate over its
+    own components (atol = rtol = tol), weighted by exp(-x) at
+    x = rate/2 |t1 - t_new|: an error present at t_new reaches t1 damped by
+    exp(-2x) times a quadratic in x (the double eigenvalue's Jordan block),
+    which stays below a small constant times exp(-x) (2.5 for the Riccati
+    core). So the steps next to t1 are held to tol unweighted and deeper ones
+    only as far as their error reaches t1. A step is accepted when the
+    largest weighted error is below 1, so no node is diluted by the rest;
+    the next step is sized for the larger weight one step nearer t1, so the
+    weight's growth does not make it fail. Every step is also capped at half
+    of DOP853's real stability interval over max(rate): on a flow too smooth
+    for the error estimate to limit the step, rounding offsets are then
+    damped, not amplified. Step control and
+    the initial step follow Hairer, Norsett & Wanner (II.4; stability, IV.2).
+    Returns y(t1), the accepted and rejected step counts, the number of flow
+    evaluations and the number of accepted steps whose size the cap set.
     """
-    y = np.array(y0, dtype=float)
+    y = np.array(y0, dtype=float, order="C")  # the reshaped buffers below are views
     K = np.empty((12,) + y.shape)
     Kf = K.reshape(12, -1)
     stage = np.empty_like(y)
@@ -256,10 +279,14 @@ def _dop853(coefficients, flow, t0: float, t1: float, y0: np.ndarray,
     flow(y + direction * h0 * K[0], coefficients(np.array([t0 + direction * h0])), 0, K[1])
     d = max(d1, _node_norm((K[1] - K[0]) / scale) / h0)
     h_abs = min(100.0 * h0, span, max(1e-6, 1e-3 * h0) if d <= 1e-15 else (0.01 / d) ** 0.125)
-    t, accepted, rejected, retried, evaluations = t0, 0, 0, False, 2
+    fastest, kappa = float(np.max(rate)), 0.5 * np.asarray(rate, dtype=float)
+    h_cap = 0.5 * _DOP_STABILITY / fastest if fastest > 0.0 else math.inf
+    t, accepted, rejected, capped, retried, evaluations = t0, 0, 0, 0, False, 2
     while t != t1:
         min_step = 10.0 * abs(np.nextafter(t, direction * math.inf) - t)
         h_abs = h_abs if h_abs >= min_step else min_step  # a NaN estimate too
+        at_cap = h_abs >= h_cap
+        h_abs = h_cap if at_cap else h_abs
         t_new = t1 if h_abs >= abs(t1 - t) else t + direction * h_abs
         h = t_new - t
         C = coefficients(np.append(t + _DOP_C[1:12] * h, t_new))
@@ -272,20 +299,24 @@ def _dop853(coefficients, flow, t0: float, t1: float, y0: np.ndarray,
         y_new = y + (hAB[12] @ Kf).reshape(y.shape)
         scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
         e5, e3 = np.sum(((_DOP_E @ Kf).reshape((2,) + y.shape) / scale) ** 2, axis=1)
-        err = abs(h) * float(np.max(e5 / np.sqrt(np.maximum((e5 + 0.01 * e3) * y.shape[0],
-                                                            1e-300))))
+        local = abs(h) * e5 / np.sqrt(np.maximum((e5 + 0.01 * e3) * y.shape[0], 1e-300))
+        weight = np.exp(-kappa * abs(t1 - t_new))
+        err = float(np.max(weight * local))
         if not err < 1.0:  # NaN rejects too
             h_abs *= max(_MIN_FACTOR, _SAFETY * err**-0.125)
             rejected, retried = rejected + 1, True
             if h_abs < min_step:
                 raise ForwardError(f"Riccati integration: step size underflow at t = {t}")
             continue
-        factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**-0.125)
+        # the next step ends about |h| nearer t1, where its error weighs more
+        ahead = float(np.max(np.minimum(weight * np.exp(kappa * abs(h)), 1.0) * local))
+        factor = _MAX_FACTOR if ahead == 0.0 else min(_MAX_FACTOR, _SAFETY * ahead**-0.125)
         h_abs *= min(1.0, factor) if retried else factor
+        capped += at_cap and t_new != t1
         t, y, accepted, retried = t_new, y_new, accepted + 1, False
         flow(y, C, 11, K[0])
         evaluations += 1
-    return y, accepted, rejected, evaluations
+    return y, accepted, rejected, evaluations, capped
 
 
 def _check_admissible(profile: LameProfile, H: float, n_samples: int) -> None:
@@ -296,11 +327,12 @@ def _check_admissible(profile: LameProfile, H: float, n_samples: int) -> None:
 
 
 def _radial_symbols(profile: LameProfile, nodes: np.ndarray,
-                    tol: float) -> tuple[np.ndarray, int, int, int]:
+                    tol: float) -> tuple[np.ndarray, int, int, int, int]:
     """The Riccati core: reduced M0(r) = M(r e1) at every node, and the step counts.
 
-    Returns rows (M11, M22, M33, Im M13), shape (n, 4), the accepted and
-    rejected steps and the flow evaluations. Each node runs from its
+    Returns rows (M11, M22, M33, Im M13), shape (n, 4), and the counts of
+    :func:`_dop853` (accepted and rejected steps, flow evaluations, capped
+    steps). Each node runs from its
     truncation depth H(r) to the surface in tau = y3 / H, from 1 to 0, started
     from the frozen half-space impedance S = -rho Z(lam(H), mu(H)). Nodes with
     r <= efolds/H_max carry S (rho = r, physical depth, c = H_max);
@@ -312,23 +344,42 @@ def _radial_symbols(profile: LameProfile, nodes: np.ndarray,
     the (stage, node) grid, shape (stage, 4, 11, node); a flow evaluation
     builds the monomials and contracts them once. Depths follow
     :data:`DEFAULT_FRAME`.
+
+    Linearised at its fixed point -rho Z(lam, mu), the flow contracts toward
+    the surface at the rate 2 c rho = 2 |k| H per unit tau for every (lam, mu),
+    because the isotropic Stroh root is p = i; the root is double, and so is
+    the eigenvalue. Where the fixed point drifts with depth faster than |k|,
+    relative to its size, the state lags it and contracts more slowly, so each
+    node hands :func:`_dop853` the rate 2 H max(|k| - L, 0), L the largest drift
+    |dZ/dy3| / |Z| of the frozen rows between the surface and its depth, from
+    257 samples on [0, H_max]. The integrator weights each node's error by the
+    damping on the way up and caps every step inside DOP853's stability
+    interval: a node meets ``tol`` at the surface, not at every depth.
     """
     H_max, efolds = DEFAULT_FRAME.H_max, DEFAULT_FRAME.efolds
     scaled = nodes > efolds / H_max
     sigma = np.where(scaled, nodes, 1.0)  # the state is S / sigma
     rho = nodes / sigma
     H = np.where(scaled, efolds / sigma, H_max)
-    lamH, muH = profile.lam(H), profile.mu(H)
-    z_lam, z_mu = Z_ROWS_E1[:, :, None]
-    y0 = -rho * muH / (lamH + 3.0 * muH) * (lamH * z_lam + muH * z_mu)
+
+    def moduli(y3):
+        zero = 0.0 * y3  # a profile may answer with a scalar
+        return profile.lam(y3) + zero, profile.mu(y3) + zero
+
+    y0 = -rho * _impedance_rows(*moduli(H)).T
     c = H * sigma
     cr, cr2 = c * rho, c * rho**2
     two_cr = 2.0 * cr
+    # L of the docstring: the largest drift of the frozen rows above each depth
+    y3 = np.linspace(0.0, H_max, 257)
+    z = _impedance_rows(*moduli(y3))
+    size = np.abs(z).max(axis=1)
+    drift = np.abs(np.diff(z, axis=0)).max(axis=1) / (np.minimum(size[1:], size[:-1]) * y3[1])
+    lag = np.maximum.accumulate(drift)[np.searchsorted(y3, H) - 1]
+    rate = 2.0 * H * np.maximum(nodes - lag, 0.0)
 
     def coefficients(taus):
-        y3 = taus[:, None] * H
-        zero = 0.0 * y3  # a profile may answer with a scalar
-        lam, mu = profile.lam(y3) + zero, profile.mu(y3) + zero
+        lam, mu = moduli(taus[:, None] * H)
         d = 1.0 / (lam + 2.0 * mu)
         g = lam * d
         p, q = c / mu, c * d
@@ -350,7 +401,7 @@ def _radial_symbols(profile: LameProfile, nodes: np.ndarray,
         np.multiply(y[::2], y[3], out=monomials[8:10])
         np.einsum("kmn,mn->kn", C[i], monomials, out=out)
 
-    y, *counts = _dop853(coefficients, flow, 1.0, 0.0, y0, tol)
+    y, *counts = _dop853(coefficients, flow, 1.0, 0.0, y0, tol, rate)
     return (-sigma * y).T, *counts
 
 
@@ -410,7 +461,8 @@ def dtn_symbol_march(profile: LameProfile, k, n_steps: int = 600) -> np.ndarray:
 class RadialDtnTable:
     """M0 of one profile at explicit radii in [0, k_max], from one joint Riccati
     solve: rows (M11, M22, M33, Im M13) ``reduced`` at ``nodes``, each within
-    ``riccati_tol``, and ``steps`` (accepted, rejected, flow evaluations)."""
+    ``riccati_tol``, and ``steps`` (accepted, rejected, flow evaluations,
+    steps set by the stability cap)."""
 
     def __init__(self, profile: LameProfile, k_max: float, radii,
                  riccati_tol: float = 1e-10) -> None:
@@ -435,13 +487,14 @@ class RadialSymbol:
     nest: solved values are kept) until the trailing third of R's Chebyshev
     coefficients is below ``riccati_tol`` times max(max |R|, max |Z0|); one
     still above it at 1296 points is refused. Constant profiles have R = 0 and
-    ``s`` None. ``solves``: (nodes, accepted, rejected, flow evaluations) each.
+    ``s`` None. ``solves``: (nodes, accepted, rejected, flow evaluations,
+    capped steps) each.
     """
 
     def __init__(self, profile: LameProfile, riccati_tol: float = 1e-10) -> None:
         _check_admissible(profile, DEFAULT_FRAME.H_max, n_samples=256)
         lam, mu = float(profile.lam(0.0)), float(profile.mu(0.0))
-        self.z0 = mu / (lam + 3.0 * mu) * (lam * Z_ROWS_E1[0] + mu * Z_ROWS_E1[1])
+        self.z0 = _impedance_rows(lam, mu)
         self.s = self.weights = self.remainder = None
         self.solves: list[tuple[int, ...]] = []
         if profile.is_polynomial and not any(profile.lam_coeffs[1:] + profile.mu_coeffs[1:]):
@@ -504,7 +557,7 @@ class SymbolMemo:
         self.maxsize, self._symbols = maxsize, OrderedDict()
         self.counts = Counter(dict.fromkeys(("riccati_solves", "exact_constants", "memo_hits",
                                              "nodes", "steps_accepted", "steps_rejected",
-                                             "rhs_evaluations"), 0))
+                                             "rhs_evaluations", "steps_capped"), 0))
         self.accepted: list[tuple[int, int]] = []
         self.seconds = 0.0
 
@@ -522,9 +575,10 @@ class SymbolMemo:
         if symbol.s is None:
             self.counts["exact_constants"] += 1
         else:
-            for nodes, accepted, rejected, evaluations in symbol.solves:
+            for nodes, accepted, rejected, evaluations, capped in symbol.solves:
                 self.counts.update(riccati_solves=1, nodes=nodes, steps_accepted=accepted,
-                                   steps_rejected=rejected, rhs_evaluations=evaluations)
+                                   steps_rejected=rejected, rhs_evaluations=evaluations,
+                                   steps_capped=capped)
             self.accepted.append((symbol.s.size, len(symbol.solves) - 1))
         if len(self._symbols) > self.maxsize:
             self._symbols.popitem(last=False)

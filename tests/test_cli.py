@@ -410,6 +410,7 @@ class TestReconstructCommand:
         assert symbols["rhs_evaluations"] == (2 * symbols["riccati_solves"]
                                               + 12 * symbols["steps_accepted"]
                                               + 11 * symbols["steps_rejected"])
+        assert 0 <= symbols["steps_capped"] <= symbols["steps_accepted"]
         assert sum(counters["extrapolation_flags"].values()) == 6 + 6 + 3 * 6
 
     def test_null_rho_tilde_follows_holder_exponent(self, tmp_path):
@@ -428,6 +429,17 @@ class TestReconstructCommand:
         assert reader.fieldnames[2:] == ["m", "re", "im", "tail", "rate"]
         assert {(row["m"], row["rate"]) for row in rows} == {
             ("0", "4.000000000000e-01"), ("1", "2.500000000000e-01")}
+
+    @pytest.mark.parametrize("c", [1e-9, 3e-5])
+    def test_weak_gradient_resolved(self, tmp_path, c):
+        # lambda = 1 + c y: the symbol's remainder is small, and the run must
+        # resolve it at 48 points rather than refuse it (exit 4)
+        symbol_memo.clear()
+        path = write_config(tmp_path, profile={"lambda": [1.0, c], "mu": [1.0], "m": 2, "p": 0.9})
+        out = tmp_path / "weak"
+        assert main(["reconstruct", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        symbols = json.loads((out / "manifest.json").read_text())["counters"]["symbols"]
+        assert symbols["accepted_nodes"] == [48]
 
     def test_unidentifiable_battery_exits_config(self, tmp_path, capsys):
         # e3 and tangent probes see the same combination of lambda and mu
