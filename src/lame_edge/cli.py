@@ -30,8 +30,8 @@ from .ansatz import (
     smallness_ok,
 )
 from .elastic import LameProfile, validate_admissibility
-from .forward import (ForwardError, QuadratureSettings, interpolation_counts, polar_grid,
-                      symbol_memo)
+from .forward import (ForwardError, QuadratureSettings, form_counts, interpolation_counts,
+                      polar_grid, symbol_memo)
 from .geometry import (
     FlatPatch,
     ParaboloidPatch,
@@ -397,6 +397,26 @@ def _write_manifest(out: Path, cfg_path: Path | None, stages: dict, outputs: lis
     _write_json(out / "manifest.json", manifest)
 
 
+def _counted(stage: str, run) -> tuple:
+    """``run()``, its ``stage_seconds`` (``stage`` and, within it, ``symbols``) and
+    its memo ``counters`` (``pairing_grids`` and ``symbols``)."""
+    grids0, weights0 = polar_grid.cache_info(), dict(interpolation_counts)
+    forms0, symbols0 = dict(form_counts), dict(symbol_memo.counts)
+    built0, seconds0 = len(symbol_memo.accepted), symbol_memo.seconds
+    t0 = time.perf_counter()
+    result = run()
+    stages = {stage: time.perf_counter() - t0, "symbols": symbol_memo.seconds - seconds0}
+    grids1 = polar_grid.cache_info()
+    grids = {"built": grids1.misses - grids0.misses, "reused": grids1.hits - grids0.hits,
+             **{f"weights_{k}": v - weights0[k] for k, v in interpolation_counts.items()},
+             **{f"forms_{k}": v - forms0[k] for k, v in form_counts.items()}}
+    symbols = {k: v - symbols0[k] for k, v in symbol_memo.counts.items()}
+    built = symbol_memo.accepted[built0:]
+    symbols["accepted_nodes"] = [n for n, _ in built]
+    symbols["refinements"] = [k for _, k in built]
+    return result, stages, {"pairing_grids": grids, "symbols": symbols}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -478,17 +498,13 @@ def cmd_forward(args) -> int:
     cutoff = cutoff_from_config(cfg)
     quad = quad_from_config(cfg)
     orders = [0] + ([cfg["order"]] if cfg["order"] >= 1 else [])
-    ladders = []
-    t0 = time.perf_counter()
-    for m in orders:
-        ladders.extend(serial_ladder_runner(profile, battery, cfg["ladder"], m, cutoff,
-                                            cfg.get("rho_tilde"), quad))
-    elapsed = time.perf_counter() - t0
+    ladders, stages, counters = _counted("forward", lambda: [
+        lr for m in orders for lr in serial_ladder_runner(
+            profile, battery, cfg["ladder"], m, cutoff, cfg.get("rho_tilde"), quad)])
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_ladder_csv(outdir / "pairings.csv", ladders, nodes=4 * quad.nodes**2)
-    _write_manifest(outdir, Path(args.config), {"forward": elapsed},
-                    [outdir / "pairings.csv"])
+    _write_manifest(outdir, Path(args.config), stages, [outdir / "pairings.csv"], counters)
     print(f"wrote {outdir / 'pairings.csv'} ({len(ladders)} ladders)")
     return EXIT_OK
 
@@ -583,12 +599,7 @@ def cmd_reconstruct(args) -> int:
     battery = battery_from_config(cfg)
     cutoff = cutoff_from_config(cfg)
     quad = quad_from_config(cfg)
-    stages: dict[str, float] = {}
-    grids0, symbols0 = polar_grid.cache_info(), dict(symbol_memo.counts)
-    weights0 = dict(interpolation_counts)
-    built0, seconds0 = len(symbol_memo.accepted), symbol_memo.seconds
-    t0 = time.perf_counter()
-    report = reconstruct_profile(
+    report, stages, counters = _counted("reconstruct", lambda: reconstruct_profile(
         profile,
         cfg["order"],
         cfg["ladder"],
@@ -597,10 +608,7 @@ def cmd_reconstruct(args) -> int:
         rho_tilde=cfg.get("rho_tilde"),
         quad=quad,
         calibrate=cfg.get("calibrate", True),
-    )
-    stages["reconstruct"] = time.perf_counter() - t0
-    stages["symbols"] = symbol_memo.seconds - seconds0
-    grids1 = polar_grid.cache_info()
+    ))
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -617,18 +625,11 @@ def cmd_reconstruct(args) -> int:
     _write_ladder_csv(outdir / "ladders.csv", report.order0_ladders + report.order_m_ladders)
     outputs = [outdir / "report.json", outdir / "ladders.csv"]
     order0 = {k: getattr(report.order0, k) for k in ("method", "passes", "final_change")}
-    grids = {"built": grids1.misses - grids0.misses, "reused": grids1.hits - grids0.hits,
-             **{f"weights_{k}": v - weights0[k] for k, v in interpolation_counts.items()}}
-    symbols = {k: v - symbols0[k] for k, v in symbol_memo.counts.items()}
-    built = symbol_memo.accepted[built0:]
-    symbols["accepted_nodes"] = [n for n, _ in built]
-    symbols["refinements"] = [k for _, k in built]
     calibration = report.calibration.ladders.values() if report.calibration else []
     flags = Counter(lr.extrapolation.flag for lr in report.order0_ladders
                     + report.order_m_ladders + [lr for lrs in calibration for lr in lrs])
     _write_manifest(outdir, Path(args.config), stages, outputs,
-                    {"order0": order0, "pairing_grids": grids, "symbols": symbols,
-                     "extrapolation_flags": flags})
+                    {"order0": order0, **counters, "extrapolation_flags": flags})
     print(f"order-0: lambda = {report.order0.lam:.6f}, mu = {report.order0.mu:.6f}")
     for mode, r in report.order_m.items():
         print(f"order-{r.m} [{mode:>16s}]: dlam = {r.dlam:+.6f}, dmu = {r.dmu:+.6f}")

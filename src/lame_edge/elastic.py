@@ -126,6 +126,10 @@ class LameProfile:
         self.lam_coeffs = None if lam_coeffs is None else [float(c) for c in lam_coeffs]
         self.mu_coeffs = None if mu_coeffs is None else [float(c) for c in mu_coeffs]
         self.name = name
+        # the memo key: the coefficients without trailing zeros (None for callables)
+        self.content = None if not self.is_polynomial else tuple(
+            tuple(np.trim_zeros(np.array(c), "b")) for c in (self.lam_coeffs, self.mu_coeffs))
+        self.truncations: dict[int, TruncatedProfile] = {}  # taylor_truncate's, by m
         # derivatives up to m must evaluate at the surface
         for order in range(self.max_derivative_order + 1):
             float(np.asarray(self._lam(np.asarray(0.0), order)))
@@ -180,11 +184,14 @@ class LameProfile:
 
 
 def _horner(coeffs: Sequence[float]) -> Callable[[np.ndarray, int], np.ndarray]:
-    """f(y3, order): d^order of the polynomial, Horner as in polyval (bit-identical)."""
-    c0 = tuple(float(c) for c in coeffs)
+    """f(y3, order): d^order of the polynomial, Horner as in polyval (bit-identical);
+    each order's coefficients are derived once."""
+    derivatives = {0: tuple(float(c) for c in coeffs)}
 
     def f(y3, order=0):
-        c = np.polynomial.polynomial.polyder(c0, order) if order else c0
+        if order not in derivatives:
+            derivatives[order] = np.polynomial.polynomial.polyder(derivatives[0], order)
+        c = derivatives[order]
         v = c[-1] + y3 * 0
         for ci in c[-2::-1]:
             v = ci + v * y3
@@ -205,8 +212,11 @@ class TruncatedProfile:
 def taylor_truncate(profile: LameProfile, m: int) -> TruncatedProfile:
     """Replace lambda, mu by their degree-(m-1) Taylor polynomials at y3 = 0.
 
-    Exact for polynomial inputs of degree < m; idempotent at fixed m.
+    Exact for polynomial inputs of degree < m; idempotent at fixed m. Kept on
+    the profile, so a second call returns the same object.
     """
+    if m in profile.truncations:
+        return profile.truncations[m]
     if m < 1:
         raise ValueError("truncation order m must be >= 1")
     if m - 1 > profile.max_derivative_order:
@@ -222,7 +232,8 @@ def taylor_truncate(profile: LameProfile, m: int) -> TruncatedProfile:
         holder_exponent=profile.holder_exponent,
         name=f"{profile.name}|trunc{m}",
     )
-    return TruncatedProfile(base=profile, order=m, result=result)
+    profile.truncations[m] = TruncatedProfile(base=profile, order=m, result=result)
+    return profile.truncations[m]
 
 
 @dataclass(frozen=True)

@@ -43,16 +43,20 @@ Pairings never assemble the 3x3 symbol: with b = R(theta)^T a and
 rows = (M11, M22, M33, Im M13), a^H M(k) a = rows(|k|) . C(a) f(theta), where
 f = (1, cos, sin, cos 2., sin 2.)(theta) and C(a) f = (|b1|^2, |b2|^2, |a3|^2,
 -2 Im(conj(b1) a3)). In the offset angle phi = theta - theta0 the polar grid's
-weights W(r, phi) do not depend on the probe direction, so a pairing is
-sum(rows * (F @ C(a')^T)) with a' = R(theta0)^T a and F = W @ f(phi)^T, the
-grid's memoised angular moments. The rows at the grid's radii are one
-barycentric product, whose weights the grid keeps per Chebyshev point count.
+weights W(r, phi) do not depend on the probe direction, so with a' =
+R(theta0)^T a and the angular moments F = W @ f(phi)^T a pairing is
+sum(rows * (F @ C(a')^T)) = <C(a'), G>: one 20-term dot product with the moment
+form G = rows^T F, built once per (grid, symbols). W is even in phi, so the
+grid holds phi in [0, pi] with mirrored weights, and its sin moments are 0.
+The rows at the grid's radii are one barycentric product, whose weights the
+grid keeps per Chebyshev point count.
 """
 
 from __future__ import annotations
 
 import math
 import time
+import weakref
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -67,7 +71,7 @@ __all__ = [
     "DtnSymbol", "ForwardError", "HalfSpaceFrame", "PairingResult", "QuadratureSettings",
     "RadialDtnTable", "RadialSymbol", "depth_stroh", "difference_pairing", "dtn_symbol",
     "dtn_symbol_march", "half_space_impedance", "interpolation_counts", "limit_quadrature",
-    "pairing", "polar_grid", "symbol_memo", "warm_tables",
+    "form_counts", "pairing", "polar_grid", "symbol_memo", "warm_tables",
 ]
 
 
@@ -562,9 +566,7 @@ class SymbolMemo:
         self.seconds = 0.0
 
     def symbol(self, profile: LameProfile, riccati_tol: float) -> RadialSymbol:
-        content = profile if not profile.is_polynomial else tuple(
-            tuple(np.trim_zeros(np.array(c), "b")) for c in (profile.lam_coeffs, profile.mu_coeffs))
-        key = (content, riccati_tol)
+        key = (profile.content or profile, riccati_tol)
         if key in self._symbols:
             self._symbols.move_to_end(key)
             self.counts["memo_hits"] += 1
@@ -627,12 +629,17 @@ class PolarGrid:
     converges slowly while the polar grid converges spectrally. The weights
     W(r, phi) (measure, squared cutoff transform, probe normalization) are
     kept as their angular moments F = W @ f(phi)^T, shape (nr, 5). The
-    barycentric data of :meth:`rows` are kept per Chebyshev point count.
+    barycentric data of :meth:`rows` are kept per Chebyshev point count, and
+    the forms of :meth:`form` per symbols, freed with the grid or the symbols.
     """
 
     r: np.ndarray
     moments: np.ndarray
     interpolations: dict = field(default_factory=dict, repr=False, compare=False)
+    forms: weakref.WeakKeyDictionary = field(default_factory=weakref.WeakKeyDictionary,
+                                             repr=False, compare=False)
+    difference_forms: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, repr=False, compare=False)
 
     def rows(self, symbol: RadialSymbol) -> np.ndarray:
         """``symbol.rows(r)`` at the grid's radii; counted in :data:`interpolation_counts`."""
@@ -646,13 +653,30 @@ class PolarGrid:
                 arr.setflags(write=False)
         return symbol.rows(self.r, self.interpolations[n])
 
-    def contract(self, rows: np.ndarray, a, omega) -> np.ndarray:
-        """Sum of W * rows(r) . Phi(theta0 + phi) for a probe (a, omega); ``rows``
-        has shape (..., nr, 4) and the leading axes are kept."""
+    def form(self, symbols: tuple[RadialSymbol, ...]) -> np.ndarray:
+        """G = rows^T F of ``symbols[0]`` (minus ``symbols[1]``, subtracted row by
+        row first), shape (4, 5), built once; kept under weak keys on the symbol
+        objects, not their ids, which a later symbol may reuse; see :data:`form_counts`."""
+        forms = (self.difference_forms.setdefault(symbols[0], weakref.WeakKeyDictionary())
+                 if len(symbols) > 1 else self.forms)
+        G = forms.get(symbols[-1])
+        form_counts["built" if G is None else "reused"] += 1
+        if G is None:
+            rows = self.rows(symbols[0])
+            if len(symbols) > 1:
+                rows = rows - self.rows(symbols[1])
+            G = forms[symbols[-1]] = rows.T @ self.moments
+            G.setflags(write=False)
+        return G
+
+    @staticmethod
+    def contract(form: np.ndarray, a, omega) -> np.ndarray:
+        """<C(a'), G> = sum of W * rows(r) . Phi(theta0 + phi) for a probe (a, omega)
+        and the moment form G = rows^T F, shape (..., 4, 5), leading axes kept."""
         theta0 = math.atan2(omega[1], omega[0])
         c, s = math.cos(theta0), math.sin(theta0)
         a_probe = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]]) @ np.asarray(a)
-        return np.sum(rows * (self.moments @ _form_coefficients(a_probe).T), axis=(-2, -1))
+        return np.sum(form * _form_coefficients(a_probe), axis=(-2, -1))
 
 
 @lru_cache(maxsize=None)
@@ -664,8 +688,9 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-# barycentric data of PolarGrid.rows over the process, per (grid, point count)
+# over the process: PolarGrid.rows data per (grid, point count), forms per (grid, symbols)
 interpolation_counts = Counter(built=0, reused=0)
+form_counts = Counter(built=0, reused=0)
 
 
 @lru_cache(maxsize=64)
@@ -673,8 +698,10 @@ def polar_grid(N: int, rho_tilde: int, cutoff, quad: QuadratureSettings) -> Pola
     """Direction-free polar quadrature grid, memoised (read-only arrays).
 
     Radial Gauss-Legendre nodes cover [max(0, N - spread), N + spread] with
-    spread = W N^{1-rho}; the angular range is the full circle while the
-    spectral support contains the origin, otherwise the subtended wedge.
+    spread = W N^{1-rho}; the angular rule is the trapezoid rule on the full
+    circle while the spectral support contains the origin, otherwise
+    Gauss-Legendre on the subtended wedge. Both are symmetric, so only phi in
+    [0, pi] is evaluated, each node with its mirror's weight.
     Cutoffs key the memo by identity. A run's ladders share one cutoff, so
     the 64 entries hold every grid of a run with up to 64 (N, rho_tilde) pairs.
     """
@@ -686,15 +713,15 @@ def polar_grid(N: int, rho_tilde: int, cutoff, quad: QuadratureSettings) -> Pola
     r = 0.5 * (r_hi - r_lo) * x + 0.5 * (r_hi + r_lo)
     wr = 0.5 * (r_hi - r_lo) * w
 
-    n_t = 2 * quad.nodes
+    n = quad.nodes  # half the angular nodes
     if spread >= N:
-        phi = -math.pi + 2.0 * math.pi * np.arange(n_t) / n_t
-        wt = np.full(n_t, 2.0 * math.pi / n_t)
+        phi = math.pi * np.arange(n + 1) / n  # 0 and pi are their own mirrors
+        wt = 2.0 * math.pi / n * np.r_[0.5, np.ones(n - 1), 0.5]
     else:
         half = 1.05 * math.asin(min(1.0, spread / N))
-        xt, wwt = _gauss_legendre(n_t)
-        phi = half * xt
-        wt = half * wwt
+        xt, wwt = _gauss_legendre(2 * n)
+        phi = half * xt[n:]
+        wt = 2.0 * half * wwt[n:]
 
     dist2 = r[:, None] ** 2 + float(N) ** 2 - 2.0 * float(N) * r[:, None] * np.cos(phi)
     kappa = N ** (rho - 1.0) * np.sqrt(np.maximum(dist2, 0.0))
@@ -702,6 +729,7 @@ def polar_grid(N: int, rho_tilde: int, cutoff, quad: QuadratureSettings) -> Pola
     prefactor = N ** (2.0 * rho - 3.0) / (4.0 * math.pi**2)
     weights = prefactor * eta2 * (wr * r)[:, None] * wt[None, :]
     moments = weights @ _harmonics(np.cos(phi), np.sin(phi))
+    moments[:, [2, 4]] = 0.0  # odd in phi: the mirrored nodes cancel them
     for arr in (r, moments):
         arr.setflags(write=False)
     return PolarGrid(r, moments)
@@ -750,12 +778,9 @@ def difference_pairing(profile: LameProfile, m: int, probe: ProbeSpec,
 
 def _pair(probe: ProbeSpec, quad: QuadratureSettings,
           symbols: tuple[RadialSymbol, ...]) -> PairingResult:
-    """Contract the rows of ``symbols[0]`` (minus those of ``symbols[1]``) on the probe's grid."""
+    """Contract the moment form of ``symbols[0]`` (minus ``symbols[1]``) on the probe's grid."""
     grid = polar_grid(probe.N, probe.rho_tilde, probe.cutoff, quad)
-    rows = grid.rows(symbols[0])
-    if len(symbols) > 1:
-        rows = rows - grid.rows(symbols[1])
-    value = complex(grid.contract(rows, probe.a, probe.omega))
+    value = complex(grid.contract(grid.form(symbols), probe.a, probe.omega))
     return PairingResult(value, probe, quad.tail_tol * abs(value))
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -163,6 +164,17 @@ class ExtrapolationResult:
     uncertainty: float
 
 
+@lru_cache(maxsize=64)
+def _fit_basis(N: tuple, rho: float) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """Exponents 2 rho (1, 2, 3), basis A = (1, N^-e) and its pseudo-inverse (read-only)."""
+    exps = tuple(2.0 * rho * (j + 1) for j in range(3))
+    A = np.column_stack([np.ones(len(N))] + [np.array(N) ** -e for e in exps])
+    fit = np.linalg.pinv(A)
+    A.setflags(write=False)
+    fit.setflags(write=False)
+    return exps, A, fit
+
+
 def extrapolate(N_values, values, rho: float) -> ExtrapolationResult:
     """Extrapolate a dyadic ladder of pairing values to N = infinity.
 
@@ -173,7 +185,8 @@ def extrapolate(N_values, values, rho: float) -> ExtrapolationResult:
 
         S(N) = S* + c1 N^{-2 rho} + c2 N^{-4 rho} + c3 N^{-6 rho},
 
-    solved by least squares on at least four points. A converged ladder
+    fitted on at least four points as one product with the basis's
+    pseudo-inverse, which is computed once per (N-list, rho). A converged ladder
     short-circuits, and a ladder whose differences grow at the tail is flagged
     as a noise floor.
     """
@@ -191,9 +204,8 @@ def extrapolate(N_values, values, rho: float) -> ExtrapolationResult:
         return ExtrapolationResult(complex(S[-1]), 0.0, math.inf, "noise_floor",
                                    float(3.0 * mag[-1]))
 
-    exps = [2.0 * rho * (j + 1) for j in range(3)]
-    A = np.column_stack([np.ones(N.size)] + [N**-e for e in exps])
-    coef, *_ = np.linalg.lstsq(A, S, rcond=None)
+    exps, A, fit = _fit_basis(tuple(N), rho)
+    coef = fit @ S
     rms = float(np.linalg.norm(A @ coef - S) / math.sqrt(N.size))
     # uncertainty: misfit plus a fraction of the least-resolved term
     tail_term = abs(coef[-1]) * N[-1] ** -exps[-1]
@@ -382,7 +394,8 @@ def _pairing_moments(template: ProbeTemplate, N: int, rho_tilde: int,
     """(G_lam, G_mu): a half-space pairs, with M(k) = |k| R Z R^T on the forward
     pairing's grid, to (G_lam, G_mu) . x, as Z is linear (see order0_variables)."""
     grid = polar_grid(int(N), rho_tilde, cutoff, quad)
-    return grid.contract(Z_ROWS_E1[:, None, :] * grid.r[:, None], template.a, template.omega)
+    G = Z_ROWS_E1[:, :, None] * (grid.r @ grid.moments)  # the forms of the rows r z
+    return grid.contract(G, template.a, template.omega)
 
 
 def homogeneous_pairing_value(template: ProbeTemplate, N: int, rho_tilde: int,

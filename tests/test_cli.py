@@ -373,8 +373,11 @@ class TestReconstructCommand:
                  for o in (out1, out2)]
         assert grids[0] == grids[1]
         assert 1 <= grids[0]["built"] < grids[0]["reused"]
-        # every symbol has 48 Chebyshev points: one set of weights per grid
-        assert grids[0]["weights_built"] == grids[0]["built"] < grids[0]["weights_reused"]
+        # every symbol has 48 Chebyshev points: one set of weights per grid; the
+        # rows are interpolated once per moment form, one form per grid and ladder
+        # order, and the battery's second probe reuses each
+        assert grids[0]["weights_built"] == grids[0]["built"]
+        assert grids[0]["forms_built"] == 2 * grids[0]["built"] == grids[0]["forms_reused"]
         # the symbol memo keys by profile content alone: the first run solves
         # the profile once at 48 Chebyshev points (its order-1 truncation is
         # constant, so exact), the second reads both symbols from the memo

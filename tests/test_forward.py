@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import subprocess
@@ -11,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lame_edge.ansatz import BumpCutoff, GaussianCutoff, ProbeSpec
-from lame_edge.elastic import LameProfile, validate_admissibility
+from lame_edge.elastic import LameProfile, taylor_truncate, validate_admissibility
 from lame_edge.forward import (
     DEFAULT_FRAME,
     _DOP_A,
@@ -32,6 +33,7 @@ from lame_edge.forward import (
     difference_pairing,
     dtn_symbol,
     dtn_symbol_march,
+    form_counts,
     half_space_impedance,
     interpolation_counts,
     limit_quadrature,
@@ -40,7 +42,7 @@ from lame_edge.forward import (
     symbol_memo,
     warm_tables,
 )
-from lame_edge.reconstruct import ProbeTemplate, run_ladder
+from lame_edge.reconstruct import ProbeTemplate, default_battery, run_ladder
 from lame_edge.stroh import impedance, stroh_matrix
 
 E1 = (1.0, 0.0, 0.0)
@@ -700,6 +702,102 @@ class TestReducedContraction:
         delta = {k: v - before[k] for k, v in symbol_memo.counts.items()}
         assert (delta["riccati_solves"], delta["exact_constants"]) == (1, 1)
         assert delta["nodes"] == 48 and delta["memo_hits"] == 2
+
+
+def unfolded_moments(N, rho_tilde, cutoff, quad) -> np.ndarray:
+    """Angular moments of the polar grid on the full angular rule (the grid
+    before the half-plane fold): every node of phi evaluated."""
+    rho = 1.0 / rho_tilde
+    spread = cutoff.spectral_halfwidth(quad.tail_tol) * N ** (1.0 - rho)
+    r_lo, r_hi = max(0.0, N - spread), N + spread
+    x, w = np.polynomial.legendre.leggauss(2 * quad.nodes)
+    r = 0.5 * (r_hi - r_lo) * x + 0.5 * (r_hi + r_lo)
+    n_t = 2 * quad.nodes
+    if spread >= N:
+        phi, wt = -np.pi + 2.0 * np.pi * np.arange(n_t) / n_t, np.full(n_t, 2.0 * np.pi / n_t)
+    else:
+        half = 1.05 * math.asin(min(1.0, spread / N))
+        xt, wwt = np.polynomial.legendre.leggauss(n_t)
+        phi, wt = half * xt, half * wwt
+    kappa = N ** (rho - 1.0) * np.sqrt(np.maximum(
+        r[:, None] ** 2 + N**2 - 2.0 * N * r[:, None] * np.cos(phi), 0.0))
+    weights = (N ** (2.0 * rho - 3.0) / (4.0 * np.pi**2) * np.abs(cutoff.fourier_radial(kappa)) ** 2
+               * (0.5 * (r_hi - r_lo) * w * r)[:, None] * wt)
+    return weights @ _harmonics(np.cos(phi), np.sin(phi))
+
+
+class TestMomentForms:
+    """A pairing is <C(a'), G> for the moment form G = rows^T F of its grid and
+    symbols, on a grid folded onto phi in [0, pi]."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), complex_amplitudes, st.floats(-np.pi, np.pi),
+           st.sampled_from([(32, 4), (4096, 3)]))  # full-circle and wedge grids
+    def test_form_equals_elementwise_contraction(self, seed, a, theta, n_rt):
+        grid = polar_grid(*n_rt, GAUSS, QuadratureSettings())
+        rows = np.random.default_rng(seed).normal(size=(grid.r.size, 4))
+        c, s = np.cos(theta), np.sin(theta)
+        C = _form_coefficients(np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]]) @ a)
+        terms = rows[:, :, None] * grid.moments[:, None, :] * C  # (r, row, harmonic)
+        direct = np.sum(rows * (grid.moments @ C.T))
+        form = grid.contract(rows.T @ grid.moments, a, (c, s))
+        assert abs(form - direct) <= 1e-14 * np.abs(terms).sum()
+
+    @pytest.mark.parametrize("cutoff", [GAUSS, BumpCutoff()], ids=["gaussian", "bump"])
+    @pytest.mark.parametrize("N, rho_tilde, nodes", [(16, 4, 96), (256, 4, 96), (32, 5, 24),
+                                                     (2**20, 3, 96), (2**20, 3, 24)])
+    def test_folded_grid_matches_full_rule(self, cutoff, N, rho_tilde, nodes):
+        quad = QuadratureSettings(nodes=nodes)
+        spread = cutoff.spectral_halfwidth(quad.tail_tol) * N ** (1.0 - 1.0 / rho_tilde)
+        assert (spread >= N) == (N < 2**20)  # the full circle, then the wedge
+        grid = polar_grid(N, rho_tilde, cutoff, quad)
+        reference = unfolded_moments(N, rho_tilde, cutoff, quad)
+        even, odd = [0, 1, 3], [2, 4]
+        assert np.all(grid.moments[:, odd] == 0.0)
+        assert np.abs(reference[:, odd]).max() <= 1e-15 * np.abs(reference[:, even]).max()
+        scale = np.abs(reference[:, even]).max(axis=0)
+        assert np.all(np.abs(grid.moments[:, even] - reference[:, even]) <= 1e-14 * scale)
+
+    def test_forms_live_only_with_their_symbols(self):
+        # the forms are keyed by the symbol objects, weakly: a symbol that
+        # leaves the memo frees its forms, and no later symbol can read them
+        grid = polar_grid(64, 4, GaussianCutoff(), QuadratureSettings())  # a fresh grid
+        symbol_memo.clear()
+        symbols = warm_tables(LameProfile.from_polynomial([1.2, 0.1], [0.8, 0.05]), m=1)
+        built, reused = form_counts["built"], form_counts["reused"]
+        G = grid.form(symbols)
+        assert grid.form(symbols) is G and not G.flags.writeable
+        assert grid.form(symbols[:1]) is not G
+        assert (form_counts["built"] - built, form_counts["reused"] - reused) == (2, 1)
+        assert len(grid.forms) == len(grid.difference_forms) == 1
+        symbol_memo.clear()
+        del symbols
+        gc.collect()
+        assert len(grid.forms) == len(grid.difference_forms) == 0
+
+    def test_gradient_ladders_independent_of_order_and_history(self):
+        # the gradient battery's order-0 and order-1 ladders, with fresh memos,
+        # in battery order, reversed, and interleaved with another profile's
+        profile = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2])
+        other = LameProfile.from_polynomial([1.4, -0.2, 0.05], [0.9, 0.1])
+        cutoff = GaussianCutoff()
+        plan = [(m, t) for m in (0, 1) for t in default_battery()]
+
+        def run(order, interleave=False):
+            polar_grid.cache_clear()
+            symbol_memo.clear()
+            out = {}
+            for m, t in order:
+                if interleave:
+                    run_ladder(other, t, LADDER, m, cutoff=cutoff, rho_tilde=4)
+                lr = run_ladder(profile, t, LADDER, m, cutoff=cutoff, rho_tilde=4)
+                out[(m, t.name)] = lr.values.tobytes()
+            return out
+
+        first = run(plan)
+        assert run(plan[::-1]) == first
+        assert run(plan, interleave=True) == first
+        assert taylor_truncate(profile, 1) is taylor_truncate(profile, 1)
 
 
 def pairing_bits(Ns, rho_tildes) -> dict:

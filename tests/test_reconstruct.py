@@ -159,6 +159,24 @@ class TestExtrapolate:
         with pytest.raises(ValueError, match="4 ladder"):
             extrapolate([16, 32, 64], [1.0, 1.1, 1.2], rho=0.25)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(16, 32, 64, 128, 256), (8, 16, 32, 64)]), st.sampled_from([3, 4, 5]),
+           st.lists(st.complex_numbers(max_magnitude=3.0), min_size=4, max_size=4),
+           st.integers(0, 2**32 - 1))
+    def test_cached_basis_equals_least_squares(self, N, rho_tilde, c, seed):
+        # the limit is one product with the basis's pseudo-inverse, cached per
+        # (N-list, rho); it equals a fresh lstsq fit to rounding of its terms
+        rho, Nf = 1.0 / rho_tilde, np.array(N, dtype=float)
+        A = np.column_stack([np.ones(Nf.size)] + [Nf ** (-2.0 * rho * j) for j in (1, 2, 3)])
+        noise = np.array([1e-6, 1e-6j]) @ np.random.default_rng(seed).normal(size=(2, Nf.size))
+        vals = A @ np.array(c) + noise
+        res = extrapolate(N, vals, rho)
+        assume(res.flag == "structured")
+        coef, *_ = np.linalg.lstsq(A, vals, rcond=None)
+        terms = np.abs(np.linalg.pinv(A)[0]) @ np.abs(vals)
+        assert abs(res.limit - coef[0]) <= 1e-14 * terms
+        assert extrapolate(N, vals, rho) == res
+
 
 class TestRecoverOrder0:
     def test_closed_loop_exact(self):
