@@ -2,9 +2,11 @@
 geometry-check, reconstruct.
 
 Exit codes: 0 pass, 2 acceptance-threshold failure, 3 configuration error,
-4 numerical diagnostic. Result artifacts (report.json, CSV ladders) are
-byte-deterministic for a fixed config and version; run timings live only in
-manifest.json together with the sha256 inventory of the other outputs.
+4 numerical diagnostic (a ForwardError, CalibrationError, ChainError or
+CascadeError, printed as one line). Result artifacts (report.json, CSV
+ladders) are byte-deterministic for a fixed config and version; run timings
+live only in manifest.json together with the sha256 inventory of the other
+outputs.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 from . import __version__
 from .ansatz import (
     BumpCutoff,
+    CascadeError,
     GaussianCutoff,
     ProbeSpec,
     residual_decay,
@@ -48,7 +51,7 @@ from .reconstruct import (
     serial_ladder_runner,
     closed_form_response,
 )
-from .stroh import eigen_jordan, impedance, reference_chain, stroh_matrix
+from .stroh import ChainError, eigen_jordan, impedance, reference_chain, stroh_matrix
 
 EXIT_OK = 0
 EXIT_ACCEPTANCE = 2
@@ -269,7 +272,7 @@ def cross_field_errors(cfg: dict) -> list[str]:
     if any(b != 2 * a for a, b in zip(ladder, ladder[1:])):
         errors.append(f"ladder must be dyadic: {ladder}")
     profile = profile_from_config(cfg)
-    rep = validate_admissibility(profile, H=2.0, n_samples=512)
+    rep = validate_admissibility(profile, H=2.0)
     if not rep.passed:
         errors.append(
             f"profile inadmissible on [0, 2]: min mu = {rep.min_mu:.4g}, "
@@ -330,16 +333,15 @@ def cutoff_from_config(cfg: dict):
     return BumpCutoff()
 
 
+def _directions(cfg: dict) -> list[tuple[float, float]]:
+    """The configured probe directions as unit tangents, (1, 0) and (0, 1) by default."""
+    return [(x / math.hypot(x, y), y / math.hypot(x, y))
+            for x, y in cfg.get("probes", {}).get("directions", [[1.0, 0.0], [0.0, 1.0]])]
+
+
 def battery_from_config(cfg: dict):
-    pc = cfg.get("probes", {})
-    kinds = pc.get("kinds", ["e3", "tangent", "sigma1"])
-    directions = pc.get("directions", [[1.0, 0.0], [0.0, 1.0]])
-    battery = []
-    for d in directions:
-        n = math.hypot(d[0], d[1])
-        for kind in kinds:
-            battery.append(ProbeTemplate.named(kind, (d[0] / n, d[1] / n)))
-    return battery
+    kinds = cfg.get("probes", {}).get("kinds", ["e3", "tangent", "sigma1"])
+    return [ProbeTemplate.named(kind, d) for d in _directions(cfg) for kind in kinds]
 
 
 def quad_from_config(cfg: dict) -> QuadratureSettings:
@@ -440,9 +442,7 @@ def cmd_stroh(args) -> int:
     cfg = load_config(args.config)
     profile = profile_from_config(cfg)
     lam0, mu0 = float(profile.lam(0.0)), float(profile.mu(0.0))
-    d = cfg.get("probes", {}).get("directions", [[1.0, 0.0]])[0]
-    n = math.hypot(d[0], d[1])
-    omega = (d[0] / n, d[1] / n, 0.0)
+    omega = (*_directions(cfg)[0], 0.0)
     K = stroh_matrix(lam0, mu0, omega)
     spec = eigen_jordan(K)
     q1, q2, q3 = reference_chain(lam0, mu0, omega)
@@ -459,10 +459,10 @@ def cmd_stroh(args) -> int:
         print(f"{name}: " + "  ".join(f"{v.real:+.4f}{v.imag:+.4f}j" for v in q))
     print("chain residuals:", {k: f"{v:.2e}" for k, v in spec.residuals.items()})
     print("\nZ (iota_squared):")
-    for row in _complex_table(Zs.matrix):
+    for row in _complex_table(Zs):
         print("  " + "  ".join(row))
     print("Z (iota_linear):")
-    for row in _complex_table(Zl.matrix):
+    for row in _complex_table(Zl):
         print("  " + "  ".join(row))
 
     out = {
@@ -478,8 +478,8 @@ def cmd_stroh(args) -> int:
             for name, q in (("q1", q1), ("q2", q2), ("q3", q3))
         },
         "Z": {
-            "iota_squared": {"re": Zs.matrix.real.tolist(), "im": Zs.matrix.imag.tolist()},
-            "iota_linear": {"re": Zl.matrix.real.tolist(), "im": Zl.matrix.imag.tolist()},
+            "iota_squared": {"re": Zs.real.tolist(), "im": Zs.imag.tolist()},
+            "iota_linear": {"re": Zl.real.tolist(), "im": Zl.imag.tolist()},
         },
         "residuals": spec.residuals,
     }
@@ -515,9 +515,7 @@ def cmd_ansatz_check(args) -> int:
     cutoff = cutoff_from_config(cfg)
     m = cfg["order"]
     rt = cfg.get("rho_tilde") or ProbeSpec.auto_rho_tilde(m, cfg["profile"]["p"])
-    d = cfg.get("probes", {}).get("directions", [[1.0, 0.0]])[0]
-    nrm = math.hypot(d[0], d[1])
-    omega = (d[0] / nrm, d[1] / nrm, 0.0)
+    omega = (*_directions(cfg)[0], 0.0)
     a = np.array([0.0, 0.0, 1.0], dtype=complex)
     probes = [ProbeSpec(a, omega, n, rt, m, cutoff, cfg["profile"]["p"])
               for n in cfg["ladder"]]
@@ -726,7 +724,7 @@ def main(argv=None) -> int:
     except (ConfigError, BatteryError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ForwardError, CalibrationError) as e:
+    except (ForwardError, CalibrationError, ChainError, CascadeError) as e:
         print(f"numerical diagnostic: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
 

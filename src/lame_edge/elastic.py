@@ -16,7 +16,6 @@ __all__ = [
     "AdmissibilityReport",
     "DisplacementJet",
     "LameProfile",
-    "TruncatedProfile",
     "check_admissible",
     "energy_density",
     "isotropic_components",
@@ -129,7 +128,7 @@ class LameProfile:
         # the memo key: the coefficients without trailing zeros (None for callables)
         self.content = None if not self.is_polynomial else tuple(
             tuple(np.trim_zeros(np.array(c), "b")) for c in (self.lam_coeffs, self.mu_coeffs))
-        self.truncations: dict[int, TruncatedProfile] = {}  # taylor_truncate's, by m
+        self.truncations: dict[int, LameProfile] = {}  # taylor_truncate's, by m
         # derivatives up to m must evaluate at the surface
         for order in range(self.max_derivative_order + 1):
             float(np.asarray(self._lam(np.asarray(0.0), order)))
@@ -156,6 +155,8 @@ class LameProfile:
 
     @staticmethod
     def constant(lam: float, mu: float, name: str = "homogeneous") -> "LameProfile":
+        """The homogeneous medium: its symbol is |k| Z(lam, mu) exactly, the
+        case on which the tests check the half-space oracles."""
         return LameProfile.from_polynomial([lam], [mu], name=name)
 
     @property
@@ -179,9 +180,6 @@ class LameProfile:
             mu_b.append(float(self.mu(0.0, b)) / fact)
         return np.array(lam_b), np.array(mu_b)
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"LameProfile({self.name}, m={self.max_derivative_order})"
-
 
 def _horner(coeffs: Sequence[float]) -> Callable[[np.ndarray, int], np.ndarray]:
     """f(y3, order): d^order of the polynomial, Horner as in polyval (bit-identical);
@@ -200,16 +198,7 @@ def _horner(coeffs: Sequence[float]) -> Callable[[np.ndarray, int], np.ndarray]:
     return f
 
 
-@dataclass(frozen=True)
-class TruncatedProfile:
-    """Degree-(m-1) Taylor truncation of a profile at the surface."""
-
-    base: LameProfile
-    order: int
-    result: LameProfile
-
-
-def taylor_truncate(profile: LameProfile, m: int) -> TruncatedProfile:
+def taylor_truncate(profile: LameProfile, m: int) -> LameProfile:
     """Replace lambda, mu by their degree-(m-1) Taylor polynomials at y3 = 0.
 
     Exact for polynomial inputs of degree < m; idempotent at fixed m. Kept on
@@ -225,14 +214,13 @@ def taylor_truncate(profile: LameProfile, m: int) -> TruncatedProfile:
             f"truncation at m = {m} needs order {m - 1}"
         )
     lam_b, mu_b = profile.taylor_coefficients(m - 1)
-    result = LameProfile.from_polynomial(
+    profile.truncations[m] = LameProfile.from_polynomial(
         lam_b,
         mu_b,
         max_derivative_order=profile.max_derivative_order,
         holder_exponent=profile.holder_exponent,
         name=f"{profile.name}|trunc{m}",
     )
-    profile.truncations[m] = TruncatedProfile(base=profile, order=m, result=result)
     return profile.truncations[m]
 
 

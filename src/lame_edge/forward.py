@@ -63,15 +63,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ansatz import ProbeSpec
+from .ansatz import ProbeSpec, gauss_legendre
 from .elastic import LameProfile, taylor_truncate, validate_admissibility
 from .stroh import _taq, first_order_matrix, impedance_basis, reference_chain
 
 __all__ = [
-    "DtnSymbol", "ForwardError", "HalfSpaceFrame", "PairingResult", "QuadratureSettings",
-    "RadialDtnTable", "RadialSymbol", "depth_stroh", "difference_pairing", "dtn_symbol",
-    "dtn_symbol_march", "half_space_impedance", "interpolation_counts", "limit_quadrature",
-    "form_counts", "pairing", "polar_grid", "symbol_memo", "warm_tables",
+    "EFOLDS", "ForwardError", "H_MAX", "PairingResult", "QuadratureSettings",
+    "RadialDtnTable", "RadialSymbol", "difference_pairing", "dtn_symbol", "dtn_symbol_march",
+    "form_counts", "half_space_impedance", "interpolation_counts", "limit_quadrature",
+    "pairing", "polar_grid", "symbol_memo", "truncation_depth", "warm_tables",
 ]
 
 
@@ -79,24 +79,17 @@ class ForwardError(RuntimeError):
     """Forward-solver diagnostic (stiff segment, admissibility, tail)."""
 
 
-@dataclass(frozen=True)
-class HalfSpaceFrame:
-    """Domain {y3 > 0} with outward normal (0, 0, -1) and truncation policy."""
-
-    H_max: float = 2.0
-    efolds: float = 14.0
-
-    outward_normal = np.array([0.0, 0.0, -1.0])
-
-    def depth(self, k) -> float:
-        kn = float(np.linalg.norm(k))
-        return self.H_max if kn == 0.0 else min(self.H_max, self.efolds / kn)
+H_MAX, EFOLDS = 2.0, 14.0  # the Riccati flow starts at depth min(H_MAX, EFOLDS / |k|)
 
 
-DEFAULT_FRAME = HalfSpaceFrame()
+def truncation_depth(k) -> float:
+    """H(k) = min(H_MAX, EFOLDS / |k|), and H_MAX at k = 0."""
+    kn = float(np.linalg.norm(k))
+    return H_MAX if kn == 0.0 else min(H_MAX, EFOLDS / kn)
 
 
 def _unit_tangent(k) -> tuple[float, np.ndarray]:
+    """(|k|, k/|k| as a 3-vector; e1 at k = 0) for the single-frequency oracles."""
     k = np.asarray(k, dtype=float).ravel()
     if k.size == 3:
         if abs(k[2]) > 1e-14:
@@ -123,24 +116,15 @@ def _impedance_rows(lam, mu) -> np.ndarray:
     return mu / (lam + 3.0 * mu) * (lam * Z_ROWS_E1[0] + mu * Z_ROWS_E1[1])
 
 
-def depth_stroh(profile: LameProfile, y3: float, k) -> np.ndarray:
-    """First-order 6x6 matrix of the depth-frozen medium at (y3, k).
-
-    Same state convention as :func:`lame_edge.stroh.stroh_matrix`; for a
-    constant profile and |k| = 1 the two agree exactly.
-    """
-    kn, what = _unit_tangent(k)
-    T, A, Q = _taq(float(profile.lam(y3)), float(profile.mu(y3)), what)
-    return first_order_matrix(T, kn * A, kn**2 * Q)
-
-
 def half_space_impedance(lam: float, mu: float, k) -> np.ndarray:
     """Homogeneous half-space DtN symbol M with traction = M . displacement.
 
-    Built from the decaying (+i) Jordan family: surface states q_g = [u_g; w_g]
-    carry traction density tau = i w, and the traction with respect to the
-    outward normal is -tau, so M = -|k| i W U^{-1}. Hermitian positive
-    definite and degree-1 homogeneous in k.
+    Oracle: on a constant profile the Riccati symbol must equal it (the
+    flow's fixed point), and it starts :func:`dtn_symbol_march`. Built from
+    the decaying (+i) Jordan family: surface states q_g = [u_g; w_g] carry
+    traction density tau = i w, and the traction with respect to the outward
+    normal is -tau, so M = -|k| i W U^{-1}. Hermitian positive definite and
+    degree-1 homogeneous in k.
     """
     kn, what = _unit_tangent(k)
     if kn == 0.0:
@@ -149,24 +133,6 @@ def half_space_impedance(lam: float, mu: float, k) -> np.ndarray:
     U = np.column_stack([q1[:3], q2[:3], q3[:3]])
     W = np.column_stack([q1[3:], q2[3:], q3[3:]])
     return -kn * 1.0j * W @ np.linalg.inv(U)
-
-
-@dataclass(frozen=True)
-class DtnSymbol:
-    """DtN symbol at one tangential frequency, with solver metadata."""
-
-    k: np.ndarray
-    matrix: np.ndarray
-    H: float
-    method: str
-    tol: float
-    n_steps: int
-
-    @property
-    def hermiticity_defect(self) -> float:
-        M = self.matrix
-        s = max(1.0, float(np.abs(M).max()))
-        return float(np.abs(M - M.conj().T).max()) / s
 
 
 def _assemble(s: np.ndarray) -> np.ndarray:
@@ -323,8 +289,8 @@ def _dop853(coefficients, flow, t0: float, t1: float, y0: np.ndarray, tol: float
     return y, accepted, rejected, evaluations, capped
 
 
-def _check_admissible(profile: LameProfile, H: float, n_samples: int) -> None:
-    rep = validate_admissibility(profile, H, n_samples=n_samples)
+def _check_admissible(profile: LameProfile, H: float) -> None:
+    rep = validate_admissibility(profile, H)
     if not rep.passed:
         raise ForwardError(f"profile inadmissible on [0, {H}]: min mu = {rep.min_mu}, "
                            f"min 3lam+2mu = {rep.min_bulk}")
@@ -339,15 +305,15 @@ def _radial_symbols(profile: LameProfile, nodes: np.ndarray,
     steps). Each node runs from its
     truncation depth H(r) to the surface in tau = y3 / H, from 1 to 0, started
     from the frozen half-space impedance S = -rho Z(lam(H), mu(H)). Nodes with
-    r <= efolds/H_max carry S (rho = r, physical depth, c = H_max);
+    r <= EFOLDS/H_MAX carry S (rho = r, physical depth, c = H_MAX);
     deeper-frequency nodes carry S / r (rho = 1, scaled depth t = r y3,
-    c = efolds). All nodes, 4 reals each, are one joint integration of c
+    c = EFOLDS). All nodes, 4 reals each, are one joint integration of c
     times the module docstring's flow at y3 = tau H, which is linear in the
     monomials (S11, S22, S33, b, S11^2, S22^2, S33^2, b^2, S11 b, S33 b, 1).
     Their coefficients depend on depth alone and are evaluated per step on
     the (stage, node) grid, shape (stage, 4, 11, node); a flow evaluation
     builds the monomials and contracts them once. Depths follow
-    :data:`DEFAULT_FRAME`.
+    :func:`truncation_depth`.
 
     Linearised at its fixed point -rho Z(lam, mu), the flow contracts toward
     the surface at the rate 2 c rho = 2 |k| H per unit tau for every (lam, mu),
@@ -356,15 +322,14 @@ def _radial_symbols(profile: LameProfile, nodes: np.ndarray,
     relative to its size, the state lags it and contracts more slowly, so each
     node hands :func:`_dop853` the rate 2 H max(|k| - L, 0), L the largest drift
     |dZ/dy3| / |Z| of the frozen rows between the surface and its depth, from
-    257 samples on [0, H_max]. The integrator weights each node's error by the
+    257 samples on [0, H_MAX]. The integrator weights each node's error by the
     damping on the way up and caps every step inside DOP853's stability
     interval: a node meets ``tol`` at the surface, not at every depth.
     """
-    H_max, efolds = DEFAULT_FRAME.H_max, DEFAULT_FRAME.efolds
-    scaled = nodes > efolds / H_max
+    scaled = nodes > EFOLDS / H_MAX
     sigma = np.where(scaled, nodes, 1.0)  # the state is S / sigma
     rho = nodes / sigma
-    H = np.where(scaled, efolds / sigma, H_max)
+    H = np.where(scaled, EFOLDS / sigma, H_MAX)
 
     def moduli(y3):
         zero = 0.0 * y3  # a profile may answer with a scalar
@@ -375,7 +340,7 @@ def _radial_symbols(profile: LameProfile, nodes: np.ndarray,
     cr, cr2 = c * rho, c * rho**2
     two_cr = 2.0 * cr
     # L of the docstring: the largest drift of the frozen rows above each depth
-    y3 = np.linspace(0.0, H_max, 257)
+    y3 = np.linspace(0.0, H_MAX, 257)
     z = _impedance_rows(*moduli(y3))
     size = np.abs(z).max(axis=1)
     drift = np.abs(np.diff(z, axis=0)).max(axis=1) / (np.minimum(size[1:], size[:-1]) * y3[1])
@@ -409,35 +374,38 @@ def _radial_symbols(profile: LameProfile, nodes: np.ndarray,
     return (-sigma * y).T, *counts
 
 
-def dtn_symbol(profile: LameProfile, k, tol: float = 1e-10) -> DtnSymbol:
+def dtn_symbol(profile: LameProfile, k, tol: float = 1e-10) -> np.ndarray:
     """Surface DtN symbol M(k) = R(theta) M0(|k|) R(theta)^T by stable impedance marching.
 
-    A batch of one on the Riccati core, which integrates the impedance flow
-    from the truncation depth (initialized with the frozen-coefficient
-    half-space impedance) to the surface. The flow contracts toward the
-    decaying-family impedance, so truncation and initialization errors decay
-    like exp(-2 |k| (H - y3)).
+    Oracle: a direct batch of one on the Riccati core, rotated, against which
+    criterion 3 picks the impedance variant and the tests check
+    :class:`RadialSymbol`'s interpolated rows at any k. The
+    core integrates the impedance flow from the truncation depth (initialized
+    with the frozen-coefficient half-space impedance) to the surface. The flow
+    contracts toward the decaying-family impedance, so truncation and
+    initialization errors decay like exp(-2 |k| (H - y3)).
     """
     kn, what = _unit_tangent(k)
-    H = DEFAULT_FRAME.depth(k)
-    _check_admissible(profile, H, n_samples=64)
-    M0, n_steps, *_ = _radial_symbols(profile, np.array([kn]), tol)
+    _check_admissible(profile, truncation_depth(k))
+    M0, *_ = _radial_symbols(profile, np.array([kn]), tol)
     c, s = what[0], what[1]
     R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])  # takes e1 to k/|k|
-    return DtnSymbol(kn * what[:2], R @ _assemble(M0[0]) @ R.T, H, "riccati", tol, n_steps)
+    return R @ _assemble(M0[0]) @ R.T
 
 
 def dtn_symbol_march(profile: LameProfile, k, n_steps: int = 600) -> np.ndarray:
     """Independent oracle: orthonormalized marching of the decaying subspace.
 
-    Fixed-grid RK4 on the full 6x3 linear system dW/dt = i K W in scaled depth
-    t = |k| y3, with per-step QR re-orthonormalization; M is recovered from
-    the surface trace pair (the traction is i times the lower block).
+    The tests check :func:`dtn_symbol` against it on random graded profiles
+    in both depth bands. Fixed-grid RK4 on the full 6x3 linear system
+    dW/dt = i K W in scaled depth t = |k| y3, with per-step QR
+    re-orthonormalization; M is recovered from the surface trace pair (the
+    traction is i times the lower block).
     """
     kn, what = _unit_tangent(k)
     if kn == 0.0:
         return np.zeros((3, 3), dtype=complex)
-    H = DEFAULT_FRAME.depth(k)
+    H = truncation_depth(k)
     # i K at every RK4 stage depth, t = |k| H down to 0 in half steps
     y3 = H * (1.0 - np.arange(2 * n_steps + 1) / (2 * n_steps))
     iK = 1.0j * first_order_matrix(*_taq(profile.lam(y3), profile.mu(y3), what))
@@ -496,7 +464,7 @@ class RadialSymbol:
     """
 
     def __init__(self, profile: LameProfile, riccati_tol: float = 1e-10) -> None:
-        _check_admissible(profile, DEFAULT_FRAME.H_max, n_samples=256)
+        _check_admissible(profile, H_MAX)
         lam, mu = float(profile.lam(0.0)), float(profile.mu(0.0))
         self.z0 = _impedance_rows(lam, mu)
         self.s = self.weights = self.remainder = None
@@ -587,6 +555,7 @@ class SymbolMemo:
         return symbol
 
     def clear(self) -> None:
+        """Forget every symbol, so that a test counting solves starts from none."""
         self._symbols.clear()
 
 
@@ -615,7 +584,6 @@ class PairingResult:
     """Localized DN pairing value and its quadrature tail estimate."""
 
     value: complex
-    probe: ProbeSpec
     tail_estimate: float
 
 
@@ -679,15 +647,6 @@ class PolarGrid:
         return np.sum(form * _form_coefficients(a_probe), axis=(-2, -1))
 
 
-@lru_cache(maxsize=None)
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre rule on [-1, 1], computed once per n (read-only)."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
 # over the process: PolarGrid.rows data per (grid, point count), forms per (grid, symbols)
 interpolation_counts = Counter(built=0, reused=0)
 form_counts = Counter(built=0, reused=0)
@@ -709,7 +668,7 @@ def polar_grid(N: int, rho_tilde: int, cutoff, quad: QuadratureSettings) -> Pola
     W = cutoff.spectral_halfwidth(quad.tail_tol)
     spread = W * N ** (1.0 - rho)
     r_lo, r_hi = max(0.0, N - spread), N + spread
-    x, w = _gauss_legendre(2 * quad.nodes)
+    x, w = gauss_legendre(2 * quad.nodes)
     r = 0.5 * (r_hi - r_lo) * x + 0.5 * (r_hi + r_lo)
     wr = 0.5 * (r_hi - r_lo) * w
 
@@ -719,7 +678,7 @@ def polar_grid(N: int, rho_tilde: int, cutoff, quad: QuadratureSettings) -> Pola
         wt = 2.0 * math.pi / n * np.r_[0.5, np.ones(n - 1), 0.5]
     else:
         half = 1.05 * math.asin(min(1.0, spread / N))
-        xt, wwt = _gauss_legendre(2 * n)
+        xt, wwt = gauss_legendre(2 * n)
         phi = half * xt[n:]
         wt = 2.0 * half * wwt[n:]
 
@@ -741,7 +700,7 @@ def warm_tables(profile: LameProfile, quad: QuadratureSettings = DEFAULT_QUAD,
     order-m truncation's; from :data:`symbol_memo`, so values do not depend on
     evaluation order or history, and every ladder of a profile shares them.
     """
-    profiles = [profile] + ([taylor_truncate(profile, m).result] if m >= 1 else [])
+    profiles = [profile] + ([taylor_truncate(profile, m)] if m >= 1 else [])
     return tuple(symbol_memo.symbol(p, quad.riccati_tol) for p in profiles)
 
 
@@ -781,7 +740,7 @@ def _pair(probe: ProbeSpec, quad: QuadratureSettings,
     """Contract the moment form of ``symbols[0]`` (minus ``symbols[1]``) on the probe's grid."""
     grid = polar_grid(probe.N, probe.rho_tilde, probe.cutoff, quad)
     value = complex(grid.contract(grid.form(symbols), probe.a, probe.omega))
-    return PairingResult(value, probe, quad.tail_tol * abs(value))
+    return PairingResult(value, quad.tail_tol * abs(value))
 
 
 # ---------------------------------------------------------------------------
@@ -795,10 +754,11 @@ def limit_quadrature(
     k_order: int,
     N: int,
     cutoff=None,
-    n_quad: int = 240,
 ) -> float:
     """N^{2+k} int_0^{1/(2 sqrt N)} int (eta^N)^2 e^{-2 N y3} (f - f^k) dy' dy3.
 
+    Oracle of criterion 8: the localized limit that the pairing ladders
+    approach, on a depth-only integrand, with no symbol or polar grid.
     ``f`` is a depth-only integrand, ``taylor_coeffs`` its surface Taylor
     coefficients of orders 0..k-1 defining f^k. The tangential factor
     integrates exactly to (cutoff L2 mass)/N under the probe normalization.
@@ -806,7 +766,7 @@ def limit_quadrature(
     """
     mass = 1.0 if cutoff is None else cutoff.l2_mass()
     upper = 0.5 / math.sqrt(N)
-    x, w = _gauss_legendre(n_quad)
+    x, w = gauss_legendre(240)
     y3 = 0.5 * upper * (x + 1.0)
     wy = 0.5 * upper * w
     fk = np.zeros_like(y3)

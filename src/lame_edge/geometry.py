@@ -21,7 +21,6 @@ from .reconstruct import closed_form_response
 from .stroh import acoustic_bracket
 
 __all__ = [
-    "AkpTensor",
     "BoundaryChart",
     "ChartError",
     "FlatPatch",
@@ -37,7 +36,7 @@ __all__ = [
 
 
 class ChartError(RuntimeError):
-    """Chart construction or inversion failed (focal point, out of patch)."""
+    """Chart construction failed or a point lies outside it (focal point, out of patch)."""
 
 
 class GraphPatch:
@@ -48,13 +47,11 @@ class GraphPatch:
         h: Callable[[np.ndarray], float],
         grad: Callable[[np.ndarray], np.ndarray],
         hess: Callable[[np.ndarray], np.ndarray],
-        name: str = "graph",
         radius: float = 1.0,
     ) -> None:
         self.h = h
         self.grad = grad
         self.hess = hess
-        self.name = name
         self.radius = float(radius)  # patch radius in x'
         if abs(float(h(np.zeros(2)))) > 1e-14 or np.linalg.norm(grad(np.zeros(2))) > 1e-14:
             raise ChartError("surface must be in adapted coordinates: h(0)=0, grad h(0)=0")
@@ -66,7 +63,6 @@ class FlatPatch(GraphPatch):
             lambda u: 0.0,
             lambda u: np.zeros(2),
             lambda u: np.zeros((2, 2)),
-            name="flat",
             radius=radius,
         )
 
@@ -74,9 +70,8 @@ class FlatPatch(GraphPatch):
 class SpherePatch(GraphPatch):
     """Sphere of radius R tangent to the plane at the origin, body inside."""
 
-    def __init__(self, R: float = 2.0, radius: float | None = None) -> None:
+    def __init__(self, R: float = 2.0) -> None:
         R = float(R)
-        rad = radius if radius is not None else 0.6 * R
 
         def h(u):
             return R - math.sqrt(R**2 - float(u @ u))
@@ -90,7 +85,7 @@ class SpherePatch(GraphPatch):
             s = math.sqrt(R**2 - float(u @ u))
             return np.eye(2) / s + np.outer(u, u) / s**3
 
-        super().__init__(h, grad, hess, name=f"sphere(R={R:g})", radius=rad)
+        super().__init__(h, grad, hess, radius=0.6 * R)
         self.R = R
 
 
@@ -109,15 +104,14 @@ class ParaboloidPatch(GraphPatch):
         def hess(u):
             return np.diag(c)
 
-        super().__init__(h, grad, hess, name=f"paraboloid({c1:g},{c2:g})", radius=radius)
+        super().__init__(h, grad, hess, radius=radius)
 
 
 @dataclass
 class BoundaryChart:
-    """Boundary normal coordinates around a tangency point x0."""
+    """Boundary normal coordinates around the tangency point, the origin."""
 
     surface: GraphPatch
-    x0: np.ndarray
     depth: float
 
     def _normal(self, u: np.ndarray) -> np.ndarray:
@@ -140,11 +134,14 @@ class BoundaryChart:
         return out
 
     def from_normal(self, y: np.ndarray) -> np.ndarray:
-        """x = X(y') + y3 n(y'), shifted to the ambient position of x0."""
+        """x = X(y') + y3 n(y').
+
+        The chart map itself: the tests check :meth:`jacobian` against its
+        central differences, and the flat chart against the identity."""
         y = np.asarray(y, dtype=float)
         u, y3 = y[:2], y[2]
         X = np.array([u[0], u[1], float(self.surface.h(u))])
-        return self.x0 + X + y3 * self._normal(u)
+        return X + y3 * self._normal(u)
 
     def _forward_jacobian(self, y: np.ndarray) -> np.ndarray:
         """D Phi(y), columns = d x / d(y1, y2, y3)."""
@@ -158,21 +155,6 @@ class BoundaryChart:
             D[:, a] += y3 * dn[:, a]
         D[:, 2] = self._normal(u)
         return D
-
-    def to_normal(self, x: np.ndarray, tol: float = 1e-13) -> np.ndarray:
-        """Newton inversion of the chart map."""
-        x = np.asarray(x, dtype=float)
-        xi = x - self.x0
-        u = xi[:2].copy()
-        y3 = xi[2] - float(self.surface.h(u))
-        y = np.array([u[0], u[1], y3])
-        for _ in range(60):
-            r = self.from_normal(y) - x
-            if np.linalg.norm(r) < tol:
-                return y
-            D = self._forward_jacobian(y)
-            y = y - np.linalg.solve(D, r)
-        raise ChartError(f"chart inversion did not converge at x = {x}")
 
     def jacobian(self, y: np.ndarray) -> np.ndarray:
         """J = grad F at the point with normal coordinates y."""
@@ -194,13 +176,12 @@ class BoundaryChart:
         return out
 
 
-def build_chart(surface: GraphPatch, x0=(0.0, 0.0, 0.0), depth: float = 0.5) -> BoundaryChart:
+def build_chart(surface: GraphPatch, depth: float = 0.5) -> BoundaryChart:
     """Chart of boundary normal coordinates valid to the requested depth.
 
     Rejects depths at which inward normal lines cross (focal points), with
     the critical depth in the message.
     """
-    x0 = np.asarray(x0, dtype=float)
     # principal-curvature scan over the patch
     kappa_max = 0.0
     for r in np.linspace(0.0, surface.radius, 12):
@@ -213,7 +194,7 @@ def build_chart(surface: GraphPatch, x0=(0.0, 0.0, 0.0), depth: float = 0.5) -> 
             f"normal lines cross within depth {depth}: critical depth "
             f"{1.0 / kappa_max:.6g}"
         )
-    return BoundaryChart(surface, x0, float(depth))
+    return BoundaryChart(surface, float(depth))
 
 
 @dataclass(frozen=True)
@@ -224,7 +205,6 @@ class PushedTensor:
     jacobian: np.ndarray
     lam: float
     mu: float
-    y: np.ndarray
 
     def t_block(self) -> np.ndarray:
         return self.components[:, 2, :, 2]
@@ -270,35 +250,18 @@ def push_forward(lam: float, mu: float, chart: BoundaryChart, y) -> PushedTensor
     J = chart.jacobian(y)
     C = tensor_components(lam, mu)
     comp = np.einsum("ia,qj,kc,pl,ajcl->iqkp", J, J, J, J, C, optimize=True)
-    return PushedTensor(comp, J, lam, mu, y)
+    return PushedTensor(comp, J, lam, mu)
 
 
-@dataclass(frozen=True)
-class AkpTensor:
-    """Rank-one gradient-factor tensor A_kp = a_k v_p."""
+def akp(a, omega) -> np.ndarray:
+    """Rank-one gradient-factor tensor A_kp = a_k v_p with v = (i omega', -1).
 
-    matrix: np.ndarray
-    mode: str
-
-
-def akp(a, omega, mode: str = "normal_unit") -> AkpTensor:
-    """A_kp = i omega_p a_k for p = 1, 2; third column per mode.
-
-    ``literal`` uses -omega_3 a_k (zero for tangential omega); ``normal_unit``
-    uses -a_k, matching the flat-case gradient factor (i omega', -1) x a and
-    making tr A = i sum omega_i a_i - a_3.
+    The flat-case gradient factor (i omega', -1) x a, so tr A =
+    i sum omega_i a_i - a_3.
     """
     a = np.asarray(a, dtype=complex).ravel()
     w = np.asarray(omega, dtype=float).ravel()
-    if w.size == 2:
-        w = np.array([w[0], w[1], 0.0])
-    if mode == "literal":
-        v = np.array([1j * w[0], 1j * w[1], -w[2]], dtype=complex)
-    elif mode == "normal_unit":
-        v = np.array([1j * w[0], 1j * w[1], -1.0], dtype=complex)
-    else:
-        raise ValueError(f"unknown akp mode {mode!r}")
-    return AkpTensor(np.outer(a, v), mode)
+    return np.outer(a, np.array([1j * w[0], 1j * w[1], -1.0], dtype=complex))
 
 
 def first_order_nonflat(
@@ -310,8 +273,6 @@ def first_order_nonflat(
     a,
     omega,
     variant: str = "plus_one",
-    a_mode: str = "normal_unit",
-    brute_force: bool = False,
 ) -> complex:
     """First-order limit formula with the chart-curvature correction.
 
@@ -325,27 +286,12 @@ def first_order_nonflat(
     flat-case contribution itself and is represented by the flat terms, so a
     flat chart reduces exactly to the closed-form response.
     """
-    A = akp(a, omega, a_mode).matrix
+    A = akp(a, omega)
     flat = closed_form_response(a, omega, 1, dlam, dmu, variant)
     C0 = tensor_components(lam0, mu0)
     J1 = chart.jacobian_depth_derivative()
-    if brute_force:
-        corr = 0.0 + 0.0j
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    for l in range(3):
-                        for p in range(3):
-                            for q in range(3):
-                                term = C0[i, j, k, l] * (
-                                    J1[p, l] * (1.0 if q == j else 0.0)
-                                    + (1.0 if p == l else 0.0) * J1[q, j]
-                                )
-                                corr += term * A[k, p] * A[i, q]
-        corr *= 0.5
-    else:
-        corr = 0.5 * (
-            np.einsum("ijkl,pl,kp,ij->", C0, J1, A, A)
-            + np.einsum("ijkl,qj,kl,iq->", C0, J1, A, A)
-        )
+    corr = 0.5 * (
+        np.einsum("ijkl,pl,kp,ij->", C0, J1, A, A)
+        + np.einsum("ijkl,qj,kl,iq->", C0, J1, A, A)
+    )
     return complex(flat + corr)

@@ -47,7 +47,6 @@ __all__ = [
     "LadderResult",
     "Order0Result",
     "OrderMResult",
-    "ProbeBattery",
     "ProbeTemplate",
     "ReconstructionReport",
     "calibrate_order_m",
@@ -134,7 +133,8 @@ def _family_moment(a, omega, m: int, lam, mu, lam0: float, mu0: float) -> float:
 def order0_response(a, omega, lam0: float, mu0: float) -> float:
     """Predicted order-0 pairing limit: the family energy at (lam0, mu0), m = 0.
 
-    Equals the impedance quadratic form a^H Z a (cross-checked in tests).
+    Oracle: the tests check that it equals the impedance quadratic form
+    a^H Z a, which ties the family energy that order m uses to order 0.
     """
     return _family_moment(a, omega, 0, lam0, mu0, lam0, mu0)
 
@@ -236,10 +236,7 @@ class ProbeTemplate:
         return ProbeTemplate(f"{kind}@({w[0]:g},{w[1]:g})", table[kind], w)
 
 
-ProbeBattery = list  # list[ProbeTemplate]
-
-
-def default_battery(directions=((1.0, 0.0), (0.0, 1.0))) -> ProbeBattery:
+def default_battery(directions=((1.0, 0.0), (0.0, 1.0))) -> list[ProbeTemplate]:
     """Six-probe battery: {e3, tangent, sigma1} at each direction."""
     battery = []
     for d in directions:
@@ -360,7 +357,8 @@ def order0_coefficients(templates) -> np.ndarray:
 
 def order0_variables(lam: float, mu: float) -> np.ndarray:
     """x = (lam mu, mu^2)/(lam + 3 mu), in which a probe's order-0 limit
-    a^H Z a = mu (alpha lam + beta mu)/(lam + 3 mu) is the linear form (alpha, beta) . x."""
+    a^H Z a = mu (alpha lam + beta mu)/(lam + 3 mu) is the linear form (alpha, beta) . x
+    (the tests check that form against :func:`order0_response`)."""
     return np.array([lam * mu, mu * mu]) / (lam + 3.0 * mu)
 
 
@@ -402,7 +400,10 @@ def homogeneous_pairing_value(template: ProbeTemplate, N: int, rho_tilde: int,
                               cutoff: CutoffProfile, lam: float, mu: float,
                               quad: QuadratureSettings = DEFAULT_QUAD) -> float:
     """Finite-N pairing of a homogeneous half-space, in closed form: the
-    exactly computable part of the finite-N error of a pairing ladder."""
+    exactly computable part of the finite-N error of a pairing ladder.
+
+    Oracle: the tests check it against the forward pairing of a constant
+    profile, which validates the moments that :func:`refine_order0` deflates by."""
     check_admissible(lam, mu)
     G = _pairing_moments(template, N, rho_tilde, cutoff, quad)
     return float(G @ order0_variables(lam, mu))
@@ -535,6 +536,11 @@ class CalibrationError(RuntimeError):
     """Linearity of the measured response failed its tolerance."""
 
 
+# the calibration's third profile has (d^m lam, d^m mu) = _MIXED_DERIVATIVES; its
+# limits must match the unit profiles' combination within _LINEARITY_TOL relative
+_LINEARITY_TOL, _MIXED_DERIVATIVES = 0.03, (0.4, 0.5)
+
+
 def serial_ladder_runner(profile, battery, N_list, m, cutoff, rho_tilde, quad):
     """The ladders of one profile for every battery probe, in order."""
     return [
@@ -570,20 +576,18 @@ def calibrate_order_m(
     cutoff: CutoffProfile | None = None,
     rho_tilde: int | None = None,
     quad: QuadratureSettings = DEFAULT_QUAD,
-    linearity_tol: float = 0.03,
-    mixed_derivatives: tuple[float, float] = (0.4, 0.5),
 ) -> CalibrationResult:
     """Measure the order-m design matrix from the forward solver.
 
     Columns are ladder limits for the unit profiles lam = lam0 + y3^m/m! and
     mu = mu0 + y3^m/m!; linearity is verified against a third profile with
-    mixed derivatives (prediction error above ``linearity_tol`` rejects the
+    mixed derivatives (prediction error above ``_LINEARITY_TOL`` rejects the
     calibration). The verdict names the closed-form variant closest to the
     measured matrix in relative Frobenius distance.
     """
     lam_prof = _unit_profile(base, m, 1.0, 0.0, "calib-lam")
     mu_prof = _unit_profile(base, m, 0.0, 1.0, "calib-mu")
-    mix_prof = _unit_profile(base, m, *mixed_derivatives, "calib-mixed")
+    mix_prof = _unit_profile(base, m, *_MIXED_DERIVATIVES, "calib-mixed")
 
     ladders: dict[str, list[LadderResult]] = {}
     cols = {}
@@ -593,12 +597,12 @@ def calibrate_order_m(
         cols[key] = np.array([float(np.real(lr.limit)) for lr in lrs])
 
     A = np.column_stack([cols["lam"], cols["mu"]])
-    predicted_mix = A @ np.asarray(mixed_derivatives)
+    predicted_mix = A @ np.asarray(_MIXED_DERIVATIVES)
     scale = max(np.abs(cols["mixed"]).max(), 1e-300)
     lin_err = float(np.abs(predicted_mix - cols["mixed"]).max() / scale)
-    if lin_err > linearity_tol:
+    if lin_err > _LINEARITY_TOL:
         raise CalibrationError(
-            f"linearity violation {lin_err:.3%} exceeds {linearity_tol:.1%}: "
+            f"linearity violation {lin_err:.3%} exceeds {_LINEARITY_TOL:.1%}: "
             f"predicted {predicted_mix}, measured {cols['mixed']}"
         )
 

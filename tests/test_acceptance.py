@@ -153,10 +153,10 @@ def test_criterion_03_impedance_oracle_variant():
         th = rng.uniform(0, 2 * np.pi)
         k = kn * np.array([np.cos(th), np.sin(th)])
         prof = LameProfile.constant(lam, mu, name=f"acc3-{trial}")
-        M = dtn_symbol(prof, k).matrix
+        M = dtn_symbol(prof, k)
         errs = {}
         for variant in ("iota_squared", "iota_linear"):
-            Z = impedance(lam, mu, (np.cos(th), np.sin(th), 0.0), variant).matrix
+            Z = impedance(lam, mu, (np.cos(th), np.sin(th), 0.0), variant)
             errs[variant] = float(np.abs(M - kn * Z).max() / np.abs(M).max())
         winners.append(min(errs, key=errs.get))
         worst_sq = max(worst_sq, errs["iota_squared"])

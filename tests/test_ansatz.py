@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -292,7 +293,7 @@ class TestEvaluation:
         other = ProbeSpec(np.array([1.0, 0, 0]), E1, 16, 4, 0, gauss)
         with pytest.raises(ValueError, match="different probe"):
             evaluate_ansatz(sol, other, np.zeros(3))
-        rebound = evaluate_ansatz(sol, probe.with_N(32), np.array([0.0, 0.0, 0.0]))
+        rebound = evaluate_ansatz(sol, replace(probe, N=32), np.array([0.0, 0.0, 0.0]))
         assert rebound.shape == (3,)
 
 
@@ -345,7 +346,7 @@ class TestResidualDecay:
         sol = leading_profile(probe0, 1.0, 1.0)
 
         def l2_norm(N, b):
-            probe = probe0.with_N(N)
+            probe = replace(probe0, N=N)
             s = AnsatzSolution(probe, 1.0, 1.0, sol.c_sigma, sol.stack, sol.operators)
             rho = probe.rho
             L = probe.support_radius * gauss.support_radius

@@ -261,6 +261,11 @@ class TestStroh:
         # deterministic serialization round-trip
         assert json.loads(json.dumps(payload, sort_keys=True)) == payload
 
+    def test_nearly_incompressible_medium(self, tmp_path):
+        # lam/mu = 1e4 once made the Jordan-chain rank test fail (exit 1)
+        path = write_config(tmp_path, profile={"lambda": [1e4], "mu": [1.0], "m": 2, "p": 0.9})
+        assert main(["stroh", "--config", str(path), "--out", str(tmp_path / "s")]) == EXIT_OK
+
 
 class TestGeometryCheck:
     def test_passes_and_writes_table(self, tmp_path):
@@ -321,6 +326,13 @@ class TestAnsatzCheck:
                             profile={"lambda": [1.0], "mu": [1.0], "m": 2, "p": 0.3})
         assert main(["ansatz-check", "--config", str(path), "--out", str(tmp_path / "a")]) == EXIT_OK
         assert "(bound exponent 1.8)" in capsys.readouterr().out
+
+    def test_cascade_failure_exits_numerical(self, tmp_path, capsys):
+        # at lam/mu = 1e8 the order-1 cascade solve fails its residual test
+        path = write_config(tmp_path, profile={"lambda": [1e8], "mu": [1.0], "m": 2, "p": 0.9})
+        rc = main(["ansatz-check", "--config", str(path), "--out", str(tmp_path / "a")])
+        assert rc == EXIT_NUMERICAL
+        assert "numerical diagnostic: stacked cascade solve" in capsys.readouterr().err
 
 
 def strict_json(text: str):
@@ -466,6 +478,17 @@ class TestReconstructCommand:
         assert rc == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert "numerical diagnostic: order-0 recovery ended at inadmissible moduli" in err
+
+    def test_linearity_violation_exits_numerical(self, tmp_path, capsys, monkeypatch):
+        # the gradient config's calibration measures a linearity error of 1.26e-3
+        from lame_edge import reconstruct
+
+        monkeypatch.setattr(reconstruct, "_LINEARITY_TOL", 1e-3)
+        rc = main(["reconstruct", "--config", str(REPO / "configs" / "gradient.json"),
+                   "--out", str(tmp_path / "r")])
+        assert rc == EXIT_NUMERICAL
+        assert ("numerical diagnostic: linearity violation 0.126% exceeds 0.1%"
+                in capsys.readouterr().err)
 
     def test_expect_breach_exits_2(self, tmp_path):
         path = write_config(

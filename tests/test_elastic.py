@@ -89,13 +89,13 @@ class TestEnergyDensity:
 class TestProfiles:
     def test_truncation_constant(self):
         prof = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.0])
-        res = taylor_truncate(prof, 1).result
+        res = taylor_truncate(prof, 1)
         y = np.linspace(0.0, 1.0, 7)
         assert np.allclose(res.lam(y), 1.0)
 
     def test_truncation_exact_for_low_degree(self):
         prof = LameProfile.from_polynomial([1.0, 0.3, 0.1], [1.0, 0.2])
-        res = taylor_truncate(prof, 2).result
+        res = taylor_truncate(prof, 2)
         y = np.linspace(0.0, 1.0, 11)
         assert np.allclose(res.lam(y), 1.0 + 0.3 * y, atol=1e-15)
         assert np.allclose(res.mu(y), prof.mu(y), atol=1e-15)
@@ -106,15 +106,15 @@ class TestProfiles:
             lambda y, o=0: np.ones_like(np.asarray(y, dtype=float)) + 0 * y,
             max_derivative_order=3,
         )
-        res = taylor_truncate(prof, 2).result
+        res = taylor_truncate(prof, 2)
         y = np.linspace(0.0, 0.1, 101)
         err = np.abs(np.exp(y) - res.lam(y)).max()
         assert err <= 0.1**2 * np.e / 2.0
 
     def test_truncation_idempotent(self):
         prof = LameProfile.from_polynomial([1.0, 0.3, 0.1, 0.05], [1.0, 0.2, -0.1])
-        first = taylor_truncate(prof, 2).result
-        second = taylor_truncate(first, 2).result
+        first = taylor_truncate(prof, 2)
+        second = taylor_truncate(first, 2)
         assert first.lam_coeffs == second.lam_coeffs
         assert first.mu_coeffs == second.mu_coeffs
 

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from lame_edge.ansatz import BumpCutoff, GaussianCutoff, ProbeSpec
 from lame_edge.elastic import LameProfile, taylor_truncate, validate_admissibility
 from lame_edge.forward import (
-    DEFAULT_FRAME,
+    EFOLDS,
+    H_MAX,
     _DOP_A,
     _DOP_B,
     _DOP_C,
@@ -29,7 +30,6 @@ from lame_edge.forward import (
     RadialDtnTable,
     RadialSymbol,
     Z_ROWS_E1,
-    depth_stroh,
     difference_pairing,
     dtn_symbol,
     dtn_symbol_march,
@@ -40,10 +40,11 @@ from lame_edge.forward import (
     pairing,
     polar_grid,
     symbol_memo,
+    truncation_depth,
     warm_tables,
 )
 from lame_edge.reconstruct import ProbeTemplate, default_battery, run_ladder
-from lame_edge.stroh import impedance, stroh_matrix
+from lame_edge.stroh import impedance
 
 E1 = (1.0, 0.0, 0.0)
 
@@ -61,33 +62,6 @@ def random_profile(rng, name="rand"):
     s1 = rng.uniform(-0.1, 0.3)
     s2 = rng.uniform(-0.05, 0.3)
     return LameProfile.from_polynomial([lam0, s1], [mu0, s2], name=name)
-
-
-class TestDepthStroh:
-    def test_constant_profile_unit_k_matches_pointwise_matrix(self):
-        prof = LameProfile.constant(1.3, 0.8)
-        th = 0.7
-        k = (np.cos(th), np.sin(th))
-        K1 = depth_stroh(prof, 0.4, k)
-        K2 = stroh_matrix(1.3, 0.8, (k[0], k[1], 0.0)).matrix
-        assert np.allclose(K1, K2, atol=1e-14)
-
-    def test_block_homogeneity_in_k(self):
-        prof = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2])
-        k = np.array([3.0, -1.0])
-        c = 2.5
-        K = depth_stroh(prof, 0.2, k)
-        Kc = depth_stroh(prof, 0.2, c * k)
-        assert np.allclose(Kc[:3, :3], c * K[:3, :3], atol=1e-13)
-        assert np.allclose(Kc[:3, 3:], K[:3, 3:], atol=1e-13)
-        assert np.allclose(Kc[3:, :3], c**2 * K[3:, :3], atol=1e-12)
-        assert np.allclose(Kc[3:, 3:], c * K[3:, 3:], atol=1e-13)
-
-    def test_coefficients_evaluated_at_depth(self):
-        prof = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.0])
-        K = depth_stroh(prof, 1.0, (1.0, 0.0))
-        K_ref = stroh_matrix(1.3, 1.0, E1).matrix
-        assert np.allclose(K, K_ref, atol=1e-14)
 
 
 class TestIntegrator:
@@ -144,7 +118,7 @@ class TestIntegrator:
 def reference_terms(profile, nodes, tau, y):
     """The terms of c times the module docstring's flow at y3 = tau H, one
     list per row, written out plainly."""
-    H_max, efolds = DEFAULT_FRAME.H_max, DEFAULT_FRAME.efolds
+    H_max, efolds = H_MAX, EFOLDS
     scaled = nodes > efolds / H_max
     sigma = np.where(scaled, nodes, 1.0)
     rho = nodes / sigma
@@ -198,7 +172,7 @@ class TestRiccatiKernel:
             profile = WAVY
         else:
             profile = LameProfile.from_polynomial([base[0]] + lam[:degree], [base[1]] + mu[:degree])
-            assume(validate_admissibility(profile, DEFAULT_FRAME.H_max).passed)
+            assume(validate_admissibility(profile, H_MAX).passed)
         rng = np.random.default_rng(seed)
         nodes = np.sort(rng.uniform(0.0, 40.0, 9))  # both depth regimes
         taus = rng.uniform(0.0, 1.0, 12)
@@ -250,8 +224,7 @@ class TestRiccatiKernel:
         # is the double eigenvalue's: 1.0 at lam/mu = 1, 2.1 at 20 and 2.46 as
         # lam/mu grows without bound. Both depth regimes, every direction
         nodes = np.array([0.3, 2.0, 6.9, 7.2, 40.0, 1000.0])
-        H = np.where(nodes > DEFAULT_FRAME.efolds / DEFAULT_FRAME.H_max,
-                     DEFAULT_FRAME.efolds / nodes, DEFAULT_FRAME.H_max)
+        H = np.where(nodes > EFOLDS / H_MAX, EFOLDS / nodes, H_MAX)
         kernel = kernel_of(LameProfile.constant(lam, 1.0), nodes)
         kappa = nodes * H
         np.testing.assert_allclose(kernel["rate"], 2.0 * kappa, rtol=1e-14)
@@ -293,7 +266,7 @@ class TestHalfSpaceImpedance:
             lam, mu = random_admissible(rng)
             th = rng.uniform(0, 2 * np.pi)
             k = 3.7 * np.array([np.cos(th), np.sin(th)])
-            Z = impedance(lam, mu, (np.cos(th), np.sin(th), 0.0)).matrix
+            Z = impedance(lam, mu, (np.cos(th), np.sin(th), 0.0))
             assert np.allclose(half_space_impedance(lam, mu, k), 3.7 * Z, atol=1e-12)
 
     def test_homogeneous_degree_one(self):
@@ -319,15 +292,14 @@ class TestDtnSymbol:
             if np.hypot(*k) < 0.3:
                 k = np.array([1.0, 0.5])
             prof = LameProfile.constant(lam, mu)
-            M = dtn_symbol(prof, k).matrix
+            M = dtn_symbol(prof, k)
             M_inf = half_space_impedance(lam, mu, k)
             assert np.abs(M - M_inf).max() <= 1e-8 * np.abs(M_inf).max()
 
     def test_hermitian_positive_variable_profile(self):
         prof = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2])
-        sym = dtn_symbol(prof, (8.0, 0.0))
-        assert sym.hermiticity_defect <= 1e-8
-        assert np.linalg.eigvalsh(0.5 * (sym.matrix + sym.matrix.conj().T)).min() > 0.0
+        M = dtn_symbol(prof, (8.0, 0.0))
+        assert np.linalg.eigvalsh(0.5 * (M + M.conj().T)).min() > 0.0
 
     def test_riccati_vs_subspace_march(self):
         rng = np.random.default_rng(4)
@@ -338,13 +310,13 @@ class TestDtnSymbol:
             kn = np.exp(rng.uniform(np.log(0.5), np.log(300.0)))
             th = rng.uniform(0, 2 * np.pi)
             k = kn * np.array([np.cos(th), np.sin(th)])
-            M1 = dtn_symbol(prof, k).matrix
+            M1 = dtn_symbol(prof, k)
             M2 = dtn_symbol_march(prof, k, n_steps=900)
             assert np.abs(M1 - M2).max() <= 1e-6 * np.abs(M1).max()
 
     def test_zero_frequency(self):
         prof = LameProfile.constant(1.0, 1.0)
-        assert np.all(dtn_symbol(prof, (0.0, 0.0)).matrix == 0.0)
+        assert np.all(dtn_symbol(prof, (0.0, 0.0)) == 0.0)
 
     def test_inadmissible_profile_rejected(self):
         prof = LameProfile.from_polynomial([1.0], [1.0, -1.0])
@@ -352,9 +324,8 @@ class TestDtnSymbol:
             dtn_symbol(prof, (3.0, 0.0))
 
     def test_truncation_depth_policy(self):
-        assert DEFAULT_FRAME.depth((100.0, 0.0)) == pytest.approx(0.14)
-        assert DEFAULT_FRAME.depth((1.0, 0.0)) == pytest.approx(2.0)
-        assert np.dot(DEFAULT_FRAME.outward_normal, [0, 0, 1]) == -1.0
+        assert truncation_depth((100.0, 0.0)) == pytest.approx(0.14)
+        assert truncation_depth((1.0, 0.0)) == pytest.approx(2.0)
 
 
 LADDER = (16, 32, 64, 128, 256)
@@ -379,7 +350,7 @@ class TestRadialTable:
         radii = np.concatenate([polar_grid(n, 4, GaussianCutoff(), QuadratureSettings()).r
                                 for n in LADDER])
         for r in radii[::40]:
-            Md = dtn_symbol(prof, (r, 0.0)).matrix
+            Md = dtn_symbol(prof, (r, 0.0))
             Mt = _assemble(sym.rows(r))
             assert np.abs(Md - Mt).max() <= 1e-8 * max(np.abs(Md).max(), 1e-3)
 
@@ -390,7 +361,7 @@ class TestRadialTable:
         rng = np.random.default_rng(5)
         a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         for k in ks:
-            direct = dtn_symbol(prof, k).matrix
+            direct = dtn_symbol(prof, k)
             fd = complex(np.einsum("ij,i,j->", direct, a.conj(), a))
             c, s = np.array(k) / np.hypot(*k)
             ft = sym.rows(np.hypot(*k)) @ _form_coefficients(a) @ _harmonics(c, s)
@@ -453,7 +424,7 @@ class TestRadialTable:
         assert sym.s.size == 48 and len(sym.solves) == 1
         radii = np.array([0.5, 3.0, 6.9, 7.5, 40.0, 300.0, 5000.0])
         rows = sym.rows(radii)
-        direct = np.array([dtn_symbol(prof, (r, 0.0)).matrix for r in radii])
+        direct = np.array([dtn_symbol(prof, (r, 0.0)) for r in radii])
         scale = np.maximum(np.abs(rows).max(axis=1), np.abs(sym.z0).max())
         assert np.all(np.abs(_assemble(rows) - direct).max(axis=(1, 2)) <= 2e-10 * scale)
 
@@ -464,7 +435,7 @@ class TestRadialTable:
         # admissible polynomials of degree <= 3 at radii in [0, 5000]: per node,
         # relative to the row scale max(|rows(r)|, |Z0|)
         prof = LameProfile.from_polynomial([lm[0], *c[:3]], [lm[1], *c[3:]])
-        assume(validate_admissibility(prof, DEFAULT_FRAME.H_max).passed)
+        assume(validate_admissibility(prof, H_MAX).passed)
         sym = RadialSymbol(prof)
         r = np.array(radii)
         direct, *_ = _radial_symbols(prof, r, 1e-12)
@@ -486,7 +457,7 @@ class TestReducedCore:
     def test_decoupled_hermitian_positive_definite(self, lm, l1, l2, m1, m2):
         lam0, mu0 = lm
         prof = LameProfile.from_polynomial([lam0, l1, l2], [mu0, m1, m2])
-        assume(validate_admissibility(prof, DEFAULT_FRAME.H_max).passed)
+        assume(validate_admissibility(prof, H_MAX).passed)
         sym = RadialSymbol(prof)
         V = _assemble(sym.rows(RADII))
         assert sym.s is None or sym.s.max() > 48.0 / 50.0  # both bands: nodes beyond r = 48
@@ -500,7 +471,7 @@ class TestReducedCore:
     @given(moduli)
     def test_constant_profile_is_degree_one_impedance(self, lm):
         rows = RadialSymbol(LameProfile.constant(*lm)).rows(RADII)
-        exact = RADII[:, None, None] * impedance(*lm, E1).matrix
+        exact = RADII[:, None, None] * impedance(*lm, E1)
         assert np.abs(_assemble(rows) - exact).max() <= 1e-9 * np.abs(exact).max()
 
     @settings(max_examples=12, deadline=None)
@@ -515,7 +486,7 @@ class TestReducedCore:
         # depth regimes) and radii up to 5000: 0.1 riccati_tol, though deep
         # errors are weighted by their damping
         prof = LameProfile.from_polynomial([lm[0], *c[:2]], [lm[1], *c[2:]])
-        assume(validate_admissibility(prof, DEFAULT_FRAME.H_max).passed)
+        assume(validate_admissibility(prof, H_MAX).passed)
         assert surface_error(prof) <= 0.1 * 1e-10
 
     @pytest.mark.parametrize("prof", [WAVY, STEEP] + [LameProfile.from_polynomial(
@@ -541,7 +512,7 @@ class TestReducedCore:
             radii = np.unique(np.concatenate(
                 [polar_grid(n, rho_tilde, GAUSS, QuadratureSettings(nodes=nodes)).r for n in Ns]))
         rows, *_ = _radial_symbols(LameProfile.constant(*lm), radii, tol)
-        exact = radii[:, None, None] * impedance(*lm, E1).matrix
+        exact = radii[:, None, None] * impedance(*lm, E1)
         err = np.abs(_assemble(rows) - exact).max(axis=(1, 2)) / np.abs(exact).max(axis=(1, 2))
         assert err.max() <= 2.0 * tol
 

@@ -95,7 +95,7 @@ class TestLeadingOrderResponse:
             lam, mu = random_admissible(rng)
             th = rng.uniform(0, 2 * np.pi)
             om = (np.cos(th), np.sin(th), 0.0)
-            Z = impedance(lam, mu, om).matrix
+            Z = impedance(lam, mu, om)
             a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             hermitian_form = float(np.real(np.vdot(a, Z @ a)))
             assert order0_response(a, om, lam, mu) == pytest.approx(hermitian_form, rel=1e-12)
@@ -430,6 +430,17 @@ class TestCalibration:
         assert np.abs(cals[1].matrix / cals[0].matrix - 1.0).max() <= 1e-9
         assert cals[1].linearity_error == pytest.approx(cals[0].linearity_error, rel=1e-8)
 
+    def test_linearity_violation_raises_with_measured_value(self, monkeypatch):
+        # the gradient config's calibration measures a linearity error of 1.26e-3
+        from lame_edge import reconstruct
+
+        monkeypatch.setattr(reconstruct, "_LINEARITY_TOL", 1e-3)
+        with pytest.raises(reconstruct.CalibrationError,
+                           match=r"linearity violation 0\.126% exceeds 0\.1%"):
+            calibrate_order_m(1, default_battery(), [16, 32, 64, 128, 256],
+                              (0.9999161175742259, 1.000014643959749),
+                              cutoff=GaussianCutoff(), rho_tilde=4)
+
 
 class TestOrderTwoEndToEnd:
     def test_calibrated_recovery_within_experimental_tolerance(self):
@@ -472,15 +483,15 @@ class TestSymbolAsymptotics:
         lam_coeffs = [1.0] + [0.0] * (m - 1) + [dcoeffs[0] / fact]
         mu_coeffs = [1.0] + [0.0] * (m - 1) + [dcoeffs[1] / fact]
         prof = LameProfile.from_polynomial(lam_coeffs, mu_coeffs, name=f"sym-m{m}")
-        trunc = taylor_truncate(prof, m).result
+        trunc = taylor_truncate(prof, m)
         radii = np.array([512.0, 1024.0, 2048.0])
         for kind in ("e3", "tangent", "sigma1"):
             t = ProbeTemplate.named(kind, (1.0, 0.0))
             vals = []
             for r in radii:
-                D = dtn_symbol(prof, (r, 0.0), tol=1e-12).matrix - dtn_symbol(
+                D = dtn_symbol(prof, (r, 0.0), tol=1e-12) - dtn_symbol(
                     trunc, (r, 0.0), tol=1e-12
-                ).matrix
+                )
                 vals.append(r ** (m - 1) * float(np.real(np.vdot(t.a, D @ t.a))))
             # remove the O(1/r) correction with one Richardson step
             limit = vals[-1] + (vals[-1] - vals[-2])
