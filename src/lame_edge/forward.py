@@ -23,7 +23,8 @@ q = 1/(lam+2mu), P = 4mu(lam+mu)/(lam+2mu):
 
 in physical depth (rho = r) or in scaled depth t = r y3 for S / r (rho = 1).
 One core, :func:`_radial_symbols`, integrates this jointly for a batch of
-radial nodes with an in-house DOP853 (:func:`_dop853`) that accepts a step on
+radial nodes of one or more profiles, all on one step sequence, with an
+in-house DOP853 (:func:`_dop853`) that accepts a step on
 the largest single-node error, each weighted by how much of it reaches the
 surface (the flow contracts at 2|k| in depth), so every node meets the
 tolerance at the surface on its own; every step stays inside DOP853's
@@ -34,9 +35,12 @@ are evaluated once per step for all 12 stage times on the (stage, node) grid,
 and a flow evaluation builds the monomials and contracts them once.
 A profile's symbol (:class:`RadialSymbol`) serves every radius: it
 interpolates R(r) = M0(r) - r Z(lam(0), mu(0)), smooth in s = r / (r + 2) on
-[0, 1], from certified Chebyshev points in s (none for a constant profile),
-memoised by profile content and tolerance alone, so all ladders of a profile
-share it. :func:`dtn_symbol`, a direct batch of one, rotated, checks it; the
+[0, 1], from certified Chebyshev points in s (none for a constant profile).
+Symbols are memoised by group: the profiles requested together (one alone,
+or the calibration's three) are keyed by their contents in order and the
+tolerance, and integrate each Chebyshev round as one batch; so all ladders of
+a profile share its symbol, and a member's value depends only on its group.
+:func:`dtn_symbol`, a direct batch of one, rotated, checks it; the
 orthonormalized subspace march on the full 6x3 system is the independent oracle.
 
 Pairings never assemble the 3x3 symbol: with b = R(theta)^T a and
@@ -46,7 +50,8 @@ f = (1, cos, sin, cos 2., sin 2.)(theta) and C(a) f = (|b1|^2, |b2|^2, |a3|^2,
 weights W(r, phi) do not depend on the probe direction, so with a' =
 R(theta0)^T a and the angular moments F = W @ f(phi)^T a pairing is
 sum(rows * (F @ C(a')^T)) = <C(a'), G>: one 20-term dot product with the moment
-form G = rows^T F, built once per (grid, symbols). W is even in phi, so the
+form G = rows^T F, built once per (grid, symbols); a ladder stacks the forms
+of its N values and contracts them in one call. W is even in phi, so the
 grid holds phi in [0, pi] with mirrored weights, and its sin moments are 0.
 The rows at the grid's radii are one barycentric product, whose weights the
 grid keeps per Chebyshev point count.
@@ -70,8 +75,9 @@ from .stroh import _taq, first_order_matrix, impedance_basis, reference_chain
 __all__ = [
     "EFOLDS", "ForwardError", "H_MAX", "PairingResult", "QuadratureSettings",
     "RadialDtnTable", "RadialSymbol", "difference_pairing", "dtn_symbol", "dtn_symbol_march",
-    "form_counts", "half_space_impedance", "interpolation_counts", "limit_quadrature",
-    "pairing", "polar_grid", "symbol_memo", "truncation_depth", "warm_tables",
+    "form_counts", "half_space_impedance", "interpolation_counts", "ladder_pairings",
+    "limit_quadrature",
+    "pairing", "polar_grid", "symbol_memo", "truncation_depth", "warm_group", "warm_tables",
 ]
 
 
@@ -296,24 +302,28 @@ def _check_admissible(profile: LameProfile, H: float) -> None:
                            f"min 3lam+2mu = {rep.min_bulk}")
 
 
-def _radial_symbols(profile: LameProfile, nodes: np.ndarray,
-                    tol: float) -> tuple[np.ndarray, int, int, int, int]:
-    """The Riccati core: reduced M0(r) = M(r e1) at every node, and the step counts.
+def _radial_symbols(parts, tol: float) -> tuple[list[np.ndarray], int, int, int, int]:
+    """The Riccati core: reduced M0(r) = M(r e1) for a batch of (profile, radii)
+    parts on one step sequence, and the step counts.
 
-    Returns rows (M11, M22, M33, Im M13), shape (n, 4), and the counts of
-    :func:`_dop853` (accepted and rejected steps, flow evaluations, capped
-    steps). Each node runs from its
+    Returns rows (M11, M22, M33, Im M13) per part, shape (n, 4) for its n radii,
+    and the counts of :func:`_dop853` (accepted and rejected steps, flow
+    evaluations, capped steps). Each node runs from its
     truncation depth H(r) to the surface in tau = y3 / H, from 1 to 0, started
-    from the frozen half-space impedance S = -rho Z(lam(H), mu(H)). Nodes with
+    from the frozen half-space impedance S = -rho Z(lam(H), mu(H)) of its part's
+    profile. Nodes with
     r <= EFOLDS/H_MAX carry S (rho = r, physical depth, c = H_MAX);
     deeper-frequency nodes carry S / r (rho = 1, scaled depth t = r y3,
-    c = EFOLDS). All nodes, 4 reals each, are one joint integration of c
-    times the module docstring's flow at y3 = tau H, which is linear in the
+    c = EFOLDS). All nodes of all parts, 4 reals each, are one joint integration
+    of c times the module docstring's flow at y3 = tau H, which is linear in the
     monomials (S11, S22, S33, b, S11^2, S22^2, S33^2, b^2, S11 b, S33 b, 1).
     Their coefficients depend on depth alone and are evaluated per step on
-    the (stage, node) grid, shape (stage, 4, 11, node); a flow evaluation
-    builds the monomials and contracts them once. Depths follow
-    :func:`truncation_depth`.
+    the (stage, node) grid, shape (stage, 4, 11, node), in one array allocated
+    once: only the flow's 13 entries are written, the rest stay zero; a flow
+    evaluation builds the monomials and contracts them once. Depths follow
+    :func:`truncation_depth`. A batch of one part gives the same bits as that
+    part's own integration always has; parts integrated together share the
+    step sequence, so their integrator errors are correlated.
 
     Linearised at its fixed point -rho Z(lam, mu), the flow contracts toward
     the surface at the rate 2 c rho = 2 |k| H per unit tau for every (lam, mu),
@@ -321,31 +331,41 @@ def _radial_symbols(profile: LameProfile, nodes: np.ndarray,
     the eigenvalue. Where the fixed point drifts with depth faster than |k|,
     relative to its size, the state lags it and contracts more slowly, so each
     node hands :func:`_dop853` the rate 2 H max(|k| - L, 0), L the largest drift
-    |dZ/dy3| / |Z| of the frozen rows between the surface and its depth, from
-    257 samples on [0, H_MAX]. The integrator weights each node's error by the
-    damping on the way up and caps every step inside DOP853's stability
-    interval: a node meets ``tol`` at the surface, not at every depth.
+    |dZ/dy3| / |Z| of its profile's frozen rows between the surface and its
+    depth, from 257 samples on [0, H_MAX]. The integrator weights each node's
+    error by the damping on the way up and caps every step inside DOP853's
+    stability interval: a node meets ``tol`` at the surface, not at every depth.
     """
+    nodes = np.concatenate([np.asarray(r, dtype=float) for _, r in parts])
+    ends = np.cumsum([len(r) for _, r in parts])
+    spans = [slice(a, b) for a, b in zip(np.r_[0, ends[:-1]], ends)]
     scaled = nodes > EFOLDS / H_MAX
     sigma = np.where(scaled, nodes, 1.0)  # the state is S / sigma
     rho = nodes / sigma
     H = np.where(scaled, EFOLDS / sigma, H_MAX)
 
-    def moduli(y3):
+    def profile_moduli(profile, y3):
         zero = 0.0 * y3  # a profile may answer with a scalar
         return profile.lam(y3) + zero, profile.mu(y3) + zero
+
+    def moduli(y3):  # each part's profile at its nodes' depths, node axis last
+        pairs = [profile_moduli(p, y3[..., sl]) for (p, _), sl in zip(parts, spans)]
+        return tuple(np.concatenate(m, axis=-1) for m in zip(*pairs))
 
     y0 = -rho * _impedance_rows(*moduli(H)).T
     c = H * sigma
     cr, cr2 = c * rho, c * rho**2
     two_cr = 2.0 * cr
-    # L of the docstring: the largest drift of the frozen rows above each depth
+    # L of the docstring: the largest drift of each part's frozen rows above each depth
     y3 = np.linspace(0.0, H_MAX, 257)
-    z = _impedance_rows(*moduli(y3))
-    size = np.abs(z).max(axis=1)
-    drift = np.abs(np.diff(z, axis=0)).max(axis=1) / (np.minimum(size[1:], size[:-1]) * y3[1])
-    lag = np.maximum.accumulate(drift)[np.searchsorted(y3, H) - 1]
+    lag = np.empty(nodes.size)
+    for (profile, _), sl in zip(parts, spans):
+        z = _impedance_rows(*profile_moduli(profile, y3))
+        size = np.abs(z).max(axis=1)
+        drift = np.abs(np.diff(z, axis=0)).max(axis=1) / (np.minimum(size[1:], size[:-1]) * y3[1])
+        lag[sl] = np.maximum.accumulate(drift)[np.searchsorted(y3, H[sl]) - 1]
     rate = 2.0 * H * np.maximum(nodes - lag, 0.0)
+    buffer = np.zeros((12, 4, 11, nodes.size))  # _dop853 asks for at most 12 times
 
     def coefficients(taus):
         lam, mu = moduli(taus[:, None] * H)
@@ -353,7 +373,7 @@ def _radial_symbols(profile: LameProfile, nodes: np.ndarray,
         g = lam * d
         p, q = c / mu, c * d
         # row k of C[i] holds dS_k's coefficient of each monomial (docstring order)
-        C = np.zeros((taus.size, 4, 11, nodes.size))
+        C = buffer[:taus.size]
         C[:, [0, 1, 2, 3], [4, 5, 7, 8]] = -p[:, None]
         C[:, [0, 2, 3], [7, 6, 9]] = -q[:, None]
         C[:, 0, 3], C[:, 0, 10] = -two_cr * g, cr2 * (4.0 * mu * (lam + mu) * d)
@@ -371,7 +391,8 @@ def _radial_symbols(profile: LameProfile, nodes: np.ndarray,
         np.einsum("kmn,mn->kn", C[i], monomials, out=out)
 
     y, *counts = _dop853(coefficients, flow, 1.0, 0.0, y0, tol, rate)
-    return (-sigma * y).T, *counts
+    rows = (-sigma * y).T
+    return [rows[sl] for sl in spans], *counts
 
 
 def dtn_symbol(profile: LameProfile, k, tol: float = 1e-10) -> np.ndarray:
@@ -387,7 +408,7 @@ def dtn_symbol(profile: LameProfile, k, tol: float = 1e-10) -> np.ndarray:
     """
     kn, what = _unit_tangent(k)
     _check_admissible(profile, truncation_depth(k))
-    M0, *_ = _radial_symbols(profile, np.array([kn]), tol)
+    (M0,), *_ = _radial_symbols([(profile, np.array([kn]))], tol)
     c, s = what[0], what[1]
     R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])  # takes e1 to k/|k|
     return R @ _assemble(M0[0]) @ R.T
@@ -441,7 +462,7 @@ class RadialDtnTable:
         self.nodes = np.asarray(radii, dtype=float)
         if self.nodes.min() < 0.0 or self.nodes.max() > k_max:
             raise ValueError(f"radii must lie in [0, k_max = {k_max}]")
-        self.reduced, *steps = _radial_symbols(profile, self.nodes, riccati_tol)
+        (self.reduced,), *steps = _radial_symbols([(profile, self.nodes)], riccati_tol)
         self.steps = tuple(steps)
 
 
@@ -459,39 +480,21 @@ class RadialSymbol:
     nest: solved values are kept) until the trailing third of R's Chebyshev
     coefficients is below ``riccati_tol`` times max(max |R|, max |Z0|); one
     still above it at 1296 points is refused. Constant profiles have R = 0 and
-    ``s`` None. ``solves``: (nodes, accepted, rejected, flow evaluations,
-    capped steps) each.
+    ``s`` None. A symbol is built alone or in a group (:meth:`group`), whose
+    unresolved members integrate each round's points as one batch of the
+    Riccati core. ``solves``: the integrations it took part in, each
+    (nodes of the whole batch, accepted, rejected, flow evaluations, capped steps).
     """
 
     def __init__(self, profile: LameProfile, riccati_tol: float = 1e-10) -> None:
-        _check_admissible(profile, H_MAX)
-        lam, mu = float(profile.lam(0.0)), float(profile.mu(0.0))
-        self.z0 = _impedance_rows(lam, mu)
-        self.s = self.weights = self.remainder = None
-        self.solves: list[tuple[int, ...]] = []
-        if profile.is_polynomial and not any(profile.lam_coeffs[1:] + profile.mu_coeffs[1:]):
-            return
-        n, R = _FIRST_POINTS, np.empty((0, 4))
-        while True:
-            theta = (2.0 * np.arange(n) + 1.0) * (math.pi / (2 * n))  # s ascending
-            new = (np.arange(n) % 3 != 1) | (R.size == 0)  # the n / 3 solved ones are 1::3
-            r = 2.0 * np.tan(0.5 * theta[new]) ** 2
-            table = RadialDtnTable(profile, r.max(), r, riccati_tol)
-            self.solves.append((r.size, *table.steps))
-            R, solved = np.empty((n, 4)), R
-            R[new], R[~new] = table.reduced - r[:, None] * self.z0, solved
-            tail = np.cos(np.outer(np.arange(n - n // 3, n), theta)) @ R * (2.0 / n)
-            scale = max(np.abs(R).max(), np.abs(self.z0).max())
-            if np.abs(tail).max() <= riccati_tol * scale:
-                break
-            if 3 * n > _MAX_POINTS:
-                raise ForwardError(f"radial symbol not resolved by {n} Chebyshev points: tail "
-                                   f"{np.abs(tail).max() / scale:.3g} of the row scale")
-            n *= 3
-        self.s, self.remainder = np.sin(0.5 * theta) ** 2, R
-        self.weights = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) * np.sin(theta)
-        for arr in (self.z0, self.s, self.weights, self.remainder):
-            arr.setflags(write=False)
+        _resolve((self,), (profile,), riccati_tol)
+
+    @classmethod
+    def group(cls, profiles, riccati_tol: float = 1e-10) -> tuple[tuple, list]:
+        """The symbols of ``profiles`` from one joint integration per Chebyshev
+        round, and those integrations, counted as in ``solves``."""
+        members = tuple(cls.__new__(cls) for _ in profiles)
+        return members, _resolve(members, profiles, riccati_tol)
 
     def interpolation(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Barycentric data from the Chebyshev points to the 1-D radii ``r``:
@@ -518,45 +521,99 @@ class RadialSymbol:
         return rows + ((q @ self.remainder) / total).reshape(rows.shape)
 
 
+def _resolve(members, profiles, riccati_tol: float) -> list[tuple[int, ...]]:
+    """Fill in each :class:`RadialSymbol` of ``members`` for its profile; returns
+    the joint integrations. Every member is checked before any is integrated."""
+    for sym, profile in zip(members, profiles):
+        _check_admissible(profile, H_MAX)
+        sym.z0 = _impedance_rows(float(profile.lam(0.0)), float(profile.mu(0.0)))
+        sym.s = sym.weights = sym.remainder = None
+        sym.solves = []
+    pending = [(sym, profile, np.empty((0, 4))) for sym, profile in zip(members, profiles)
+               if not (profile.is_polynomial
+                       and not any(profile.lam_coeffs[1:] + profile.mu_coeffs[1:]))]
+    n, solves = _FIRST_POINTS, []
+    while pending:
+        theta = (2.0 * np.arange(n) + 1.0) * (math.pi / (2 * n))  # s ascending
+        new = (np.arange(n) % 3 != 1) | (n == _FIRST_POINTS)  # the n / 3 solved ones are 1::3
+        r = 2.0 * np.tan(0.5 * theta[new]) ** 2
+        rows, *steps = _radial_symbols([(profile, r) for _, profile, _ in pending], riccati_tol)
+        solves.append((r.size * len(pending), *steps))
+        trailing = np.cos(np.outer(np.arange(n - n // 3, n), theta))
+        unresolved = []
+        for (sym, profile, solved), reduced in zip(pending, rows):
+            sym.solves.append(solves[-1])
+            R = np.empty((n, 4))
+            R[new], R[~new] = reduced - r[:, None] * sym.z0, solved
+            tail = np.abs(trailing @ R * (2.0 / n)).max()
+            scale = max(np.abs(R).max(), np.abs(sym.z0).max())
+            if tail <= riccati_tol * scale:
+                sym.s, sym.remainder = np.sin(0.5 * theta) ** 2, R
+                sym.weights = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) * np.sin(theta)
+                for arr in (sym.s, sym.weights, sym.remainder):
+                    arr.setflags(write=False)
+            elif 3 * n > _MAX_POINTS:
+                raise ForwardError(f"radial symbol not resolved by {n} Chebyshev points: tail "
+                                   f"{tail / scale:.3g} of the row scale")
+            else:
+                unresolved.append((sym, profile, R))
+        pending, n = unresolved, 3 * n
+    for sym in members:
+        sym.z0.setflags(write=False)
+    return solves
+
+
 class SymbolMemo:
-    """Radial symbols keyed by profile content (coefficients without trailing
-    zeros; the object for callables) and ``riccati_tol`` alone, least recently
-    used dropped past ``maxsize``. Over the process, ``counts`` sums the
-    symbols' solves, ``accepted`` lists each integrated symbol's (Chebyshev
-    points, refinements), and ``seconds`` is the time spent building them."""
+    """Radial symbols by group: a group of profiles requested together is one
+    entry, keyed by its members' contents in order (coefficients without
+    trailing zeros; the object for callables) and ``riccati_tol`` alone, and
+    built by one joint integration per Chebyshev round (:meth:`RadialSymbol.group`);
+    a lone profile is a group of one. So a member's value depends only on the
+    group it was requested in, not on what the memo held before. Least recently
+    used groups are dropped past ``maxsize``. Over the process, ``counts`` sums
+    the integrations (``riccati_solves``; ``nodes`` sums their radii),
+    ``accepted`` lists each integrated symbol's (Chebyshev points, refinements),
+    and ``seconds`` is the time spent building them."""
 
     def __init__(self, maxsize: int) -> None:
-        self.maxsize, self._symbols = maxsize, OrderedDict()
+        self.maxsize, self._groups = maxsize, OrderedDict()
         self.counts = Counter(dict.fromkeys(("riccati_solves", "exact_constants", "memo_hits",
                                              "nodes", "steps_accepted", "steps_rejected",
                                              "rhs_evaluations", "steps_capped"), 0))
         self.accepted: list[tuple[int, int]] = []
         self.seconds = 0.0
 
-    def symbol(self, profile: LameProfile, riccati_tol: float) -> RadialSymbol:
-        key = (profile.content or profile, riccati_tol)
-        if key in self._symbols:
-            self._symbols.move_to_end(key)
+    def group(self, profiles, riccati_tol: float) -> tuple[RadialSymbol, ...]:
+        """The symbols of ``profiles``, built together."""
+        key = (tuple(p.content or p for p in profiles), riccati_tol)
+        if key in self._groups:
+            self._groups.move_to_end(key)
             self.counts["memo_hits"] += 1
-            return self._symbols[key]
+            return self._groups[key]
         t0 = time.perf_counter()
-        symbol = self._symbols[key] = RadialSymbol(profile, riccati_tol)
+        members, solves = RadialSymbol.group(profiles, riccati_tol)
         self.seconds += time.perf_counter() - t0
-        if symbol.s is None:
-            self.counts["exact_constants"] += 1
-        else:
-            for nodes, accepted, rejected, evaluations, capped in symbol.solves:
-                self.counts.update(riccati_solves=1, nodes=nodes, steps_accepted=accepted,
-                                   steps_rejected=rejected, rhs_evaluations=evaluations,
-                                   steps_capped=capped)
-            self.accepted.append((symbol.s.size, len(symbol.solves) - 1))
-        if len(self._symbols) > self.maxsize:
-            self._symbols.popitem(last=False)
-        return symbol
+        for nodes, accepted, rejected, evaluations, capped in solves:
+            self.counts.update(riccati_solves=1, nodes=nodes, steps_accepted=accepted,
+                               steps_rejected=rejected, rhs_evaluations=evaluations,
+                               steps_capped=capped)
+        for symbol in members:
+            if symbol.s is None:
+                self.counts["exact_constants"] += 1
+            else:
+                self.accepted.append((symbol.s.size, len(symbol.solves) - 1))
+        self._groups[key] = members
+        if len(self._groups) > self.maxsize:
+            self._groups.popitem(last=False)
+        return members
+
+    def symbol(self, profile: LameProfile, riccati_tol: float) -> RadialSymbol:
+        """The symbol of ``profile`` alone."""
+        return self.group((profile,), riccati_tol)[0]
 
     def clear(self) -> None:
         """Forget every symbol, so that a test counting solves starts from none."""
-        self._symbols.clear()
+        self._groups.clear()
 
 
 symbol_memo = SymbolMemo(maxsize=16)
@@ -700,8 +757,20 @@ def warm_tables(profile: LameProfile, quad: QuadratureSettings = DEFAULT_QUAD,
     order-m truncation's; from :data:`symbol_memo`, so values do not depend on
     evaluation order or history, and every ladder of a profile shares them.
     """
-    profiles = [profile] + ([taylor_truncate(profile, m)] if m >= 1 else [])
-    return tuple(symbol_memo.symbol(p, quad.riccati_tol) for p in profiles)
+    return warm_group((profile,), quad, m)[0]
+
+
+def warm_group(profiles, quad: QuadratureSettings = DEFAULT_QUAD,
+               m: int = 0) -> list[tuple[RadialSymbol, ...]]:
+    """:func:`warm_tables` of each of ``profiles``, their own symbols built as
+    one memo group (one joint integration per Chebyshev round) and each
+    truncation alone."""
+    profiles = tuple(profiles)
+    own = symbol_memo.group(profiles, quad.riccati_tol)
+    if m < 1:
+        return [(symbol,) for symbol in own]
+    return [(symbol, symbol_memo.symbol(taylor_truncate(p, m), quad.riccati_tol))
+            for p, symbol in zip(profiles, own)]
 
 
 def pairing(profile: LameProfile, probe: ProbeSpec, quad: QuadratureSettings = DEFAULT_QUAD,
@@ -713,7 +782,7 @@ def pairing(profile: LameProfile, probe: ProbeSpec, quad: QuadratureSettings = D
     quad.tail_tol of the cutoff mass. ``symbols`` is the profile's ladder value
     from :func:`warm_tables`, looked up when not given.
     """
-    return _pair(probe, quad, (symbols or warm_tables(profile, quad))[:1])
+    return _result(ladder_pairings(profile, 0, probe, (probe.N,), quad, symbols)[0], quad)
 
 
 def difference_pairing(profile: LameProfile, m: int, probe: ProbeSpec,
@@ -728,18 +797,27 @@ def difference_pairing(profile: LameProfile, m: int, probe: ProbeSpec,
     """
     if m < 1:
         raise ValueError("difference pairing requires m >= 1 (m = 0 is pairing)")
+    return _result(ladder_pairings(profile, m, probe, (probe.N,), quad, symbols)[0], quad)
+
+
+def ladder_pairings(profile: LameProfile, m: int, probe: ProbeSpec, N_values,
+                    quad: QuadratureSettings = DEFAULT_QUAD,
+                    symbols: tuple[RadialSymbol, ...] | None = None) -> np.ndarray:
+    """:func:`pairing` (m = 0) or :func:`difference_pairing` (m >= 1) values of
+    ``probe`` at each N of ``N_values``, real: the moment forms of ``symbols[0]``
+    (minus ``symbols[1]``) on the N grids, stacked and contracted in one call."""
     if m > profile.max_derivative_order:
         raise ValueError(
             f"profile carries derivatives to order {profile.max_derivative_order}, got m = {m}"
         )
-    return _pair(probe, quad, symbols or warm_tables(profile, quad, m))
+    symbols = (symbols or warm_tables(profile, quad, m))[:2 if m else 1]
+    forms = np.stack([polar_grid(int(n), probe.rho_tilde, probe.cutoff, quad).form(symbols)
+                      for n in N_values])
+    return PolarGrid.contract(forms, probe.a, probe.omega)
 
 
-def _pair(probe: ProbeSpec, quad: QuadratureSettings,
-          symbols: tuple[RadialSymbol, ...]) -> PairingResult:
-    """Contract the moment form of ``symbols[0]`` (minus ``symbols[1]``) on the probe's grid."""
-    grid = polar_grid(probe.N, probe.rho_tilde, probe.cutoff, quad)
-    value = complex(grid.contract(grid.form(symbols), probe.a, probe.omega))
+def _result(value, quad: QuadratureSettings) -> PairingResult:
+    value = complex(value)
     return PairingResult(value, quad.tail_tol * abs(value))
 
 

@@ -30,13 +30,14 @@ from .elastic import DisplacementJet, LameProfile, check_admissible, energy_dens
 from .forward import (
     DEFAULT_QUAD,
     ForwardError,
-    PairingResult,
+    PolarGrid,
     QuadratureSettings,
+    RadialSymbol,
     Z_ROWS_E1,
-    difference_pairing,
-    pairing,
+    ladder_pairings,
+    pairing,  # noqa: F401 (perfbench wraps it under this name too)
     polar_grid,
-    warm_tables,
+    warm_group,
 )
 from .stroh import impedance, impedance_basis, sigma_basis  # noqa: F401 (perfbench wraps impedance)
 
@@ -284,24 +285,21 @@ def run_ladder(
     cutoff: CutoffProfile | None = None,
     rho_tilde: int | None = None,
     quad: QuadratureSettings = DEFAULT_QUAD,
+    symbols: tuple[RadialSymbol, ...] | None = None,
 ) -> LadderResult:
     """Ladder of pairing (m = 0) or N^m-scaled difference pairings (m >= 1); the
-    default rho_tilde is ProbeSpec.auto_rho_tilde for the order and the profile's p."""
+    default rho_tilde is ProbeSpec.auto_rho_tilde for the order and the profile's p.
+    ``symbols`` is the ladder's :func:`lame_edge.forward.warm_tables` value, looked
+    up when not given. The probe is validated once, at the smallest N, and the
+    N values' pairings are one contraction (:func:`lame_edge.forward.ladder_pairings`)."""
     N = _check_dyadic(N_list)
     cutoff = cutoff if cutoff is not None else DEFAULT_CUTOFF
     p = profile.holder_exponent
     rt = rho_tilde if rho_tilde is not None else ProbeSpec.auto_rho_tilde(m, p)
-    symbols = warm_tables(profile, quad, m)
-    vals, tails = np.empty(N.size, dtype=complex), np.empty(N.size)
-    for i, n in enumerate(N):
-        probe = ProbeSpec(template.a, template.omega, int(n), rt, m, cutoff, p)
-        if m == 0:
-            res: PairingResult = pairing(profile, probe, quad, symbols)
-            vals[i] = res.value
-        else:
-            res = difference_pairing(profile, m, probe, quad, symbols)
-            vals[i] = n**m * res.value
-        tails[i] = res.tail_estimate
+    probe = ProbeSpec(template.a, template.omega, int(N[0]), rt, m, cutoff, p)
+    values = ladder_pairings(profile, m, probe, N, quad, symbols)
+    vals = N**m * values.astype(complex)
+    tails = quad.tail_tol * np.abs(values)
     return LadderResult(template, m, N, vals, extrapolate(N, vals, rho=1.0 / rt), tails)
 
 
@@ -387,13 +385,14 @@ def recover_order0(limits, coeffs: np.ndarray | None = None) -> Order0Result:
     return Order0Result(*_moduli(x), residual, bool(ok), "linear least squares")
 
 
-def _pairing_moments(template: ProbeTemplate, N: int, rho_tilde: int,
+def _pairing_moments(template: ProbeTemplate, N_values, rho_tilde: int,
                      cutoff: CutoffProfile, quad: QuadratureSettings) -> np.ndarray:
-    """(G_lam, G_mu): a half-space pairs, with M(k) = |k| R Z R^T on the forward
-    pairing's grid, to (G_lam, G_mu) . x, as Z is linear (see order0_variables)."""
-    grid = polar_grid(int(N), rho_tilde, cutoff, quad)
-    G = Z_ROWS_E1[:, :, None] * (grid.r @ grid.moments)  # the forms of the rows r z
-    return grid.contract(G, template.a, template.omega)
+    """(G_lam, G_mu) at each N, shape (N, 2): a half-space pairs, with M(k) =
+    |k| R Z R^T on the forward pairing's grid, to (G_lam, G_mu) . x, as Z is
+    linear (see order0_variables); the N values' forms are one contraction."""
+    forms = np.stack([Z_ROWS_E1[:, :, None] * (grid.r @ grid.moments)  # the forms of the rows r z
+                      for grid in (polar_grid(int(n), rho_tilde, cutoff, quad) for n in N_values)])
+    return PolarGrid.contract(forms, template.a, template.omega)
 
 
 def homogeneous_pairing_value(template: ProbeTemplate, N: int, rho_tilde: int,
@@ -405,7 +404,7 @@ def homogeneous_pairing_value(template: ProbeTemplate, N: int, rho_tilde: int,
     Oracle: the tests check it against the forward pairing of a constant
     profile, which validates the moments that :func:`refine_order0` deflates by."""
     check_admissible(lam, mu)
-    G = _pairing_moments(template, N, rho_tilde, cutoff, quad)
+    G = _pairing_moments(template, (N,), rho_tilde, cutoff, quad)[0]
     return float(G @ order0_variables(lam, mu))
 
 
@@ -436,7 +435,7 @@ def refine_order0(
     # corrections: exponents {1, 1 + 2 rho, 2}; w takes a ladder to its limit
     w = np.linalg.pinv(np.column_stack(
         [np.ones(Nf.size), Nf**-1.0, Nf ** -(1.0 + 2.0 * rho), Nf**-2.0]))[0]
-    G = np.array([[_pairing_moments(t, n, rho_tilde, cutoff, quad) for n in N]
+    G = np.array([_pairing_moments(t, N, rho_tilde, cutoff, quad)
                   for t in templates])  # (probe, N, 2)
     values = np.array([lr.values.real for lr in ladders])
     y = np.array([lr.limit.real for lr in ladders])
@@ -541,10 +540,11 @@ class CalibrationError(RuntimeError):
 _LINEARITY_TOL, _MIXED_DERIVATIVES = 0.03, (0.4, 0.5)
 
 
-def serial_ladder_runner(profile, battery, N_list, m, cutoff, rho_tilde, quad):
+def serial_ladder_runner(profile, battery, N_list, m, cutoff, rho_tilde, quad, symbols=None):
     """The ladders of one profile for every battery probe, in order."""
     return [
-        run_ladder(profile, t, N_list, m, cutoff=cutoff, rho_tilde=rho_tilde, quad=quad)
+        run_ladder(profile, t, N_list, m, cutoff=cutoff, rho_tilde=rho_tilde, quad=quad,
+                   symbols=symbols)
         for t in battery
     ]
 
@@ -582,17 +582,20 @@ def calibrate_order_m(
     Columns are ladder limits for the unit profiles lam = lam0 + y3^m/m! and
     mu = mu0 + y3^m/m!; linearity is verified against a third profile with
     mixed derivatives (prediction error above ``_LINEARITY_TOL`` rejects the
-    calibration). The verdict names the closed-form variant closest to the
-    measured matrix in relative Frobenius distance.
+    calibration). The three profiles' symbols are one memo group, integrated
+    on one Riccati step sequence, so their integrator errors are correlated in
+    the linearity check, and each ladder is handed its symbols. The verdict
+    names the closed-form variant closest to the measured matrix in relative
+    Frobenius distance.
     """
-    lam_prof = _unit_profile(base, m, 1.0, 0.0, "calib-lam")
-    mu_prof = _unit_profile(base, m, 0.0, 1.0, "calib-mu")
-    mix_prof = _unit_profile(base, m, *_MIXED_DERIVATIVES, "calib-mixed")
-
+    profiles = {"lam": _unit_profile(base, m, 1.0, 0.0, "calib-lam"),
+                "mu": _unit_profile(base, m, 0.0, 1.0, "calib-mu"),
+                "mixed": _unit_profile(base, m, *_MIXED_DERIVATIVES, "calib-mixed")}
+    ladder_symbols = warm_group(profiles.values(), quad, m)
     ladders: dict[str, list[LadderResult]] = {}
     cols = {}
-    for key, prof in (("lam", lam_prof), ("mu", mu_prof), ("mixed", mix_prof)):
-        lrs = serial_ladder_runner(prof, battery, N_list, m, cutoff, rho_tilde, quad)
+    for (key, prof), symbols in zip(profiles.items(), ladder_symbols):
+        lrs = serial_ladder_runner(prof, battery, N_list, m, cutoff, rho_tilde, quad, symbols)
         ladders[key] = lrs
         cols[key] = np.array([float(np.real(lr.limit)) for lr in lrs])
 

@@ -407,15 +407,16 @@ class TestReconstructCommand:
         assert 0.0 < stages["symbols"] <= stages["reconstruct"]
         assert sum(counters[0]["extrapolation_flags"].values()) == 4
         # the bundled gradient config as in a fresh process (it shares the
-        # profile above): the main profile and three calibration profiles are
-        # solved; both truncations are exact constants
+        # profile above): the main profile is solved alone and the three
+        # calibration profiles as one group, one integration each; both
+        # truncations are exact constants
         symbol_memo.clear()
         out3 = tmp_path / "bundled"
         main(["reconstruct", "--config", str(REPO / "configs" / "gradient.json"),
               "--out", str(out3)])
         counters = json.loads((out3 / "manifest.json").read_text())["counters"]
         symbols = counters["symbols"]
-        assert (symbols["riccati_solves"], symbols["exact_constants"]) == (4, 2)
+        assert (symbols["riccati_solves"], symbols["exact_constants"]) == (2, 2)
         # each symbol resolved at 48 points, 20x fewer integrated radii than
         # the 960 per ladder grid set of a table at the quadrature radii
         assert symbols["accepted_nodes"] == [48] * 4 and symbols["refinements"] == [0] * 4

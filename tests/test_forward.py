@@ -147,7 +147,7 @@ def kernel_of(profile, nodes):
         return y0, 0, 0, 0, 0
 
     with mock.patch("lame_edge.forward._dop853", capture):
-        _radial_symbols(profile, nodes, 1e-10)
+        _radial_symbols([(profile, nodes)], 1e-10)
     return seen
 
 
@@ -200,7 +200,7 @@ class TestRiccatiKernel:
         radii = 2.0 * np.tan(0.5 * theta) ** 2
         radii = np.r_[radii[(radii >= 0.25) & (radii <= 1000.0)], np.geomspace(0.25, 1e6, 25)]
         z0 = mu / (lam + 3.0 * mu) * (lam * Z_ROWS_E1[0] + mu * Z_ROWS_E1[1])
-        rows, *_ = _radial_symbols(LameProfile.constant(lam, mu), radii, 1e-10)
+        (rows,), *_ = _radial_symbols([(LameProfile.constant(lam, mu), radii)], 1e-10)
         assert np.abs(rows / radii[:, None] - z0).max() <= 1e-13 * np.abs(z0).max()
 
     def test_stability_interval(self):
@@ -250,9 +250,9 @@ class TestRiccatiKernel:
         # flow with (t lam, t mu); the integrator only meets it within tolerance
         tol, base = 1e-10, [[1.0, 0.3, -0.05], [1.0, 0.2, 0.04]]
         nodes = np.linspace(0.25, 40.0, 24)
-        rows, *_ = _radial_symbols(LameProfile.from_polynomial(*base), nodes, tol)
-        scaled, *_ = _radial_symbols(
-            LameProfile.from_polynomial(*(t * np.array(base))), nodes, tol)
+        (rows,), *_ = _radial_symbols([(LameProfile.from_polynomial(*base), nodes)], tol)
+        (scaled,), *_ = _radial_symbols(
+            [(LameProfile.from_polynomial(*(t * np.array(base))), nodes)], tol)
         err = np.abs(scaled - t * rows).max(axis=1) / np.abs(t * rows).max(axis=1)
         assert err.max() <= 4.0 * tol
 
@@ -438,7 +438,7 @@ class TestRadialTable:
         assume(validate_admissibility(prof, H_MAX).passed)
         sym = RadialSymbol(prof)
         r = np.array(radii)
-        direct, *_ = _radial_symbols(prof, r, 1e-12)
+        (direct,), *_ = _radial_symbols([(prof, r)], 1e-12)
         rows = sym.rows(r)
         scale = np.maximum(np.abs(rows).max(axis=1), np.abs(sym.z0).max())
         assert np.all(np.abs(rows - direct).max(axis=1) <= 2e-10 * scale)
@@ -511,7 +511,7 @@ class TestReducedCore:
             Ns, rho_tilde, nodes = ladder
             radii = np.unique(np.concatenate(
                 [polar_grid(n, rho_tilde, GAUSS, QuadratureSettings(nodes=nodes)).r for n in Ns]))
-        rows, *_ = _radial_symbols(LameProfile.constant(*lm), radii, tol)
+        (rows,), *_ = _radial_symbols([(LameProfile.constant(*lm), radii)], tol)
         exact = radii[:, None, None] * impedance(*lm, E1)
         err = np.abs(_assemble(rows) - exact).max(axis=(1, 2)) / np.abs(exact).max(axis=(1, 2))
         assert err.max() <= 2.0 * tol
@@ -522,9 +522,85 @@ def surface_error(profile, tol=1e-10) -> float:
     relative to the node's row scale."""
     theta = (2.0 * np.arange(144) + 1.0) * (np.pi / 288)
     radii = np.r_[2.0 * np.tan(0.5 * theta) ** 2, 6.99, 7.0, 7.01, np.linspace(10.0, 5000.0, 12)]
-    rows, *_ = _radial_symbols(profile, radii, tol)
-    reference, *_ = _radial_symbols(profile, radii, 1e-13)
+    (rows,), *_ = _radial_symbols([(profile, radii)], tol)
+    (reference,), *_ = _radial_symbols([(profile, radii)], 1e-13)
     return float((np.abs(rows - reference).max(axis=1) / np.abs(reference).max(axis=1)).max())
+
+
+# rows of the one-profile core and remainders of the symbol, as the core gave
+# them before it took batches: (row index, (M11, M22, M33, Im M13) as float.hex)
+PINNED_DIRECT = {  # at radii (0.5, 7.0, 40.0, 1000.0), tol 1e-10
+    "grad": {0: ("0x1.ad13861c9c3cdp-1", "0x1.2a54076b9d886p-1", "0x1.e7a715deaf50cp-1",
+                 "-0x1.1433189218df6p-2"),
+             3: ("0x1.7706ccb711b96p+10", "0x1.f40ccca2dd87dp+9", "0x1.7713993a7dc58p+10",
+                 "-0x1.f3fe66a857a9cp+8")},
+    "steep": {0: ("0x1.93a9d5ba117f4p-1", "0x1.070bf91bbd2c6p-1", "0x1.841b0d38df76ep-1",
+                  "-0x1.0320b353bea96p-2"),
+              2: ("0x1.c13aee8ef8871p+6", "0x1.125484a9ca90bp+6", "0x1.7624af3f894bbp+6",
+                  "-0x1.12b216737919ap+5")},
+}
+PINNED_REMAINDER = {
+    "grad": {0: ("0x1.5dce727f73438p-12", "0x1.c0b7af2fed7f8p-13", "0x1.5e565b36a2dc0p-12",
+                 "-0x1.8a817b387964cp-14"),
+             24: ("0x1.a94fb8e010a20p-4", "0x1.90bd2d35026a0p-4", "0x1.2f742d967cc40p-2",
+                  "0x1.2018ccd3ede00p-8")},
+    "steep": {72: ("-0x1.5c8ff48ada657p+1", "-0x1.d49620b003bbep+0", "-0x1.94d9997bc8364p+1",
+                   "0x1.764df0189e190p-1"),
+              143: ("-0x1.f5a43d290c000p+3", "-0x1.dfeb707f88000p+3", "-0x1.87fc430ff0000p+5",
+                    "-0x1.2bd525aaec000p+1")},
+}
+TRIO = [LameProfile.from_polynomial([1.1, 1.0], [0.9]), LameProfile.from_polynomial([1.1], [0.9, 1.0]),
+        LameProfile.from_polynomial([1.1, 0.4], [0.9, 0.5])]
+
+
+class TestSymbolGroups:
+    """Profiles integrated as one batch on one step sequence, and a batch of one."""
+
+    @pytest.mark.parametrize("name", ["grad", "steep"])
+    def test_batch_of_one_keeps_its_bits(self, name):
+        prof = {"grad": GRAD, "steep": STEEP}[name]
+        radii = np.array([0.5, 7.0, 40.0, 1000.0])
+        (rows,), *_ = _radial_symbols([(prof, radii)], 1e-10)
+        for i, row in PINNED_DIRECT[name].items():
+            assert [v.hex() for v in rows[i]] == list(row)
+        remainder = RadialSymbol(prof).remainder
+        for i, row in PINNED_REMAINDER[name].items():
+            assert [v.hex() for v in remainder[i]] == list(row)
+
+    def test_members_within_tolerance_of_solo_solves(self):
+        # a batch of three shares the step sequence that its hardest node sets:
+        # every node of every part still meets riccati_tol at the surface, per
+        # node and relative to its row scale, against a tol-1e-13 solve alone
+        tol = 1e-10
+        theta = (2.0 * np.arange(48) + 1.0) * (np.pi / 96)
+        radii = np.r_[2.0 * np.tan(0.5 * theta) ** 2, 6.99, 7.0, 7.01, 300.0, 5000.0]
+        profiles = [TRIO[0], STEEP, WAVY]
+        joint, *_ = _radial_symbols([(p, radii) for p in profiles], tol)
+        for prof, rows in zip(profiles, joint):
+            (reference,), *_ = _radial_symbols([(prof, radii)], 1e-13)
+            err = np.abs(rows - reference).max(axis=1) / np.abs(reference).max(axis=1)
+            assert err.max() <= tol
+
+    def test_group_is_one_integration_per_round(self):
+        members, solves = RadialSymbol.group(TRIO + [LameProfile.constant(1.1, 0.9)])
+        assert [n for n, *_ in solves] == [3 * 48]
+        assert [m.s.size for m in members[:3]] == [48] * 3 and members[3].s is None
+        assert all(m.solves == solves for m in members[:3]) and members[3].solves == []
+        # a member that needs a second round takes it alone
+        members, solves = RadialSymbol.group([GRAD, STEEP])
+        assert [n for n, *_ in solves] == [2 * 48, 96]
+        assert (members[0].solves, members[1].solves) == (solves[:1], solves)
+        assert (members[0].s.size, members[1].s.size) == (48, 144)
+
+    def test_memo_keys_groups_by_their_members(self):
+        symbol_memo.clear()
+        before = dict(symbol_memo.counts)
+        group = symbol_memo.group(TRIO, 1e-10)
+        assert symbol_memo.group(TRIO, 1e-10) is group
+        alone = symbol_memo.symbol(TRIO[0], 1e-10)
+        assert alone is not group[0]
+        delta = {k: v - before[k] for k, v in symbol_memo.counts.items()}
+        assert (delta["riccati_solves"], delta["nodes"], delta["memo_hits"]) == (2, 4 * 48, 1)
 
 
 @pytest.fixture(scope="module")

@@ -442,6 +442,33 @@ class TestCalibration:
                               cutoff=GaussianCutoff(), rho_tilde=4)
 
 
+    def test_result_independent_of_memo_history(self):
+        # the three profiles' symbols are one memo group: with an empty memo,
+        # and with each member already memoised alone (in either order), the
+        # calibration reads the same group and gives the same bits
+        from lame_edge.forward import symbol_memo, warm_tables
+        from lame_edge.reconstruct import _MIXED_DERIVATIVES, _unit_profile
+
+        base, cutoff, ladder = (1.1, 0.9), GaussianCutoff(), [16, 32, 64, 128]
+        trio = [_unit_profile(base, 1, 1.0, 0.0, "lam"), _unit_profile(base, 1, 0.0, 1.0, "mu"),
+                _unit_profile(base, 1, *_MIXED_DERIVATIVES, "mixed")]
+
+        def calibration_bits(warm):
+            symbol_memo.clear()
+            for prof in warm:
+                warm_tables(prof, DEFAULT_QUAD, 1)
+            cal = calibrate_order_m(1, default_battery(), ladder, base, cutoff=cutoff,
+                                    rho_tilde=4)
+            ladders = [lr.values.tobytes() + lr.tails.tobytes()
+                       for key in ("lam", "mu", "mixed") for lr in cal.ladders[key]]
+            return (cal.matrix.tobytes(), cal.linearity_error.hex(), cal.verdict,
+                    {k: v.hex() for k, v in cal.distances.items()}, ladders)
+
+        cold = calibration_bits([])
+        assert calibration_bits(trio) == cold
+        assert calibration_bits(trio[::-1]) == cold
+
+
 class TestOrderTwoEndToEnd:
     def test_calibrated_recovery_within_experimental_tolerance(self):
         """m = 2 is experimental: ladders are pre-asymptotic at desk scale,
