@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 from dataclasses import replace
@@ -15,6 +16,7 @@ from lame_edge.ansatz import (
     boundary_datum,
     build_correctors,
     evaluate_ansatz,
+    gauss_legendre,
     leading_profile,
     residual_decay,
     sigma_expand,
@@ -48,6 +50,49 @@ def degrees(P):
 def betas(P):
     """Cutoff multi-indices (b1, b2) with a nonzero coefficient in P."""
     return list(zip(*np.nonzero(np.any(P != 0.0, axis=(0, 3)))))
+
+
+def legendre_reference(n, nodes):
+    """The n-point Gauss-Legendre nodes near ``nodes`` and their weights, as
+    mpmath numbers at 40 digits: one Newton step on P_n from each (already
+    double-accurate) node, and w = 2 (1 - x^2) / (n P_{n-1}(x))^2."""
+    import mpmath
+
+    def pair(x):  # (P_{n-1}, P_n) by the three-term recurrence
+        p0, p1 = mpmath.mpf(1), x
+        for k in range(1, n):
+            p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+        return p0, p1
+
+    out = []
+    with mpmath.workdps(40):
+        for x0 in nodes:
+            x = mpmath.mpf(float(x0))
+            p0, p1 = pair(x)
+            x -= p1 * (x * x - 1) / (n * (x * p1 - p0))
+            p0, _ = pair(x)
+            out.append((x, 2 * (1 - x * x) / (n * p0) ** 2))
+    return out
+
+
+class TestGaussLegendre:
+    # every n the package uses (polar grids 2 * nodes at nodes 24 and 96, the
+    # bump's rules, the limit quadrature, the cutoff mass) and one odd n
+    @pytest.mark.parametrize("n", [7, 48, 80, 150, 192, 240, 600, 800])
+    def test_matches_high_precision_rule(self, n):
+        x, w = gauss_legendre(n)
+        assert np.all(np.diff(x) > 0.0) and np.all(x == -x[::-1]) and np.all(w == w[::-1])
+        # the nodes in (0, 1]: all at n <= 240, else the 12 nearest 1 and a stride
+        upper = np.arange(n // 2, n)
+        if n > 240:
+            upper = np.union1d(upper[-12:], upper[::25])
+        for i, (xr, wr) in zip(upper, legendre_reference(n, x[upper])):
+            assert abs(x[i] - float(xr)) <= 2.0 * np.finfo(float).eps
+            assert abs(w[i] - float(wr)) <= 1e-14 * float(wr)
+        # x^k moments, exact for k < 2n, summed exactly (leggauss: up to 3.6e-14)
+        for k in range(min(2 * n, 120)):
+            exact = 2.0 / (k + 1.0) if k % 2 == 0 else 0.0
+            assert abs(math.fsum(w * x**k) - exact) <= 4.0 * np.finfo(float).eps
 
 
 class TestCutoffs:

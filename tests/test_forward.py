@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lame_edge.ansatz import BumpCutoff, GaussianCutoff, ProbeSpec
+from lame_edge.ansatz import BumpCutoff, GaussianCutoff, ProbeSpec, gauss_legendre
 from lame_edge.elastic import LameProfile, taylor_truncate, validate_admissibility
 from lame_edge.forward import (
     EFOLDS,
@@ -753,18 +753,19 @@ class TestReducedContraction:
 
 def unfolded_moments(N, rho_tilde, cutoff, quad) -> np.ndarray:
     """Angular moments of the polar grid on the full angular rule (the grid
-    before the half-plane fold): every node of phi evaluated."""
+    before the half-plane fold): every node of phi evaluated, on the grid's
+    own Gauss-Legendre rule, since the fold is under test, not the rule."""
     rho = 1.0 / rho_tilde
     spread = cutoff.spectral_halfwidth(quad.tail_tol) * N ** (1.0 - rho)
     r_lo, r_hi = max(0.0, N - spread), N + spread
-    x, w = np.polynomial.legendre.leggauss(2 * quad.nodes)
+    x, w = gauss_legendre(2 * quad.nodes)
     r = 0.5 * (r_hi - r_lo) * x + 0.5 * (r_hi + r_lo)
     n_t = 2 * quad.nodes
     if spread >= N:
         phi, wt = -np.pi + 2.0 * np.pi * np.arange(n_t) / n_t, np.full(n_t, 2.0 * np.pi / n_t)
     else:
         half = 1.05 * math.asin(min(1.0, spread / N))
-        xt, wwt = np.polynomial.legendre.leggauss(n_t)
+        xt, wwt = gauss_legendre(n_t)
         phi, wt = half * xt, half * wwt
     kappa = N ** (rho - 1.0) * np.sqrt(np.maximum(
         r[:, None] ** 2 + N**2 - 2.0 * N * r[:, None] * np.cos(phi), 0.0))
