@@ -321,9 +321,9 @@ def _radial_symbols(parts, tol: float) -> tuple[list[np.ndarray], int, int, int,
     the (stage, node) grid, shape (stage, 4, 11, node), in one array allocated
     once: only the flow's 13 entries are written, the rest stay zero; a flow
     evaluation builds the monomials and contracts them once. Depths follow
-    :func:`truncation_depth`. A batch of one part gives the same bits as that
-    part's own integration always has; parts integrated together share the
-    step sequence, so their integrator errors are correlated.
+    :func:`truncation_depth`. A batch of one part is that part's own
+    integration; parts integrated together share the step sequence, which the
+    hardest node sets, so their integrator errors are correlated.
 
     Linearised at its fixed point -rho Z(lam, mu), the flow contracts toward
     the surface at the rate 2 c rho = 2 |k| H per unit tau for every (lam, mu),
@@ -490,7 +490,8 @@ class RadialSymbol:
         _resolve((self,), (profile,), riccati_tol)
 
     @classmethod
-    def group(cls, profiles, riccati_tol: float = 1e-10) -> tuple[tuple, list]:
+    def group(cls, profiles, riccati_tol: float = 1e-10
+              ) -> tuple[tuple[RadialSymbol, ...], list[tuple[int, ...]]]:
         """The symbols of ``profiles`` from one joint integration per Chebyshev
         round, and those integrations, counted as in ``solves``."""
         members = tuple(cls.__new__(cls) for _ in profiles)
