@@ -626,7 +626,7 @@ def cmd_reconstruct(args) -> int:
     calibration = report.calibration.ladders.values() if report.calibration else []
     flags = Counter(lr.extrapolation.flag for lr in report.order0_ladders
                     + report.order_m_ladders + [lr for lrs in calibration for lr in lrs])
-    _write_manifest(outdir, Path(args.config), stages, outputs,
+    _write_manifest(outdir, Path(args.config), {**stages, **report.stage_seconds}, outputs,
                     {"order0": order0, **counters, "extrapolation_flags": flags})
     print(f"order-0: lambda = {report.order0.lam:.6f}, mu = {report.order0.mu:.6f}")
     for mode, r in report.order_m.items():

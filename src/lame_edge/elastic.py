@@ -181,19 +181,64 @@ class LameProfile:
         return np.array(lam_b), np.array(mu_b)
 
 
+# numpy.polynomial's power-series steps in plain numpy, bit-identical, so that
+# profiles and their admissibility do not load that package
+
+
+def _polyval(c, y):
+    """c[0] + c[1] y + ... at y by Horner's rule, as numpy's polyval."""
+    v = c[-1] + y * 0
+    for ci in c[-2::-1]:
+        v = ci + v * y
+    return v
+
+
+def _polyder(c, order: int = 1) -> np.ndarray:
+    """Coefficients of the order-th derivative, as numpy's polyder (j c[j])."""
+    c = np.array(c, dtype=float, ndmin=1)
+    if order >= c.size:
+        return c[:1] * 0
+    for _ in range(order):
+        c = np.arange(1, c.size) * c[1:]
+    return c
+
+
+def _trimseq(c: np.ndarray) -> np.ndarray:
+    """c without trailing zeros, at least its first coefficient (numpy's trimseq)."""
+    nonzero = np.flatnonzero(c)
+    return c[:nonzero[-1] + 1] if nonzero.size else c[:1]
+
+
+def _polyadd(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Sum of two trimmed coefficient arrays, trimmed (numpy's polyadd)."""
+    longer, shorter = (c1.copy(), c2) if c1.size > c2.size else (c2.copy(), c1)
+    longer[:shorter.size] += shorter
+    return _trimseq(longer)
+
+
+def _polyroots(c: np.ndarray) -> np.ndarray:
+    """Roots of c, whose last coefficient is nonzero, in any order: numpy's
+    polyroots, the eigenvalues of its companion matrix."""
+    if c.size < 2:
+        return np.empty(0)
+    if c.size == 2:
+        return np.array([-c[0] / c[1]])
+    n = c.size - 1
+    companion = np.zeros((n, n))
+    companion.reshape(-1)[n::n + 1] = 1.0
+    companion[:, -1] -= c[:-1] / c[-1]
+    return np.linalg.eigvals(companion)
+
+
 def _horner(coeffs: Sequence[float]) -> Callable[[np.ndarray, int], np.ndarray]:
-    """f(y3, order): d^order of the polynomial, Horner as in polyval (bit-identical);
-    each order's coefficients are derived once."""
+    """f(y3, order): d^order of the polynomial by Horner's rule; each order's
+    coefficients are derived once."""
     derivatives = {0: tuple(float(c) for c in coeffs)}
 
     def f(y3, order=0):
         if order not in derivatives:
-            derivatives[order] = np.polynomial.polynomial.polyder(derivatives[0], order)
-        c = derivatives[order]
-        v = c[-1] + y3 * 0
-        for ci in c[-2::-1]:
-            v = ci + v * y3
-        return v
+            derivatives[order] = _polyder(derivatives[0], order)
+        return _polyval(derivatives[order], y3)
 
     return f
 
@@ -242,20 +287,21 @@ class AdmissibilityReport:
         object.__setattr__(self, "passed", self.min_mu > 0.0 and self.min_bulk > 0.0)
 
 
-def _polynomial_min(p: np.polynomial.Polynomial, H: float) -> float:
-    """Exact minimum of p on [0, H]: endpoints and critical points.
+def _polynomial_min(c: np.ndarray, H: float) -> float:
+    """Exact minimum on [0, H] of the polynomial with ascending coefficients c:
+    endpoints and critical points.
 
     Critical points are the roots of p' without its negligible leading terms
     (below rounding of p' on [0, H]), whose companion matrix would overflow;
     every root is evaluated, on the full p, at its real part clipped into
     [0, H]. The extra points lie in the interval, so they cannot hide the minimum.
     """
-    d = p.deriv().coef
+    d = _polyder(c)
     size = np.abs(d) * H ** np.arange(d.size)
     keep = np.flatnonzero(size > np.finfo(float).eps * size.max())  # empty if p' = 0
-    roots = np.polynomial.Polynomial(d[:keep[-1] + 1]).roots().real if keep.size else []
+    roots = _polyroots(d[:keep[-1] + 1]).real if keep.size else []
     y = np.concatenate([[0.0, H], np.clip(roots, 0.0, H)])
-    return float(p(y).min())
+    return float(_polyval(c, y).min())
 
 
 def validate_admissibility(
@@ -271,13 +317,13 @@ def validate_admissibility(
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     if profile.is_polynomial:
-        lam = np.polynomial.Polynomial(profile.lam_coeffs)
-        mu = np.polynomial.Polynomial(profile.mu_coeffs)
+        lam, mu = (np.array(c, dtype=float) for c in (profile.lam_coeffs, profile.mu_coeffs))
         return AdmissibilityReport(
             H=float(H),
             n_samples=0,
             min_mu=_polynomial_min(mu, H),
-            min_bulk=_polynomial_min(3.0 * lam + 2.0 * mu, H),
+            min_bulk=_polynomial_min(
+                _polyadd(_trimseq(3.0 * _trimseq(lam)), _trimseq(2.0 * _trimseq(mu))), H),
         )
     y = np.linspace(0.0, H, n_samples)
     lam = np.asarray(profile.lam(y), dtype=float)

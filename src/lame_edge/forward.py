@@ -50,8 +50,9 @@ f = (1, cos, sin, cos 2., sin 2.)(theta) and C(a) f = (|b1|^2, |b2|^2, |a3|^2,
 weights W(r, phi) do not depend on the probe direction, so with a' =
 R(theta0)^T a and the angular moments F = W @ f(phi)^T a pairing is
 sum(rows * (F @ C(a')^T)) = <C(a'), G>: one 20-term dot product with the moment
-form G = rows^T F, built once per (grid, symbols); a ladder stacks the forms
-of its N values and contracts them in one call. W is even in phi, so the
+form G = rows^T F, built once per (grid, symbols); a battery of probes looks
+up its N grids and stacks their forms once, and contracts every probe with
+them in one product. W is even in phi, so the
 grid holds phi in [0, pi] with mirrored weights, and its sin moments are 0.
 The rows at the grid's radii are one barycentric product, whose weights the
 grid keeps per Chebyshev point count.
@@ -209,7 +210,8 @@ def _node_norm(x: np.ndarray) -> float:
 
 
 def _dop853(coefficients, flow, t0: float, t1: float, y0: np.ndarray, tol: float,
-            rate: np.ndarray) -> tuple[np.ndarray, int, int, int, int]:
+            rate: np.ndarray, stage: np.ndarray | None = None
+            ) -> tuple[np.ndarray, int, int, int, int]:
     """y(t1) for y' = f(t, y), split into depth coefficients and an in-place flow.
 
     ``coefficients(taus)`` returns the depth-only coefficients at the 1-D
@@ -219,8 +221,9 @@ def _dop853(coefficients, flow, t0: float, t1: float, y0: np.ndarray, tol: float
     once, at all 12 stage times t + C[1:12] h and at t_new (exactly: the
     first-same-as-last evaluation that starts the next step), and takes
     h (A; B) once: each stage state is y + (h A[s, :s]) @ K[:s] in one
-    preallocated buffer. The increment is summed before it meets y, so y is
-    rounded once per stage.
+    preallocated buffer, ``stage`` when given (C-contiguous, shape of y0), so
+    a flow that keeps its state there reads each stage in place. The
+    increment is summed before it meets y, so y is rounded once per stage.
 
     ``y0`` has shape (m, n): m components of each of n uncoupled nodes, and
     ``rate`` (shape (n,)) is a lower bound on the rate at which each node's
@@ -245,8 +248,9 @@ def _dop853(coefficients, flow, t0: float, t1: float, y0: np.ndarray, tol: float
     y = np.array(y0, dtype=float, order="C")  # the reshaped buffers below are views
     K = np.empty((12,) + y.shape)
     Kf = K.reshape(12, -1)
-    stage = np.empty_like(y)
+    stage = np.empty_like(y) if stage is None else stage
     stage_f = stage.reshape(-1)
+    taus, hAB = np.empty(12), np.empty_like(_DOP_AB)  # each attempt's times and h (A; B)
     direction, span = math.copysign(1.0, t1 - t0), abs(t1 - t0)
     flow(y, coefficients(np.array([t0])), 0, K[0])
     scale = tol + tol * np.abs(y)
@@ -265,8 +269,11 @@ def _dop853(coefficients, flow, t0: float, t1: float, y0: np.ndarray, tol: float
         h_abs = h_cap if at_cap else h_abs
         t_new = t1 if h_abs >= abs(t1 - t) else t + direction * h_abs
         h = t_new - t
-        C = coefficients(np.append(t + _DOP_C[1:12] * h, t_new))
-        hAB = h * _DOP_AB
+        np.multiply(_DOP_C[1:12], h, out=taus[:11])
+        taus[:11] += t
+        taus[11] = t_new
+        C = coefficients(taus)
+        np.multiply(_DOP_AB, h, out=hAB)
         for s in range(1, 12):
             np.matmul(hAB[s, :s], Kf[:s], out=stage_f)
             stage += y
@@ -319,8 +326,10 @@ def _radial_symbols(parts, tol: float) -> tuple[list[np.ndarray], int, int, int,
     monomials (S11, S22, S33, b, S11^2, S22^2, S33^2, b^2, S11 b, S33 b, 1).
     Their coefficients depend on depth alone and are evaluated per step on
     the (stage, node) grid, shape (stage, 4, 11, node), in one array allocated
-    once: only the flow's 13 entries are written, the rest stay zero; a flow
-    evaluation builds the monomials and contracts them once. Depths follow
+    once: only the flow's 13 entries are written, the two depth-free ones once
+    per integration, and the rest stay zero. The integrator writes each stage
+    state straight into the monomials' first rows, so a flow evaluation
+    builds the other monomials and contracts them once. Depths follow
     :func:`truncation_depth`. A batch of one part is that part's own
     integration; parts integrated together share the step sequence, which the
     hardest node sets, so their integrator errors are correlated.
@@ -366,6 +375,7 @@ def _radial_symbols(parts, tol: float) -> tuple[list[np.ndarray], int, int, int,
         lag[sl] = np.maximum.accumulate(drift)[np.searchsorted(y3, H[sl]) - 1]
     rate = 2.0 * H * np.maximum(nodes - lag, 0.0)
     buffer = np.zeros((12, 4, 11, nodes.size))  # _dop853 asks for at most 12 times
+    buffer[:, 2, 3], buffer[:, 3, 0] = two_cr, cr  # the depth-free coefficients
 
     def coefficients(taus):
         lam, mu = moduli(taus[:, None] * H)
@@ -378,19 +388,20 @@ def _radial_symbols(parts, tol: float) -> tuple[list[np.ndarray], int, int, int,
         C[:, [0, 2, 3], [7, 6, 9]] = -q[:, None]
         C[:, 0, 3], C[:, 0, 10] = -two_cr * g, cr2 * (4.0 * mu * (lam + mu) * d)
         C[:, 1, 10] = cr2 * mu
-        C[:, 2, 3] = two_cr
-        C[:, 3, 0], C[:, 3, 2] = cr, -cr * g
+        C[:, 3, 2] = -cr * g
         return C
 
     monomials = np.ones((11, nodes.size))
+    state = monomials[:4]  # the integrator's stage buffer
 
     def flow(y, C, i, out):
-        np.copyto(monomials[:4], y)
-        np.multiply(y, y, out=monomials[4:8])
-        np.multiply(y[::2], y[3], out=monomials[8:10])
+        if y is not state:
+            np.copyto(state, y)
+        np.multiply(state, state, out=monomials[4:8])
+        np.multiply(state[::2], state[3], out=monomials[8:10])
         np.einsum("kmn,mn->kn", C[i], monomials, out=out)
 
-    y, *counts = _dop853(coefficients, flow, 1.0, 0.0, y0, tol, rate)
+    y, *counts = _dop853(coefficients, flow, 1.0, 0.0, y0, tol, rate, stage=state)
     rows = (-sigma * y).T
     return [rows[sl] for sl in spans], *counts
 
@@ -696,13 +707,21 @@ class PolarGrid:
         return G
 
     @staticmethod
-    def contract(form: np.ndarray, a, omega) -> np.ndarray:
-        """<C(a'), G> = sum of W * rows(r) . Phi(theta0 + phi) for a probe (a, omega)
-        and the moment form G = rows^T F, shape (..., 4, 5), leading axes kept."""
-        theta0 = math.atan2(omega[1], omega[0])
-        c, s = math.cos(theta0), math.sin(theta0)
-        a_probe = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]]) @ np.asarray(a)
-        return np.sum(form * _form_coefficients(a_probe), axis=(-2, -1))
+    def contract(forms: np.ndarray, probes) -> np.ndarray:
+        """<C(a'), G> = sum of W * rows(r) . Phi(theta0 + phi) for each probe
+        (a, omega) of ``probes`` and each moment form G = rows^T F of ``forms``,
+        shape (N, ..., 4, 5): shape (probe, N, ...), in one product."""
+        C = np.array([_probe_coefficients(a, omega) for a, omega in probes])
+        C = C.reshape((len(C),) + (1,) * (forms.ndim - 2) + (4, 5))
+        return np.sum(forms[None] * C, axis=(-2, -1))
+
+
+def _probe_coefficients(a, omega) -> np.ndarray:
+    """C(a') of a probe, a' = R(theta0)^T a for theta0 the angle of omega."""
+    theta0 = math.atan2(omega[1], omega[0])
+    c, s = math.cos(theta0), math.sin(theta0)
+    return _form_coefficients(np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+                              @ np.asarray(a))
 
 
 # over the process: PolarGrid.rows data per (grid, point count), forms per (grid, symbols)
@@ -783,7 +802,7 @@ def pairing(profile: LameProfile, probe: ProbeSpec, quad: QuadratureSettings = D
     quad.tail_tol of the cutoff mass. ``symbols`` is the profile's ladder value
     from :func:`warm_tables`, looked up when not given.
     """
-    return _result(ladder_pairings(profile, 0, probe, (probe.N,), quad, symbols)[0], quad)
+    return _result(ladder_pairings(profile, 0, (probe,), (probe.N,), quad, symbols)[0, 0], quad)
 
 
 def difference_pairing(profile: LameProfile, m: int, probe: ProbeSpec,
@@ -798,23 +817,28 @@ def difference_pairing(profile: LameProfile, m: int, probe: ProbeSpec,
     """
     if m < 1:
         raise ValueError("difference pairing requires m >= 1 (m = 0 is pairing)")
-    return _result(ladder_pairings(profile, m, probe, (probe.N,), quad, symbols)[0], quad)
+    return _result(ladder_pairings(profile, m, (probe,), (probe.N,), quad, symbols)[0, 0], quad)
 
 
-def ladder_pairings(profile: LameProfile, m: int, probe: ProbeSpec, N_values,
+def ladder_pairings(profile: LameProfile, m: int, probes, N_values,
                     quad: QuadratureSettings = DEFAULT_QUAD,
                     symbols: tuple[RadialSymbol, ...] | None = None) -> np.ndarray:
     """:func:`pairing` (m = 0) or :func:`difference_pairing` (m >= 1) values of
-    ``probe`` at each N of ``N_values``, real: the moment forms of ``symbols[0]``
-    (minus ``symbols[1]``) on the N grids, stacked and contracted in one call."""
+    each of ``probes`` (one rho_tilde and cutoff) at each N of ``N_values``,
+    real, shape (probe, N): the N grids are looked up and the moment forms of
+    ``symbols[0]`` (minus ``symbols[1]``) on them stacked once, and every
+    probe is contracted with them in one product."""
     if m > profile.max_derivative_order:
         raise ValueError(
             f"profile carries derivatives to order {profile.max_derivative_order}, got m = {m}"
         )
+    rho_tilde, cutoff = probes[0].rho_tilde, probes[0].cutoff
+    if any(p.rho_tilde != rho_tilde or p.cutoff is not cutoff for p in probes):
+        raise ValueError("the probes of one battery share one rho_tilde and one cutoff")
     symbols = (symbols or warm_tables(profile, quad, m))[:2 if m else 1]
-    forms = np.stack([polar_grid(int(n), probe.rho_tilde, probe.cutoff, quad).form(symbols)
+    forms = np.stack([polar_grid(int(n), rho_tilde, cutoff, quad).form(symbols)
                       for n in N_values])
-    return PolarGrid.contract(forms, probe.a, probe.omega)
+    return PolarGrid.contract(forms, [(p.a, p.omega) for p in probes])
 
 
 def _result(value, quad: QuadratureSettings) -> PairingResult:

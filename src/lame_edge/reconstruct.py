@@ -20,6 +20,8 @@ and an exact back-map give the moduli. Both orders solve through one SVD.
 from __future__ import annotations
 
 import math
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -118,14 +120,14 @@ def _family_jets(a, omega, lam0: float, mu0: float) -> tuple[DisplacementJet, Di
     return DisplacementJet(np.outer(a, d) + np.outer(b, _E3)), DisplacementJet(np.outer(b, d))
 
 
-def _family_moment(a, omega, m: int, lam, mu, lam0: float, mu0: float) -> float:
-    """Energy of the decaying family of (lam0, mu0) at moduli (lam, mu), weighted
-    by y3^m/m! over depth: with E_jk = energy_density(lam, mu, G_j, G_k),
+def _family_moment(jets, m: int, lam, mu) -> float:
+    """Energy of the decaying family with :func:`_family_jets` ``jets`` at moduli
+    (lam, mu), weighted by y3^m/m! over depth: with
+    E_jk = energy_density(lam, mu, G_j, G_k),
 
         sum_jk E_jk int_0^inf y3^(m+j+k)/m! exp(-2 y3) dy3
             = sum_jk E_jk (m+j+k)! / (m! 2^(m+j+k+1)).
     """
-    jets = _family_jets(a, omega, lam0, mu0)
     return sum(energy_density(lam, mu, ju, jv).real
                * math.factorial(m + j + k) / (math.factorial(m) * 2.0 ** (m + j + k + 1))
                for j, ju in enumerate(jets) for k, jv in enumerate(jets))
@@ -137,7 +139,7 @@ def order0_response(a, omega, lam0: float, mu0: float) -> float:
     Oracle: the tests check that it equals the impedance quadratic form
     a^H Z a, which ties the family energy that order m uses to order 0.
     """
-    return _family_moment(a, omega, 0, lam0, mu0, lam0, mu0)
+    return _family_moment(_family_jets(a, omega, lam0, mu0), 0, lam0, mu0)
 
 
 def leading_order_response(
@@ -148,7 +150,7 @@ def leading_order_response(
     y3^m / m! (see :func:`_family_moment`)."""
     if m < 1:
         raise ValueError("m >= 1; use order0_response for the plain pairing limit")
-    return _family_moment(a, omega, m, dlam, dmu, lam0, mu0)
+    return _family_moment(_family_jets(a, omega, lam0, mu0), m, dlam, dmu)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +279,35 @@ def _check_dyadic(N_list) -> np.ndarray:
     return N
 
 
+def serial_ladder_runner(
+    profile: LameProfile,
+    battery,
+    N_list,
+    m: int,
+    cutoff: CutoffProfile | None = None,
+    rho_tilde: int | None = None,
+    quad: QuadratureSettings = DEFAULT_QUAD,
+    symbols: tuple[RadialSymbol, ...] | None = None,
+) -> list[LadderResult]:
+    """The ladders of one profile for every battery probe, in order: pairings
+    (m = 0) or N^m-scaled difference pairings (m >= 1); the default rho_tilde
+    is ProbeSpec.auto_rho_tilde for the order and the profile's p. ``symbols``
+    is the ladders' :func:`lame_edge.forward.warm_tables` value, looked up when
+    not given. Each probe is validated at the smallest N, and the battery's
+    pairings are one computation (:func:`lame_edge.forward.ladder_pairings`);
+    each ladder is extrapolated on its own."""
+    N = _check_dyadic(N_list)
+    cutoff = cutoff if cutoff is not None else DEFAULT_CUTOFF
+    p = profile.holder_exponent
+    rt = rho_tilde if rho_tilde is not None else ProbeSpec.auto_rho_tilde(m, p)
+    probes = [ProbeSpec(t.a, t.omega, int(N[0]), rt, m, cutoff, p) for t in battery]
+    values = ladder_pairings(profile, m, probes, N, quad, symbols)
+    vals = N**m * values.astype(complex)
+    tails = quad.tail_tol * np.abs(values)
+    return [LadderResult(t, m, N, v, extrapolate(N, v, rho=1.0 / rt), tail)
+            for t, v, tail in zip(battery, vals, tails)]
+
+
 def run_ladder(
     profile: LameProfile,
     template: ProbeTemplate,
@@ -287,20 +318,9 @@ def run_ladder(
     quad: QuadratureSettings = DEFAULT_QUAD,
     symbols: tuple[RadialSymbol, ...] | None = None,
 ) -> LadderResult:
-    """Ladder of pairing (m = 0) or N^m-scaled difference pairings (m >= 1); the
-    default rho_tilde is ProbeSpec.auto_rho_tilde for the order and the profile's p.
-    ``symbols`` is the ladder's :func:`lame_edge.forward.warm_tables` value, looked
-    up when not given. The probe is validated once, at the smallest N, and the
-    N values' pairings are one contraction (:func:`lame_edge.forward.ladder_pairings`)."""
-    N = _check_dyadic(N_list)
-    cutoff = cutoff if cutoff is not None else DEFAULT_CUTOFF
-    p = profile.holder_exponent
-    rt = rho_tilde if rho_tilde is not None else ProbeSpec.auto_rho_tilde(m, p)
-    probe = ProbeSpec(template.a, template.omega, int(N[0]), rt, m, cutoff, p)
-    values = ladder_pairings(profile, m, probe, N, quad, symbols)
-    vals = N**m * values.astype(complex)
-    tails = quad.tail_tol * np.abs(values)
-    return LadderResult(template, m, N, vals, extrapolate(N, vals, rho=1.0 / rt), tails)
+    """The ladder of one probe: :func:`serial_ladder_runner` on a battery of one."""
+    return serial_ladder_runner(profile, (template,), N_list, m, cutoff, rho_tilde, quad,
+                                symbols)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +405,16 @@ def recover_order0(limits, coeffs: np.ndarray | None = None) -> Order0Result:
     return Order0Result(*_moduli(x), residual, bool(ok), "linear least squares")
 
 
-def _pairing_moments(template: ProbeTemplate, N_values, rho_tilde: int,
-                     cutoff: CutoffProfile, quad: QuadratureSettings) -> np.ndarray:
-    """(G_lam, G_mu) at each N, shape (N, 2): a half-space pairs, with M(k) =
-    |k| R Z R^T on the forward pairing's grid, to (G_lam, G_mu) . x, as Z is
-    linear (see order0_variables); the N values' forms are one contraction."""
+def _pairing_moments(templates, N_values, rho_tilde: int, cutoff: CutoffProfile,
+                     quad: QuadratureSettings) -> np.ndarray:
+    """(G_lam, G_mu) of each probe at each N, shape (probe, N, 2): a half-space
+    pairs, with M(k) = |k| R Z R^T on the forward pairing's grid, to
+    (G_lam, G_mu) . x, as Z is linear (see order0_variables). The forms
+    Z_ROWS_E1 (x) (r F) of the N grids are built once, and every probe is
+    contracted with them in one product."""
     forms = np.stack([Z_ROWS_E1[:, :, None] * (grid.r @ grid.moments)  # the forms of the rows r z
                       for grid in (polar_grid(int(n), rho_tilde, cutoff, quad) for n in N_values)])
-    return PolarGrid.contract(forms, template.a, template.omega)
+    return PolarGrid.contract(forms, [(t.a, t.omega) for t in templates])
 
 
 def homogeneous_pairing_value(template: ProbeTemplate, N: int, rho_tilde: int,
@@ -404,7 +426,7 @@ def homogeneous_pairing_value(template: ProbeTemplate, N: int, rho_tilde: int,
     Oracle: the tests check it against the forward pairing of a constant
     profile, which validates the moments that :func:`refine_order0` deflates by."""
     check_admissible(lam, mu)
-    G = _pairing_moments(template, (N,), rho_tilde, cutoff, quad)[0]
+    G = _pairing_moments((template,), (N,), rho_tilde, cutoff, quad)[0, 0]
     return float(G @ order0_variables(lam, mu))
 
 
@@ -413,8 +435,10 @@ def refine_order0(
     cutoff: CutoffProfile,
     rho_tilde: int,
     quad: QuadratureSettings = DEFAULT_QUAD,
+    coeffs: np.ndarray | None = None,
 ) -> tuple[Order0Result, dict]:
-    """Order-0 recovery with model-deflated ladder extrapolation.
+    """Order-0 recovery with model-deflated ladder extrapolation; ``coeffs`` is
+    the ladders' :func:`order0_coefficients`, computed when not given.
 
     The finite-N error of an order-0 ladder is dominated by the spectral
     spread of the probe acting on the homogeneous symbol |k| Z, which is
@@ -426,7 +450,7 @@ def refine_order0(
     pass whose x is inadmissible is still well defined. All ladders share one N-list.
     """
     templates = [lr.template for lr in ladders]
-    C = order0_coefficients(templates)
+    C = order0_coefficients(templates) if coeffs is None else coeffs
     N = ladders[0].N_values
     if any(not np.array_equal(lr.N_values, N) for lr in ladders):
         raise ValueError("refine_order0 needs ladders on one N-list")
@@ -435,8 +459,7 @@ def refine_order0(
     # corrections: exponents {1, 1 + 2 rho, 2}; w takes a ladder to its limit
     w = np.linalg.pinv(np.column_stack(
         [np.ones(Nf.size), Nf**-1.0, Nf ** -(1.0 + 2.0 * rho), Nf**-2.0]))[0]
-    G = np.array([_pairing_moments(t, N, rho_tilde, cutoff, quad)
-                  for t in templates])  # (probe, N, 2)
+    G = _pairing_moments(templates, N, rho_tilde, cutoff, quad)  # (probe, N, 2)
     values = np.array([lr.values.real for lr in ladders])
     y = np.array([lr.limit.real for lr in ladders])
     x, _, _, pinv = _least_squares(C, y, templates, _UNSEPARABLE)
@@ -468,7 +491,8 @@ def design_matrix(
     base: tuple[float, float] = (1.0, 1.0),
     calibration: "CalibrationResult | None" = None,
 ) -> np.ndarray:
-    """Rows of d(limit)/d(dlam, dmu) for each probe, per design-matrix mode."""
+    """Rows of d(limit)/d(dlam, dmu) for each probe, per design-matrix mode; a
+    predicted row builds its probe's family jets once, for both columns."""
     rows = []
     if mode in VARIANTS:
         for t in battery:
@@ -478,12 +502,11 @@ def design_matrix(
             ])
         return np.array(rows)
     if mode == "predicted":
-        lam0, mu0 = base
+        if m < 1:
+            raise ValueError("m >= 1; use order0_response for the plain pairing limit")
         for t in battery:
-            rows.append([
-                leading_order_response(t.a, t.omega, m, 1.0, 0.0, lam0, mu0),
-                leading_order_response(t.a, t.omega, m, 0.0, 1.0, lam0, mu0),
-            ])
+            jets = _family_jets(t.a, t.omega, *base)
+            rows.append([_family_moment(jets, m, 1.0, 0.0), _family_moment(jets, m, 0.0, 1.0)])
         return np.array(rows)
     if mode == "calibrated":
         if calibration is None:
@@ -509,14 +532,17 @@ def recover_order_m(
     mode: str,
     base: tuple[float, float] = (1.0, 1.0),
     calibration: "CalibrationResult | None" = None,
+    matrix: np.ndarray | None = None,
 ) -> OrderMResult:
     """Least-squares recovery of (d^m lam(0), d^m mu(0)) from ladder limits.
 
     ``limits`` pairs ProbeTemplate with the extrapolated limit (optionally a
     LadderResult, whose noise then propagates into ``noise_bound``).
+    ``matrix`` is the battery's :func:`design_matrix` in ``mode``, computed
+    when not given.
     """
     battery = [t for t, _ in limits]
-    A = design_matrix(battery, m, mode, base, calibration)
+    A = design_matrix(battery, m, mode, base, calibration) if matrix is None else matrix
     b = np.array([complex(v.limit if isinstance(v, LadderResult) else v) for _, v in limits])
     noises = np.array([v.noise if isinstance(v, LadderResult) else 0.0 for _, v in limits])
     x, resid, cond, pinv = _least_squares(A, b, battery,
@@ -538,15 +564,6 @@ class CalibrationError(RuntimeError):
 # the calibration's third profile has (d^m lam, d^m mu) = _MIXED_DERIVATIVES; its
 # limits must match the unit profiles' combination within _LINEARITY_TOL relative
 _LINEARITY_TOL, _MIXED_DERIVATIVES = 0.03, (0.4, 0.5)
-
-
-def serial_ladder_runner(profile, battery, N_list, m, cutoff, rho_tilde, quad, symbols=None):
-    """The ladders of one profile for every battery probe, in order."""
-    return [
-        run_ladder(profile, t, N_list, m, cutoff=cutoff, rho_tilde=rho_tilde, quad=quad,
-                   symbols=symbols)
-        for t in battery
-    ]
 
 
 @dataclass(frozen=True)
@@ -576,6 +593,7 @@ def calibrate_order_m(
     cutoff: CutoffProfile | None = None,
     rho_tilde: int | None = None,
     quad: QuadratureSettings = DEFAULT_QUAD,
+    matrices: dict | None = None,
 ) -> CalibrationResult:
     """Measure the order-m design matrix from the forward solver.
 
@@ -586,7 +604,8 @@ def calibrate_order_m(
     on one Riccati step sequence, so their integrator errors are correlated in
     the linearity check, and each ladder is handed its symbols. The verdict
     names the closed-form variant closest to the measured matrix in relative
-    Frobenius distance.
+    Frobenius distance; ``matrices`` maps each closed-form mode and
+    ``"predicted"`` to its :func:`design_matrix` at ``base``, computed when not given.
     """
     profiles = {"lam": _unit_profile(base, m, 1.0, 0.0, "calib-lam"),
                 "mu": _unit_profile(base, m, 0.0, 1.0, "calib-mu"),
@@ -611,7 +630,8 @@ def calibrate_order_m(
 
     distances = {}
     for mode in (*VARIANTS, "predicted"):
-        B = np.real(design_matrix(battery, m, mode, base))
+        B = np.real(design_matrix(battery, m, mode, base) if matrices is None
+                    else matrices[mode])
         distances[mode] = float(
             np.linalg.norm(B - A) / max(np.linalg.norm(A), 1e-300)
         )
@@ -622,6 +642,10 @@ def calibrate_order_m(
 # ---------------------------------------------------------------------------
 # full reconstruction drive
 # ---------------------------------------------------------------------------
+
+
+# the stages of reconstruct_profile that ReconstructionReport.stage_seconds times
+_STAGES = ("order0_ladders", "order0_solve", "order_m_ladders", "order_m_solve", "calibration")
 
 
 @dataclass
@@ -637,6 +661,8 @@ class ReconstructionReport:
     variant_verdict: str
     condition_numbers: dict
     order0_refined_limits: dict | None = None
+    # wall time of each stage of reconstruct_profile; not part of to_dict
+    stage_seconds: dict = field(default_factory=dict, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         def ladder_dict(lr: LadderResult) -> dict:
@@ -703,14 +729,25 @@ def reconstruct_profile(
 ) -> ReconstructionReport:
     """Order-0 recovery followed by order-m recovery in every available mode;
     each order's rho_tilde (default as in run_ladder) serves all its ladders.
-    Refined order-0 moduli that are inadmissible raise ForwardError."""
+    The battery's order-0 rows and design matrices are computed once and
+    handed on. Refined order-0 moduli that are inadmissible raise ForwardError."""
+    seconds = dict.fromkeys(_STAGES, 0.0)
+
+    @contextmanager
+    def stage(name):
+        t0 = time.perf_counter()
+        yield
+        seconds[name] += time.perf_counter() - t0
+
     battery = battery if battery is not None else default_battery()
-    order0_coefficients(battery)  # reject an unidentifiable battery before any ladder
+    C = order0_coefficients(battery)  # rejects an unidentifiable battery before any ladder
     cutoff = cutoff if cutoff is not None else DEFAULT_CUTOFF
     p = profile.holder_exponent
     rt0, rtm = (ProbeSpec.auto_rho_tilde(k, p) if rho_tilde is None else rho_tilde for k in (0, m))
-    order0_ladders = serial_ladder_runner(profile, battery, N_list, 0, cutoff, rt0, quad)
-    order0, refined_limits = refine_order0(order0_ladders, cutoff, rt0, quad)
+    with stage("order0_ladders"):
+        order0_ladders = serial_ladder_runner(profile, battery, N_list, 0, cutoff, rt0, quad)
+    with stage("order0_solve"):
+        order0, refined_limits = refine_order0(order0_ladders, cutoff, rt0, quad, C)
     base = (order0.lam, order0.mu)
     if not (base[1] > 0.0 and 3.0 * base[0] + 2.0 * base[1] > 0.0):
         raise ForwardError(f"order-0 recovery ended at inadmissible moduli lambda = {base[0]:.6g}, "
@@ -719,22 +756,22 @@ def reconstruct_profile(
     order_m_ladders = []
     order_m: dict[str, OrderMResult] = {}
     calibration = None
-    conds: dict[str, float] = {}
     verdict = "calibration-only"
     if m >= 1:
-        order_m_ladders = serial_ladder_runner(profile, battery, N_list, m, cutoff, rtm, quad)
+        with stage("order_m_ladders"):
+            order_m_ladders = serial_ladder_runner(profile, battery, N_list, m, cutoff, rtm, quad)
         pairs = [(lr.template, lr) for lr in order_m_ladders]
-        for mode in (*VARIANTS, "predicted"):
-            r = recover_order_m(pairs, m, mode, base)
-            order_m[mode] = r
-            conds[mode] = r.condition
+        with stage("order_m_solve"):
+            matrices = {mode: design_matrix(battery, m, mode, base)
+                        for mode in (*VARIANTS, "predicted")}
+            order_m = {mode: recover_order_m(pairs, m, mode, base, matrix=A)
+                       for mode, A in matrices.items()}
         if calibrate:
-            calibration = calibrate_order_m(
-                m, battery, N_list, base, cutoff=cutoff, rho_tilde=rtm, quad=quad,
-            )
-            r = recover_order_m(pairs, m, "calibrated", base, calibration)
-            order_m["calibrated"] = r
-            conds["calibrated"] = r.condition
+            with stage("calibration"):
+                calibration = calibrate_order_m(m, battery, N_list, base, cutoff=cutoff,
+                                                rho_tilde=rtm, quad=quad, matrices=matrices)
+            with stage("order_m_solve"):
+                order_m["calibrated"] = recover_order_m(pairs, m, "calibrated", base, calibration)
             # a closed-form variant is "validated" only if it actually reproduces
             # the measured matrix; otherwise the calibration stands alone
             if calibration.distances[calibration.verdict] <= 0.05:
@@ -747,6 +784,7 @@ def reconstruct_profile(
         calibration=calibration,
         m=m,
         variant_verdict=verdict,
-        condition_numbers=conds,
+        condition_numbers={mode: r.condition for mode, r in order_m.items()},
         order0_refined_limits=refined_limits,
+        stage_seconds=seconds,
     )

@@ -387,24 +387,28 @@ class TestReconstructCommand:
         assert 1 <= grids[0]["built"] < grids[0]["reused"]
         # every symbol has 48 Chebyshev points: one set of weights per grid; the
         # rows are interpolated once per moment form, one form per grid and ladder
-        # order, and the battery's second probe reuses each
+        # order, and each battery requests each of its forms once
         assert grids[0]["weights_built"] == grids[0]["built"]
-        assert grids[0]["forms_built"] == 2 * grids[0]["built"] == grids[0]["forms_reused"]
+        assert grids[0]["forms_built"] == 2 * grids[0]["built"]
+        assert grids[0]["forms_reused"] == 0
         # the symbol memo keys by profile content alone: the first run solves
         # the profile once at 48 Chebyshev points (its order-1 truncation is
-        # constant, so exact), the second reads both symbols from the memo
+        # constant, so exact), the second reads both symbols from the memo;
+        # each battery looks its symbols up once
         manifests = [json.loads((o / "manifest.json").read_text()) for o in (out1, out2)]
         counters = [m["counters"] for m in manifests]
         assert counters[0]["extrapolation_flags"] == counters[1]["extrapolation_flags"]
         symbols = counters[0]["symbols"]
         assert (symbols["riccati_solves"], symbols["exact_constants"]) == (1, 1)
-        assert symbols["steps_accepted"] > 0 and symbols["memo_hits"] == 4
+        assert symbols["steps_accepted"] > 0 and symbols["memo_hits"] == 1
         assert (symbols["nodes"], symbols["accepted_nodes"], symbols["refinements"]) == (48, [48], [0])
         again = counters[1]["symbols"]
-        assert (again["riccati_solves"], again["exact_constants"], again["memo_hits"]) == (0, 0, 6)
+        assert (again["riccati_solves"], again["exact_constants"], again["memo_hits"]) == (0, 0, 3)
         assert again["accepted_nodes"] == again["refinements"] == []
         stages = manifests[0]["stage_seconds"]
         assert 0.0 < stages["symbols"] <= stages["reconstruct"]
+        assert all(stages[k] >= 0.0 for k in ("order0_ladders", "order0_solve", "order_m_ladders",
+                                              "order_m_solve", "calibration"))
         assert sum(counters[0]["extrapolation_flags"].values()) == 4
         # the bundled gradient config as in a fresh process (it shares the
         # profile above): the main profile is solved alone and the three
@@ -470,7 +474,7 @@ class TestReconstructCommand:
         # order-m solve or calibration builds a profile on them
         from lame_edge import reconstruct
 
-        def refine(ladders, cutoff, rho_tilde, quad):
+        def refine(ladders, cutoff, rho_tilde, quad, coeffs=None):
             return reconstruct.Order0Result(-0.7, 1.0, 0.0, False, "linear least squares"), {}
 
         monkeypatch.setattr(reconstruct, "refine_order0", refine)

@@ -1,5 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lame_edge.elastic import (
     AdmissibilityError,
@@ -10,6 +16,25 @@ from lame_edge.elastic import (
     tensor_components,
     validate_admissibility,
 )
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def numpy_polynomial_min(p, H):
+    """The minimum of a numpy.polynomial.Polynomial on [0, H], by endpoints and
+    the roots of p' without its negligible leading terms, in that package."""
+    d = p.deriv().coef
+    size = np.abs(d) * H ** np.arange(d.size)
+    keep = np.flatnonzero(size > np.finfo(float).eps * size.max())
+    roots = np.polynomial.Polynomial(d[:keep[-1] + 1]).roots().real if keep.size else []
+    return float(p(np.concatenate([[0.0, H], np.clip(roots, 0.0, H)])).min())
+
+
+# degrees 0 to 4, then up to two trailing zeros; a subnormal leading
+# coefficient is left out: numpy's companion matrix cannot take it either
+coefficients = st.lists(st.floats(-3.0, 3.0, allow_subnormal=False) | st.just(0.0),
+                        min_size=1, max_size=5)
 
 
 def random_admissible(rng):
@@ -150,6 +175,34 @@ class TestProfiles:
         assert rep.n_samples == 0 and not rep.passed
         assert rep.min_mu == pytest.approx(-1e-3, rel=1e-6)
         assert rep.min_bulk == pytest.approx(3.0 - 2e-3, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lam=coefficients, mu=coefficients, zeros=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+           H=st.floats(0.1, 4.0))
+    @example(lam=[1.0], mu=[2.0], zeros=(0, 0), H=2.0)  # constants
+    @example(lam=[0.0], mu=[0.0], zeros=(2, 1), H=1.0)  # zero, with trailing zeros
+    @example(lam=[1.0, -1.5, 0.0, 0.5], mu=[1.0, 0.0, -2.0], zeros=(1, 2), H=2.0)
+    def test_polynomial_minima_match_numpy_polynomial(self, lam, mu, zeros, H):
+        # the plain-numpy decision equals numpy.polynomial's, value for value
+        lam, mu = lam + [0.0] * zeros[0], mu + [0.0] * zeros[1]
+        rep = validate_admissibility(LameProfile.from_polynomial(lam, mu), H)
+        P = np.polynomial.Polynomial
+        assert rep.min_mu == numpy_polynomial_min(P(mu), H)
+        assert rep.min_bulk == numpy_polynomial_min(3.0 * P(lam) + 2.0 * P(mu), H)
+
+    def test_run_path_leaves_numpy_polynomial_unloaded(self):
+        # config, profile, admissibility and the reconstruct run use numpy's core only
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); from lame_edge import cli; "
+                "from lame_edge.reconstruct import reconstruct_profile; "
+                "cfg = cli.load_config(sys.argv[2]); "
+                "reconstruct_profile(cli.profile_from_config(cfg), cfg['order'], cfg['ladder'], "
+                "battery=cli.battery_from_config(cfg), cutoff=cli.cutoff_from_config(cfg), "
+                "rho_tilde=cfg.get('rho_tilde'), quad=cli.quad_from_config(cfg)); "
+                "print([m for m in sys.modules if m.startswith('numpy.polynomial')])")
+        out = subprocess.run([sys.executable, "-c", code, str(REPO / "src"),
+                              str(REPO / "configs" / "gradient.json")],
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines()[-1] == "[]"
 
     def test_admissibility_sampled_for_callables(self):
         prof = LameProfile(lambda y, order=0: 1.0 + 0.0 * y, lambda y, order=0: 1.0 + y)

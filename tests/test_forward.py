@@ -25,6 +25,8 @@ from lame_edge.forward import (
     _radial_symbols,
     _form_coefficients,
     _harmonics,
+    _probe_coefficients,
+    DEFAULT_QUAD,
     ForwardError,
     QuadratureSettings,
     RadialDtnTable,
@@ -36,6 +38,7 @@ from lame_edge.forward import (
     form_counts,
     half_space_impedance,
     interpolation_counts,
+    ladder_pairings,
     limit_quadrature,
     pairing,
     polar_grid,
@@ -43,7 +46,7 @@ from lame_edge.forward import (
     truncation_depth,
     warm_tables,
 )
-from lame_edge.reconstruct import ProbeTemplate, default_battery, run_ladder
+from lame_edge.reconstruct import ProbeTemplate, default_battery, run_ladder, serial_ladder_runner
 from lame_edge.stroh import impedance
 
 E1 = (1.0, 0.0, 0.0)
@@ -142,7 +145,7 @@ def kernel_of(profile, nodes):
     initial state and rates, by name."""
     seen = {}
 
-    def capture(coefficients, flow, t0, t1, y0, tol, rate):
+    def capture(coefficients, flow, t0, t1, y0, tol, rate, stage=None):
         seen.update(coefficients=coefficients, flow=flow, y0=y0, rate=rate)
         return y0, 0, 0, 0, 0
 
@@ -788,7 +791,7 @@ class TestMomentForms:
         C = _form_coefficients(np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]]) @ a)
         terms = rows[:, :, None] * grid.moments[:, None, :] * C  # (r, row, harmonic)
         direct = np.sum(rows * (grid.moments @ C.T))
-        form = grid.contract(rows.T @ grid.moments, a, (c, s))
+        form = grid.contract((rows.T @ grid.moments)[None], [(a, (c, s))])[0, 0]
         assert abs(form - direct) <= 1e-14 * np.abs(terms).sum()
 
     @pytest.mark.parametrize("cutoff", [GAUSS, BumpCutoff()], ids=["gaussian", "bump"])
@@ -862,6 +865,41 @@ def pairing_bits(Ns, rho_tildes) -> dict:
                       difference_pairing(GRAD, 1, p, symbols=symbols[1]))
             out[f"{rt}/{n}"] = [v.value.real.hex() + v.value.imag.hex() for v in values]
     return out
+
+
+class TestBatteryPath:
+    """A battery's ladders are one computation: its N grids looked up and its
+    moment forms stacked once, and every probe contracted in one product."""
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("profile", [GRAD, STEEP], ids=["grad", "steep"])
+    def test_battery_equals_its_ladders_one_by_one(self, profile, m):
+        # values, tails, limits, flags and noise, bit for bit, with the symbols
+        # looked up and handed; and the values equal each probe's own sum over
+        # its (4, 5) coefficients, the contraction before batteries were batched
+        battery = default_battery(((1.0, 0.0), (0.6, 0.8)))
+        rt = ProbeSpec.auto_rho_tilde(m, profile.holder_exponent)
+        handed = warm_tables(profile, m=m)
+        forms = np.stack([polar_grid(n, rt, GAUSS, DEFAULT_QUAD).form(handed[:2 if m else 1])
+                          for n in LADDER])
+        for symbols in (None, handed):
+            together = serial_ladder_runner(profile, battery, LADDER, m, GAUSS, None,
+                                            DEFAULT_QUAD, symbols)
+            assert [lr.template for lr in together] == battery
+            for t, lr in zip(battery, together):
+                alone = run_ladder(profile, t, LADDER, m, cutoff=GAUSS, symbols=symbols)
+                assert lr.values.tobytes() == alone.values.tobytes()
+                assert lr.tails.tobytes() == alone.tails.tobytes()
+                assert lr.extrapolation == alone.extrapolation
+                assert (lr.limit, lr.noise) == (alone.limit, alone.noise)
+                probe = ProbeSpec(t.a, t.omega, LADDER[0], rt, m, GAUSS)
+                own = np.sum(forms * _probe_coefficients(probe.a, probe.omega), axis=(-2, -1))
+                assert lr.values.tobytes() == (np.array(LADDER) ** m * own.astype(complex)).tobytes()
+
+    def test_battery_shares_one_grid_and_cutoff(self):
+        probes = [ProbeSpec(np.array([0.0, 0.0, 1.0]), E1, 16, rt, 0, GAUSS) for rt in (4, 5)]
+        with pytest.raises(ValueError, match="one rho_tilde and one cutoff"):
+            ladder_pairings(GRAD, 0, probes, LADDER)
 
 
 class TestDifferencePairing:

@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 
 from lame_edge.ansatz import GaussianCutoff
 from lame_edge.elastic import DisplacementJet, LameProfile, energy_density
-from lame_edge.forward import DEFAULT_QUAD
+from lame_edge import cli, forward, reconstruct
+from lame_edge.forward import DEFAULT_QUAD, Z_ROWS_E1, _probe_coefficients, polar_grid
 from lame_edge.reconstruct import (
     BatteryError,
     ProbeTemplate,
@@ -18,6 +21,7 @@ from lame_edge.reconstruct import (
     homogeneous_pairing_value,
     leading_order_response,
     order0_coefficients,
+    _pairing_moments,
     order0_response,
     order0_variables,
     recover_order0,
@@ -26,8 +30,11 @@ from lame_edge.reconstruct import (
     run_ladder,
     serial_ladder_runner,
     closed_form_response,
+    reconstruct_profile,
 )
 from lame_edge.stroh import impedance, quadratic_form
+
+REPO = Path(__file__).resolve().parent.parent
 
 E1 = (1.0, 0.0, 0.0)
 
@@ -416,6 +423,54 @@ class TestLadders:
             probe = ProbeSpec(t.a, t.omega, N, 4, 0, cut)
             measured = pairing(prof, probe).value.real
             assert model == pytest.approx(measured, rel=2e-6)
+
+
+    def test_battery_moments_equal_each_probes_own(self):
+        # the half-space forms Z_ROWS_E1 (x) (r F), built once for the battery,
+        # contract every probe to the bits of that probe's own sum
+        battery = default_battery(((1.0, 0.0), (0.6, 0.8)))
+        N, cut = (16, 32, 64, 128), GaussianCutoff()
+        forms = np.stack([Z_ROWS_E1[:, :, None] * (g.r @ g.moments)
+                          for g in (polar_grid(n, 4, cut, DEFAULT_QUAD) for n in N)])
+        together = _pairing_moments(battery, N, 4, cut, DEFAULT_QUAD)
+        assert together.shape == (len(battery), len(N), 2)
+        for t, G in zip(battery, together):
+            own = np.sum(forms * _probe_coefficients(t.a, t.omega), axis=(-2, -1))
+            assert G.tobytes() == own.tobytes()
+            assert G.tobytes() == _pairing_moments((t,), N, 4, cut, DEFAULT_QUAD)[0].tobytes()
+
+
+def test_gradient_pass_computes_shared_values_once(monkeypatch):
+    # one pass of the bundled gradient config: each design matrix, the order-0
+    # rows and each probe's family jets once; each battery looks its N grids up
+    # once (order 0, order 1, three calibration profiles, the order-0 model)
+    cfg = cli.load_config(REPO / "configs" / "gradient.json")
+    calls = Counter()
+
+    def count(module, name, key=None):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name if key is None else key(args)] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(reconstruct, "design_matrix", key=lambda args: f"design_matrix {args[2]}")
+    for name in ("order0_coefficients", "_family_jets", "polar_grid"):
+        count(reconstruct, name)
+    count(forward, "polar_grid")
+    report = reconstruct_profile(
+        cli.profile_from_config(cfg), cfg["order"], cfg["ladder"],
+        battery=cli.battery_from_config(cfg), cutoff=cli.cutoff_from_config(cfg),
+        rho_tilde=cfg["rho_tilde"], quad=cli.quad_from_config(cfg))
+    assert calls == {"design_matrix plus_one": 1, "design_matrix plus_a3_squared": 1,
+                     "design_matrix predicted": 1, "design_matrix calibrated": 1,
+                     "order0_coefficients": 1, "_family_jets": 6, "polar_grid": 30}
+    assert set(report.stage_seconds) == {"order0_ladders", "order0_solve", "order_m_ladders",
+                                         "order_m_solve", "calibration"}
+    assert all(v >= 0.0 for v in report.stage_seconds.values())
+    assert "stage_seconds" not in report.to_dict()
 
 
 class TestCalibration:
