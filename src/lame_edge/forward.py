@@ -202,6 +202,7 @@ _DOP_E5 = np.array([0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044
 _DOP_AB, _DOP_E = np.vstack([_DOP_A, _DOP_B]), np.array([_DOP_E5, _DOP_E3])
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _DOP_STABILITY = 6.3936515  # |R(z)| = 1 at z = -6.39..., R the stability function of (A, B)
+_SURFACE_STEPS = 2.0  # the steps whose errors reach t1 nearly undamped, sharing tol
 
 
 def _node_norm(x: np.ndarray) -> float:
@@ -229,16 +230,18 @@ def _dop853(coefficients, flow, t0: float, t1: float, y0: np.ndarray, tol: float
     ``rate`` (shape (n,)) is a lower bound on the rate at which each node's
     linearised flow contracts toward t1, with eigenvalues at most double.
     Each node's error is DOP853's combined 5th/3rd-order estimate over its
-    own components (atol = rtol = tol), weighted by exp(-x) at
+    own components (atol = rtol = tol), weighted by 2 exp(-x) at
     x = rate/2 |t1 - t_new|: an error present at t_new reaches t1 damped by
     exp(-2x) times a quadratic in x (the double eigenvalue's Jordan block),
     which stays below a small constant times exp(-x) (2.5 for the Riccati
-    core). So the steps next to t1 are held to tol unweighted and deeper ones
-    only as far as their error reaches t1. A step is accepted when the
-    largest weighted error is below 1, so no node is diluted by the rest;
-    the next step is sized for the larger weight one step nearer t1, so the
-    weight's growth does not make it fail. Every step is also capped at half
-    of DOP853's real stability interval over max(rate): on a flow too smooth
+    core). The error at t1 is the sum of what every step leaves there, and
+    the last two steps leave nearly all of theirs (a step at the cap below
+    spans x of about 1.6), so the steps next to t1 are held to tol/2 and
+    deeper ones only as far as their error reaches t1. A step is accepted
+    when the largest weighted error is below 1, so no node is diluted by the
+    rest; the next step is sized for the larger weight one step nearer t1,
+    so the weight's growth does not make it fail. Every step is also capped
+    at half of DOP853's real stability interval over max(rate): on a flow too smooth
     for the error estimate to limit the step, rounding offsets are then
     damped, not amplified. Step control and
     the initial step follow Hairer, Norsett & Wanner (II.4; stability, IV.2).
@@ -283,7 +286,7 @@ def _dop853(coefficients, flow, t0: float, t1: float, y0: np.ndarray, tol: float
         scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
         e5, e3 = np.sum(((_DOP_E @ Kf).reshape((2,) + y.shape) / scale) ** 2, axis=1)
         local = abs(h) * e5 / np.sqrt(np.maximum((e5 + 0.01 * e3) * y.shape[0], 1e-300))
-        weight = np.exp(-kappa * abs(t1 - t_new))
+        weight = _SURFACE_STEPS * np.exp(-kappa * abs(t1 - t_new))
         err = float(np.max(weight * local))
         if not err < 1.0:  # NaN rejects too
             h_abs *= max(_MIN_FACTOR, _SAFETY * err**-0.125)
@@ -292,7 +295,7 @@ def _dop853(coefficients, flow, t0: float, t1: float, y0: np.ndarray, tol: float
                 raise ForwardError(f"Riccati integration: step size underflow at t = {t}")
             continue
         # the next step ends about |h| nearer t1, where its error weighs more
-        ahead = float(np.max(np.minimum(weight * np.exp(kappa * abs(h)), 1.0) * local))
+        ahead = float(np.max(np.minimum(weight * np.exp(kappa * abs(h)), _SURFACE_STEPS) * local))
         factor = _MAX_FACTOR if ahead == 0.0 else min(_MAX_FACTOR, _SAFETY * ahead**-0.125)
         h_abs *= min(1.0, factor) if retried else factor
         capped += at_cap and t_new != t1

@@ -391,7 +391,7 @@ class TestRadialTable:
         # the damping weights grow toward the surface: steps sized for the
         # weight at their own end failed every other attempt there (4 of 19)
         (_, accepted, rejected, *_), = RadialSymbol(GRAD).solves
-        assert (accepted, rejected) == (15, 0)
+        assert (accepted, rejected) == (16, 0)
 
     def test_table_build_leaves_numpy_ma_unloaded(self):
         # np.unique imports numpy.ma on first use, inside the first timed pass
@@ -483,6 +483,9 @@ class TestReducedCore:
     # there, and the state lags it (the rate the weights assume is lowered)
     @example(lm=(2.8158391035615677, 0.292980963069884),
              c=[0.01745492548237504, 0.28197404993181874, 0.39751831171588736, -0.2719408613206077])
+    # gently graded mu: two steps next to the surface left 1.05e-11 there when
+    # each was held to the whole tolerance
+    @example(lm=(0.5416666666666667, 1.625), c=[0.0, 0.0, 0.0546875, 0.0])
     def test_every_node_within_tolerance_at_the_surface(self, lm, c):
         # admissible quadratics against a tol-1e-13 solve, per node and relative
         # to its row scale, at the Chebyshev radii of a 144-point symbol (both
@@ -531,26 +534,27 @@ def surface_error(profile, tol=1e-10) -> float:
 
 
 # rows of the one-profile core and remainders of the symbol, as the core gave
-# them before it took batches: (row index, (M11, M22, M33, Im M13) as float.hex)
+# them alone (pinned anew when the step control changes): (row index,
+# (M11, M22, M33, Im M13) as float.hex)
 PINNED_DIRECT = {  # at radii (0.5, 7.0, 40.0, 1000.0), tol 1e-10
-    "grad": {0: ("0x1.ad13861c9c3cdp-1", "0x1.2a54076b9d886p-1", "0x1.e7a715deaf50cp-1",
-                 "-0x1.1433189218df6p-2"),
-             3: ("0x1.7706ccb711b96p+10", "0x1.f40ccca2dd87dp+9", "0x1.7713993a7dc58p+10",
-                 "-0x1.f3fe66a857a9cp+8")},
-    "steep": {0: ("0x1.93a9d5ba117f4p-1", "0x1.070bf91bbd2c6p-1", "0x1.841b0d38df76ep-1",
-                  "-0x1.0320b353bea96p-2"),
-              2: ("0x1.c13aee8ef8871p+6", "0x1.125484a9ca90bp+6", "0x1.7624af3f894bbp+6",
-                  "-0x1.12b216737919ap+5")},
+    "grad": {0: ("0x1.ad13861c9c45ep-1", "0x1.2a54076b9d889p-1", "0x1.e7a715deaf533p-1",
+                 "-0x1.1433189218d3dp-2"),
+             3: ("0x1.7706ccb711b8ep+10", "0x1.f40ccca2dd873p+9", "0x1.7713993a7dc5ap+10",
+                 "-0x1.f3fe66a857a9ap+8")},
+    "steep": {0: ("0x1.93a9d5ba115c6p-1", "0x1.070bf91bbd1e5p-1", "0x1.841b0d38df79dp-1",
+                  "-0x1.0320b353beafdp-2"),
+              2: ("0x1.c13aee8ef8094p+6", "0x1.125484a9ca87dp+6", "0x1.7624af3f8930dp+6",
+                  "-0x1.12b2167379901p+5")},
 }
 PINNED_REMAINDER = {
-    "grad": {0: ("0x1.5dce727f73438p-12", "0x1.c0b7af2fed7f8p-13", "0x1.5e565b36a2dc0p-12",
+    "grad": {0: ("0x1.5dce727f73434p-12", "0x1.c0b7af2fed7ecp-13", "0x1.5e565b36a2dc0p-12",
                  "-0x1.8a817b387964cp-14"),
-             24: ("0x1.a94fb8e010a20p-4", "0x1.90bd2d35026a0p-4", "0x1.2f742d967cc40p-2",
-                  "0x1.2018ccd3ede00p-8")},
-    "steep": {72: ("-0x1.5c8ff48ada657p+1", "-0x1.d49620b003bbep+0", "-0x1.94d9997bc8364p+1",
-                   "0x1.764df0189e190p-1"),
-              143: ("-0x1.f5a43d290c000p+3", "-0x1.dfeb707f88000p+3", "-0x1.87fc430ff0000p+5",
-                    "-0x1.2bd525aaec000p+1")},
+             24: ("0x1.a94fb8e005ae0p-4", "0x1.90bd2d350cee0p-4", "0x1.2f742d967d838p-2",
+                  "0x1.2018ccd260000p-8")},
+    "steep": {72: ("-0x1.5c8ff48adaff4p+1", "-0x1.d49620b0043e4p+0", "-0x1.94d9997bc833fp+1",
+                   "0x1.764df0189d85ep-1"),
+              143: ("-0x1.f5a43d2900000p+3", "-0x1.dfeb707f84000p+3", "-0x1.87fc430ff0000p+5",
+                    "-0x1.2bd525aaf0000p+1")},
 }
 TRIO = [LameProfile.from_polynomial([1.1, 1.0], [0.9]), LameProfile.from_polynomial([1.1], [0.9, 1.0]),
         LameProfile.from_polynomial([1.1, 0.4], [0.9, 0.5])]
