@@ -19,6 +19,8 @@ import math
 import sys
 import time
 from collections import Counter
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,12 +46,13 @@ from .geometry import (
     push_forward,
 )
 from .reconstruct import (
+    VARIANTS,
     BatteryError,
     CalibrationError,
-    ProbeTemplate,
+    closed_form_response,
+    default_battery,
     reconstruct_profile,
     serial_ladder_runner,
-    closed_form_response,
 )
 from .stroh import ChainError, eigen_jordan, impedance, reference_chain, stroh_matrix
 
@@ -61,6 +64,120 @@ EXIT_NUMERICAL = 4
 
 class ConfigError(ValueError):
     """Configuration failed schema or cross-field validation."""
+
+
+def _calibrates(cfg: dict) -> bool:
+    return cfg.get("calibrate", True)
+
+
+def _null_target(cfg: dict) -> bool:
+    """A zero (dlam, dmu) target is checked as a null test against the noise bound."""
+    return bool(np.allclose([cfg["expect"]["dlam"], cfg["expect"]["dmu"]], 0.0))
+
+
+# condition a rule runs under -> (test on the config, why the rule skips when it fails)
+_WHEN = {
+    "order >= 1": (lambda cfg: cfg["order"] >= 1, "at order 0, which recovers no derivatives"),
+    "zero target": (_null_target, "with a nonzero dlam/dmu target"),
+    "nonzero target": (lambda cfg: not _null_target(cfg),
+                       "with a zero dlam/dmu target, which is checked as a null test"),
+    "calibrate": (_calibrates, "without calibration"),
+}
+
+
+@dataclass(frozen=True)
+class ExpectRule:
+    """One check of a run against its ``expect`` block: ``check(report, want, tol)``
+    compares the ``target`` pair within the ``tolerance`` key (``default`` when
+    absent; ``None``: it must be given) when the config meets all of ``when``."""
+
+    name: str
+    target: tuple[str, str]
+    tolerance: str
+    default: float | None
+    when: tuple[str, ...]
+    check: Callable
+
+    @property
+    def reads(self) -> tuple[str, ...]:
+        return (*self.target, self.tolerance)
+
+    def skips(self, cfg: dict) -> str | None:
+        """Why the rule does not run for ``cfg``; ``None`` when it runs."""
+        needs = self.target if self.default is not None else self.reads
+        missing = ", ".join(f"expect.{k}" for k in needs if k not in cfg.get("expect", {}))
+        if missing:
+            return f"without {missing}"
+        return next((why for holds, why in map(_WHEN.get, self.when) if not holds(cfg)), None)
+
+
+def _order0_check(report, want, rtol) -> list[str]:
+    return [f"order0 {name}: got {got:.6g}, want {w:g} (rtol {rtol:g})"
+            for name, got, w in zip(("lambda", "mu"), (report.order0.lam, report.order0.mu), want)
+            if abs(got - w) > rtol * abs(w)]
+
+
+def _null_check(report, want, factor) -> list[str]:
+    bounds = {mode: (np.array([r.dlam, r.dmu]), np.asarray(r.noise_bound))
+              for mode, r in report.order_m.items()}
+    return [f"null test [{mode}]: estimates {est.tolist()} exceed {factor} x noise {nb.tolist()}"
+            for mode, (est, nb) in bounds.items()
+            if np.any(np.abs(est) > factor * np.maximum(nb, 1e-12))]
+
+
+def _relative_error(r, want) -> float:
+    return float(np.abs(np.subtract([r.dlam, r.dmu], want)).max() / np.abs(want).max())
+
+
+def _calibrated_check(report, want, rtol) -> list[str]:
+    r = report.order_m["calibrated"]
+    err = _relative_error(r, want)
+    message = (f"calibrated recovery ({r.dlam:.4g}, {r.dmu:.4g}) vs ({want[0]:g}, {want[1]:g}): "
+               f"error {err:.2%} > {100 * rtol:g}%")
+    return [message] if err > rtol else []
+
+
+def _best_closed_form_check(report, want, rtol) -> list[str]:
+    best = min(_relative_error(report.order_m[mode], want) for mode in VARIANTS)
+    message = f"best closed-form-variant recovery error {best:.2%} > {100 * rtol:g}%"
+    return [message] if best > rtol else []
+
+
+# the one source of the expect keys, the pair errors, the "never checked"
+# refusals and a run's expect_failures (in this order)
+EXPECT_RULES = (
+    ExpectRule("order0", ("lambda", "mu"), "order0_rtol", 0.03, (), _order0_check),
+    ExpectRule("null", ("dlam", "dmu"), "null_noise_factor", 3.0,
+               ("order >= 1", "zero target"), _null_check),
+    ExpectRule("calibrated", ("dlam", "dmu"), "rtol_calibrated", 0.05,
+               ("order >= 1", "nonzero target", "calibrate"), _calibrated_check),
+    ExpectRule("best_closed_form", ("dlam", "dmu"), "rtol_best_closed_form", None,
+               ("order >= 1", "nonzero target"), _best_closed_form_check),
+)
+
+
+def expect_errors(cfg: dict) -> list[str]:
+    """The ``expect`` keys given without their pair partner, then the given keys
+    that no running rule reads, each with why every rule reading it skips."""
+    expect = cfg.get("expect", {})
+    errors = [f"expect.{key} is given without expect.{other}: the two are checked together"
+              for pair in dict.fromkeys(rule.target for rule in EXPECT_RULES)
+              for key, other in (pair, pair[::-1]) if key in expect and other not in expect]
+    skips = {rule: rule.skips(cfg) for rule in EXPECT_RULES}
+    for key in expect:
+        readers = {rule.name: why for rule, why in skips.items() if key in rule.reads}
+        if None not in readers.values():
+            whys = "; ".join(f"{name} {why}" for name, why in readers.items())
+            errors.append(f"expect.{key} is never checked: no rule reading it runs ({whys})")
+    return errors
+
+
+def expect_failures(report, cfg: dict) -> list[str]:
+    """The failures of every rule that runs for ``cfg``, in table order."""
+    expect = cfg.get("expect", {})
+    return [f for rule in EXPECT_RULES if rule.skips(cfg) is None
+            for f in rule.check(report, [expect[k] for k in rule.target],
+                                expect.get(rule.tolerance, rule.default))]
 
 
 CONFIG_SCHEMA = {
@@ -124,14 +241,8 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "lambda": {"type": "number"},
-                "mu": {"type": "number"},
-                "order0_rtol": {"type": "number"},
-                "dlam": {"type": "number"},
-                "dmu": {"type": "number"},
-                "rtol_calibrated": {"type": "number"},
-                "rtol_best_closed_form": {"type": "number"},
-                "null_noise_factor": {"type": "number"},
+                **{key: {"type": "number"} for rule in EXPECT_RULES for key in rule.target},
+                **{rule.tolerance: {"type": "number", "minimum": 0} for rule in EXPECT_RULES},
             },
         },
     },
@@ -261,13 +372,7 @@ def cross_field_errors(cfg: dict) -> list[str]:
     for d in cfg.get("probes", {}).get("directions", []):
         if math.hypot(d[0], d[1]) == 0.0:
             errors.append(f"probe direction {d} is zero: a direction must be a nonzero tangent")
-    expect = cfg.get("expect", {})
-    for key, other in (("lambda", "mu"), ("mu", "lambda"), ("dlam", "dmu"), ("dmu", "dlam")):
-        if key in expect and other not in expect:
-            errors.append(f"expect.{key} is given without expect.{other}: "
-                          "the two are checked together")
-    errors.extend(f"expect.{key} is never checked {why}"
-                  for key, why in _unchecked_expectations(cfg).items())
+    errors.extend(expect_errors(cfg))
     ladder = cfg["ladder"]
     if any(b != 2 * a for a, b in zip(ladder, ladder[1:])):
         errors.append(f"ladder must be dyadic: {ladder}")
@@ -281,42 +386,6 @@ def cross_field_errors(cfg: dict) -> list[str]:
     return errors
 
 
-_ORDER_M_KEYS = ("dlam", "dmu", "rtol_calibrated", "rtol_best_closed_form", "null_noise_factor")
-
-
-def _null_target(expect: dict) -> bool:
-    """A zero (dlam, dmu) target is checked as a null test against the noise bound."""
-    return bool(np.allclose([expect["dlam"], expect["dmu"]], 0.0))
-
-
-def _unchecked_expectations(cfg: dict) -> dict[str, str]:
-    """The expect keys that :func:`_check_expectations` would skip for this
-    config, each with the reason."""
-    expect = cfg.get("expect", {})
-    given = [k for k in _ORDER_M_KEYS if k in expect]
-    calibrated = cfg.get("calibrate", True)
-    skipped = {}
-    if "order0_rtol" in expect and "lambda" not in expect:
-        skipped["order0_rtol"] = "without expect.lambda"
-    if cfg["order"] == 0:
-        skipped.update((k, "at order 0, which recovers no derivatives") for k in given)
-    elif not ("dlam" in expect and "dmu" in expect):
-        skipped.update((k, "without an expect.dlam/dmu target")
-                       for k in given if k not in ("dlam", "dmu"))
-    elif _null_target(expect):
-        skipped.update((k, "with a zero dlam/dmu target, which is checked as a null test")
-                       for k in ("rtol_calibrated", "rtol_best_closed_form") if k in expect)
-    else:
-        if "null_noise_factor" in expect:
-            skipped["null_noise_factor"] = "with a nonzero dlam/dmu target"
-        if not calibrated and "rtol_calibrated" in expect:
-            skipped["rtol_calibrated"] = "without calibration"
-        if not calibrated and "rtol_best_closed_form" not in expect:
-            skipped.update((k, "with a nonzero target but neither calibration nor "
-                               "expect.rtol_best_closed_form") for k in ("dlam", "dmu"))
-    return skipped
-
-
 def profile_from_config(cfg: dict) -> LameProfile:
     p = cfg["profile"]
     return LameProfile.from_polynomial(
@@ -326,31 +395,22 @@ def profile_from_config(cfg: dict) -> LameProfile:
 
 
 def cutoff_from_config(cfg: dict):
-    c = cfg.get("cutoff", {})
-    kind = c.get("kind", "gaussian")
-    if kind == "gaussian":
-        return GaussianCutoff(sigma=c.get("sigma", 1.0 / 3.0))
-    return BumpCutoff()
-
-
-def _directions(cfg: dict) -> list[tuple[float, float]]:
-    """The configured probe directions as unit tangents, (1, 0) and (0, 1) by default."""
-    return [(x / math.hypot(x, y), y / math.hypot(x, y))
-            for x, y in cfg.get("probes", {}).get("directions", [[1.0, 0.0], [0.0, 1.0]])]
+    params = dict(cfg.get("cutoff", {}))
+    cutoff = {"gaussian": GaussianCutoff, "bump": BumpCutoff}[params.pop("kind", "gaussian")]
+    return cutoff(**params)
 
 
 def battery_from_config(cfg: dict):
-    kinds = cfg.get("probes", {}).get("kinds", ["e3", "tangent", "sigma1"])
-    return [ProbeTemplate.named(kind, d) for d in _directions(cfg) for kind in kinds]
+    """The configured probe battery, each direction scaled to a unit tangent."""
+    probes = dict(cfg.get("probes", {}))
+    if "directions" in probes:
+        probes["directions"] = [(x / math.hypot(x, y), y / math.hypot(x, y))
+                                for x, y in probes["directions"]]
+    return default_battery(**probes)
 
 
 def quad_from_config(cfg: dict) -> QuadratureSettings:
-    q = cfg.get("quadrature", {})
-    return QuadratureSettings(
-        nodes=q.get("nodes", 96),
-        tail_tol=q.get("tail_tol", 1e-8),
-        riccati_tol=q.get("riccati_tol", 1e-10),
-    )
+    return QuadratureSettings(**cfg.get("quadrature", {}))
 
 
 # ---------------------------------------------------------------------------
@@ -434,15 +494,17 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _complex_table(M: np.ndarray) -> list[list[str]]:
-    return [[f"{v.real:+.6f}{v.imag:+.6f}j" for v in row] for row in np.atleast_2d(M)]
+def _print_complex(title: str, M: np.ndarray) -> None:
+    print(title)
+    for row in np.atleast_2d(M):
+        print("  " + "  ".join(f"{v.real:+.6f}{v.imag:+.6f}j" for v in row))
 
 
 def cmd_stroh(args) -> int:
     cfg = load_config(args.config)
     profile = profile_from_config(cfg)
     lam0, mu0 = float(profile.lam(0.0)), float(profile.mu(0.0))
-    omega = (*_directions(cfg)[0], 0.0)
+    omega = tuple(battery_from_config(cfg)[0].omega.tolist())
     K = stroh_matrix(lam0, mu0, omega)
     spec = eigen_jordan(K)
     q1, q2, q3 = reference_chain(lam0, mu0, omega)
@@ -451,19 +513,13 @@ def cmd_stroh(args) -> int:
     Zl = impedance(lam0, mu0, omega, "iota_linear")
 
     print(f"lambda(0) = {lam0:g}, mu(0) = {mu0:g}, omega = ({omega[0]:g}, {omega[1]:g})")
-    print("\nK (6x6):")
-    for row in _complex_table(K.matrix):
-        print("  " + "  ".join(row))
+    _print_complex("\nK (6x6):", K.matrix)
     print("\neigenvalues:", ", ".join(f"{v:.6f}" for v in np.sort_complex(evals)))
     for name, q in (("q1", q1), ("q2", q2), ("q3", q3)):
         print(f"{name}: " + "  ".join(f"{v.real:+.4f}{v.imag:+.4f}j" for v in q))
     print("chain residuals:", {k: f"{v:.2e}" for k, v in spec.residuals.items()})
-    print("\nZ (iota_squared):")
-    for row in _complex_table(Zs):
-        print("  " + "  ".join(row))
-    print("Z (iota_linear):")
-    for row in _complex_table(Zl):
-        print("  " + "  ".join(row))
+    _print_complex("\nZ (iota_squared):", Zs)
+    _print_complex("Z (iota_linear):", Zl)
 
     out = {
         "lambda0": lam0,
@@ -515,7 +571,7 @@ def cmd_ansatz_check(args) -> int:
     cutoff = cutoff_from_config(cfg)
     m = cfg["order"]
     rt = cfg.get("rho_tilde") or ProbeSpec.auto_rho_tilde(m, cfg["profile"]["p"])
-    omega = (*_directions(cfg)[0], 0.0)
+    omega = tuple(battery_from_config(cfg)[0].omega.tolist())
     a = np.array([0.0, 0.0, 1.0], dtype=complex)
     probes = [ProbeSpec(a, omega, n, rt, m, cutoff, cfg["profile"]["p"])
               for n in cfg["ladder"]]
@@ -605,20 +661,16 @@ def cmd_reconstruct(args) -> int:
         cutoff=cutoff,
         rho_tilde=cfg.get("rho_tilde"),
         quad=quad,
-        calibrate=cfg.get("calibrate", True),
+        calibrate=_calibrates(cfg),
     ))
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     payload = report.to_dict()
     payload["tool_version"] = __version__
-    code = EXIT_OK
-    expect = cfg.get("expect")
-    if expect:
-        failures = _check_expectations(report, expect)
+    failures = expect_failures(report, cfg)
+    if cfg.get("expect"):
         payload["expect_failures"] = failures
-        if failures:
-            code = EXIT_ACCEPTANCE
     _write_json(outdir / "report.json", payload)
     _write_ladder_csv(outdir / "ladders.csv", report.order0_ladders + report.order_m_ladders)
     outputs = [outdir / "report.json", outdir / "ladders.csv"]
@@ -632,57 +684,9 @@ def cmd_reconstruct(args) -> int:
     for mode, r in report.order_m.items():
         print(f"order-{r.m} [{mode:>16s}]: dlam = {r.dlam:+.6f}, dmu = {r.dmu:+.6f}")
     print(f"variant verdict: {report.variant_verdict}")
-    if expect and code != EXIT_OK:
-        for f in payload["expect_failures"]:
-            print(f"EXPECT FAIL: {f}", file=sys.stderr)
-    return code
-
-
-def _check_expectations(report, expect: dict) -> list[str]:
-    failures = []
-    if "lambda" in expect:
-        rtol = expect.get("order0_rtol", 0.03)
-        for name, got, want in (("lambda", report.order0.lam, expect["lambda"]),
-                                ("mu", report.order0.mu, expect["mu"])):
-            if abs(got - want) > rtol * abs(want):
-                failures.append(f"order0 {name}: got {got:.6g}, want {want:g} (rtol {rtol:g})")
-    if "dlam" in expect and report.order_m:
-        want = np.array([expect["dlam"], expect["dmu"]])
-        if _null_target(expect):
-            factor = expect.get("null_noise_factor", 3.0)
-            for mode, r in report.order_m.items():
-                nb = np.asarray(r.noise_bound)
-                est = np.array([r.dlam, r.dmu])
-                if np.any(np.abs(est) > factor * np.maximum(nb, 1e-12)):
-                    failures.append(
-                        f"null test [{mode}]: estimates {est.tolist()} exceed "
-                        f"{factor} x noise {nb.tolist()}"
-                    )
-        else:
-            if "calibrated" in report.order_m:
-                r = report.order_m["calibrated"]
-                rtol = expect.get("rtol_calibrated", 0.05)
-                err = float(np.abs(np.array([r.dlam, r.dmu]) - want).max() / np.abs(want).max())
-                if err > rtol:
-                    failures.append(
-                        f"calibrated recovery ({r.dlam:.4g}, {r.dmu:.4g}) vs "
-                        f"({want[0]:g}, {want[1]:g}): error {err:.2%} > {rtol:.0%}"
-                    )
-            rtol = expect.get("rtol_best_closed_form")
-            if rtol is not None:
-                best = None
-                for mode in ("plus_one", "plus_a3_squared"):
-                    r = report.order_m.get(mode)
-                    if r is None:
-                        continue
-                    err = float(np.abs(np.array([r.dlam, r.dmu]) - want).max()
-                                / np.abs(want).max())
-                    best = err if best is None else min(best, err)
-                if best is not None and best > rtol:
-                    failures.append(
-                        f"best closed-form-variant recovery error {best:.2%} > {rtol:.0%}"
-                    )
-    return failures
+    for f in failures:
+        print(f"EXPECT FAIL: {f}", file=sys.stderr)
+    return EXIT_ACCEPTANCE if failures else EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -694,33 +698,22 @@ def main(argv=None) -> int:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_out=False):
+    def add(name, handler, summary, needs_out=False):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, help="JSON config path")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output directory")
-        else:
-            p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--out", required=needs_out, help="output directory")
+        p.set_defaults(handler=handler)
 
-    add_common(sub.add_parser("validate", help="validate a config file"))
-    add_common(sub.add_parser("stroh", help="print K, the Jordan chain and Z"))
-    add_common(sub.add_parser("forward", help="pairing ladders as CSV"), needs_out=True)
-    add_common(sub.add_parser("ansatz-check", help="residual decay of the ansatz"),
-               needs_out=True)
-    add_common(sub.add_parser("geometry-check", help="curved-boundary identities"))
-    add_common(sub.add_parser("reconstruct", help="full reconstruction run"),
-               needs_out=True)
+    add("validate", cmd_validate, "validate a config file")
+    add("stroh", cmd_stroh, "print K, the Jordan chain and Z")
+    add("forward", cmd_forward, "pairing ladders as CSV", needs_out=True)
+    add("ansatz-check", cmd_ansatz_check, "residual decay of the ansatz", needs_out=True)
+    add("geometry-check", cmd_geometry_check, "curved-boundary identities")
+    add("reconstruct", cmd_reconstruct, "full reconstruction run", needs_out=True)
 
     args = parser.parse_args(argv)
-    handlers = {
-        "validate": cmd_validate,
-        "stroh": cmd_stroh,
-        "forward": cmd_forward,
-        "ansatz-check": cmd_ansatz_check,
-        "geometry-check": cmd_geometry_check,
-        "reconstruct": cmd_reconstruct,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (ConfigError, BatteryError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -239,13 +239,10 @@ class ProbeTemplate:
         return ProbeTemplate(f"{kind}@({w[0]:g},{w[1]:g})", table[kind], w)
 
 
-def default_battery(directions=((1.0, 0.0), (0.0, 1.0))) -> list[ProbeTemplate]:
-    """Six-probe battery: {e3, tangent, sigma1} at each direction."""
-    battery = []
-    for d in directions:
-        for kind in ("e3", "tangent", "sigma1"):
-            battery.append(ProbeTemplate.named(kind, d))
-    return battery
+def default_battery(directions=((1.0, 0.0), (0.0, 1.0)),
+                    kinds=("e3", "tangent", "sigma1")) -> list[ProbeTemplate]:
+    """Each probe kind at each direction: six probes by default."""
+    return [ProbeTemplate.named(kind, d) for d in directions for kind in kinds]
 
 
 @dataclass(frozen=True)

@@ -5,20 +5,27 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lame_edge.cli import (
     EXIT_ACCEPTANCE,
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    EXPECT_RULES,
     ConfigError,
     cross_field_errors,
+    expect_errors,
+    expect_failures,
     load_config,
     main,
 )
 from lame_edge.forward import symbol_memo
+from lame_edge.reconstruct import VARIANTS
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -206,9 +213,13 @@ class TestValidate:
     @pytest.mark.parametrize("overrides, where", [
         ({"order": 1.0}, "['order']"),
         ({"quadrature": {"nodes": 96.0}}, "['quadrature', 'nodes']"),
+        ({"profile": {"lambda": [2.0], "mu": [1.0], "m": 2, "p": 0.9}, "order": 0,
+          "expect": {"lambda": 2, "mu": 1, "order0_rtol": -0.01}},
+         "['expect', 'order0_rtol']"),
     ])
     def test_integral_float_is_not_an_integer(self, tmp_path, capsys, overrides, where):
-        # an integral float would pass a Draft 2020-12 validator, then crash the run
+        # an integral float would pass a Draft 2020-12 validator, then crash the run;
+        # a negative tolerance would pass the schema, then fail every run
         path = write_config(tmp_path, **overrides)
         rc = main(["reconstruct", "--config", str(path), "--out", str(tmp_path / "out")])
         assert rc == EXIT_CONFIG
@@ -505,3 +516,85 @@ class TestReconstructCommand:
         assert main(["reconstruct", "--config", str(path), "--out", str(out)]) == EXIT_ACCEPTANCE
         report = json.loads((out / "report.json").read_text())
         assert report["expect_failures"]
+
+
+EXPECT_KEYS = ("lambda", "mu", "order0_rtol", "dlam", "dmu", "rtol_calibrated",
+               "rtol_best_closed_form", "null_noise_factor")
+RULES = {rule.name: rule for rule in EXPECT_RULES}
+
+
+def stub_report(order: int, calibrate: bool, dlam=1.0, dmu=1.0):
+    """The modes reconstruct_profile reports, every one at the same (dlam, dmu),
+    and (lambda, mu) = (3, 3)."""
+    modes = (*VARIANTS, "predicted", *(("calibrated",) if calibrate else ())) if order else ()
+    r = SimpleNamespace(dlam=dlam, dmu=dmu, noise_bound=(1e-3, 1e-3))
+    return SimpleNamespace(order0=SimpleNamespace(lam=3.0, mu=3.0),
+                           order_m=dict.fromkeys(modes, r))
+
+
+def checked_by_hand(order: int, calibrate: bool, expect: dict) -> set:
+    """The expect keys a run checks, restated from the README's rule table."""
+    checked = set()
+    if {"lambda", "mu"} <= expect.keys():
+        checked |= {"lambda", "mu", "order0_rtol"}
+    if order >= 1 and {"dlam", "dmu"} <= expect.keys():
+        if expect["dlam"] == expect["dmu"] == 0.0:
+            checked |= {"dlam", "dmu", "null_noise_factor"}
+        if expect["dlam"] != 0.0 and calibrate:
+            checked |= {"dlam", "dmu", "rtol_calibrated"}
+        if expect["dlam"] != 0.0 and "rtol_best_closed_form" in expect:
+            checked |= {"dlam", "dmu", "rtol_best_closed_form"}
+    return checked
+
+
+class TestExpectRules:
+    @settings(max_examples=300, deadline=None)
+    @given(keys=st.sets(st.sampled_from(EXPECT_KEYS)), zero=st.booleans(),
+           order=st.integers(0, 2), calibrate=st.sampled_from([True, False, None]))
+    def test_every_given_key_is_checked_or_refused(self, keys, zero, order, calibrate):
+        values = {"lambda": 2.0, "mu": 1.0, "order0_rtol": 0.02, "rtol_calibrated": 0.05,
+                  "rtol_best_closed_form": 0.1, "null_noise_factor": 3.0,
+                  "dlam": 0.0 if zero else 0.3, "dmu": 0.0 if zero else 0.2}
+        expect = {key: values[key] for key in EXPECT_KEYS if key in keys}
+        cfg = {"order": order, "expect": expect,
+               **({} if calibrate is None else {"calibrate": calibrate})}
+        calibrates = calibrate is not False
+        errors = expect_errors(cfg)
+        unpaired = {key for pair in (("lambda", "mu"), ("dlam", "dmu"))
+                    for key, other in (pair, pair[::-1]) if key in expect and other not in expect}
+        unread = expect.keys() - checked_by_hand(order, calibrates, expect)
+        text = "; ".join(errors)
+        assert sorted(re.findall(r"expect\.(\w+) is given without", text)) == sorted(unpaired)
+        assert sorted(re.findall(r"expect\.(\w+) is never checked", text)) == sorted(unread)
+        assert len(errors) == len(unpaired) + len(unread)
+        if not errors:
+            running = [rule for rule in EXPECT_RULES if rule.skips(cfg) is None]
+            assert expect.keys() <= {key for rule in running for key in rule.reads}
+            # the stub misses every target, so each running rule reports a failure
+            failures = expect_failures(stub_report(order, calibrates), cfg)
+            assert len(failures) >= len(running)
+
+    @pytest.mark.parametrize("name, rtol, printed", [
+        ("calibrated", 0.0003, "0.03%"),
+        ("calibrated", 0.05, "5%"),
+        ("best_closed_form", 0.1, "10%"),
+        ("best_closed_form", 0.125, "12.5%"),
+    ])
+    def test_tolerance_printed_as_given(self, name, rtol, printed):
+        # a recovery off the target by twice the tolerance
+        report = stub_report(1, True, dlam=0.3 * (1 + 2 * rtol), dmu=0.2)
+        (message,) = RULES[name].check(report, [0.3, 0.2], rtol)
+        assert message.endswith(f"error {2 * rtol:.2%} > {printed}")
+
+    def test_readme_table_states_the_rules(self):
+        text = (REPO / "README.md").read_text(encoding="utf-8")
+        table = text.split("| rule | keys | runs when | checks |\n|---|---|---|---|\n")[1]
+        rows = [line.strip("|").split("|") for line in table.split("\n\n")[0].splitlines()]
+        assert len(rows) == len(EXPECT_RULES)
+        for (name, keys, when, _), rule in zip(rows, EXPECT_RULES):
+            assert re.findall(r"`(\w+)`", name) == [rule.name]
+            assert re.findall(r"`(\w+)`", keys) == list(rule.reads)
+            default = "(required)" if rule.default is None else f"(default {rule.default:g})"
+            assert keys.strip().endswith(default)
+            assert re.findall(r"`([^`]+)`", when) == list(rule.when) or (
+                when.strip() == "always" and not rule.when)
