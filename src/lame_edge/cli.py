@@ -2,11 +2,11 @@
 geometry-check, reconstruct.
 
 Exit codes: 0 pass, 2 acceptance-threshold failure, 3 configuration error,
-4 numerical diagnostic (a ForwardError, CalibrationError, ChainError or
-CascadeError, printed as one line). Result artifacts (report.json, CSV
-ladders) are byte-deterministic for a fixed config and version; run timings
-live only in manifest.json together with the sha256 inventory of the other
-outputs.
+4 numerical diagnostic (an elastic.NumericalDiagnostic, printed as one line).
+Result artifacts (report.json, CSV ladders) are byte-deterministic for a fixed
+config and version; run timings live only in manifest.json together with the
+sha256 inventory of the other outputs. ansatz-check and geometry-check import
+their checkers (the corrector cascade, the chart algebra) when they run.
 """
 
 from __future__ import annotations
@@ -26,35 +26,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ansatz import (
-    BumpCutoff,
-    CascadeError,
-    GaussianCutoff,
-    ProbeSpec,
-    residual_decay,
-    smallness_ok,
-)
-from .elastic import LameProfile, validate_admissibility
-from .forward import (ForwardError, QuadratureSettings, form_counts, interpolation_counts,
-                      polar_grid, symbol_memo)
-from .geometry import (
-    FlatPatch,
-    ParaboloidPatch,
-    SpherePatch,
-    build_chart,
-    first_order_nonflat,
-    push_forward,
-)
-from .reconstruct import (
-    VARIANTS,
-    BatteryError,
-    CalibrationError,
-    closed_form_response,
-    default_battery,
-    reconstruct_profile,
-    serial_ladder_runner,
-)
-from .stroh import ChainError, eigen_jordan, impedance, reference_chain, stroh_matrix
+from .ansatz import BumpCutoff, GaussianCutoff, ProbeSpec, smallness_ok
+from .elastic import LameProfile, NumericalDiagnostic, validate_admissibility
+from .forward import (H_MAX, QuadratureSettings, form_counts, interpolation_counts, polar_grid,
+                      symbol_memo)
+from .reconstruct import BatteryError, default_battery, reconstruct_profile, serial_ladder_runner
+from .stroh import (VARIANTS, closed_form_response, eigen_jordan, impedance, reference_chain,
+                    stroh_matrix)
 
 EXIT_OK = 0
 EXIT_ACCEPTANCE = 2
@@ -377,10 +355,10 @@ def cross_field_errors(cfg: dict) -> list[str]:
     if any(b != 2 * a for a, b in zip(ladder, ladder[1:])):
         errors.append(f"ladder must be dyadic: {ladder}")
     profile = profile_from_config(cfg)
-    rep = validate_admissibility(profile, H=2.0)
+    rep = validate_admissibility(profile, H=H_MAX)
     if not rep.passed:
         errors.append(
-            f"profile inadmissible on [0, 2]: min mu = {rep.min_mu:.4g}, "
+            f"profile inadmissible on [0, {H_MAX:g}]: min mu = {rep.min_mu:.4g}, "
             f"min 3*lambda + 2*mu = {rep.min_bulk:.4g}"
         )
     return errors
@@ -566,6 +544,8 @@ def cmd_forward(args) -> int:
 
 
 def cmd_ansatz_check(args) -> int:
+    from .cascade import residual_decay
+
     cfg = load_config(args.config)
     profile = profile_from_config(cfg)
     cutoff = cutoff_from_config(cfg)
@@ -590,6 +570,9 @@ def cmd_ansatz_check(args) -> int:
 
 
 def cmd_geometry_check(args) -> int:
+    from .geometry import (FlatPatch, ParaboloidPatch, SpherePatch, build_chart,
+                           first_order_nonflat, push_forward)
+
     cfg = load_config(args.config)
     profile = profile_from_config(cfg)
     lam0, mu0 = float(profile.lam(0.0)), float(profile.mu(0.0))
@@ -717,7 +700,7 @@ def main(argv=None) -> int:
     except (ConfigError, BatteryError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ForwardError, CalibrationError, ChainError, CascadeError) as e:
+    except NumericalDiagnostic as e:
         print(f"numerical diagnostic: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -16,6 +16,7 @@ __all__ = [
     "AdmissibilityReport",
     "DisplacementJet",
     "LameProfile",
+    "NumericalDiagnostic",
     "check_admissible",
     "energy_density",
     "isotropic_components",
@@ -27,6 +28,10 @@ __all__ = [
 
 class AdmissibilityError(ValueError):
     """Raised when (lambda, mu) violate mu > 0 or 3*lambda + 2*mu > 0."""
+
+
+class NumericalDiagnostic(RuntimeError):
+    """A computation failed its own accuracy test; the CLI prints it on one line, exit 4."""
 
 
 def check_admissible(lam: float, mu: float) -> None:

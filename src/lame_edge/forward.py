@@ -70,7 +70,7 @@ from functools import lru_cache
 import numpy as np
 
 from .ansatz import ProbeSpec, gauss_legendre
-from .elastic import LameProfile, taylor_truncate, validate_admissibility
+from .elastic import LameProfile, NumericalDiagnostic, taylor_truncate, validate_admissibility
 from .stroh import _taq, first_order_matrix, impedance_basis, reference_chain
 
 __all__ = [
@@ -82,7 +82,7 @@ __all__ = [
 ]
 
 
-class ForwardError(RuntimeError):
+class ForwardError(NumericalDiagnostic):
     """Forward-solver diagnostic (stiff segment, admissibility, tail)."""
 
 

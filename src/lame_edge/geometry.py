@@ -17,8 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .elastic import tensor_components
-from .reconstruct import closed_form_response
-from .stroh import acoustic_bracket
+from .stroh import acoustic_bracket, closed_form_response
 
 __all__ = [
     "BoundaryChart",

@@ -28,7 +28,8 @@ from functools import lru_cache
 import numpy as np
 
 from .ansatz import CutoffProfile, GaussianCutoff, ProbeSpec
-from .elastic import DisplacementJet, LameProfile, check_admissible, energy_density
+from .elastic import (DisplacementJet, LameProfile, NumericalDiagnostic, check_admissible,
+                      energy_density)
 from .forward import (
     DEFAULT_QUAD,
     ForwardError,
@@ -41,7 +42,8 @@ from .forward import (
     polar_grid,
     warm_group,
 )
-from .stroh import impedance, impedance_basis, sigma_basis  # noqa: F401 (perfbench wraps impedance)
+from .stroh import VARIANTS, closed_form_response, impedance_basis, sigma_basis
+from .stroh import impedance  # noqa: F401 (perfbench wraps impedance)
 
 __all__ = [
     "BatteryError",
@@ -65,10 +67,8 @@ __all__ = [
     "reconstruct_profile",
     "refine_order0",
     "run_ladder",
-    "closed_form_response",
 ]
 
-VARIANTS = ("plus_one", "plus_a3_squared")
 _E3 = np.array([0.0, 0.0, 1.0])
 DEFAULT_CUTOFF = GaussianCutoff()  # one object, so the grid and symbol memos share it
 
@@ -82,32 +82,11 @@ class BatteryError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def closed_form_response(a, omega, m: int, dlam: float, dmu: float, variant: str) -> complex:
-    """Printed order-m limit formula, evaluated literally (squares, not |.|^2).
-
-    variant selects the trailing bracket term: 1 (``plus_one``) or a3^2
-    (``plus_a3_squared``).
-    """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
-    a = np.asarray(a, dtype=complex).ravel()
-    w = np.asarray(omega, dtype=float).ravel()[:2]
-    lam_factor = (1j * (a[0] * w[0] + a[1] * w[1]) - a[2]) ** 2
-    shear = sum(
-        ((a[i] * w[j] + a[j] * w[i]) / 2.0) ** 2 for i in range(2) for j in range(2)
-    )
-    mixed = 2.0 * sum(((1j * a[2] * w[i] - a[i]) / 2.0) ** 2 for i in range(2))
-    tail = 1.0 if variant == "plus_one" else a[2] ** 2
-    return complex(
-        dlam * lam_factor / 2.0 ** (m + 1) + dmu * (shear + mixed + tail) / 2.0**m
-    )
-
-
 def _family_jets(a, omega, lam0: float, mu0: float) -> tuple[DisplacementJet, DisplacementJet]:
     """Gradient jets (G0, G1) of the decaying family of the medium (lam0, mu0).
 
     With sigma_2 and the sigma_3 coordinate c3 of a from stroh.sigma_basis (one
-    solve; ansatz.sigma_expand adds a residual check and a second basis, at twice
+    solve; cascade.sigma_expand adds a residual check and a second basis, at twice
     the cost), the family is u = exp(i omega.y' - y3)(a + y3 b), b = i c3 sigma_2,
     and since i sigma_2 = (i omega, -1), its gradient is
     exp(i omega.y' - y3)(G0 + y3 G1) with G0 = a (x) i sigma_2 + b (x) e3 and
@@ -554,7 +533,7 @@ def recover_order_m(
 # ---------------------------------------------------------------------------
 
 
-class CalibrationError(RuntimeError):
+class CalibrationError(NumericalDiagnostic):
     """Linearity of the measured response failed its tolerance."""
 
 

@@ -11,6 +11,9 @@ T = <e3,e3>, A = <e3,omega>, Q = <omega,omega>, has eigenvalues +-i, each with
 algebraic multiplicity 3 and geometric multiplicity 2, for every admissible
 isotropic medium. (The sign of the top-right block is forced by this spectrum;
 see the eigen tests.)
+
+The paper's printed closed forms sit here too: the order-0 impedance Z with its
+two iota variants, and the order-m limit table with its two VARIANTS.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elastic import check_admissible
+from .elastic import NumericalDiagnostic, check_admissible
 
 __all__ = [
     "ChainError",
@@ -27,6 +30,7 @@ __all__ = [
     "StrohSpectrum",
     "characteristic_det",
     "characteristic_det_factored",
+    "closed_form_response",
     "eigen_jordan",
     "first_order_matrix",
     "impedance",
@@ -39,7 +43,7 @@ __all__ = [
 _E3 = np.array([0.0, 0.0, 1.0])
 
 
-class ChainError(RuntimeError):
+class ChainError(NumericalDiagnostic):
     """Jordan-chain construction failed a rank test; carries the computed ranks."""
 
 
@@ -264,6 +268,30 @@ def impedance(lam: float, mu: float, omega, variant: str = "iota_squared") -> np
     check_admissible(lam, mu)
     Z_lam, Z_mu = impedance_basis(omega, variant)
     return mu / (lam + 3.0 * mu) * (lam * Z_lam + mu * Z_mu)
+
+
+VARIANTS = ("plus_one", "plus_a3_squared")  # the closed-form order-m tables
+
+
+def closed_form_response(a, omega, m: int, dlam: float, dmu: float, variant: str) -> complex:
+    """Printed order-m limit formula, evaluated literally (squares, not |.|^2).
+
+    variant selects the trailing bracket term: 1 (``plus_one``) or a3^2
+    (``plus_a3_squared``).
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}")
+    a = np.asarray(a, dtype=complex).ravel()
+    w = np.asarray(omega, dtype=float).ravel()[:2]
+    lam_factor = (1j * (a[0] * w[0] + a[1] * w[1]) - a[2]) ** 2
+    shear = sum(
+        ((a[i] * w[j] + a[j] * w[i]) / 2.0) ** 2 for i in range(2) for j in range(2)
+    )
+    mixed = 2.0 * sum(((1j * a[2] * w[i] - a[i]) / 2.0) ** 2 for i in range(2))
+    tail = 1.0 if variant == "plus_one" else a[2] ** 2
+    return complex(
+        dlam * lam_factor / 2.0 ** (m + 1) + dmu * (shear + mixed + tail) / 2.0**m
+    )
 
 
 def quadratic_form(Z: np.ndarray, a) -> float:

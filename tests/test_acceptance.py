@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
-from lame_edge.ansatz import GaussianCutoff, ProbeSpec, residual_decay
+from lame_edge.ansatz import GaussianCutoff, ProbeSpec
+from lame_edge.cascade import residual_decay
 from lame_edge.elastic import LameProfile
 from lame_edge.forward import DEFAULT_QUAD, dtn_symbol, limit_quadrature
 from lame_edge.geometry import (
@@ -34,11 +35,11 @@ from lame_edge.reconstruct import (
     refine_order0,
     run_ladder,
     serial_ladder_runner,
-    closed_form_response,
 )
 from lame_edge.stroh import (
     characteristic_det,
     characteristic_det_factored,
+    closed_form_response,
     eigen_jordan,
     impedance,
     quadratic_form,

@@ -25,7 +25,7 @@ from lame_edge.cli import (
     main,
 )
 from lame_edge.forward import symbol_memo
-from lame_edge.reconstruct import VARIANTS
+from lame_edge.stroh import VARIANTS
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -82,6 +82,26 @@ def test_config_loading_leaves_jsonschema_unloaded():
     out = subprocess.run([sys.executable, "-c", code, str(REPO / "src"), *configs],
                          capture_output=True, text=True, check=True)
     assert out.stdout.splitlines()[-1] == "[]"
+
+
+def test_run_path_leaves_cascade_and_geometry_unloaded(tmp_path):
+    # forward and reconstruct load neither the corrector cascade nor the chart algebra
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from lame_edge.cli import main; "
+            "print([main([cmd, '--config', sys.argv[2], '--out', sys.argv[3] + cmd]) "
+            "for cmd in ('reconstruct', 'forward')]); "
+            "print([m for m in sys.modules if m in ('lame_edge.cascade', 'lame_edge.geometry')])")
+    out = subprocess.run([sys.executable, "-c", code, str(REPO / "src"),
+                          str(REPO / "configs" / "gradient.json"), str(tmp_path / "out-")],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-2:] == ["[2, 0]", "[]"]
+
+
+def test_geometry_leaves_inverse_pipeline_unloaded():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import lame_edge.geometry; "
+            "print([m for m in sys.modules if m in ('lame_edge.reconstruct', 'lame_edge.forward')])")
+    out = subprocess.run([sys.executable, "-c", code, str(REPO / "src")],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestValidate:

@@ -2,7 +2,7 @@ import importlib
 
 import pytest
 
-MODULES = ("ansatz", "elastic", "forward", "geometry", "reconstruct", "stroh")
+MODULES = ("ansatz", "cascade", "elastic", "forward", "geometry", "reconstruct", "stroh")
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -12,7 +12,7 @@ from lame_edge.geometry import (
     first_order_nonflat,
     push_forward,
 )
-from lame_edge.reconstruct import closed_form_response
+from lame_edge.stroh import closed_form_response
 
 E1 = (1.0, 0.0, 0.0)
 

@@ -29,10 +29,9 @@ from lame_edge.reconstruct import (
     refine_order0,
     run_ladder,
     serial_ladder_runner,
-    closed_form_response,
     reconstruct_profile,
 )
-from lame_edge.stroh import impedance, quadratic_form
+from lame_edge.stroh import closed_form_response, impedance, quadratic_form
 
 REPO = Path(__file__).resolve().parent.parent
 
