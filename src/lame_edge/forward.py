@@ -36,10 +36,12 @@ and a flow evaluation builds the monomials and contracts them once.
 A profile's symbol (:class:`RadialSymbol`) serves every radius: it
 interpolates R(r) = M0(r) - r Z(lam(0), mu(0)), smooth in s = r / (r + 2) on
 [0, 1], from certified Chebyshev points in s (none for a constant profile).
-Symbols are memoised by group: the profiles requested together (one alone,
-or the calibration's three) are keyed by their contents in order and the
-tolerance, and integrate each Chebyshev round as one batch; so all ladders of
-a profile share its symbol, and a member's value depends only on its group.
+Symbols are memoised by group, keyed by the members' contents in order and
+the tolerance, and a group integrates each Chebyshev round as one batch. A
+ladder's group is its profiles (one, or the calibration's three) with each
+distinct admissible Taylor truncation of theirs, whatever the ladder's order;
+so all ladders of a profile, its order-m differences included, share one
+integration, and a member's value depends only on its group.
 :func:`dtn_symbol`, a direct batch of one, rotated, checks it; the
 orthonormalized subspace march on the full 6x3 system is the independent oracle.
 
@@ -153,11 +155,18 @@ def _assemble(s: np.ndarray) -> np.ndarray:
 
 def _form_coefficients(a) -> np.ndarray:
     """C(a), shape (4, 5): C(a) f(theta) = Phi(theta) for b = R(theta)^T a (module docstring)."""
-    a = np.asarray(a, dtype=complex)
-    h, d = 0.5 * (abs(a[0]) ** 2 + abs(a[1]) ** 2), 0.5 * (abs(a[0]) ** 2 - abs(a[1]) ** 2)
-    x, (u, v) = (a[0].conj() * a[1]).real, (a[:2].conj() * a[2]).imag
-    return np.array([[h, 0.0, 0.0, d, x], [h, 0.0, 0.0, -d, -x],
-                     [abs(a[2]) ** 2, 0.0, 0.0, 0.0, 0.0], [0.0, -2.0 * u, -2.0 * v, 0.0, 0.0]])
+    return np.array(_form_rows(*np.asarray(a, dtype=complex).tolist()))
+
+
+def _form_rows(a0: complex, a1: complex, a2: complex) -> list[list[float]]:
+    """C(a) as nested lists, from the components of a as Python numbers: for 20
+    entries, plain arithmetic costs a fraction of numpy's per-scalar calls."""
+    n0, n1 = abs(a0) ** 2, abs(a1) ** 2
+    h, d = 0.5 * (n0 + n1), 0.5 * (n0 - n1)
+    x = (a0.conjugate() * a1).real
+    u, v = (a0.conjugate() * a2).imag, (a1.conjugate() * a2).imag
+    return [[h, 0.0, 0.0, d, x], [h, 0.0, 0.0, -d, -x],
+            [abs(a2) ** 2, 0.0, 0.0, 0.0, 0.0], [0.0, -2.0 * u, -2.0 * v, 0.0, 0.0]]
 
 
 def _harmonics(c, s) -> np.ndarray:
@@ -583,12 +592,12 @@ class SymbolMemo:
     entry, keyed by its members' contents in order (coefficients without
     trailing zeros; the object for callables) and ``riccati_tol`` alone, and
     built by one joint integration per Chebyshev round (:meth:`RadialSymbol.group`);
-    a lone profile is a group of one. So a member's value depends only on the
-    group it was requested in, not on what the memo held before. Least recently
-    used groups are dropped past ``maxsize``. Over the process, ``counts`` sums
-    the integrations (``riccati_solves``; ``nodes`` sums their radii),
-    ``accepted`` lists each integrated symbol's (Chebyshev points, refinements),
-    and ``seconds`` is the time spent building them."""
+    ladders request theirs through :func:`warm_group`. So a member's value
+    depends only on the group it was requested in, not on what the memo held
+    before. Least recently used groups are dropped past ``maxsize``. Over the
+    process, ``counts`` sums the integrations (``riccati_solves``; ``nodes``
+    sums their radii), ``accepted`` lists each integrated symbol's (Chebyshev
+    points, refinements), and ``seconds`` is the time spent building them."""
 
     def __init__(self, maxsize: int) -> None:
         self.maxsize, self._groups = maxsize, OrderedDict()
@@ -600,7 +609,7 @@ class SymbolMemo:
 
     def group(self, profiles, riccati_tol: float) -> tuple[RadialSymbol, ...]:
         """The symbols of ``profiles``, built together."""
-        key = (tuple(p.content or p for p in profiles), riccati_tol)
+        key = (tuple([p.content or p for p in profiles]), riccati_tol)
         if key in self._groups:
             self._groups.move_to_end(key)
             self.counts["memo_hits"] += 1
@@ -621,10 +630,6 @@ class SymbolMemo:
         if len(self._groups) > self.maxsize:
             self._groups.popitem(last=False)
         return members
-
-    def symbol(self, profile: LameProfile, riccati_tol: float) -> RadialSymbol:
-        """The symbol of ``profile`` alone."""
-        return self.group((profile,), riccati_tol)[0]
 
     def clear(self) -> None:
         """Forget every symbol, so that a test counting solves starts from none."""
@@ -719,12 +724,15 @@ class PolarGrid:
         return np.sum(forms[None] * C, axis=(-2, -1))
 
 
-def _probe_coefficients(a, omega) -> np.ndarray:
-    """C(a') of a probe, a' = R(theta0)^T a for theta0 the angle of omega."""
+def _probe_coefficients(a, omega) -> list[list[float]]:
+    """C(a') of a probe as nested lists, a' = R(theta0)^T a for theta0 the angle
+    of omega; each component of a' is the full row sum of the rotation, zero
+    terms included, as the product R @ a forms it, so zeros keep its signs."""
     theta0 = math.atan2(omega[1], omega[0])
     c, s = math.cos(theta0), math.sin(theta0)
-    return _form_coefficients(np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-                              @ np.asarray(a))
+    a0, a1, a2 = np.asarray(a, dtype=complex).tolist()
+    return _form_rows(*[r0 * a0 + r1 * a1 + r2 * a2
+                        for r0, r1, r2 in ((c, s, 0.0), (-s, c, 0.0), (0.0, 0.0, 1.0))])
 
 
 # over the process: PolarGrid.rows data per (grid, point count), forms per (grid, symbols)
@@ -777,23 +785,53 @@ def polar_grid(N: int, rho_tilde: int, cutoff, quad: QuadratureSettings) -> Pola
 def warm_tables(profile: LameProfile, quad: QuadratureSettings = DEFAULT_QUAD,
                 m: int = 0) -> tuple[RadialSymbol, ...]:
     """The symbols of an order-m ladder: the profile's and, for m >= 1, its
-    order-m truncation's; from :data:`symbol_memo`, so values do not depend on
-    evaluation order or history, and every ladder of a profile shares them.
+    order-m truncation's; from the profile's one memo group (:func:`warm_group`),
+    so values do not depend on evaluation order or history, and every ladder of
+    a profile, whatever its order, shares them.
     """
     return warm_group((profile,), quad, m)[0]
 
 
 def warm_group(profiles, quad: QuadratureSettings = DEFAULT_QUAD,
                m: int = 0) -> list[tuple[RadialSymbol, ...]]:
-    """:func:`warm_tables` of each of ``profiles``, their own symbols built as
-    one memo group (one joint integration per Chebyshev round) and each
-    truncation alone."""
+    """:func:`warm_tables` of each of ``profiles``, all from one memo group (one
+    joint integration per Chebyshev round): the profiles, then each distinct
+    admissible truncation ``taylor_truncate(p, k)``, k = 1 ... max_derivative_order,
+    in order, members deduplicated by content (constant ones are exact, never
+    integrated). The group does not depend on m, so every order reads the same
+    symbols; an order-m ladder whose truncation is inadmissible is refused."""
     profiles = tuple(profiles)
-    own = symbol_memo.group(profiles, quad.riccati_tol)
+    members = {p.content or p: p for p in profiles}
+    for p in profiles:
+        for k in range(1, p.max_derivative_order + 1):
+            t = taylor_truncate(p, k)
+            if t.content not in members and _admissible(t):
+                members[t.content] = t
+    symbols = dict(zip(members, symbol_memo.group(tuple(members.values()), quad.riccati_tol)))
     if m < 1:
-        return [(symbol,) for symbol in own]
-    return [(symbol, symbol_memo.symbol(taylor_truncate(p, m), quad.riccati_tol))
-            for p, symbol in zip(profiles, own)]
+        return [(symbols[p.content or p],) for p in profiles]
+    out = []
+    for p in profiles:
+        _check_order(p, m)
+        t = taylor_truncate(p, m)
+        if t.content not in symbols:
+            _check_admissible(t, H_MAX)  # the group leaves out inadmissible truncations only
+        out.append((symbols[p.content or p], symbols[t.content]))
+    return out
+
+
+def _check_order(profile: LameProfile, m: int) -> None:
+    if m > profile.max_derivative_order:
+        raise ValueError(
+            f"profile carries derivatives to order {profile.max_derivative_order}, got m = {m}"
+        )
+
+
+@lru_cache(maxsize=64)
+def _admissible(truncation: LameProfile) -> bool:
+    """Whether a truncation's symbol can be built; truncations are kept on their
+    profile, so each is checked once."""
+    return validate_admissibility(truncation, H_MAX).passed
 
 
 def pairing(profile: LameProfile, probe: ProbeSpec, quad: QuadratureSettings = DEFAULT_QUAD,
@@ -831,10 +869,7 @@ def ladder_pairings(profile: LameProfile, m: int, probes, N_values,
     real, shape (probe, N): the N grids are looked up and the moment forms of
     ``symbols[0]`` (minus ``symbols[1]``) on them stacked once, and every
     probe is contracted with them in one product."""
-    if m > profile.max_derivative_order:
-        raise ValueError(
-            f"profile carries derivatives to order {profile.max_derivative_order}, got m = {m}"
-        )
+    _check_order(profile, m)
     rho_tilde, cutoff = probes[0].rho_tilde, probes[0].cutoff
     if any(p.rho_tilde != rho_tilde or p.cutoff is not cutoff for p in probes):
         raise ValueError("the probes of one battery share one rho_tilde and one cutoff")

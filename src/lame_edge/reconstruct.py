@@ -576,9 +576,10 @@ def calibrate_order_m(
     Columns are ladder limits for the unit profiles lam = lam0 + y3^m/m! and
     mu = mu0 + y3^m/m!; linearity is verified against a third profile with
     mixed derivatives (prediction error above ``_LINEARITY_TOL`` rejects the
-    calibration). The three profiles' symbols are one memo group, integrated
-    on one Riccati step sequence, so their integrator errors are correlated in
-    the linearity check, and each ladder is handed its symbols. The verdict
+    calibration). The three profiles' symbols, with their one shared constant
+    truncation, are one memo group, integrated on one Riccati step sequence, so
+    their integrator errors are correlated in the linearity check, and each
+    ladder is handed its symbols. The verdict
     names the closed-form variant closest to the measured matrix in relative
     Frobenius distance; ``matrices`` maps each closed-form mode and
     ``"predicted"`` to its :func:`design_matrix` at ``base``, computed when not given.

@@ -323,6 +323,18 @@ class TestForwardCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert "pairings.csv" in manifest["outputs"]
 
+    def test_order2_quadratic_is_one_integration(self, tmp_path):
+        # the profile and its linear order-2 truncation are one memo group, so
+        # the order-0 and order-2 ladders read one integration of both
+        path = write_config(tmp_path, order=2, rho_tilde=None, profile={
+            "lambda": [1.0, 0.3, 0.1], "mu": [1.0, 0.2, 0.05], "m": 2, "p": 0.9})
+        symbol_memo.clear()
+        out = tmp_path / "fwd2"
+        assert main(["forward", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        symbols = json.loads((out / "manifest.json").read_text())["counters"]["symbols"]
+        assert (symbols["riccati_solves"], symbols["nodes"]) == (1, 2 * 48)
+        assert (symbols["accepted_nodes"], symbols["exact_constants"]) == ([48, 48], 1)
+
 
 class TestCsvOutputs:
     def test_rows_parse_under_their_header(self, tmp_path):
@@ -423,9 +435,10 @@ class TestReconstructCommand:
         assert grids[0]["forms_built"] == 2 * grids[0]["built"]
         assert grids[0]["forms_reused"] == 0
         # the symbol memo keys by profile content alone: the first run solves
-        # the profile once at 48 Chebyshev points (its order-1 truncation is
-        # constant, so exact), the second reads both symbols from the memo;
-        # each battery looks its symbols up once
+        # the profile's group once, the profile at 48 Chebyshev points and its
+        # constant order-1 truncation exactly (its order-2 one is the profile);
+        # the second reads that group from the memo; each battery looks its
+        # group up once
         manifests = [json.loads((o / "manifest.json").read_text()) for o in (out1, out2)]
         counters = [m["counters"] for m in manifests]
         assert counters[0]["extrapolation_flags"] == counters[1]["extrapolation_flags"]
@@ -434,7 +447,7 @@ class TestReconstructCommand:
         assert symbols["steps_accepted"] > 0 and symbols["memo_hits"] == 1
         assert (symbols["nodes"], symbols["accepted_nodes"], symbols["refinements"]) == (48, [48], [0])
         again = counters[1]["symbols"]
-        assert (again["riccati_solves"], again["exact_constants"], again["memo_hits"]) == (0, 0, 3)
+        assert (again["riccati_solves"], again["exact_constants"], again["memo_hits"]) == (0, 0, 2)
         assert again["accepted_nodes"] == again["refinements"] == []
         stages = manifests[0]["stage_seconds"]
         assert 0.0 < stages["symbols"] <= stages["reconstruct"]

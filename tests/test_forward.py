@@ -604,7 +604,7 @@ class TestSymbolGroups:
         before = dict(symbol_memo.counts)
         group = symbol_memo.group(TRIO, 1e-10)
         assert symbol_memo.group(TRIO, 1e-10) is group
-        alone = symbol_memo.symbol(TRIO[0], 1e-10)
+        alone, = symbol_memo.group(TRIO[:1], 1e-10)
         assert alone is not group[0]
         delta = {k: v - before[k] for k, v in symbol_memo.counts.items()}
         assert (delta["riccati_solves"], delta["nodes"], delta["memo_hits"]) == (2, 4 * 48, 1)
@@ -740,7 +740,7 @@ class TestReducedContraction:
         for n in range(1, 65):  # 64 other grids, then 16 other (exact) symbols
             polar_grid(n, 4, cutoff, QuadratureSettings(nodes=4))
         for i in range(16):
-            symbol_memo.symbol(LameProfile.constant(1.0 + i / 16, 1.0), 1e-10)
+            symbol_memo.group((LameProfile.constant(1.0 + i / 16, 1.0),), 1e-10)
         assert sweep() == cold
         assert polar_grid.cache_info().misses == 10 + 64 + 10
 
@@ -756,6 +756,38 @@ class TestReducedContraction:
         delta = {k: v - before[k] for k, v in symbol_memo.counts.items()}
         assert (delta["riccati_solves"], delta["exact_constants"]) == (1, 1)
         assert delta["nodes"] == 48 and delta["memo_hits"] == 2
+
+    def test_sweep_integrates_each_profile_once(self):
+        # a quadratic profile's ladders of every order read one group: the
+        # profile and its linear order-2 truncation in one integration, its
+        # constant order-1 truncation exact; per template, as a sweep runs them,
+        # with the same bits whichever order is asked for first
+        profiles = [LameProfile.from_polynomial([1.5, 0.2, -0.05], [1.0, -0.1, 0.04]),
+                    LameProfile.from_polynomial([1.3, -0.1, 0.08], [0.95, 0.15, -0.03])]
+
+        def sweep(orders):
+            symbol_memo.clear()
+            before = dict(symbol_memo.counts)
+            bits = {(i, m, t.name): run_ladder(p, t, LADDER, m, cutoff=GAUSS).values.tobytes()
+                    for i, p in enumerate(profiles) for m in orders for t in default_battery()}
+            return bits, {k: v - before[k] for k, v in symbol_memo.counts.items()}
+
+        ascending, delta = sweep((0, 1, 2))
+        assert (delta["riccati_solves"], delta["nodes"], delta["exact_constants"]) == (2, 192, 2)
+        descending, delta = sweep((2, 1, 0))
+        assert descending == ascending and delta["riccati_solves"] == 2
+
+    def test_inadmissible_truncation_refused_at_its_order_only(self):
+        # mu = 1 - 0.6 y + 0.3 y^2 stays above 0.7 on [0, 2], its order-2
+        # truncation 1 - 0.6 y does not: the group leaves that member out, so
+        # the order-0 and order-1 ladders run and the order-2 one is refused
+        prof = LameProfile.from_polynomial([1.0], [1.0, -0.6, 0.3])
+        template = ProbeTemplate.named("e3", (1.0, 0.0))
+        symbol_memo.clear()
+        for m in (0, 1):
+            run_ladder(prof, template, LADDER, m, cutoff=GAUSS)
+        with pytest.raises(ForwardError, match="inadmissible"):
+            run_ladder(prof, template, LADDER, 2, cutoff=GAUSS)
 
 
 def unfolded_moments(N, rho_tilde, cutoff, quad) -> np.ndarray:
