@@ -158,8 +158,14 @@ class GaussianCutoff(CutoffProfile):
         return fn
 
     def fourier_radial(self, k):
+        # A exp(-sigma^2 k^2 / 2), A = amplitude 2 pi sigma^2, in one array
         k = np.asarray(k, dtype=float)
-        return self.amplitude * 2.0 * np.pi * self.sigma**2 * np.exp(-(self.sigma**2) * k**2 / 2.0)
+        v = np.square(k, out=np.empty(k.shape))
+        v *= -(self.sigma**2)
+        v /= 2.0
+        np.exp(v, out=v)
+        v *= self.amplitude * 2.0 * np.pi * self.sigma**2
+        return v[()]  # a scalar k gives a scalar
 
     def spectral_halfwidth(self, tail_tol: float) -> float:
         # fraction of |eta_hat|^2 mass beyond radius W is exp(-sigma^2 W^2)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .ansatz import BumpCutoff, GaussianCutoff, ProbeSpec, smallness_ok
-from .elastic import LameProfile, NumericalDiagnostic, validate_admissibility
+from .elastic import LameProfile, NumericalDiagnostic, taylor_truncate, validate_admissibility
 from .forward import (H_MAX, QuadratureSettings, form_counts, interpolation_counts, polar_grid,
                       symbol_memo)
 from .reconstruct import BatteryError, default_battery, reconstruct_profile, serial_ladder_runner
@@ -355,12 +355,16 @@ def cross_field_errors(cfg: dict) -> list[str]:
     if any(b != 2 * a for a, b in zip(ladder, ladder[1:])):
         errors.append(f"ladder must be dyadic: {ladder}")
     profile = profile_from_config(cfg)
-    rep = validate_admissibility(profile, H=H_MAX)
-    if not rep.passed:
-        errors.append(
-            f"profile inadmissible on [0, {H_MAX:g}]: min mu = {rep.min_mu:.4g}, "
-            f"min 3*lambda + 2*mu = {rep.min_bulk:.4g}"
-        )
+    checked = {"profile": profile}
+    if order >= 1:  # an order-m run also subtracts the symbol of the order-m truncation
+        checked[f"order-{order} Taylor truncation of the profile"] = taylor_truncate(profile, order)
+    for name, prof in checked.items():
+        rep = validate_admissibility(prof, H=H_MAX)
+        if not rep.passed:
+            errors.append(
+                f"{name} inadmissible on [0, {H_MAX:g}]: min mu = {rep.min_mu:.4g}, "
+                f"min 3*lambda + 2*mu = {rep.min_bulk:.4g}"
+            )
     return errors
 
 

@@ -191,9 +191,14 @@ class LameProfile:
 
 
 def _polyval(c, y):
-    """c[0] + c[1] y + ... at y by Horner's rule, as numpy's polyval."""
-    v = c[-1] + y * 0
-    for ci in c[-2::-1]:
+    """c[0] + c[1] y + ... at y by Horner's rule, bit for bit numpy's polyval at
+    finite y: from degree 1 on it starts at c[-2] + c[-1] y, one step after
+    numpy's c[-1] + y * 0, a zero that changes c[-1] only if it is -0.0 (and the
+    value only if c[-2] is -0.0 too)."""
+    if len(c) == 1:
+        return c[0] + y * 0
+    v = c[-2] + c[-1] * y
+    for ci in c[-3::-1]:
         v = ci + v * y
     return v
 

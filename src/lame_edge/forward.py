@@ -256,6 +256,13 @@ def _dop853(coefficients, flow, t0: float, t1: float, y0: np.ndarray, tol: float
     the initial step follow Hairer, Norsett & Wanner (II.4; stability, IV.2).
     Returns y(t1), the accepted and rejected step counts, the number of flow
     evaluations and the number of accepted steps whose size the cap set.
+
+    Every array of the step loop is allocated once per integration, with the
+    views each stage reads: the stages K, y and the attempt's y_new with their
+    magnitudes (y_new and |y_new| become y and |y| on acceptance, so |y| is
+    not recomputed), the two error estimates, their per-node sums and three
+    more per-node vectors. An attempt writes into them instead of allocating
+    temporaries.
     """
     y = np.array(y0, dtype=float, order="C")  # the reshaped buffers below are views
     K = np.empty((12,) + y.shape)
@@ -263,15 +270,24 @@ def _dop853(coefficients, flow, t0: float, t1: float, y0: np.ndarray, tol: float
     stage = np.empty_like(y) if stage is None else stage
     stage_f = stage.reshape(-1)
     taus, hAB = np.empty(12), np.empty_like(_DOP_AB)  # each attempt's times and h (A; B)
+    stages = [(s - 1, hAB[s, :s], Kf[:s], K[s]) for s in range(1, 12)]
+    y_new, abs_new, abs_y = np.empty((3,) + y.shape)  # y_new, |y_new| become y, |y| on accept
+    E = np.empty((2,) + y.shape)  # the 5th- and 3rd-order error estimates
+    E_f = E.reshape(2, -1)
+    e53 = np.empty((2, y.shape[1]))  # their per-node sums of squares
+    e5, e3 = e53
+    local, weight, work = np.empty((3, y.shape[1]))
     direction, span = math.copysign(1.0, t1 - t0), abs(t1 - t0)
     flow(y, coefficients(np.array([t0])), 0, K[0])
-    scale = tol + tol * np.abs(y)
+    np.abs(y, out=abs_y)
+    scale = tol + tol * abs_y
     d0, d1 = _node_norm(y / scale), _node_norm(K[0] / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
     flow(y + direction * h0 * K[0], coefficients(np.array([t0 + direction * h0])), 0, K[1])
     d = max(d1, _node_norm((K[1] - K[0]) / scale) / h0)
     h_abs = min(100.0 * h0, span, max(1e-6, 1e-3 * h0) if d <= 1e-15 else (0.01 / d) ** 0.125)
     fastest, kappa = float(np.max(rate)), 0.5 * np.asarray(rate, dtype=float)
+    neg_kappa = -kappa
     h_cap = 0.5 * _DOP_STABILITY / fastest if fastest > 0.0 else math.inf
     t, accepted, rejected, capped, retried, evaluations = t0, 0, 0, 0, False, 2
     while t != t1:
@@ -286,17 +302,32 @@ def _dop853(coefficients, flow, t0: float, t1: float, y0: np.ndarray, tol: float
         taus[11] = t_new
         C = coefficients(taus)
         np.multiply(_DOP_AB, h, out=hAB)
-        for s in range(1, 12):
-            np.matmul(hAB[s, :s], Kf[:s], out=stage_f)
+        for i, hA, K_before, K_stage in stages:
+            np.matmul(hA, K_before, out=stage_f)
             stage += y
-            flow(stage, C, s - 1, K[s])
+            flow(stage, C, i, K_stage)
         evaluations += 11
-        y_new = y + (hAB[12] @ Kf).reshape(y.shape)
-        scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-        e5, e3 = np.sum(((_DOP_E @ Kf).reshape((2,) + y.shape) / scale) ** 2, axis=1)
-        local = abs(h) * e5 / np.sqrt(np.maximum((e5 + 0.01 * e3) * y.shape[0], 1e-300))
-        weight = _SURFACE_STEPS * np.exp(-kappa * abs(t1 - t_new))
-        err = float(np.max(weight * local))
+        np.matmul(hAB[12], Kf, out=y_new.reshape(-1))
+        y_new += y
+        np.abs(y_new, out=abs_new)
+        np.maximum(abs_y, abs_new, out=scale)
+        scale *= tol
+        scale += tol
+        np.matmul(_DOP_E, Kf, out=E_f)
+        E /= scale
+        np.square(E, out=E)
+        np.sum(E, axis=1, out=e53)
+        np.multiply(e3, 0.01, out=work)  # local = |h| e5 / sqrt(max((e5 + 0.01 e3) m, 1e-300))
+        work += e5
+        work *= y.shape[0]
+        np.maximum(work, 1e-300, out=work)
+        np.sqrt(work, out=work)
+        np.multiply(e5, abs(h), out=local)
+        local /= work
+        np.multiply(neg_kappa, abs(t1 - t_new), out=weight)
+        np.exp(weight, out=weight)
+        weight *= _SURFACE_STEPS
+        err = float(np.multiply(weight, local, out=work).max())
         if not err < 1.0:  # NaN rejects too
             h_abs *= max(_MIN_FACTOR, _SAFETY * err**-0.125)
             rejected, retried = rejected + 1, True
@@ -304,11 +335,17 @@ def _dop853(coefficients, flow, t0: float, t1: float, y0: np.ndarray, tol: float
                 raise ForwardError(f"Riccati integration: step size underflow at t = {t}")
             continue
         # the next step ends about |h| nearer t1, where its error weighs more
-        ahead = float(np.max(np.minimum(weight * np.exp(kappa * abs(h)), _SURFACE_STEPS) * local))
+        np.multiply(kappa, abs(h), out=work)
+        np.exp(work, out=work)
+        work *= weight
+        np.minimum(work, _SURFACE_STEPS, out=work)
+        work *= local
+        ahead = float(work.max())
         factor = _MAX_FACTOR if ahead == 0.0 else min(_MAX_FACTOR, _SAFETY * ahead**-0.125)
         h_abs *= min(1.0, factor) if retried else factor
         capped += at_cap and t_new != t1
-        t, y, accepted, retried = t_new, y_new, accepted + 1, False
+        t, accepted, retried = t_new, accepted + 1, False
+        y, y_new, abs_y, abs_new = y_new, y, abs_new, abs_y
         flow(y, C, 11, K[0])
         evaluations += 1
     return y, accepted, rejected, evaluations, capped
@@ -339,9 +376,14 @@ def _radial_symbols(parts, tol: float) -> tuple[list[np.ndarray], int, int, int,
     Their coefficients depend on depth alone and are evaluated per step on
     the (stage, node) grid, shape (stage, 4, 11, node), in one array allocated
     once: only the flow's 13 entries are written, the two depth-free ones once
-    per integration, and the rest stay zero. The integrator writes each stage
-    state straight into the monomials' first rows, so a flow evaluation
-    builds the other monomials and contracts them once. Depths follow
+    per integration, and the rest stay zero. Per integration there are two more
+    arrays: the (stage, node) depths, moduli and their combinations, from which
+    each step writes the entries with ``out=`` (-p and -q computed once each and
+    copied to their other slots; the node factors -c, -2 c rho, -c rho and
+    4 c rho^2 formed once, exact), and the monomials. The integrator writes
+    each stage state straight into the monomials' first rows, so a flow
+    evaluation builds the other monomials in place and contracts them once;
+    only the profiles' own evaluations allocate temporaries per step. Depths follow
     :func:`truncation_depth`. A batch of one part is that part's own
     integration; parts integrated together share the step sequence, which the
     hardest node sets, so their integrator errors are correlated.
@@ -365,15 +407,13 @@ def _radial_symbols(parts, tol: float) -> tuple[list[np.ndarray], int, int, int,
     rho = nodes / sigma
     H = np.where(scaled, EFOLDS / sigma, H_MAX)
 
-    def profile_moduli(profile, y3):
-        zero = 0.0 * y3  # a profile may answer with a scalar
-        return profile.lam(y3) + zero, profile.mu(y3) + zero
+    def moduli(y3, lam, mu):  # each part's profile at its nodes' depths, node axis last
+        for (profile, _), sl in zip(parts, spans):
+            lam[..., sl] = profile.lam(y3[..., sl])  # a profile may answer with a scalar
+            mu[..., sl] = profile.mu(y3[..., sl])
+        return lam, mu
 
-    def moduli(y3):  # each part's profile at its nodes' depths, node axis last
-        pairs = [profile_moduli(p, y3[..., sl]) for (p, _), sl in zip(parts, spans)]
-        return tuple(np.concatenate(m, axis=-1) for m in zip(*pairs))
-
-    y0 = -rho * _impedance_rows(*moduli(H)).T
+    y0 = -rho * _impedance_rows(*moduli(H, *np.empty((2, nodes.size)))).T
     c = H * sigma
     cr, cr2 = c * rho, c * rho**2
     two_cr = 2.0 * cr
@@ -381,36 +421,51 @@ def _radial_symbols(parts, tol: float) -> tuple[list[np.ndarray], int, int, int,
     y3 = np.linspace(0.0, H_MAX, 257)
     lag = np.empty(nodes.size)
     for (profile, _), sl in zip(parts, spans):
-        z = _impedance_rows(*profile_moduli(profile, y3))
+        z = _impedance_rows(*np.broadcast_arrays(profile.lam(y3), profile.mu(y3), y3)[:2])
         size = np.abs(z).max(axis=1)
         drift = np.abs(np.diff(z, axis=0)).max(axis=1) / (np.minimum(size[1:], size[:-1]) * y3[1])
         lag[sl] = np.maximum.accumulate(drift)[np.searchsorted(y3, H[sl]) - 1]
     rate = 2.0 * H * np.maximum(nodes - lag, 0.0)
     buffer = np.zeros((12, 4, 11, nodes.size))  # _dop853 asks for at most 12 times
     buffer[:, 2, 3], buffer[:, 3, 0] = two_cr, cr  # the depth-free coefficients
+    # depth, lam, mu, d = 1 / (lam + 2 mu), g and a product at each (stage, node)
+    scratch = np.empty((6, 12, nodes.size))
+    # negation and scaling by 4 commute with rounding: -c / mu = -(c / mu), (4 cr2) x = cr2 (4 x)
+    neg_c, neg_cr, neg_two_cr, four_cr2 = -c, -cr, -two_cr, 4.0 * cr2
 
     def coefficients(taus):
-        lam, mu = moduli(taus[:, None] * H)
-        d = 1.0 / (lam + 2.0 * mu)
-        g = lam * d
-        p, q = c / mu, c * d
-        # row k of C[i] holds dS_k's coefficient of each monomial (docstring order)
         C = buffer[:taus.size]
-        C[:, [0, 1, 2, 3], [4, 5, 7, 8]] = -p[:, None]
-        C[:, [0, 2, 3], [7, 6, 9]] = -q[:, None]
-        C[:, 0, 3], C[:, 0, 10] = -two_cr * g, cr2 * (4.0 * mu * (lam + mu) * d)
-        C[:, 1, 10] = cr2 * mu
-        C[:, 3, 2] = -cr * g
+        y3, lam, mu, d, g, w = scratch[:, :taus.size]
+        np.multiply(taus[:, None], H, out=y3)
+        moduli(y3, lam, mu)
+        np.multiply(mu, 2.0, out=d)
+        d += lam
+        np.divide(1.0, d, out=d)
+        np.multiply(lam, d, out=g)
+        # row k of C[i] holds dS_k's coefficient of each monomial (docstring order):
+        # -p = -c / mu at (0, 4), (1, 5), (2, 7), (3, 8), -q = -c d at (0, 7), (2, 6), (3, 9)
+        np.divide(neg_c, mu, out=C[:, 0, 4])
+        C[:, 1, 5] = C[:, 2, 7] = C[:, 3, 8] = C[:, 0, 4]
+        np.multiply(neg_c, d, out=C[:, 0, 7])
+        C[:, 2, 6] = C[:, 3, 9] = C[:, 0, 7]
+        np.multiply(neg_two_cr, g, out=C[:, 0, 3])
+        np.add(lam, mu, out=w)  # P = 4 mu (lam + mu) d
+        w *= mu
+        w *= d
+        np.multiply(four_cr2, w, out=C[:, 0, 10])
+        np.multiply(cr2, mu, out=C[:, 1, 10])
+        np.multiply(neg_cr, g, out=C[:, 3, 2])
         return C
 
     monomials = np.ones((11, nodes.size))
     state = monomials[:4]  # the integrator's stage buffer
+    squares, products, even, b = monomials[4:8], monomials[8:10], state[::2], state[3]
 
     def flow(y, C, i, out):
         if y is not state:
             np.copyto(state, y)
-        np.multiply(state, state, out=monomials[4:8])
-        np.multiply(state[::2], state[3], out=monomials[8:10])
+        np.multiply(state, state, out=squares)
+        np.multiply(even, b, out=products)
         np.einsum("kmn,mn->kn", C[i], monomials, out=out)
 
     y, *counts = _dop853(coefficients, flow, 1.0, 0.0, y0, tol, rate, stage=state)
@@ -751,6 +806,9 @@ def polar_grid(N: int, rho_tilde: int, cutoff, quad: QuadratureSettings) -> Pola
     [0, pi] is evaluated, each node with its mirror's weight.
     Cutoffs key the memo by identity. A run's ladders share one cutoff, so
     the 64 entries hold every grid of a run with up to 64 (N, rho_tilde) pairs.
+    A grid allocates one (radius, angle) array, which holds |k - N e1|^2, then
+    kappa, then the weights; besides it only the cutoff's transform, which
+    this function never writes into, the angular harmonics and the moments.
     """
     rho = 1.0 / rho_tilde
     W = cutoff.spectral_halfwidth(quad.tail_tol)
@@ -770,12 +828,19 @@ def polar_grid(N: int, rho_tilde: int, cutoff, quad: QuadratureSettings) -> Pola
         phi = half * xt[n:]
         wt = 2.0 * half * wwt[n:]
 
-    dist2 = r[:, None] ** 2 + float(N) ** 2 - 2.0 * float(N) * r[:, None] * np.cos(phi)
-    kappa = N ** (rho - 1.0) * np.sqrt(np.maximum(dist2, 0.0))
-    eta2 = np.abs(cutoff.fourier_radial(kappa)) ** 2
-    prefactor = N ** (2.0 * rho - 3.0) / (4.0 * math.pi**2)
-    weights = prefactor * eta2 * (wr * r)[:, None] * wt[None, :]
-    moments = weights @ _harmonics(np.cos(phi), np.sin(phi))
+    cos_phi = np.cos(phi)
+    # |k - N e1|^2, then kappa, then the weights, in this one array
+    weights = np.multiply.outer(2.0 * float(N) * r, cos_phi)
+    np.subtract((r**2 + float(N) ** 2)[:, None], weights, out=weights)
+    np.maximum(weights, 0.0, out=weights)
+    np.sqrt(weights, out=weights)
+    weights *= N ** (rho - 1.0)
+    np.abs(cutoff.fourier_radial(weights), out=weights)
+    np.square(weights, out=weights)
+    weights *= N ** (2.0 * rho - 3.0) / (4.0 * math.pi**2)
+    weights *= (wr * r)[:, None]
+    weights *= wt
+    moments = weights @ _harmonics(cos_phi, np.sin(phi))
     moments[:, [2, 4]] = 0.0  # odd in phi: the mirrored nodes cancel them
     for arr in (r, moments):
         arr.setflags(write=False)

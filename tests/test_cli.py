@@ -181,6 +181,22 @@ class TestValidate:
         path.write_text(json.dumps(cfg))
         assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
 
+    def test_inadmissible_truncation_named(self, tmp_path, capsys):
+        # mu = 1 - 0.6 y + 0.3 y^2 stays above 0.7 on [0, 2], but the order-2
+        # run subtracts its truncation 1 - 0.6 y, which is -0.2 at y = 2
+        profile = {"lambda": [1.0, 0.3], "mu": [1.0, -0.6, 0.3], "m": 2, "p": 0.9}
+        path = write_config(tmp_path, order=2, rho_tilde=None, profile=profile)
+        message = ("order-2 Taylor truncation of the profile inadmissible on [0, 2]: "
+                   "min mu = -0.2")
+        assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert main(["forward", "--config", str(path), "--out", str(tmp_path / "f")]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "f").exists()
+        # the profile itself is admissible, and so is its order-1 truncation
+        path = write_config(tmp_path, profile=profile)
+        assert main(["validate", "--config", str(path)]) == EXIT_OK
+
     def test_narrow_dip_between_samples_rejected(self, tmp_path):
         # mu < 0 only near y3 = 1, between samples 255 and 256 of 512 on [0, 2]
         path = write_config(tmp_path, order=0)

@@ -11,6 +11,7 @@ from lame_edge.elastic import (
     AdmissibilityError,
     DisplacementJet,
     LameProfile,
+    _polyval,
     energy_density,
     taylor_truncate,
     tensor_components,
@@ -189,6 +190,21 @@ class TestProfiles:
         P = np.polynomial.Polynomial
         assert rep.min_mu == numpy_polynomial_min(P(mu), H)
         assert rep.min_bulk == numpy_polynomial_min(3.0 * P(lam) + 2.0 * P(mu), H)
+
+    @settings(max_examples=300, deadline=None)
+    @given(c=st.integers(0, 4).flatmap(lambda degree: st.lists(
+               st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(1e-8, 1e3)),
+               min_size=degree + 1, max_size=degree + 1)),
+           kind=st.sampled_from(["scalar", "0-d", "2-D"]),
+           y=st.lists(st.floats(-4.0, 4.0), min_size=6, max_size=6))
+    def test_polyval_bits_match_numpy(self, c, kind, y):
+        # profiles evaluate with the plain Horner rule, bit for bit numpy.polynomial's
+        from numpy.polynomial.polynomial import polyval
+
+        c = [sign * size for sign, size in c]
+        y = {"scalar": y[0], "0-d": np.array(y[0]), "2-D": np.array(y).reshape(2, 3)}[kind]
+        ours, theirs = np.asarray(_polyval(c, y)), np.asarray(polyval(y, c))
+        assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
 
     def test_run_path_leaves_numpy_polynomial_unloaded(self):
         # config, profile, admissibility and the reconstruct run use numpy's core only

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import subprocess
@@ -558,6 +559,54 @@ PINNED_REMAINDER = {
 }
 TRIO = [LameProfile.from_polynomial([1.1, 1.0], [0.9]), LameProfile.from_polynomial([1.1], [0.9, 1.0]),
         LameProfile.from_polynomial([1.1, 0.4], [0.9, 0.5])]
+QUADRATIC = LameProfile.from_polynomial([1.0, 0.3, -0.1], [1.0, 0.2, 0.15], name="quadratic")
+# multi-part batches at the radii of PINNED_DIRECT: a quadratic profile with its
+# linear truncation (a sweep profile's group) and the three linear parts of the
+# calibration trio's shape; their step counts, then every row of each part
+PINNED_BATCH = {
+    "quadratic": ((41, 0, 494, 0), (
+        (("0x1.c2a885131cc7fp-1", "0x1.4f0d97479efafp-1",
+          "0x1.24eb9a77b3eacp+0", "-0x1.2da0afc03867ap-2"),
+         ("0x1.53a225f4b101bp+3", "0x1.c70535098293ep+2",
+          "0x1.5b42ff44b00a7p+3", "-0x1.be4a7c8947d98p+1"),
+         ("0x1.e0dc59ada843dp+5", "0x1.40d05da594916p+5",
+          "0x1.e2844d2f72190p+5", "-0x1.3fe0cfc7d7771p+4"),
+         ("0x1.7706cdb00629ep+10", "0x1.f40ccf17e292ap+9",
+          "0x1.77139f1d5aaf4p+10", "-0x1.f3fe62c4c91e7p+8")),
+        (("0x1.ad13861c9c59fp-1", "0x1.2a54076b9d887p-1",
+          "0x1.e7a715deaf5d1p-1", "-0x1.1433189218a9fp-2"),
+         ("0x1.5360898d1590cp+3", "0x1.c65b0474fbc1fp+2",
+          "0x1.59b34c809c9f1p+3", "-0x1.bf447901dd02bp+1"),
+         ("0x1.e0d956174b6bcp+5", "0x1.40cc8b96d249dp+5",
+          "0x1.e2720c0c0fbb6p+5", "-0x1.3fe6cc4c8230bp+4"),
+         ("0x1.7706ccb711b8fp+10", "0x1.f40ccca2dd875p+9",
+          "0x1.7713993a7dc56p+10", "-0x1.f3fe66a857a9ep+8")))),
+    "trio": ((26, 0, 314, 0), (
+        (("0x1.71c32f0e5154bp-1", "0x1.ccccccccccccdp-2",
+          "0x1.71c32f0e5154ap-1", "-0x1.6c2676f9ede03p-3"),
+         ("0x1.356d69ddd536dp+3", "0x1.9333333333333p+2",
+          "0x1.356d69ddd536bp+3", "-0x1.7717255577f1dp+1"),
+         ("0x1.b8063aa38aac4p+5", "0x1.2000000000000p+5",
+          "0x1.b8063aa38aac0p+5", "-0x1.0ff38ab8eaa83p+4"),
+         ("0x1.576f60df8429ep+10", "0x1.c1fffffffffffp+9",
+          "0x1.576f60df8429ep+10", "-0x1.aa427c81ef592p+8")),
+        (("0x1.04a3e79a127dcp+0", "0x1.a0d68beb38419p-1",
+          "0x1.7a700cfdc3ab7p+0", "-0x1.7bf7d215eb839p-2"),
+         ("0x1.414e227570152p+3", "0x1.b217f762680d3p+2",
+          "0x1.604a9ae73b95cp+3", "-0x1.8552eac1202c2p+1"),
+         ("0x1.bb1b3f6567962p+5", "0x1.23f9140c0ebaep+5",
+          "0x1.c3642283bc2a4p+5", "-0x1.116644e2aaa89p+4"),
+         ("0x1.578846bf3a9dbp+10", "0x1.c23ffb7435358p+9",
+          "0x1.57cb9981ad4b4p+10", "-0x1.aa582e4331220p+8")),
+        (("0x1.c207bb34816c0p-1", "0x1.4a10897eea05bp-1",
+          "0x1.270a1da265cf6p+0", "-0x1.17214e154b13fp-2"),
+         ("0x1.3b632ebae900ap+3", "0x1.a2e7b0c307497p+2",
+          "0x1.4b9abfd6a6d6fp+3", "-0x1.7db14311dbf23p+1"),
+         ("0x1.b988283aeeb1ap+5", "0x1.21fe3f1397657p+5",
+          "0x1.bdb66fe017d5ep+5", "-0x1.10bac0f2fe2aap+4"),
+         ("0x1.577b78e5c1311p+10", "0x1.c21ffedce3fc1p+9",
+          "0x1.579d25929071ap+10", "-0x1.aa4ebec029f84p+8")))),
+}
 
 
 class TestSymbolGroups:
@@ -573,6 +622,16 @@ class TestSymbolGroups:
         remainder = RadialSymbol(prof).remainder
         for i, row in PINNED_REMAINDER[name].items():
             assert [v.hex() for v in remainder[i]] == list(row)
+
+    @pytest.mark.parametrize("name", ["quadratic", "trio"])
+    def test_batch_keeps_its_bits(self, name):
+        parts = {"quadratic": [QUADRATIC, taylor_truncate(QUADRATIC, 2)], "trio": TRIO}[name]
+        radii = np.array([0.5, 7.0, 40.0, 1000.0])
+        rows, *counts = _radial_symbols([(p, radii) for p in parts], 1e-10)
+        steps, pinned = PINNED_BATCH[name]
+        assert tuple(counts) == steps
+        assert [[[v.hex() for v in row] for row in part] for part in rows] == [
+            [list(row) for row in part] for part in pinned]
 
     def test_members_within_tolerance_of_solo_solves(self):
         # a batch of three shares the step sequence that its hardest node sets:
@@ -703,6 +762,30 @@ class TestReducedContraction:
         assert polar_grid(64, 4, GAUSS, QuadratureSettings()) is g
         assert not g.moments.flags.writeable and not g.r.flags.writeable
         assert polar_grid(64, 4, GaussianCutoff(), quad) is not g
+
+    @pytest.mark.parametrize("cutoff, N, rho_tilde, rows, digest", [
+        (GaussianCutoff(), 16, 4,  # full circle
+         (("0x1.0882841e215acp-27", "0x1.1778deac6ca20p-40", "0x1.2747e47d00000p-54"),
+          ("0x1.e52883ff3437ep-14", "0x1.920746755e8cap-14", "0x1.dfda2e981fdaep-15"),
+          ("0x1.12d785e12f1d5p-41", "0x1.fa3684fa258acp-42", "0x1.8c8bc28db5795p-42")),
+         "8107553661f6e19d291ee84c7ad9d0551d86739f5e1d75c711f0bf29e88d229c"),
+        (GaussianCutoff(), 64, 4,  # wedge
+         (("0x1.7a074b2c0293dp-30", "0x1.2a27bfd812950p-42", "0x1.d65116d340000p-56"),
+          ("0x1.5ed4e04f8a29dp-15", "0x1.388d9279833d8p-15", "0x1.be4306a7fecddp-16"),
+          ("0x1.f1ca9cb1226adp-44", "0x1.d7dbb67cd86dap-44", "0x1.922e19c016857p-44")),
+         "6f0f9a3e901127db3c52290cb6b745efac708ff894ac03fe41f93dbb564076a4"),
+        (BumpCutoff(), 256, 5,
+         (("0x1.6f23d842e4fd8p-27", "0x1.8f4bedc069ec8p-36", "0x1.6793aa8330000p-46"),
+          ("0x1.08eed59772b47p-30", "0x1.9c8cee5761717p-32", "0x1.e965a7407f96dp-33"),
+          ("0x1.0eda0a0cd5130p-45", "0x1.c69caf1ac6611p-47", "0x1.45d484b87b8bfp-48")),
+         "7df387b176ab9a2673223e440718f5a904116966cf451edc10a44a7b19aab984"),
+    ])
+    def test_grid_moments_keep_their_bits(self, cutoff, N, rho_tilde, rows, digest):
+        # the (1, cos, cos 2) moments of radii 0, 95 and 191, and all 192 x 5 by digest
+        moments = polar_grid(N, rho_tilde, cutoff, QuadratureSettings()).moments
+        assert [[v.hex() for v in moments[i, [0, 1, 3]]] for i in (0, 95, 191)] == [
+            list(row) for row in rows]
+        assert hashlib.sha256(moments.tobytes()).hexdigest() == digest
 
     def test_values_independent_of_grid_memo_history(self):
         first = pairing_bits(LADDER[:4], (4, 5))
