@@ -133,7 +133,6 @@ class LameProfile:
         # the memo key: the coefficients without trailing zeros (None for callables)
         self.content = None if not self.is_polynomial else tuple(
             tuple(np.trim_zeros(np.array(c), "b")) for c in (self.lam_coeffs, self.mu_coeffs))
-        self.truncations: dict[int, LameProfile] = {}  # taylor_truncate's, by m
         # derivatives up to m must evaluate at the surface
         for order in range(self.max_derivative_order + 1):
             float(np.asarray(self._lam(np.asarray(0.0), order)))
@@ -256,11 +255,9 @@ def _horner(coeffs: Sequence[float]) -> Callable[[np.ndarray, int], np.ndarray]:
 def taylor_truncate(profile: LameProfile, m: int) -> LameProfile:
     """Replace lambda, mu by their degree-(m-1) Taylor polynomials at y3 = 0.
 
-    Exact for polynomial inputs of degree < m; idempotent at fixed m. Kept on
-    the profile, so a second call returns the same object.
+    Exact for polynomial inputs of degree < m; idempotent at fixed m. Each
+    call returns a new profile.
     """
-    if m in profile.truncations:
-        return profile.truncations[m]
     if m < 1:
         raise ValueError("truncation order m must be >= 1")
     if m - 1 > profile.max_derivative_order:
@@ -269,14 +266,13 @@ def taylor_truncate(profile: LameProfile, m: int) -> LameProfile:
             f"truncation at m = {m} needs order {m - 1}"
         )
     lam_b, mu_b = profile.taylor_coefficients(m - 1)
-    profile.truncations[m] = LameProfile.from_polynomial(
+    return LameProfile.from_polynomial(
         lam_b,
         mu_b,
         max_derivative_order=profile.max_derivative_order,
         holder_exponent=profile.holder_exponent,
         name=f"{profile.name}|trunc{m}",
     )
-    return profile.truncations[m]
 
 
 @dataclass(frozen=True)

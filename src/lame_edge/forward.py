@@ -36,12 +36,12 @@ and a flow evaluation builds the monomials and contracts them once.
 A profile's symbol (:class:`RadialSymbol`) serves every radius: it
 interpolates R(r) = M0(r) - r Z(lam(0), mu(0)), smooth in s = r / (r + 2) on
 [0, 1], from certified Chebyshev points in s (none for a constant profile).
-Symbols are memoised by group, keyed by the members' contents in order and
-the tolerance, and a group integrates each Chebyshev round as one batch. A
-ladder's group is its profiles (one, or the calibration's three) with each
-distinct admissible Taylor truncation of theirs, whatever the ladder's order;
-so all ladders of a profile, its order-m differences included, share one
-integration, and a member's value depends only on its group.
+Symbols are memoised by request (the profiles' contents and derivative orders,
+and the tolerance). A request's group is its profiles (one, or the
+calibration's three) with each distinct admissible Taylor truncation of
+theirs, whatever the ladder's order, integrated as one batch per Chebyshev
+round; so all ladders of a profile, its order-m differences included, share
+one integration, and a symbol's value depends only on the request.
 :func:`dtn_symbol`, a direct batch of one, rotated, checks it; the
 orthonormalized subspace march on the full 6x3 system is the independent oracle.
 
@@ -351,11 +351,11 @@ def _dop853(coefficients, flow, t0: float, t1: float, y0: np.ndarray, tol: float
     return y, accepted, rejected, evaluations, capped
 
 
-def _check_admissible(profile: LameProfile, H: float) -> None:
-    rep = validate_admissibility(profile, H)
-    if not rep.passed:
-        raise ForwardError(f"profile inadmissible on [0, {H}]: min mu = {rep.min_mu}, "
-                           f"min 3lam+2mu = {rep.min_bulk}")
+def _check_admissible(report) -> None:
+    """Refuse a failed :func:`validate_admissibility` report."""
+    if not report.passed:
+        raise ForwardError(f"profile inadmissible on [0, {report.H}]: min mu = {report.min_mu}, "
+                           f"min 3lam+2mu = {report.min_bulk}")
 
 
 def _radial_symbols(parts, tol: float) -> tuple[list[np.ndarray], int, int, int, int]:
@@ -485,7 +485,7 @@ def dtn_symbol(profile: LameProfile, k, tol: float = 1e-10) -> np.ndarray:
     initialization errors decay like exp(-2 |k| (H - y3)).
     """
     kn, what = _unit_tangent(k)
-    _check_admissible(profile, truncation_depth(k))
+    _check_admissible(validate_admissibility(profile, truncation_depth(k)))
     (M0,), *_ = _radial_symbols([(profile, np.array([kn]))], tol)
     c, s = what[0], what[1]
     R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])  # takes e1 to k/|k|
@@ -604,7 +604,7 @@ def _resolve(members, profiles, riccati_tol: float) -> list[tuple[int, ...]]:
     """Fill in each :class:`RadialSymbol` of ``members`` for its profile; returns
     the joint integrations. Every member is checked before any is integrated."""
     for sym, profile in zip(members, profiles):
-        _check_admissible(profile, H_MAX)
+        _check_admissible(validate_admissibility(profile, H_MAX))
         sym.z0 = _impedance_rows(float(profile.lam(0.0)), float(profile.mu(0.0)))
         sym.s = sym.weights = sym.remainder = None
         sym.solves = []
@@ -643,16 +643,18 @@ def _resolve(members, profiles, riccati_tol: float) -> list[tuple[int, ...]]:
 
 
 class SymbolMemo:
-    """Radial symbols by group: a group of profiles requested together is one
-    entry, keyed by its members' contents in order (coefficients without
-    trailing zeros; the object for callables) and ``riccati_tol`` alone, and
-    built by one joint integration per Chebyshev round (:meth:`RadialSymbol.group`);
-    ladders request theirs through :func:`warm_group`. So a member's value
-    depends only on the group it was requested in, not on what the memo held
-    before. Least recently used groups are dropped past ``maxsize``. Over the
-    process, ``counts`` sums the integrations (``riccati_solves``; ``nodes``
-    sums their radii), ``accepted`` lists each integrated symbol's (Chebyshev
-    points, refinements), and ``seconds`` is the time spent building them."""
+    """Radial symbols by request: profiles requested together (a ladder's one,
+    or the calibration's three) are one entry, keyed by their contents (the
+    object for callables), ``max_derivative_order`` and ``riccati_tol``. It
+    holds each profile's symbols by order: its own at 0, its truncation
+    ``taylor_truncate(p, k)``'s at k, or that truncation's failed admissibility
+    report. A miss builds the profiles and each distinct admissible truncation
+    as one group (:meth:`RadialSymbol.group`); a hit is one lookup. So values
+    depend only on the request, not on what the memo held before. Least
+    recently used entries are dropped past ``maxsize``. Over the process,
+    ``counts`` sums the integrations (``riccati_solves``; ``nodes`` sums their
+    radii), ``accepted`` lists each integrated symbol's (Chebyshev points,
+    refinements), and ``seconds`` is the time spent building them."""
 
     def __init__(self, maxsize: int) -> None:
         self.maxsize, self._groups = maxsize, OrderedDict()
@@ -662,29 +664,43 @@ class SymbolMemo:
         self.accepted: list[tuple[int, int]] = []
         self.seconds = 0.0
 
-    def group(self, profiles, riccati_tol: float) -> tuple[RadialSymbol, ...]:
-        """The symbols of ``profiles``, built together."""
-        key = (tuple([p.content or p for p in profiles]), riccati_tol)
+    def group(self, profiles, riccati_tol: float) -> tuple[tuple, ...]:
+        """Each of ``profiles``' symbols by order, built together."""
+        key = (tuple([(p.content or p, p.max_derivative_order) for p in profiles]), riccati_tol)
         if key in self._groups:
             self._groups.move_to_end(key)
             self.counts["memo_hits"] += 1
             return self._groups[key]
+        members = {p.content or p: p for p in profiles}
+        values, ladders = {}, []  # by content: refused truncations' reports, then symbols
+        for p in profiles:
+            ladders.append([p.content or p])
+            for k in range(1, p.max_derivative_order + 1):
+                t = taylor_truncate(p, k)
+                if t.content not in members and t.content not in values:
+                    report = validate_admissibility(t, H_MAX)
+                    if report.passed:
+                        members[t.content] = t
+                    else:
+                        values[t.content] = report
+                ladders[-1].append(t.content)
         t0 = time.perf_counter()
-        members, solves = RadialSymbol.group(profiles, riccati_tol)
+        symbols, solves = RadialSymbol.group(tuple(members.values()), riccati_tol)
         self.seconds += time.perf_counter() - t0
         for nodes, accepted, rejected, evaluations, capped in solves:
             self.counts.update(riccati_solves=1, nodes=nodes, steps_accepted=accepted,
                                steps_rejected=rejected, rhs_evaluations=evaluations,
                                steps_capped=capped)
-        for symbol in members:
+        for symbol in symbols:
             if symbol.s is None:
                 self.counts["exact_constants"] += 1
             else:
                 self.accepted.append((symbol.s.size, len(symbol.solves) - 1))
-        self._groups[key] = members
+        values.update(zip(members, symbols))
+        self._groups[key] = tuple(tuple([values[c] for c in ladder]) for ladder in ladders)
         if len(self._groups) > self.maxsize:
             self._groups.popitem(last=False)
-        return members
+        return self._groups[key]
 
     def clear(self) -> None:
         """Forget every symbol, so that a test counting solves starts from none."""
@@ -850,7 +866,7 @@ def polar_grid(N: int, rho_tilde: int, cutoff, quad: QuadratureSettings) -> Pola
 def warm_tables(profile: LameProfile, quad: QuadratureSettings = DEFAULT_QUAD,
                 m: int = 0) -> tuple[RadialSymbol, ...]:
     """The symbols of an order-m ladder: the profile's and, for m >= 1, its
-    order-m truncation's; from the profile's one memo group (:func:`warm_group`),
+    order-m truncation's; read from the profile's memo entry (:func:`warm_group`),
     so values do not depend on evaluation order or history, and every ladder of
     a profile, whatever its order, shares them.
     """
@@ -859,44 +875,27 @@ def warm_tables(profile: LameProfile, quad: QuadratureSettings = DEFAULT_QUAD,
 
 def warm_group(profiles, quad: QuadratureSettings = DEFAULT_QUAD,
                m: int = 0) -> list[tuple[RadialSymbol, ...]]:
-    """:func:`warm_tables` of each of ``profiles``, all from one memo group (one
-    joint integration per Chebyshev round): the profiles, then each distinct
-    admissible truncation ``taylor_truncate(p, k)``, k = 1 ... max_derivative_order,
-    in order, members deduplicated by content (constant ones are exact, never
-    integrated). The group does not depend on m, so every order reads the same
-    symbols; an order-m ladder whose truncation is inadmissible is refused."""
+    """:func:`warm_tables` of each of ``profiles``, read from their one memo
+    entry (:class:`SymbolMemo`), which does not depend on m: every order reads
+    the same symbols. m is checked against each profile's
+    ``max_derivative_order`` before the lookup; an order-m ladder whose
+    truncation is inadmissible is refused."""
     profiles = tuple(profiles)
-    members = {p.content or p: p for p in profiles}
-    for p in profiles:
-        for k in range(1, p.max_derivative_order + 1):
-            t = taylor_truncate(p, k)
-            if t.content not in members and _admissible(t):
-                members[t.content] = t
-    symbols = dict(zip(members, symbol_memo.group(tuple(members.values()), quad.riccati_tol)))
-    if m < 1:
-        return [(symbols[p.content or p],) for p in profiles]
-    out = []
     for p in profiles:
         _check_order(p, m)
-        t = taylor_truncate(p, m)
-        if t.content not in symbols:
-            _check_admissible(t, H_MAX)  # the group leaves out inadmissible truncations only
-        out.append((symbols[p.content or p], symbols[t.content]))
+    out = []
+    for symbols in symbol_memo.group(profiles, quad.riccati_tol):
+        if not isinstance(symbols[m], RadialSymbol):
+            _check_admissible(symbols[m])
+        out.append((symbols[0], symbols[m]) if m else symbols[:1])
     return out
 
 
 def _check_order(profile: LameProfile, m: int) -> None:
-    if m > profile.max_derivative_order:
+    if not 0 <= m <= profile.max_derivative_order:
         raise ValueError(
             f"profile carries derivatives to order {profile.max_derivative_order}, got m = {m}"
         )
-
-
-@lru_cache(maxsize=64)
-def _admissible(truncation: LameProfile) -> bool:
-    """Whether a truncation's symbol can be built; truncations are kept on their
-    profile, so each is checked once."""
-    return validate_admissibility(truncation, H_MAX).passed
 
 
 def pairing(profile: LameProfile, probe: ProbeSpec, quad: QuadratureSettings = DEFAULT_QUAD,

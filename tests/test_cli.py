@@ -450,11 +450,12 @@ class TestReconstructCommand:
         assert grids[0]["weights_built"] == grids[0]["built"]
         assert grids[0]["forms_built"] == 2 * grids[0]["built"]
         assert grids[0]["forms_reused"] == 0
-        # the symbol memo keys by profile content alone: the first run solves
-        # the profile's group once, the profile at 48 Chebyshev points and its
-        # constant order-1 truncation exactly (its order-2 one is the profile);
-        # the second reads that group from the memo; each battery looks its
-        # group up once
+        # the symbol memo keys a request by its profiles' contents and
+        # derivative orders and the tolerance, not by the profile objects: the
+        # first run solves the profile's group once, the profile at 48
+        # Chebyshev points and its constant order-1 truncation exactly (its
+        # order-2 one is the profile); the second run's profile, loaded anew,
+        # reads that group from the memo; each battery looks its group up once
         manifests = [json.loads((o / "manifest.json").read_text()) for o in (out1, out2)]
         counters = [m["counters"] for m in manifests]
         assert counters[0]["extrapolation_flags"] == counters[1]["extrapolation_flags"]

@@ -658,15 +658,62 @@ class TestSymbolGroups:
         assert (members[0].solves, members[1].solves) == (solves[:1], solves)
         assert (members[0].s.size, members[1].s.size) == (48, 144)
 
-    def test_memo_keys_groups_by_their_members(self):
+    def test_memo_keys_groups_by_request(self):
+        # an entry holds each requested profile's symbols by order: a linear
+        # profile's order-2 truncation is the profile, and the trio's one
+        # shared constant order-1 truncation is exact
         symbol_memo.clear()
         before = dict(symbol_memo.counts)
         group = symbol_memo.group(TRIO, 1e-10)
         assert symbol_memo.group(TRIO, 1e-10) is group
+        assert all(ladder[2] is ladder[0] and ladder[0].s.size == 48 for ladder in group)
+        assert group[0][1] is group[1][1] is group[2][1] and group[0][1].s is None
         alone, = symbol_memo.group(TRIO[:1], 1e-10)
-        assert alone is not group[0]
+        assert alone[0] is not group[0][0]
         delta = {k: v - before[k] for k, v in symbol_memo.counts.items()}
         assert (delta["riccati_solves"], delta["nodes"], delta["memo_hits"]) == (2, 4 * 48, 1)
+        assert delta["exact_constants"] == 2
+
+    @pytest.mark.parametrize("m", [3, -1])
+    def test_order_refused_before_any_integration(self, m):
+        # the entry holds orders 0 to 2 only; a negative m would index from its end
+        prof = LameProfile.from_polynomial([1.0, 0.3, -0.1], [1.0, 0.2, 0.15])
+        symbol_memo.clear()
+        before = dict(symbol_memo.counts)
+        with pytest.raises(ValueError, match=f"derivatives to order 2, got m = {m}"):
+            warm_tables(prof, m=m)
+        assert dict(symbol_memo.counts) == before
+
+    def test_hit_rebuilds_no_truncation(self, monkeypatch):
+        # after the first lookup, a lookup at any order is one memo read: no
+        # truncation is built or checked, and none is kept on the profile
+        import lame_edge.forward as forward
+
+        prof = LameProfile.from_polynomial([1.0, 0.3, -0.1], [1.0, 0.2, 0.15])
+        first = [warm_tables(prof, m=m) for m in (0, 1, 2)]
+        calls = []
+        for name in ("taylor_truncate", "validate_admissibility"):
+            original = getattr(forward, name)
+            monkeypatch.setattr(forward, name, lambda *args, name=name, original=original,
+                                **kw: calls.append(name) or original(*args, **kw))
+        hits = symbol_memo.counts["memo_hits"]
+        assert [warm_tables(prof, m=m) for m in (0, 1, 2)] == first
+        assert calls == [] and symbol_memo.counts["memo_hits"] == hits + 3
+        assert not hasattr(prof, "truncations")
+
+    def test_memo_keys_tell_derivative_orders_apart(self):
+        # the same coefficients carried to order 1, then to order 2: the second
+        # request integrates its own group, which holds the linear order-2
+        # truncation (the first holds only the constant order-1 one)
+        lam, mu = [1.0, 0.3, -0.1], [1.0, 0.2, 0.15]
+        symbol_memo.clear()
+        before = dict(symbol_memo.counts)
+        low = warm_tables(LameProfile.from_polynomial(lam, mu, max_derivative_order=1), m=1)
+        assert low[1].s is None
+        high = warm_tables(LameProfile.from_polynomial(lam, mu, max_derivative_order=2), m=2)
+        assert high[1].s.size == 48 and high[0] is not low[0]
+        delta = {k: v - before[k] for k, v in symbol_memo.counts.items()}
+        assert (delta["riccati_solves"], delta["nodes"], delta["memo_hits"]) == (2, 48 + 96, 0)
 
 
 @pytest.fixture(scope="module")
@@ -967,7 +1014,6 @@ class TestMomentForms:
         first = run(plan)
         assert run(plan[::-1]) == first
         assert run(plan, interleave=True) == first
-        assert taylor_truncate(profile, 1) is taylor_truncate(profile, 1)
 
 
 def pairing_bits(Ns, rho_tildes) -> dict:
