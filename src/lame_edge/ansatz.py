@@ -20,7 +20,10 @@ from .stroh import _as_tangent
 __all__ = ["BumpCutoff", "GaussianCutoff", "ProbeSpec", "boundary_datum", "gauss_legendre"]
 
 
-_J0_FIRST_ZERO = 2.404825557695773  # the first positive zero of the Bessel function J0
+# the first ten positive zeros j_{0,k} of the Bessel function J0
+_J0_ZEROS = (2.404825557695773, 5.520078110286311, 8.653727912911013, 11.791534439014281,
+             14.930917708487787, 18.071063967910924, 21.21163662987926, 24.352471530749302,
+             27.493479132040253, 30.634606468431976)
 
 
 def _legendre_pair(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -45,34 +48,38 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Newton's iteration on P_n(cos theta) in the angle theta (Hale & Townsend,
     SIAM J. Sci. Comput. 35, 2013), for the nodes in (0, 1) and mirrored:
-    started from Tricomi's asymptotic nodes and, for the one nearest 1, where
-    Tricomi's is 7e-4 off, from the Bessel-zero asymptotic theta = psi +
-    (psi cot psi - 1) / (8 psi rho^2), psi = j_{0,1} / rho, rho = n + 1/2.
+    started from Tricomi's asymptotic nodes and, for the ten nearest 1, where
+    Tricomi's is off by up to 7e-4 (the first) and 8e-6 (the rest) at n = 192,
+    from the Bessel-zero asymptotic theta_k = psi + (psi cot psi - 1) /
+    (8 psi rho^2), psi = j_{0,k} / rho, rho = n + 1/2.
     P_n comes from :func:`_legendre_pair` in t = 1 - cos theta = 2 sin^2(theta/2),
-    so theta and the weights 2 sin^2 theta / (n (P_{n-1} - x P_n))^2 keep their
-    relative accuracy at the ends, where the companion eigenproblem of
+    so theta and the weights 2 / (dP_n/dtheta)^2 keep their relative accuracy
+    at the ends, where the companion eigenproblem of
     ``numpy.polynomial.legendre.leggauss`` loses it. The iteration stops once a
-    step is below 1e-9 of theta (it converges quadratically, with constant
-    about 1/2): one more evaluation gives the weights.
+    step delta is below 1e-9 of theta (it converges quadratically, with
+    constant about 1/2), which from these starts is the first step for every
+    n >= 96. The weights need no further evaluation: the last derivative is
+    carried to the updated node by Legendre's equation, P'' = -cot theta P' -
+    n(n+1) P with P = -delta P', to second order: dP/dtheta(theta + delta) =
+    dP/dtheta(theta) (1 - delta cot theta + n(n+1) delta^2 / 2).
     """
     k = np.arange(1, n // 2 + 1)
     phi = (4 * k - 1) * (math.pi / (4 * n + 2))
     theta = np.arccos((1.0 - (n - 1) / (8 * n**3) - (39.0 - 28.0 / np.sin(phi) ** 2) / (384 * n**4))
                       * np.cos(phi))
-    if n >= 2:
-        rho = n + 0.5
-        psi = _J0_FIRST_ZERO / rho
-        theta[0] = psi + (psi / math.tan(psi) - 1.0) / (8.0 * psi * rho**2)
+    rho = n + 0.5
+    psi = np.array(_J0_ZEROS[:theta.size]) / rho
+    theta[:psi.size] = psi + (psi / np.tan(psi) - 1.0) / (8.0 * psi * rho**2)
     for _ in range(8):
         t = 2.0 * np.sin(0.5 * theta) ** 2
         p, d = _legendre_pair(n, t)
-        step = p * np.sin(theta) / (n * (t * p - d))
+        slope = n * (t * p - d) / np.sin(theta)  # -dP_n/dtheta
+        step = p / slope
+        slope *= 1.0 - step / np.tan(theta) + (0.5 * n * (n + 1)) * step**2
         theta += step
         if np.all(np.abs(step) <= 1e-9 * theta):
             break
-    t = 2.0 * np.sin(0.5 * theta) ** 2
-    p, d = _legendre_pair(n, t)
-    x, w = np.cos(theta), 2.0 * np.sin(theta) ** 2 / (n * (t * p - d)) ** 2
+    x, w = np.cos(theta), 2.0 / slope**2
     if n % 2:  # the middle node 0, with P_{n-1}(0) = (-1)^j (2j-1)!!/(2j)!!, n = 2j + 1
         middle = math.prod(-(2 * i - 1) / (2 * i) for i in range(1, n // 2 + 1))
         x, w = np.r_[x, 0.0], np.r_[w, 2.0 / (n * middle) ** 2]
@@ -102,6 +109,16 @@ class CutoffProfile:
 
     def value(self, pts: np.ndarray) -> np.ndarray:
         return self.derivative((0, 0))(pts)
+
+    def fourier_power(self, k2: np.ndarray) -> float:
+        """|eta_hat|^2 at the wavenumbers sqrt(k2), in place: overwrites the float
+        array ``k2`` (negative rounding residue read as 0) with |eta_hat|^2 / c
+        and returns the constant c, here 1: |fourier_radial(sqrt(k2))|^2."""
+        np.maximum(k2, 0.0, out=k2)
+        np.sqrt(k2, out=k2)
+        k2[...] = self.fourier_radial(k2)
+        np.square(k2, out=k2)
+        return 1.0
 
     def derivative(self, beta: tuple[int, int]) -> Callable[[np.ndarray], np.ndarray]:
         beta = (int(beta[0]), int(beta[1]))
@@ -166,6 +183,13 @@ class GaussianCutoff(CutoffProfile):
         np.exp(v, out=v)
         v *= self.amplitude * 2.0 * np.pi * self.sigma**2
         return v[()]  # a scalar k gives a scalar
+
+    def fourier_power(self, k2: np.ndarray) -> float:
+        """|eta_hat|^2 = A^2 exp(-sigma^2 k^2) in closed form: ``k2`` becomes
+        exp(-sigma^2 k2) in place, and A^2 is returned."""
+        k2 *= -(self.sigma**2)
+        np.exp(k2, out=k2)
+        return (self.amplitude * 2.0 * np.pi * self.sigma**2) ** 2
 
     def spectral_halfwidth(self, tail_tol: float) -> float:
         # fraction of |eta_hat|^2 mass beyond radius W is exp(-sigma^2 W^2)

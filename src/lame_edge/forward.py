@@ -291,7 +291,7 @@ def _dop853(coefficients, flow, t0: float, t1: float, y0: np.ndarray, tol: float
     h_cap = 0.5 * _DOP_STABILITY / fastest if fastest > 0.0 else math.inf
     t, accepted, rejected, capped, retried, evaluations = t0, 0, 0, 0, False, 2
     while t != t1:
-        min_step = 10.0 * abs(np.nextafter(t, direction * math.inf) - t)
+        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = h_abs if h_abs >= min_step else min_step  # a NaN estimate too
         at_cap = h_abs >= h_cap
         h_abs = h_cap if at_cap else h_abs
@@ -374,19 +374,25 @@ def _radial_symbols(parts, tol: float) -> tuple[list[np.ndarray], int, int, int,
     of c times the module docstring's flow at y3 = tau H, which is linear in the
     monomials (S11, S22, S33, b, S11^2, S22^2, S33^2, b^2, S11 b, S33 b, 1).
     Their coefficients depend on depth alone and are evaluated per step on
-    the (stage, node) grid, shape (stage, 4, 11, node), in one array allocated
-    once: only the flow's 13 entries are written, the two depth-free ones once
-    per integration, and the rest stay zero. Per integration there are two more
+    the (stage, node) grid, in one array allocated once and laid out as
+    (row, monomial, stage, node), so that each coefficient is one contiguous
+    (stage, node) block (the flow reads stage i as the (4, 11, node) view):
+    only the flow's 13 entries are written, the two depth-free ones once per
+    integration, and the rest stay zero. Per integration there are two more
     arrays: the (stage, node) depths, moduli and their combinations, from which
     each step writes the entries with ``out=`` (-p and -q computed once each and
     copied to their other slots; the node factors -c, -2 c rho, -c rho and
-    4 c rho^2 formed once, exact), and the monomials. The integrator writes
-    each stage state straight into the monomials' first rows, so a flow
-    evaluation builds the other monomials in place and contracts them once;
-    only the profiles' own evaluations allocate temporaries per step. Depths follow
-    :func:`truncation_depth`. A batch of one part is that part's own
-    integration; parts integrated together share the step sequence, which the
-    hardest node sets, so their integrator errors are correlated.
+    4 c rho^2 formed once, exact), and the monomials. When every part's
+    profile is polynomial, lam and mu are one Horner rule each over per-node
+    coefficient rows, zero-padded to the batch's top degree, which is bit for
+    bit each part's own evaluation and allocates nothing; a batch with a
+    callable profile calls each part's profile, whose evaluations allocate
+    temporaries. The integrator writes each stage state straight into the
+    monomials' first rows, so a flow evaluation builds the other monomials in
+    place and contracts them once. Depths follow :func:`truncation_depth`. A
+    batch of one part is that part's own integration; parts integrated
+    together share the step sequence, which the hardest node sets, so their
+    integrator errors are correlated.
 
     Linearised at its fixed point -rho Z(lam, mu), the flow contracts toward
     the surface at the rate 2 c rho = 2 |k| H per unit tau for every (lam, mu),
@@ -407,11 +413,29 @@ def _radial_symbols(parts, tol: float) -> tuple[list[np.ndarray], int, int, int,
     rho = nodes / sigma
     H = np.where(scaled, EFOLDS / sigma, H_MAX)
 
-    def moduli(y3, lam, mu):  # each part's profile at its nodes' depths, node axis last
+    if all(profile.is_polynomial for profile, _ in parts):
+        # one Horner rule per modulus over per-node coefficient rows, zero-padded
+        # to the batch's top degree: bit for bit each part's own _polyval
+        top = max(len(c) for profile, _ in parts for c in (profile.lam_coeffs, profile.mu_coeffs))
+        horner = np.zeros((2, max(top, 2), nodes.size))
         for (profile, _), sl in zip(parts, spans):
-            lam[..., sl] = profile.lam(y3[..., sl])  # a profile may answer with a scalar
-            mu[..., sl] = profile.mu(y3[..., sl])
-        return lam, mu
+            for rows, c in zip(horner, (profile.lam_coeffs, profile.mu_coeffs)):
+                rows[:len(c), sl] = np.array(c)[:, None]
+
+        def moduli(y3, lam, mu):  # the batch's moduli at its nodes' depths, node axis last
+            for out, c in zip((lam, mu), horner):
+                np.multiply(c[-1], y3, out=out)
+                out += c[-2]
+                for cj in c[-3::-1]:
+                    out *= y3
+                    out += cj
+            return lam, mu
+    else:
+        def moduli(y3, lam, mu):  # each part's profile at its nodes' depths, node axis last
+            for (profile, _), sl in zip(parts, spans):
+                lam[..., sl] = profile.lam(y3[..., sl])  # a profile may answer with a scalar
+                mu[..., sl] = profile.mu(y3[..., sl])
+            return lam, mu
 
     y0 = -rho * _impedance_rows(*moduli(H, *np.empty((2, nodes.size)))).T
     c = H * sigma
@@ -426,36 +450,39 @@ def _radial_symbols(parts, tol: float) -> tuple[list[np.ndarray], int, int, int,
         drift = np.abs(np.diff(z, axis=0)).max(axis=1) / (np.minimum(size[1:], size[:-1]) * y3[1])
         lag[sl] = np.maximum.accumulate(drift)[np.searchsorted(y3, H[sl]) - 1]
     rate = 2.0 * H * np.maximum(nodes - lag, 0.0)
-    buffer = np.zeros((12, 4, 11, nodes.size))  # _dop853 asks for at most 12 times
-    buffer[:, 2, 3], buffer[:, 3, 0] = two_cr, cr  # the depth-free coefficients
+    # (row, monomial, stage, node): each coefficient is one contiguous (stage, node)
+    # block, and _dop853 asks for at most 12 times
+    buffer = np.zeros((4, 11, 12, nodes.size))
+    by_stage = buffer.transpose(2, 0, 1, 3)
+    buffer[2, 3], buffer[3, 0] = two_cr, cr  # the depth-free coefficients
     # depth, lam, mu, d = 1 / (lam + 2 mu), g and a product at each (stage, node)
     scratch = np.empty((6, 12, nodes.size))
     # negation and scaling by 4 commute with rounding: -c / mu = -(c / mu), (4 cr2) x = cr2 (4 x)
     neg_c, neg_cr, neg_two_cr, four_cr2 = -c, -cr, -two_cr, 4.0 * cr2
 
     def coefficients(taus):
-        C = buffer[:taus.size]
-        y3, lam, mu, d, g, w = scratch[:, :taus.size]
+        n = taus.size
+        y3, lam, mu, d, g, w = scratch[:, :n]
         np.multiply(taus[:, None], H, out=y3)
         moduli(y3, lam, mu)
         np.multiply(mu, 2.0, out=d)
         d += lam
         np.divide(1.0, d, out=d)
         np.multiply(lam, d, out=g)
-        # row k of C[i] holds dS_k's coefficient of each monomial (docstring order):
+        # row k, monomial j holds dS_k's coefficient of monomial j (docstring order):
         # -p = -c / mu at (0, 4), (1, 5), (2, 7), (3, 8), -q = -c d at (0, 7), (2, 6), (3, 9)
-        np.divide(neg_c, mu, out=C[:, 0, 4])
-        C[:, 1, 5] = C[:, 2, 7] = C[:, 3, 8] = C[:, 0, 4]
-        np.multiply(neg_c, d, out=C[:, 0, 7])
-        C[:, 2, 6] = C[:, 3, 9] = C[:, 0, 7]
-        np.multiply(neg_two_cr, g, out=C[:, 0, 3])
+        p = np.divide(neg_c, mu, out=buffer[0, 4, :n])
+        buffer[1, 5, :n] = buffer[2, 7, :n] = buffer[3, 8, :n] = p
+        q = np.multiply(neg_c, d, out=buffer[0, 7, :n])
+        buffer[2, 6, :n] = buffer[3, 9, :n] = q
+        np.multiply(neg_two_cr, g, out=buffer[0, 3, :n])
         np.add(lam, mu, out=w)  # P = 4 mu (lam + mu) d
         w *= mu
         w *= d
-        np.multiply(four_cr2, w, out=C[:, 0, 10])
-        np.multiply(cr2, mu, out=C[:, 1, 10])
-        np.multiply(neg_cr, g, out=C[:, 3, 2])
-        return C
+        np.multiply(four_cr2, w, out=buffer[0, 10, :n])
+        np.multiply(cr2, mu, out=buffer[1, 10, :n])
+        np.multiply(neg_cr, g, out=buffer[3, 2, :n])
+        return by_stage[:n]
 
     monomials = np.ones((11, nodes.size))
     state = monomials[:4]  # the integrator's stage buffer
@@ -565,13 +592,16 @@ class RadialSymbol:
     """
 
     def __init__(self, profile: LameProfile, riccati_tol: float = 1e-10) -> None:
+        _check_admissible(validate_admissibility(profile, H_MAX))
         _resolve((self,), (profile,), riccati_tol)
 
     @classmethod
     def group(cls, profiles, riccati_tol: float = 1e-10
               ) -> tuple[tuple[RadialSymbol, ...], list[tuple[int, ...]]]:
         """The symbols of ``profiles`` from one joint integration per Chebyshev
-        round, and those integrations, counted as in ``solves``."""
+        round, and those integrations, counted as in ``solves``. The profiles
+        must be admissible on [0, H_MAX]: :class:`SymbolMemo` decides that once
+        for each, where the constructor checks its one profile."""
         members = tuple(cls.__new__(cls) for _ in profiles)
         return members, _resolve(members, profiles, riccati_tol)
 
@@ -601,10 +631,9 @@ class RadialSymbol:
 
 
 def _resolve(members, profiles, riccati_tol: float) -> list[tuple[int, ...]]:
-    """Fill in each :class:`RadialSymbol` of ``members`` for its profile; returns
-    the joint integrations. Every member is checked before any is integrated."""
+    """Fill in each :class:`RadialSymbol` of ``members`` for its (admissible)
+    profile; returns the joint integrations."""
     for sym, profile in zip(members, profiles):
-        _check_admissible(validate_admissibility(profile, H_MAX))
         sym.z0 = _impedance_rows(float(profile.lam(0.0)), float(profile.mu(0.0)))
         sym.s = sym.weights = sym.remainder = None
         sym.solves = []
@@ -648,10 +677,12 @@ class SymbolMemo:
     object for callables), ``max_derivative_order`` and ``riccati_tol``. It
     holds each profile's symbols by order: its own at 0, its truncation
     ``taylor_truncate(p, k)``'s at k, or that truncation's failed admissibility
-    report. A miss builds the profiles and each distinct admissible truncation
-    as one group (:meth:`RadialSymbol.group`); a hit is one lookup. So values
-    depend only on the request, not on what the memo held before. Least
-    recently used entries are dropped past ``maxsize``. Over the process,
+    report. A miss decides each distinct member's admissibility once, the
+    requested profiles' first (an inadmissible one is refused before any
+    integration), and builds the profiles and each distinct admissible
+    truncation as one group (:meth:`RadialSymbol.group`); a hit is one
+    lookup. So values depend only on the request, not on what the memo held
+    before. Least recently used entries are dropped past ``maxsize``. Over the process,
     ``counts`` sums the integrations (``riccati_solves``; ``nodes`` sums their
     radii), ``accepted`` lists each integrated symbol's (Chebyshev points,
     refinements), and ``seconds`` is the time spent building them."""
@@ -672,6 +703,8 @@ class SymbolMemo:
             self.counts["memo_hits"] += 1
             return self._groups[key]
         members = {p.content or p: p for p in profiles}
+        for p in members.values():  # each distinct member is decided once, these first
+            _check_admissible(validate_admissibility(p, H_MAX))
         values, ladders = {}, []  # by content: refused truncations' reports, then symbols
         for p in profiles:
             ladders.append([p.content or p])
@@ -773,8 +806,11 @@ class PolarGrid:
         """G = rows^T F of ``symbols[0]`` (minus ``symbols[1]``, subtracted row by
         row first), shape (4, 5), built once; kept under weak keys on the symbol
         objects, not their ids, which a later symbol may reuse; see :data:`form_counts`."""
-        forms = (self.difference_forms.setdefault(symbols[0], weakref.WeakKeyDictionary())
-                 if len(symbols) > 1 else self.forms)
+        forms = self.forms
+        if len(symbols) > 1:
+            forms = self.difference_forms.get(symbols[0])
+            if forms is None:
+                forms = self.difference_forms[symbols[0]] = weakref.WeakKeyDictionary()
         G = forms.get(symbols[-1])
         form_counts["built" if G is None else "reused"] += 1
         if G is None:
@@ -822,9 +858,12 @@ def polar_grid(N: int, rho_tilde: int, cutoff, quad: QuadratureSettings) -> Pola
     [0, pi] is evaluated, each node with its mirror's weight.
     Cutoffs key the memo by identity. A run's ladders share one cutoff, so
     the 64 entries hold every grid of a run with up to 64 (N, rho_tilde) pairs.
-    A grid allocates one (radius, angle) array, which holds |k - N e1|^2, then
-    kappa, then the weights; besides it only the cutoff's transform, which
-    this function never writes into, the angular harmonics and the moments.
+    The weights need only kappa^2 = N^{2 rho - 2} |k - N e1|^2: a grid allocates
+    one (radius, angle) array, which holds kappa^2 and then |eta_hat|^2 over a
+    constant (:meth:`~lame_edge.ansatz.CutoffProfile.fourier_power`). Its
+    moments take the angular weights folded into the harmonics and, per
+    radius, one vector of the constant, the measure and the probe
+    normalization.
     """
     rho = 1.0 / rho_tilde
     W = cutoff.spectral_halfwidth(quad.tail_tol)
@@ -845,18 +884,13 @@ def polar_grid(N: int, rho_tilde: int, cutoff, quad: QuadratureSettings) -> Pola
         wt = 2.0 * half * wwt[n:]
 
     cos_phi = np.cos(phi)
-    # |k - N e1|^2, then kappa, then the weights, in this one array
-    weights = np.multiply.outer(2.0 * float(N) * r, cos_phi)
-    np.subtract((r**2 + float(N) ** 2)[:, None], weights, out=weights)
-    np.maximum(weights, 0.0, out=weights)
-    np.sqrt(weights, out=weights)
-    weights *= N ** (rho - 1.0)
-    np.abs(cutoff.fourier_radial(weights), out=weights)
-    np.square(weights, out=weights)
-    weights *= N ** (2.0 * rho - 3.0) / (4.0 * math.pi**2)
-    weights *= (wr * r)[:, None]
-    weights *= wt
-    moments = weights @ _harmonics(cos_phi, np.sin(phi))
+    # kappa^2 = N^{2 rho - 2} (r^2 + N^2 - 2 N r cos phi), then |eta_hat|^2 / constant
+    power = np.multiply.outer(2.0 * float(N) * r, cos_phi)
+    np.subtract((r**2 + float(N) ** 2)[:, None], power, out=power)
+    power *= N ** (2.0 * rho - 2.0)
+    constant = cutoff.fourier_power(power)
+    moments = power @ (wt[:, None] * _harmonics(cos_phi, np.sin(phi)))
+    moments *= (constant * N ** (2.0 * rho - 3.0) / (4.0 * math.pi**2) * wr * r)[:, None]
     moments[:, [2, 4]] = 0.0  # odd in phi: the mirrored nodes cancel them
     for arr in (r, moments):
         arr.setflags(write=False)

@@ -245,14 +245,14 @@ class LadderResult:
 
 
 def _check_dyadic(N_list) -> np.ndarray:
-    N = np.asarray(N_list, dtype=int)
-    if N.size < 4:
+    N = [int(n) for n in N_list]  # checked as Python ints: a ladder has a handful
+    if len(N) < 4:
         raise ValueError("ladder needs at least 4 N values")
-    if np.any(np.diff(N) <= 0):
+    if any(b <= a for a, b in zip(N, N[1:])):
         raise ValueError("ladder must be strictly increasing")
-    if np.any(N[1:] != 2 * N[:-1]):
-        raise ValueError(f"ladder must be dyadic, got {N.tolist()}")
-    return N
+    if any(b != 2 * a for a, b in zip(N, N[1:])):
+        raise ValueError(f"ladder must be dyadic, got {N}")
+    return np.array(N)
 
 
 def serial_ladder_runner(

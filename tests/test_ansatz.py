@@ -96,6 +96,28 @@ class TestGaussLegendre:
             exact = 2.0 / (k + 1.0) if k % 2 == 0 else 0.0
             assert abs(math.fsum(w * x**k) - exact) <= 4.0 * np.finfo(float).eps
 
+    @pytest.mark.parametrize("n, passes", [(7, 2), (48, 2), (80, 2), (150, 1), (192, 1),
+                                           (240, 1), (600, 1), (800, 1)])
+    def test_recurrence_passes(self, monkeypatch, n, passes):
+        # from the Bessel-zero starts one Newton pass converges for n >= 96, and
+        # the weights come from its derivative: no final evaluation
+        import lame_edge.ansatz as ansatz
+
+        calls = []
+        original = ansatz._legendre_pair
+        monkeypatch.setattr(ansatz, "_legendre_pair",
+                            lambda n, t: calls.append(n) or original(n, t))
+        gauss_legendre.cache_clear()
+        gauss_legendre(n)
+        assert 1 <= len(calls) <= passes
+
+    def test_bessel_zeros(self):
+        import mpmath
+
+        from lame_edge.ansatz import _J0_ZEROS
+
+        assert list(_J0_ZEROS) == [float(mpmath.besseljzero(0, k)) for k in range(1, 11)]
+
 
 class TestCutoffs:
     def test_unit_l2_mass(self, bump, gauss):

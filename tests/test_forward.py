@@ -701,6 +701,23 @@ class TestSymbolGroups:
         assert calls == [] and symbol_memo.counts["memo_hits"] == hits + 3
         assert not hasattr(prof, "truncations")
 
+    @pytest.mark.parametrize("name, decided", [("quadratic", 3), ("trio", 4), ("linear", 2)])
+    def test_miss_decides_each_member_once(self, monkeypatch, name, decided):
+        # the quadratic profile and its constant and linear truncations; the trio
+        # and its one shared constant truncation (each one's order-2 truncation
+        # is itself); GRAD and its constant truncation
+        import lame_edge.forward as forward
+
+        profiles = {"quadratic": [QUADRATIC], "trio": TRIO, "linear": [GRAD]}[name]
+        calls = []
+        original = forward.validate_admissibility
+        monkeypatch.setattr(forward, "validate_admissibility",
+                            lambda *args, **kw: calls.append(args[0]) or original(*args, **kw))
+        symbol_memo.clear()
+        symbol_memo.group(profiles, 1e-10)
+        assert len(calls) == decided
+        assert len({p.content for p in calls}) == decided
+
     def test_memo_keys_tell_derivative_orders_apart(self):
         # the same coefficients carried to order 1, then to order 2: the second
         # request integrates its own group, which holds the linear order-2
@@ -812,21 +829,21 @@ class TestReducedContraction:
 
     @pytest.mark.parametrize("cutoff, N, rho_tilde, rows, digest", [
         (GaussianCutoff(), 16, 4,  # full circle
-         (("0x1.0882841e215acp-27", "0x1.1778deac6ca20p-40", "0x1.2747e47d00000p-54"),
-          ("0x1.e52883ff3437ep-14", "0x1.920746755e8cap-14", "0x1.dfda2e981fdaep-15"),
-          ("0x1.12d785e12f1d5p-41", "0x1.fa3684fa258acp-42", "0x1.8c8bc28db5795p-42")),
-         "8107553661f6e19d291ee84c7ad9d0551d86739f5e1d75c711f0bf29e88d229c"),
+         (("0x1.0882841e215a9p-27", "0x1.1778deac6d2e7p-40", "0x1.2747e4790bd47p-54"),
+          ("0x1.e52883ff34372p-14", "0x1.920746755e8c5p-14", "0x1.dfda2e981fda9p-15"),
+          ("0x1.12d785e12f1cep-41", "0x1.fa3684fa258a2p-42", "0x1.8c8bc28db578dp-42")),
+         "5b1607afc5a0146703a7fc20898632c8ac0048800253dcd9aba7d7260743440e"),
         (GaussianCutoff(), 64, 4,  # wedge
-         (("0x1.7a074b2c0293dp-30", "0x1.2a27bfd812950p-42", "0x1.d65116d340000p-56"),
-          ("0x1.5ed4e04f8a29dp-15", "0x1.388d9279833d8p-15", "0x1.be4306a7fecddp-16"),
-          ("0x1.f1ca9cb1226adp-44", "0x1.d7dbb67cd86dap-44", "0x1.922e19c016857p-44")),
-         "6f0f9a3e901127db3c52290cb6b745efac708ff894ac03fe41f93dbb564076a4"),
+         (("0x1.7a074b2c0293bp-30", "0x1.2a27bfd8133b5p-42", "0x1.d65116e2fbf57p-56"),
+          ("0x1.5ed4e04f8a2a1p-15", "0x1.388d9279833dfp-15", "0x1.be4306a7fece1p-16"),
+          ("0x1.f1ca9cb1226bdp-44", "0x1.d7dbb67cd86e2p-44", "0x1.922e19c01685cp-44")),
+         "b4cda6502954bb8e97710cf22b8543a90f883a138b80eea3536c74b6a70e448a"),
         (BumpCutoff(), 256, 5,
-         (("0x1.6f23d842e4fd8p-27", "0x1.8f4bedc069ec8p-36", "0x1.6793aa8330000p-46"),
-          ("0x1.08eed59772b47p-30", "0x1.9c8cee5761717p-32", "0x1.e965a7407f96dp-33"),
-          ("0x1.0eda0a0cd5130p-45", "0x1.c69caf1ac6611p-47", "0x1.45d484b87b8bfp-48")),
-         "7df387b176ab9a2673223e440718f5a904116966cf451edc10a44a7b19aab984"),
-    ])
+         (("0x1.6f23d842e4fdap-27", "0x1.8f4bedc069e31p-36", "0x1.6793aa837a9b7p-46"),
+          ("0x1.08eed59773267p-30", "0x1.9c8cee5761b9cp-32", "0x1.e965a7408a5f7p-33"),
+          ("0x1.0eda0a0cc562bp-45", "0x1.c69caf1a95875p-47", "0x1.45d484b885448p-48")),
+         "b5f9f9105eda9d1cd8b662215ac69811abe4d80b86e9c3e9a6b4535f3b12176b"),
+    ], ids=["gaussian-16-4", "gaussian-64-4", "bump-256-5"])  # ids free of the pinned bits
     def test_grid_moments_keep_their_bits(self, cutoff, N, rho_tilde, rows, digest):
         # the (1, cos, cos 2) moments of radii 0, 95 and 191, and all 192 x 5 by digest
         moments = polar_grid(N, rho_tilde, cutoff, QuadratureSettings()).moments

@@ -410,6 +410,18 @@ class TestLadders:
         with pytest.raises(ValueError, match="dyadic"):
             run_ladder(prof, t, [10, 30, 60, 120], 0)
 
+    @pytest.mark.parametrize("N_list, message", [
+        ([16, 32, 64], "ladder needs at least 4 N values"),
+        ([16, 32, 32, 64], "ladder must be strictly increasing"),
+        ([16, 32, 64, 96], "ladder must be dyadic, got [16, 32, 64, 96]"),
+    ])
+    def test_check_dyadic_refusals(self, N_list, message):
+        with pytest.raises(ValueError) as err:
+            reconstruct._check_dyadic(N_list)
+        assert str(err.value) == message
+        N = reconstruct._check_dyadic(np.array([16, 32, 64, 128]))
+        assert N.dtype == np.dtype(int) and N.tolist() == [16, 32, 64, 128]
+
     def test_homogeneous_model_matches_forward_pairing(self):
         from lame_edge.forward import pairing
         from lame_edge.ansatz import ProbeSpec
