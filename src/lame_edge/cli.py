@@ -538,7 +538,7 @@ def cmd_forward(args) -> int:
     orders = [0] + ([cfg["order"]] if cfg["order"] >= 1 else [])
     ladders, stages, counters = _counted("forward", lambda: [
         lr for m in orders for lr in serial_ladder_runner(
-            profile, battery, cfg["ladder"], m, cutoff, cfg.get("rho_tilde"), quad)])
+            (profile,), battery, cfg["ladder"], m, cutoff, cfg.get("rho_tilde"), quad)[0]])
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_ladder_csv(outdir / "pairings.csv", ladders, nodes=4 * quad.nodes**2)

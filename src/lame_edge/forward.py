@@ -52,9 +52,9 @@ f = (1, cos, sin, cos 2., sin 2.)(theta) and C(a) f = (|b1|^2, |b2|^2, |a3|^2,
 weights W(r, phi) do not depend on the probe direction, so with a' =
 R(theta0)^T a and the angular moments F = W @ f(phi)^T a pairing is
 sum(rows * (F @ C(a')^T)) = <C(a'), G>: one 20-term dot product with the moment
-form G = rows^T F, built once per (grid, symbols); a battery of probes looks
-up its N grids and stacks their forms once, and contracts every probe with
-them in one product. W is even in phi, so the
+form G = rows^T F, built once per (grid, symbols); a battery of probes on a
+group of profiles looks up each member's N grids and stacks their forms once,
+and contracts every probe with them in one product. W is even in phi, so the
 grid holds phi in [0, pi] with mirrored weights, and its sin moments are 0.
 The rows at the grid's radii are one barycentric product, whose weights the
 grid keeps per Chebyshev point count.
@@ -76,7 +76,7 @@ from .elastic import LameProfile, NumericalDiagnostic, taylor_truncate, validate
 from .stroh import _taq, first_order_matrix, impedance_basis, reference_chain
 
 __all__ = [
-    "EFOLDS", "ForwardError", "H_MAX", "PairingResult", "QuadratureSettings",
+    "EFOLDS", "ForwardError", "H_MAX", "QuadratureSettings",
     "RadialDtnTable", "RadialSymbol", "difference_pairing", "dtn_symbol", "dtn_symbol_march",
     "form_counts", "half_space_impedance", "interpolation_counts", "ladder_pairings",
     "limit_quadrature",
@@ -761,14 +761,6 @@ DEFAULT_QUAD = QuadratureSettings()
 
 
 @dataclass(frozen=True)
-class PairingResult:
-    """Localized DN pairing value and its quadrature tail estimate."""
-
-    value: complex
-    tail_estimate: float
-
-
-@dataclass(frozen=True)
 class PolarGrid:
     """Polar frequency grid centered at k = 0 with cutoff spectral weights.
 
@@ -932,54 +924,43 @@ def _check_order(profile: LameProfile, m: int) -> None:
         )
 
 
-def pairing(profile: LameProfile, probe: ProbeSpec, quad: QuadratureSettings = DEFAULT_QUAD,
-            symbols: tuple[RadialSymbol, ...] | None = None) -> PairingResult:
+def pairing(profile: LameProfile, probe: ProbeSpec,
+            quad: QuadratureSettings = DEFAULT_QUAD) -> float:
     """<Lambda_C phi^N, conj(phi^N)> via the tangential-Fourier identity.
 
     value = (2 pi)^-2 N^{2 rho - 3} int |eta_hat(kappa(k))|^2 a^H M(k) a dk
     over the polar grid, wide enough that the excluded spectral tail is below
-    quad.tail_tol of the cutoff mass. ``symbols`` is the profile's ladder value
-    from :func:`warm_tables`, looked up when not given.
+    quad.tail_tol of the cutoff mass; real, as M(k) is Hermitian.
     """
-    return _result(ladder_pairings(profile, 0, (probe,), (probe.N,), quad, symbols)[0, 0], quad)
+    return float(ladder_pairings((profile,), 0, (probe,), (probe.N,), quad)[0, 0, 0])
 
 
 def difference_pairing(profile: LameProfile, m: int, probe: ProbeSpec,
-                       quad: QuadratureSettings = DEFAULT_QUAD,
-                       symbols: tuple[RadialSymbol, ...] | None = None) -> PairingResult:
+                       quad: QuadratureSettings = DEFAULT_QUAD) -> float:
     """pairing(profile) - pairing(truncated profile), on one shared grid.
 
     The shared nodes (same polar grid, same radial radii) make the correlated
     part of the quadrature error cancel, which matters because the m-th order
-    signal is O(N^-m) relative to each term. ``symbols`` is the order-m ladder
-    value from :func:`warm_tables`, looked up when not given.
+    signal is O(N^-m) relative to each term.
     """
     if m < 1:
         raise ValueError("difference pairing requires m >= 1 (m = 0 is pairing)")
-    return _result(ladder_pairings(profile, m, (probe,), (probe.N,), quad, symbols)[0, 0], quad)
+    return float(ladder_pairings((profile,), m, (probe,), (probe.N,), quad)[0, 0, 0])
 
 
-def ladder_pairings(profile: LameProfile, m: int, probes, N_values,
-                    quad: QuadratureSettings = DEFAULT_QUAD,
-                    symbols: tuple[RadialSymbol, ...] | None = None) -> np.ndarray:
+def ladder_pairings(profiles, m: int, probes, N_values,
+                    quad: QuadratureSettings = DEFAULT_QUAD) -> np.ndarray:
     """:func:`pairing` (m = 0) or :func:`difference_pairing` (m >= 1) values of
-    each of ``probes`` (one rho_tilde and cutoff) at each N of ``N_values``,
-    real, shape (probe, N): the N grids are looked up and the moment forms of
-    ``symbols[0]`` (minus ``symbols[1]``) on them stacked once, and every
-    probe is contracted with them in one product."""
-    _check_order(profile, m)
+    each of ``profiles`` (one group, :func:`warm_group`) for each of ``probes``
+    (one rho_tilde and cutoff) at each N of ``N_values``, real, shape
+    (profile, probe, N): each member's N grids are looked up and its moment
+    forms stacked, and every probe is contracted with all of them in one product."""
     rho_tilde, cutoff = probes[0].rho_tilde, probes[0].cutoff
     if any(p.rho_tilde != rho_tilde or p.cutoff is not cutoff for p in probes):
         raise ValueError("the probes of one battery share one rho_tilde and one cutoff")
-    symbols = (symbols or warm_tables(profile, quad, m))[:2 if m else 1]
-    forms = np.stack([polar_grid(int(n), rho_tilde, cutoff, quad).form(symbols)
-                      for n in N_values])
-    return PolarGrid.contract(forms, [(p.a, p.omega) for p in probes])
-
-
-def _result(value, quad: QuadratureSettings) -> PairingResult:
-    value = complex(value)
-    return PairingResult(value, quad.tail_tol * abs(value))
+    forms = np.stack([[polar_grid(int(n), rho_tilde, cutoff, quad).form(symbols)
+                       for n in N_values] for symbols in warm_group(profiles, quad, m)])
+    return PolarGrid.contract(forms, [(p.a, p.omega) for p in probes]).swapaxes(0, 1)
 
 
 # ---------------------------------------------------------------------------

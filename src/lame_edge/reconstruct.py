@@ -35,12 +35,10 @@ from .forward import (
     ForwardError,
     PolarGrid,
     QuadratureSettings,
-    RadialSymbol,
     Z_ROWS_E1,
     ladder_pairings,
     pairing,  # noqa: F401 (perfbench wraps it under this name too)
     polar_grid,
-    warm_group,
 )
 from .stroh import VARIANTS, closed_form_response, impedance_basis, sigma_basis
 from .stroh import impedance  # noqa: F401 (perfbench wraps impedance)
@@ -256,32 +254,35 @@ def _check_dyadic(N_list) -> np.ndarray:
 
 
 def serial_ladder_runner(
-    profile: LameProfile,
+    profiles,
     battery,
     N_list,
     m: int,
     cutoff: CutoffProfile | None = None,
     rho_tilde: int | None = None,
     quad: QuadratureSettings = DEFAULT_QUAD,
-    symbols: tuple[RadialSymbol, ...] | None = None,
-) -> list[LadderResult]:
-    """The ladders of one profile for every battery probe, in order: pairings
-    (m = 0) or N^m-scaled difference pairings (m >= 1); the default rho_tilde
-    is ProbeSpec.auto_rho_tilde for the order and the profile's p. ``symbols``
-    is the ladders' :func:`lame_edge.forward.warm_tables` value, looked up when
-    not given. Each probe is validated at the smallest N, and the battery's
-    pairings are one computation (:func:`lame_edge.forward.ladder_pairings`);
-    each ladder is extrapolated on its own."""
+) -> list[list[LadderResult]]:
+    """The ladders of each of ``profiles`` for every battery probe, in order:
+    pairings (m = 0) or N^m-scaled difference pairings (m >= 1). The profiles
+    are one symbol group and share one holder_exponent p, as the probes share
+    one rho_tilde and cutoff; the default rho_tilde is
+    ProbeSpec.auto_rho_tilde for the order and p. Each probe is validated at
+    the smallest N, and the group's pairings are one computation
+    (:func:`lame_edge.forward.ladder_pairings`); each ladder is extrapolated on
+    its own."""
     N = _check_dyadic(N_list)
     cutoff = cutoff if cutoff is not None else DEFAULT_CUTOFF
-    p = profile.holder_exponent
+    profiles = tuple(profiles)
+    p = profiles[0].holder_exponent
+    if any(q.holder_exponent != p for q in profiles):
+        raise ValueError("the profiles of one group share one holder_exponent")
     rt = rho_tilde if rho_tilde is not None else ProbeSpec.auto_rho_tilde(m, p)
     probes = [ProbeSpec(t.a, t.omega, int(N[0]), rt, m, cutoff, p) for t in battery]
-    values = ladder_pairings(profile, m, probes, N, quad, symbols)
+    values = ladder_pairings(profiles, m, probes, N, quad)
     vals = N**m * values.astype(complex)
     tails = quad.tail_tol * np.abs(values)
-    return [LadderResult(t, m, N, v, extrapolate(N, v, rho=1.0 / rt), tail)
-            for t, v, tail in zip(battery, vals, tails)]
+    return [[LadderResult(t, m, N, v, extrapolate(N, v, rho=1.0 / rt), tail)
+             for t, v, tail in zip(battery, *member)] for member in zip(vals, tails)]
 
 
 def run_ladder(
@@ -292,11 +293,10 @@ def run_ladder(
     cutoff: CutoffProfile | None = None,
     rho_tilde: int | None = None,
     quad: QuadratureSettings = DEFAULT_QUAD,
-    symbols: tuple[RadialSymbol, ...] | None = None,
 ) -> LadderResult:
     """The ladder of one probe: :func:`serial_ladder_runner` on a battery of one."""
-    return serial_ladder_runner(profile, (template,), N_list, m, cutoff, rho_tilde, quad,
-                                symbols)[0]
+    return serial_ladder_runner((profile,), (template,), N_list, m, cutoff, rho_tilde,
+                                quad)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -576,10 +576,10 @@ def calibrate_order_m(
     Columns are ladder limits for the unit profiles lam = lam0 + y3^m/m! and
     mu = mu0 + y3^m/m!; linearity is verified against a third profile with
     mixed derivatives (prediction error above ``_LINEARITY_TOL`` rejects the
-    calibration). The three profiles' symbols, with their one shared constant
-    truncation, are one memo group, integrated on one Riccati step sequence, so
-    their integrator errors are correlated in the linearity check, and each
-    ladder is handed its symbols. The verdict
+    calibration). The three profiles are one ladder group: their symbols, with
+    their one shared constant truncation, are one memo entry, integrated on one
+    Riccati step sequence, so their integrator errors are correlated in the
+    linearity check. The verdict
     names the closed-form variant closest to the measured matrix in relative
     Frobenius distance; ``matrices`` maps each closed-form mode and
     ``"predicted"`` to its :func:`design_matrix` at ``base``, computed when not given.
@@ -587,13 +587,10 @@ def calibrate_order_m(
     profiles = {"lam": _unit_profile(base, m, 1.0, 0.0, "calib-lam"),
                 "mu": _unit_profile(base, m, 0.0, 1.0, "calib-mu"),
                 "mixed": _unit_profile(base, m, *_MIXED_DERIVATIVES, "calib-mixed")}
-    ladder_symbols = warm_group(profiles.values(), quad, m)
-    ladders: dict[str, list[LadderResult]] = {}
-    cols = {}
-    for (key, prof), symbols in zip(profiles.items(), ladder_symbols):
-        lrs = serial_ladder_runner(prof, battery, N_list, m, cutoff, rho_tilde, quad, symbols)
-        ladders[key] = lrs
-        cols[key] = np.array([float(np.real(lr.limit)) for lr in lrs])
+    ladders = dict(zip(profiles, serial_ladder_runner(profiles.values(), battery, N_list, m,
+                                                      cutoff, rho_tilde, quad)))
+    cols = {key: np.array([float(np.real(lr.limit)) for lr in lrs])
+            for key, lrs in ladders.items()}
 
     A = np.column_stack([cols["lam"], cols["mu"]])
     predicted_mix = A @ np.asarray(_MIXED_DERIVATIVES)
@@ -722,7 +719,8 @@ def reconstruct_profile(
     p = profile.holder_exponent
     rt0, rtm = (ProbeSpec.auto_rho_tilde(k, p) if rho_tilde is None else rho_tilde for k in (0, m))
     with stage("order0_ladders"):
-        order0_ladders = serial_ladder_runner(profile, battery, N_list, 0, cutoff, rt0, quad)
+        order0_ladders = serial_ladder_runner((profile,), battery, N_list, 0, cutoff, rt0,
+                                              quad)[0]
     with stage("order0_solve"):
         order0, refined_limits = refine_order0(order0_ladders, cutoff, rt0, quad, C)
     base = (order0.lam, order0.mu)
@@ -736,7 +734,8 @@ def reconstruct_profile(
     verdict = "calibration-only"
     if m >= 1:
         with stage("order_m_ladders"):
-            order_m_ladders = serial_ladder_runner(profile, battery, N_list, m, cutoff, rtm, quad)
+            order_m_ladders = serial_ladder_runner((profile,), battery, N_list, m, cutoff, rtm,
+                                                   quad)[0]
         pairs = [(lr.template, lr) for lr in order_m_ladders]
         with stage("order_m_solve"):
             matrices = {mode: design_matrix(battery, m, mode, base)

@@ -70,7 +70,7 @@ def hom21_order0(gauss):
     battery = [ProbeTemplate.named("e3", (1.0, 0.0)),
                ProbeTemplate.named("sigma1", (1.0, 0.0))]
     t0 = time.perf_counter()
-    ladders = serial_ladder_runner(profile, battery, LADDER, 0, gauss, 4, DEFAULT_QUAD)
+    (ladders,) = serial_ladder_runner((profile,), battery, LADDER, 0, gauss, 4, DEFAULT_QUAD)
     order0, refined = refine_order0(ladders, gauss, 4)
     elapsed = time.perf_counter() - t0
     return {"ladders": ladders, "order0": order0, "refined": refined,

@@ -45,9 +45,11 @@ from lame_edge.forward import (
     polar_grid,
     symbol_memo,
     truncation_depth,
+    warm_group,
     warm_tables,
 )
-from lame_edge.reconstruct import ProbeTemplate, default_battery, run_ladder, serial_ladder_runner
+from lame_edge.reconstruct import (_MIXED_DERIVATIVES, ProbeTemplate, _unit_profile,
+                                   default_battery, run_ladder, serial_ladder_runner)
 from lame_edge.stroh import impedance
 
 E1 = (1.0, 0.0, 0.0)
@@ -742,16 +744,14 @@ class TestPairing:
     def test_zero_amplitude(self, gauss):
         prof = LameProfile.constant(1.0, 1.0)
         probe = ProbeSpec(np.zeros(3), E1, 32, 4, 0, gauss)
-        assert pairing(prof, probe).value == 0.0
+        assert pairing(prof, probe) == 0.0
 
     def test_homogeneous_limit_direction(self, gauss):
         # raw value at N = 256 approaches the impedance form from above
         prof = LameProfile.constant(1.0, 1.0)
         probe = ProbeSpec(np.array([0, 0, 1.0]), E1, 256, 4, 0, gauss)
-        val = pairing(prof, probe).value
-        assert val.real > 1.5
-        assert val.real < 1.5 * 1.25
-        assert abs(val.imag) <= 1e-10 * val.real
+        val = pairing(prof, probe)
+        assert 1.5 < val < 1.5 * 1.25
 
     def test_equal_slot_real_positive(self, gauss):
         rng = np.random.default_rng(6)
@@ -761,29 +761,27 @@ class TestPairing:
             th = rng.uniform(0, 2 * np.pi)
             probe = ProbeSpec(a, (np.cos(th), np.sin(th), 0.0), 32, 4, 0, gauss)
             res = pairing(prof, probe)
-            assert res.value.real > 0.0
-            assert abs(res.value.imag) <= 1e-8 * res.value.real
+            assert type(res) is float and res > 0.0
 
     def test_grid_refinement_stability(self, gauss):
         prof = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2], name="gridref")
         probe = ProbeSpec(np.array([0, 0, 1.0]), E1, 64, 4, 0, gauss)
-        v1 = pairing(prof, probe, QuadratureSettings(nodes=96)).value
-        v2 = pairing(prof, probe, QuadratureSettings(nodes=192)).value
+        v1 = pairing(prof, probe, QuadratureSettings(nodes=96))
+        v2 = pairing(prof, probe, QuadratureSettings(nodes=192))
         assert abs(v1 - v2) <= 1e-6 * abs(v1)
 
     def test_table_refinement_stability(self, gauss):
         prof = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2], name="tabref")
         probe = ProbeSpec(np.array([0, 0, 1.0]), E1, 64, 4, 0, gauss)
-        v1 = pairing(prof, probe, QuadratureSettings()).value
-        v2 = pairing(prof, probe, QuadratureSettings(riccati_tol=1e-12)).value
+        v1 = pairing(prof, probe, QuadratureSettings())
+        v2 = pairing(prof, probe, QuadratureSettings(riccati_tol=1e-12))
         assert abs(v1 - v2) <= 1e-9 * abs(v1)
 
     def test_bump_cutoff_pairing(self):
         prof = LameProfile.constant(1.0, 1.0)
         probe = ProbeSpec(np.array([0, 0, 1.0]), E1, 32, 4, 0, BumpCutoff())
         res = pairing(prof, probe, QuadratureSettings(nodes=128, tail_tol=1e-6))
-        assert res.value.real > 0.0
-        assert abs(res.value.imag) <= 1e-8 * res.value.real
+        assert type(res) is float and res > 0.0
 
 
 GRAD = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2], name="grad-contract")
@@ -816,8 +814,8 @@ class TestReducedContraction:
         c, s = np.cos(alpha), np.sin(alpha)
         rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         omega = np.array([np.cos(theta), np.sin(theta), 0.0])
-        v0 = pairing(GRAD, ProbeSpec(a, omega, N, rt, 0, GAUSS)).value
-        v1 = pairing(GRAD, ProbeSpec(rot @ a, rot @ omega, N, rt, 0, GAUSS)).value
+        v0 = pairing(GRAD, ProbeSpec(a, omega, N, rt, 0, GAUSS))
+        v1 = pairing(GRAD, ProbeSpec(rot @ a, rot @ omega, N, rt, 0, GAUSS))
         assert abs(v1 - v0) <= 1e-12 * abs(v0)
 
     def test_grid_memo_keys_cutoffs_by_identity(self):
@@ -1034,67 +1032,97 @@ class TestMomentForms:
 
 
 def pairing_bits(Ns, rho_tildes) -> dict:
-    """Pairing and order-1 difference pairing of GRAD per rho_tilde and N,
-    standalone and on the ladder's symbols, as exact hex strings."""
+    """Pairing and order-1 difference pairing of GRAD per rho_tilde and N, as
+    exact hex strings."""
     a = np.array([0.4, -1.0j, 0.7])
     out = {}
     for rt in rho_tildes:
-        symbols = [warm_tables(GRAD, m=m) for m in (0, 1)]
         for n in Ns:
             p = ProbeSpec(a, (0.6, 0.8, 0.0), n, rt, 1, GAUSS)
-            values = (pairing(GRAD, p), difference_pairing(GRAD, 1, p),
-                      pairing(GRAD, p, symbols=symbols[0]),
-                      difference_pairing(GRAD, 1, p, symbols=symbols[1]))
-            out[f"{rt}/{n}"] = [v.value.real.hex() + v.value.imag.hex() for v in values]
+            out[f"{rt}/{n}"] = [pairing(GRAD, p).hex(), difference_pairing(GRAD, 1, p).hex()]
     return out
 
 
 class TestBatteryPath:
-    """A battery's ladders are one computation: its N grids looked up and its
-    moment forms stacked once, and every probe contracted in one product."""
+    """A group's battery of ladders is one computation: each member's N grids
+    looked up and its moment forms stacked once, and every probe contracted
+    with all of them in one product."""
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     @pytest.mark.parametrize("profile", [GRAD, STEEP], ids=["grad", "steep"])
     def test_battery_equals_its_ladders_one_by_one(self, profile, m):
-        # values, tails, limits, flags and noise, bit for bit, with the symbols
-        # looked up and handed; and the values equal each probe's own sum over
-        # its (4, 5) coefficients, the contraction before batteries were batched
+        # values, tails, limits, flags and noise, bit for bit; and the values
+        # equal each probe's own sum over its (4, 5) coefficients, the
+        # contraction before batteries were batched
         battery = default_battery(((1.0, 0.0), (0.6, 0.8)))
         rt = ProbeSpec.auto_rho_tilde(m, profile.holder_exponent)
-        handed = warm_tables(profile, m=m)
-        forms = np.stack([polar_grid(n, rt, GAUSS, DEFAULT_QUAD).form(handed[:2 if m else 1])
+        forms = np.stack([polar_grid(n, rt, GAUSS, DEFAULT_QUAD).form(warm_tables(profile, m=m))
                           for n in LADDER])
-        for symbols in (None, handed):
-            together = serial_ladder_runner(profile, battery, LADDER, m, GAUSS, None,
-                                            DEFAULT_QUAD, symbols)
-            assert [lr.template for lr in together] == battery
-            for t, lr in zip(battery, together):
-                alone = run_ladder(profile, t, LADDER, m, cutoff=GAUSS, symbols=symbols)
-                assert lr.values.tobytes() == alone.values.tobytes()
-                assert lr.tails.tobytes() == alone.tails.tobytes()
-                assert lr.extrapolation == alone.extrapolation
-                assert (lr.limit, lr.noise) == (alone.limit, alone.noise)
-                probe = ProbeSpec(t.a, t.omega, LADDER[0], rt, m, GAUSS)
-                own = np.sum(forms * _probe_coefficients(probe.a, probe.omega), axis=(-2, -1))
-                assert lr.values.tobytes() == (np.array(LADDER) ** m * own.astype(complex)).tobytes()
+        (together,) = serial_ladder_runner((profile,), battery, LADDER, m, GAUSS)
+        assert [lr.template for lr in together] == battery
+        for t, lr in zip(battery, together):
+            alone = run_ladder(profile, t, LADDER, m, cutoff=GAUSS)
+            assert lr.values.tobytes() == alone.values.tobytes()
+            assert lr.tails.tobytes() == alone.tails.tobytes()
+            assert lr.extrapolation == alone.extrapolation
+            assert (lr.limit, lr.noise) == (alone.limit, alone.noise)
+            own = np.sum(forms * _probe_coefficients(t.a, t.omega), axis=(-2, -1))
+            assert lr.values.tobytes() == (np.array(LADDER) ** m * own.astype(complex)).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_group_equals_each_members_own_sums(self, m):
+        # the calibration's group: three profiles with unit and mixed order-m
+        # derivatives at one base, one Riccati integration for all three per
+        # Chebyshev round (at m = 2 the mu profile takes a second round), their
+        # shared truncation exact; each member's values are, bit for bit, each
+        # probe's own sum over that member's forms
+        profiles = [_unit_profile((1.2, 0.9), m, *d, f"group-{i}") for i, d in
+                    enumerate(((1.0, 0.0), (0.0, 1.0), _MIXED_DERIVATIVES))]
+        battery = default_battery(((1.0, 0.0), (0.6, 0.8)))
+        rt = ProbeSpec.auto_rho_tilde(m, profiles[0].holder_exponent)
+        symbol_memo.clear()
+        before, built = dict(symbol_memo.counts), len(symbol_memo.accepted)
+        group = serial_ladder_runner(profiles, battery, LADDER, m, GAUSS)
+        delta = {k: v - before[k] for k, v in symbol_memo.counts.items()}
+        rounds = 1 + max(k for _, k in symbol_memo.accepted[built:])
+        assert (delta["riccati_solves"], delta["exact_constants"]) == (rounds, 1)
+        assert rounds == m
+        assert [[lr.template for lr in ladders] for ladders in group] == [battery] * 3
+        for symbols, ladders in zip(warm_group(profiles, m=m), group):
+            forms = np.stack([polar_grid(n, rt, GAUSS, DEFAULT_QUAD).form(symbols)
+                              for n in LADDER])
+            for t, lr in zip(battery, ladders):
+                own = np.sum(forms * _probe_coefficients(t.a, t.omega), axis=(-2, -1))
+                assert lr.values.tobytes() == (
+                    np.array(LADDER) ** m * own.astype(complex)).tobytes()
+
+    def test_group_shares_one_holder_exponent(self):
+        # as a battery's probes share one rho_tilde: refused before any integration
+        profiles = [LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2], holder_exponent=p)
+                    for p in (0.9, 0.5)]
+        symbol_memo.clear()
+        before = symbol_memo.counts["riccati_solves"]
+        with pytest.raises(ValueError, match="share one holder_exponent"):
+            serial_ladder_runner(profiles, default_battery(), LADDER, 1, GAUSS)
+        assert symbol_memo.counts["riccati_solves"] == before
 
     def test_battery_shares_one_grid_and_cutoff(self):
         probes = [ProbeSpec(np.array([0.0, 0.0, 1.0]), E1, 16, rt, 0, GAUSS) for rt in (4, 5)]
         with pytest.raises(ValueError, match="one rho_tilde and one cutoff"):
-            ladder_pairings(GRAD, 0, probes, LADDER)
+            ladder_pairings((GRAD,), 0, probes, LADDER)
 
 
 class TestDifferencePairing:
     def test_polynomial_below_order_gives_zero(self, gauss):
         prof = LameProfile.constant(1.3, 0.9)
         probe = ProbeSpec(np.array([0, 0, 1.0]), E1, 64, 4, 1, gauss)
-        val = difference_pairing(prof, 1, probe).value
+        val = difference_pairing(prof, 1, probe)
         assert abs(val) <= 1e-8
 
     def test_linear_profile_order2_gives_zero(self, gauss):
         prof = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2])
         probe = ProbeSpec(np.array([0, 0, 1.0]), E1, 64, 5, 2, gauss)
-        val = difference_pairing(prof, 2, probe).value
+        val = difference_pairing(prof, 2, probe)
         assert abs(val) <= 1e-8
 
     def test_requires_positive_order(self, gauss):
@@ -1108,7 +1136,7 @@ class TestDifferencePairing:
 
         prof = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2], name="grad-lim")
         probe = ProbeSpec(np.array([0, 0, 1.0]), E1, 128, 4, 1, gauss)
-        val = 128 * difference_pairing(prof, 1, probe).value.real
+        val = 128 * difference_pairing(prof, 1, probe)
         predicted = leading_order_response((0, 0, 1.0), E1, 1, 0.3, 0.2, 1.0, 1.0)
         assert predicted == pytest.approx(0.30625)
         assert abs(val - predicted) <= 0.01 * predicted

@@ -31,7 +31,7 @@ from lame_edge.reconstruct import (
     serial_ladder_runner,
     reconstruct_profile,
 )
-from lame_edge.stroh import closed_form_response, impedance, quadratic_form
+from lame_edge.stroh import closed_form_response, impedance, quadratic_form, sigma_basis
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -90,6 +90,71 @@ class TestClosedFormResponse:
         v1 = closed_form_response(a, E1, 1, 0.3, 0.2, "plus_one")
         v2 = closed_form_response(a, E1, 1, 0.6, 0.4, "plus_one")
         assert v2 == pytest.approx(2.0 * v1)
+
+
+def abs_squared_table(a, omega, m: int, dlam: float, dmu: float) -> float:
+    """The printed ``plus_a3_squared`` order-m table of
+    :func:`lame_edge.stroh.closed_form_response` with |.|^2 in place of each
+    literal square: a diagnostic for criterion 06b, not a design-matrix mode."""
+    a = np.asarray(a, dtype=complex).ravel()
+    w = np.asarray(omega, dtype=float).ravel()[:2]
+    lam_factor = abs(1j * (a[0] * w[0] + a[1] * w[1]) - a[2]) ** 2
+    shear = sum(abs((a[i] * w[j] + a[j] * w[i]) / 2.0) ** 2 for i in range(2) for j in range(2))
+    mixed = 2.0 * sum(abs((1j * a[2] * w[i] - a[i]) / 2.0) ** 2 for i in range(2))
+    return dlam * lam_factor / 2.0 ** (m + 1) + dmu * (shear + mixed + abs(a[2]) ** 2) / 2.0**m
+
+
+class TestPrintedTableDepartures:
+    """Criterion 06b fails because the printed order-m table departs twice from
+    the family energy that the ladders follow: it squares complex strain
+    factors literally, and it drops the family's depth-linear (Jordan) term."""
+
+    def test_abs_squared_table_is_family_energy_without_jordan_term(self):
+        # the |.|^2 table is _family_moment on the jets (a (x) i sigma_2, 0): the
+        # family's jets with b = 0, for each column (d^m lam, d^m mu) = (1, 0), (0, 1)
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        for _ in range(500):
+            a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            th = rng.uniform(0.0, 2.0 * np.pi)
+            om = (np.cos(th), np.sin(th), 0.0)
+            lam0, mu0 = random_admissible(rng)
+            m = int(rng.integers(1, 3))
+            sigma2 = sigma_basis(lam0, mu0, om)[:, 1]
+            jets = (DisplacementJet(np.outer(a, 1j * sigma2)), DisplacementJet(np.zeros((3, 3))))
+            for dlam, dmu in ((1.0, 0.0), (0.0, 1.0)):
+                table = abs_squared_table(a, om, m, dlam, dmu)
+                energy = reconstruct._family_moment(jets, m, dlam, dmu)
+                worst = max(worst, abs(table - energy) / abs(energy))
+        assert worst <= 1e-13
+
+    def test_each_departure_costs_gradient_recovery(self):
+        # the bundled gradient config's order-1 ladders, recovered with the
+        # literal table (147.43%), the |.|^2 table (25.74%) and the full family
+        # energy (2.62%), by criterion 06b's measure: largest error / 0.3
+        cfg = cli.load_config(REPO / "configs" / "gradient.json")
+        battery = cli.battery_from_config(cfg)
+        report = reconstruct_profile(
+            cli.profile_from_config(cfg), cfg["order"], cfg["ladder"], battery=battery,
+            cutoff=cli.cutoff_from_config(cfg), rho_tilde=cfg["rho_tilde"],
+            quad=cli.quad_from_config(cfg), calibrate=False)
+        base = (report.order0.lam, report.order0.mu)
+        pairs = [(lr.template, lr) for lr in report.order_m_ladders]
+        matrices = {
+            "plus_a3_squared": design_matrix(battery, 1, "plus_a3_squared"),
+            "abs_squared": np.array([[abs_squared_table(t.a, t.omega, 1, 1.0, 0.0),
+                                      abs_squared_table(t.a, t.omega, 1, 0.0, 1.0)]
+                                     for t in battery]),
+            "predicted": design_matrix(battery, 1, "predicted", base),
+        }
+        errors = {}
+        for mode, A in matrices.items():
+            r = recover_order_m(pairs, 1, mode, base, matrix=A)
+            errors[mode] = float(np.abs(np.array([r.dlam, r.dmu]) - [0.3, 0.2]).max() / 0.3)
+        assert errors["plus_a3_squared"] > errors["abs_squared"] > errors["predicted"]
+        assert errors == {"plus_a3_squared": pytest.approx(1.4743, rel=0.01),
+                          "abs_squared": pytest.approx(0.2574, rel=0.01),
+                          "predicted": pytest.approx(0.0262, rel=0.01)}
 
 
 class TestLeadingOrderResponse:
@@ -321,8 +386,8 @@ class TestRefineOrder0:
     def test_fixed_point_on_homogeneous_ladders(self):
         cut = GaussianCutoff()
         prof = LameProfile.constant(2.0, 1.0, name="hom21-six")
-        ladders = serial_ladder_runner(prof, default_battery(), [16, 32, 64, 128, 256], 0,
-                                       cut, 4, DEFAULT_QUAD)
+        (ladders,) = serial_ladder_runner((prof,), default_battery(), [16, 32, 64, 128, 256], 0,
+                                          cut, 4, DEFAULT_QUAD)
         res, refined = refine_order0(ladders, cut, 4)
         assert res.ok
         assert res.lam == pytest.approx(2.0, rel=1e-5)
@@ -345,8 +410,8 @@ class TestRefineOrder0:
         # that solve is not ok, the passes deflate from it all the same
         cut = GaussianCutoff()
         prof = LameProfile.constant(-0.66, 1.0, name="near-bulk-bound")
-        ladders = serial_ladder_runner(prof, default_battery(), [16, 32, 64, 128, 256], 0,
-                                       cut, 4, DEFAULT_QUAD)
+        (ladders,) = serial_ladder_runner((prof,), default_battery(), [16, 32, 64, 128, 256], 0,
+                                          cut, 4, DEFAULT_QUAD)
         limits = [(lr.template, lr.limit) for lr in ladders]
         x = np.linalg.lstsq(order0_coefficients(default_battery()),
                             [v.real for _, v in limits], rcond=None)[0]
@@ -432,7 +497,7 @@ class TestLadders:
         for N in (16, 64):
             model = homogeneous_pairing_value(t, N, 4, cut, 1.4, 0.8)
             probe = ProbeSpec(t.a, t.omega, N, 4, 0, cut)
-            measured = pairing(prof, probe).value.real
+            measured = pairing(prof, probe)
             assert model == pytest.approx(measured, rel=2e-6)
 
 
