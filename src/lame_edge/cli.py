@@ -411,18 +411,15 @@ def _fmt(x: float) -> str:
     return f"{x:.12e}"
 
 
-def _write_ladder_csv(path: Path, ladders, nodes: int | None = None) -> None:
-    """One row per ladder point; the last column is the extrapolation rate, or
-    the polar grid size per pairing when ``nodes`` is given."""
+def _write_ladder_csv(path: Path, ladders) -> None:
+    """One row ``N,probe_id,m,re,im`` per ladder point: the scaled pairing value
+    at N (see :class:`lame_edge.reconstruct.LadderResult`)."""
     with path.open("w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")  # quotes probe ids such as e3@(1,0)
-        writer.writerow(["N", "probe_id", "m", "re", "im", "tail",
-                         "rate" if nodes is None else "nodes"])
+        writer.writerow(["N", "probe_id", "m", "re", "im"])
         for lr in ladders:
-            last = _fmt(lr.extrapolation.rate) if nodes is None else nodes
-            for i, n in enumerate(lr.N_values):
-                writer.writerow([int(n), lr.template.name, lr.m, _fmt(lr.values[i].real),
-                                 _fmt(lr.values[i].imag), _fmt(float(lr.tails[i])), last])
+            for n, v in zip(lr.N_values, lr.values):
+                writer.writerow([int(n), lr.template.name, lr.m, _fmt(v.real), _fmt(v.imag)])
 
 
 def _sha256(path: Path) -> str:
@@ -541,7 +538,7 @@ def cmd_forward(args) -> int:
             (profile,), battery, cfg["ladder"], m, cutoff, cfg.get("rho_tilde"), quad)[0]])
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_ladder_csv(outdir / "pairings.csv", ladders, nodes=4 * quad.nodes**2)
+    _write_ladder_csv(outdir / "pairings.csv", ladders)
     _write_manifest(outdir, Path(args.config), stages, [outdir / "pairings.csv"], counters)
     print(f"wrote {outdir / 'pairings.csv'} ({len(ladders)} ladders)")
     return EXIT_OK

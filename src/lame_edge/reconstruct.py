@@ -138,8 +138,6 @@ def leading_order_response(
 @dataclass(frozen=True)
 class ExtrapolationResult:
     limit: complex
-    rate: float
-    fit_residual: float
     flag: str  # "structured" | "converged" | "noise_floor"
     uncertainty: float
 
@@ -178,19 +176,16 @@ def extrapolate(N_values, values, rho: float) -> ExtrapolationResult:
     mag = np.abs(d)
     scale = max(np.abs(S).max(), 1e-300)
     if mag.max() <= 1e-13 * scale:
-        return ExtrapolationResult(complex(S[-1]), math.inf, 0.0, "converged",
-                                   float(mag.max()))
+        return ExtrapolationResult(complex(S[-1]), "converged", float(mag.max()))
     if mag[-1] > 2.0 * mag[-2]:
-        return ExtrapolationResult(complex(S[-1]), 0.0, math.inf, "noise_floor",
-                                   float(3.0 * mag[-1]))
+        return ExtrapolationResult(complex(S[-1]), "noise_floor", float(3.0 * mag[-1]))
 
     exps, A, fit = _fit_basis(tuple(N), rho)
     coef = fit @ S
     rms = float(np.linalg.norm(A @ coef - S) / math.sqrt(N.size))
     # uncertainty: misfit plus a fraction of the least-resolved term
     tail_term = abs(coef[-1]) * N[-1] ** -exps[-1]
-    return ExtrapolationResult(complex(coef[0]), exps[0], rms, "structured",
-                               float(rms + 0.5 * tail_term))
+    return ExtrapolationResult(complex(coef[0]), "structured", float(rms + 0.5 * tail_term))
 
 
 @dataclass(frozen=True)
@@ -231,7 +226,6 @@ class LadderResult:
     N_values: np.ndarray
     values: np.ndarray  # scaled: pairing for m=0, N^m * difference for m>=1
     extrapolation: ExtrapolationResult
-    tails: np.ndarray  # quadrature tail estimates, one per N
 
     @property
     def limit(self) -> complex:
@@ -244,6 +238,9 @@ class LadderResult:
 
 def _check_dyadic(N_list) -> np.ndarray:
     N = [int(n) for n in N_list]  # checked as Python ints: a ladder has a handful
+    for n, k in zip(N_list, N):
+        if n != k:
+            raise ValueError(f"ladder N must be integers, got {n}")
     if len(N) < 4:
         raise ValueError("ladder needs at least 4 N values")
     if any(b <= a for a, b in zip(N, N[1:])):
@@ -278,11 +275,9 @@ def serial_ladder_runner(
         raise ValueError("the profiles of one group share one holder_exponent")
     rt = rho_tilde if rho_tilde is not None else ProbeSpec.auto_rho_tilde(m, p)
     probes = [ProbeSpec(t.a, t.omega, int(N[0]), rt, m, cutoff, p) for t in battery]
-    values = ladder_pairings(profiles, m, probes, N, quad)
-    vals = N**m * values.astype(complex)
-    tails = quad.tail_tol * np.abs(values)
-    return [[LadderResult(t, m, N, v, extrapolate(N, v, rho=1.0 / rt), tail)
-             for t, v, tail in zip(battery, *member)] for member in zip(vals, tails)]
+    vals = N**m * ladder_pairings(profiles, m, probes, N, quad).astype(complex)
+    return [[LadderResult(t, m, N, v, extrapolate(N, v, rho=1.0 / rt))
+             for t, v in zip(battery, member)] for member in vals]
 
 
 def run_ladder(
@@ -544,7 +539,6 @@ _LINEARITY_TOL, _MIXED_DERIVATIVES = 0.03, (0.4, 0.5)
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    m: int
     base: tuple[float, float]
     matrix: np.ndarray  # (n_probes, 2) real
     linearity_error: float
@@ -610,7 +604,7 @@ def calibrate_order_m(
             np.linalg.norm(B - A) / max(np.linalg.norm(A), 1e-300)
         )
     verdict = min(VARIANTS, key=lambda v: distances[v])
-    return CalibrationResult(m, base, A, lin_err, distances, verdict, ladders)
+    return CalibrationResult(base, A, lin_err, distances, verdict, ladders)
 
 
 # ---------------------------------------------------------------------------
@@ -631,16 +625,13 @@ class ReconstructionReport:
     order_m: dict  # mode -> OrderMResult
     order_m_ladders: list
     calibration: CalibrationResult | None
-    m: int
-    variant_verdict: str
-    condition_numbers: dict
-    order0_refined_limits: dict | None = None
+    variant_verdict: str  # see reconstruct_profile
+    order0_refined_limits: dict  # probe name -> deflated order-0 limit
     # wall time of each stage of reconstruct_profile; not part of to_dict
     stage_seconds: dict = field(default_factory=dict, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         def ladder_dict(lr: LadderResult) -> dict:
-            rate = float(lr.extrapolation.rate)  # infinite for a converged ladder
             return {
                 "probe": lr.template.name,
                 "m": lr.m,
@@ -649,7 +640,6 @@ class ReconstructionReport:
                 "im": [float(v.imag) for v in lr.values],
                 "limit_re": float(lr.limit.real),
                 "limit_im": float(lr.limit.imag),
-                "rate": rate if math.isfinite(rate) else None,
                 "fit_flag": lr.extrapolation.flag,
                 "noise": float(lr.noise),
             }
@@ -675,12 +665,10 @@ class ReconstructionReport:
             },
             "ladders": [ladder_dict(lr) for lr in self.order0_ladders + self.order_m_ladders],
             "variant_verdict": self.variant_verdict,
-            "condition_numbers": self.condition_numbers,
-        }
-        if self.order0_refined_limits is not None:
-            out["order0_refined_limits"] = {
+            "order0_refined_limits": {
                 k: float(v) for k, v in sorted(self.order0_refined_limits.items())
-            }
+            },
+        }
         if self.calibration is not None:
             out["calibration"] = {
                 "matrix": [[float(x) for x in row] for row in self.calibration.matrix],
@@ -704,7 +692,12 @@ def reconstruct_profile(
     """Order-0 recovery followed by order-m recovery in every available mode;
     each order's rho_tilde (default as in run_ladder) serves all its ladders.
     The battery's order-0 rows and design matrices are computed once and
-    handed on. Refined order-0 moduli that are inadmissible raise ForwardError."""
+    handed on. Refined order-0 moduli that are inadmissible raise ForwardError.
+
+    The report's ``variant_verdict`` is ``"uncalibrated"`` when no calibration
+    ran (order 0, or ``calibrate`` false), the closed-form variant nearest the
+    calibrated matrix when it lies within 5% of it (relative Frobenius), and
+    ``"calibration-only"`` otherwise."""
     seconds = dict.fromkeys(_STAGES, 0.0)
 
     @contextmanager
@@ -731,7 +724,7 @@ def reconstruct_profile(
     order_m_ladders = []
     order_m: dict[str, OrderMResult] = {}
     calibration = None
-    verdict = "calibration-only"
+    verdict = "uncalibrated"
     if m >= 1:
         with stage("order_m_ladders"):
             order_m_ladders = serial_ladder_runner((profile,), battery, N_list, m, cutoff, rtm,
@@ -750,17 +743,15 @@ def reconstruct_profile(
                 order_m["calibrated"] = recover_order_m(pairs, m, "calibrated", base, calibration)
             # a closed-form variant is "validated" only if it actually reproduces
             # the measured matrix; otherwise the calibration stands alone
-            if calibration.distances[calibration.verdict] <= 0.05:
-                verdict = calibration.verdict
+            close = calibration.distances[calibration.verdict] <= 0.05
+            verdict = calibration.verdict if close else "calibration-only"
     return ReconstructionReport(
         order0=order0,
         order0_ladders=order0_ladders,
         order_m=order_m,
         order_m_ladders=order_m_ladders,
         calibration=calibration,
-        m=m,
         variant_verdict=verdict,
-        condition_numbers={mode: r.condition for mode, r in order_m.items()},
         order0_refined_limits=refined_limits,
         stage_seconds=seconds,
     )

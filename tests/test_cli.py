@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lame_edge import cli
 from lame_edge.cli import (
     EXIT_ACCEPTANCE,
     EXIT_CONFIG,
@@ -25,6 +26,7 @@ from lame_edge.cli import (
     main,
 )
 from lame_edge.forward import symbol_memo
+from lame_edge.reconstruct import serial_ladder_runner
 from lame_edge.stroh import VARIANTS
 
 REPO = Path(__file__).resolve().parent.parent
@@ -332,10 +334,9 @@ class TestForwardCommand:
         out = tmp_path / "fwd"
         assert main(["forward", "--config", str(path), "--out", str(out)]) == EXIT_OK
         rows = (out / "pairings.csv").read_text().splitlines()
-        assert rows[0] == "N,probe_id,m,re,im,tail,nodes"
+        assert rows[0] == "N,probe_id,m,re,im"
         assert len(rows) == 5
         assert rows[1].startswith('8,"sigma1@(1,0)",0,')
-        assert rows[1].endswith(f",{4 * 48**2}")
         manifest = json.loads((out / "manifest.json").read_text())
         assert "pairings.csv" in manifest["outputs"]
 
@@ -360,12 +361,22 @@ class TestCsvOutputs:
         assert main(["reconstruct", "--config", str(path), "--out", str(tmp_path / "r")]) == EXIT_OK
         for csv_path in (tmp_path / "f" / "pairings.csv", tmp_path / "r" / "ladders.csv"):
             with csv_path.open(newline="") as f:
-                rows = list(csv.DictReader(f))
+                reader = csv.DictReader(f)
+                rows = list(reader)
+            assert reader.fieldnames == ["N", "probe_id", "m", "re", "im"]
             assert len(rows) == 2 * 4
             for row in rows:
-                assert len(row) == 7 and None not in row
+                assert len(row) == 5 and None not in row
                 assert row["probe_id"] in ("e3@(1,0)", "sigma1@(1,0)")
                 assert int(row["m"]) == 0 and math.isfinite(float(row["re"]))
+        # one layout for one computation: the two files hold the same ladders
+        pairings, ladders = (tmp_path / "f" / "pairings.csv", tmp_path / "r" / "ladders.csv")
+        assert pairings.read_bytes() == ladders.read_bytes()
+        # a report ladder holds its values, its limit and how that limit was reached
+        report = json.loads((tmp_path / "r" / "report.json").read_text())
+        assert "condition_numbers" not in report
+        assert {frozenset(lr) for lr in report["ladders"]} == {frozenset(
+            ("probe", "m", "N", "re", "im", "limit_re", "limit_im", "fit_flag", "noise"))}
 
 
 class TestAnsatzCheck:
@@ -403,8 +414,7 @@ def strict_json(text: str):
 
 class TestReconstructCommand:
     def test_bundled_outputs_are_strict_json(self, tmp_path):
-        # the homogeneous run's six order-1 null ladders converge exactly: their
-        # infinite rate is null in report.json and stays inf in ladders.csv
+        # the homogeneous run's six order-1 null ladders converge exactly
         converged = {}
         for name in ("homogeneous", "gradient"):
             out = tmp_path / name
@@ -412,12 +422,19 @@ class TestReconstructCommand:
                   "--out", str(out)])
             report = strict_json((out / "report.json").read_text())
             strict_json((out / "manifest.json").read_text())
-            converged[name] = [lr for lr in report["ladders"] if lr["rate"] is None]
-            assert all(lr["fit_flag"] == "converged" for lr in converged[name])
-            with (out / "ladders.csv").open(newline="") as f:
-                rates = [row["rate"] for row in csv.DictReader(f)]
-            assert rates.count("inf") == sum(len(lr["N"]) for lr in converged[name])
+            converged[name] = [lr for lr in report["ladders"] if lr["fit_flag"] == "converged"]
+            assert all(lr["m"] == 1 for lr in converged[name])
         assert (len(converged["homogeneous"]), len(converged["gradient"])) == (6, 0)
+
+    @pytest.mark.parametrize("overrides", [{"order": 0}, {"order": 1, "calibrate": False}],
+                             ids=["order0", "calibrate-false"])
+    def test_verdict_without_calibration_is_uncalibrated(self, tmp_path, overrides):
+        path = write_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert "calibration" not in report
+        assert report["variant_verdict"] == "uncalibrated"
 
     def test_small_run_and_determinism(self, tmp_path):
         path = write_config(
@@ -435,7 +452,7 @@ class TestReconstructCommand:
         report = json.loads((out1 / "report.json").read_text())
         assert report["order0"]["lambda"] == pytest.approx(1.0, rel=0.05)
         assert set(report["order_m"]) == {"plus_one", "plus_a3_squared", "predicted"}
-        assert report["variant_verdict"] == "calibration-only"
+        assert report["variant_verdict"] == "uncalibrated"
         order0 = json.loads((out1 / "manifest.json").read_text())["counters"]["order0"]
         assert order0["method"] == report["order0"]["method"]
         assert order0["passes"] >= 1 and order0["final_change"] <= 1e-12
@@ -495,8 +512,8 @@ class TestReconstructCommand:
         assert sum(counters["extrapolation_flags"].values()) == 6 + 6 + 3 * 6
 
     def test_null_rho_tilde_follows_holder_exponent(self, tmp_path):
-        # p = 0.3 admits rho_tilde 5 at order 0 and 8 at order 1 (4 fails smallness);
-        # the structured extrapolation rate is 2 / rho_tilde
+        # p = 0.3 admits rho_tilde 5 at order 0 and 8 at order 1 (4 fails
+        # smallness): the written ladders are the runner's at those rho_tilde
         cfg = json.loads((REPO / "configs" / "gradient.json").read_text())
         cfg["profile"]["p"], cfg["rho_tilde"], cfg["calibrate"] = 0.3, None, False
         del cfg["expect"]
@@ -505,11 +522,16 @@ class TestReconstructCommand:
         out = tmp_path / "p03"
         assert main(["reconstruct", "--config", str(path), "--out", str(out)]) == EXIT_OK
         with (out / "ladders.csv").open(newline="") as f:
-            reader = csv.DictReader(f)
-            rows = list(reader)
-        assert reader.fieldnames[2:] == ["m", "re", "im", "tail", "rate"]
-        assert {(row["m"], row["rate"]) for row in rows} == {
-            ("0", "4.000000000000e-01"), ("1", "2.500000000000e-01")}
+            rows = [(row["N"], row["probe_id"], row["m"], row["re"], row["im"])
+                    for row in csv.DictReader(f)]
+        profile, battery = cli.profile_from_config(cfg), cli.battery_from_config(cfg)
+        expected = [(str(n), lr.template.name, str(m), cli._fmt(v.real), cli._fmt(v.imag))
+                    for m, rt in ((0, 5), (1, 8))
+                    for lr in serial_ladder_runner((profile,), battery, cfg["ladder"], m,
+                                                   cli.cutoff_from_config(cfg), rt,
+                                                   cli.quad_from_config(cfg))[0]
+                    for n, v in zip(lr.N_values, lr.values)]
+        assert rows == expected
 
     @pytest.mark.parametrize("c", [1e-9, 3e-5])
     def test_weak_gradient_resolved(self, tmp_path, c):

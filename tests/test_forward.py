@@ -1051,7 +1051,7 @@ class TestBatteryPath:
     @pytest.mark.parametrize("m", [0, 1, 2])
     @pytest.mark.parametrize("profile", [GRAD, STEEP], ids=["grad", "steep"])
     def test_battery_equals_its_ladders_one_by_one(self, profile, m):
-        # values, tails, limits, flags and noise, bit for bit; and the values
+        # values, limits, flags and noise, bit for bit; and the values
         # equal each probe's own sum over its (4, 5) coefficients, the
         # contraction before batteries were batched
         battery = default_battery(((1.0, 0.0), (0.6, 0.8)))
@@ -1063,7 +1063,6 @@ class TestBatteryPath:
         for t, lr in zip(battery, together):
             alone = run_ladder(profile, t, LADDER, m, cutoff=GAUSS)
             assert lr.values.tobytes() == alone.values.tobytes()
-            assert lr.tails.tobytes() == alone.tails.tobytes()
             assert lr.extrapolation == alone.extrapolation
             assert (lr.limit, lr.noise) == (alone.limit, alone.noise)
             own = np.sum(forms * _probe_coefficients(t.a, t.omega), axis=(-2, -1))

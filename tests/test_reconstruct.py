@@ -479,6 +479,9 @@ class TestLadders:
         ([16, 32, 64], "ladder needs at least 4 N values"),
         ([16, 32, 32, 64], "ladder must be strictly increasing"),
         ([16, 32, 64, 96], "ladder must be dyadic, got [16, 32, 64, 96]"),
+        # refused by name, not truncated to the ladder [16, 32, 64, 128]
+        ([16.7, 32.2, 64.9, 128.1], "ladder N must be integers, got 16.7"),
+        (np.array([16.7, 32.2, 64.9, 128.1]), "ladder N must be integers, got 16.7"),
     ])
     def test_check_dyadic_refusals(self, N_list, message):
         with pytest.raises(ValueError) as err:
@@ -590,7 +593,7 @@ class TestCalibration:
                 warm_tables(prof, DEFAULT_QUAD, 1)
             cal = calibrate_order_m(1, default_battery(), ladder, base, cutoff=cutoff,
                                     rho_tilde=4)
-            ladders = [lr.values.tobytes() + lr.tails.tobytes()
+            ladders = [lr.values.tobytes()
                        for key in ("lam", "mu", "mixed") for lr in cal.ladders[key]]
             return (cal.matrix.tobytes(), cal.linearity_error.hex(), cal.verdict,
                     {k: v.hex() for k, v in cal.distances.items()}, ladders)
