@@ -347,9 +347,15 @@ def cross_field_errors(cfg: dict) -> list[str]:
     cutoff = cfg.get("cutoff", {})
     if cutoff.get("kind") == "bump" and "sigma" in cutoff:
         errors.append("cutoff.sigma applies only to kind 'gaussian'; the bump has a fixed width")
-    for d in cfg.get("probes", {}).get("directions", []):
-        if math.hypot(d[0], d[1]) == 0.0:
-            errors.append(f"probe direction {d} is zero: a direction must be a nonzero tangent")
+    zero = [d for d in cfg.get("probes", {}).get("directions", []) if math.hypot(*d) == 0.0]
+    errors.extend(f"probe direction {d} is zero: a direction must be a nonzero tangent"
+                  for d in zero)
+    if not zero:  # the probe ids of the battery, its directions scaled to unit length
+        names = Counter(t.name for t in battery_from_config(cfg))
+        repeated = [name for name, count in names.items() if count > 1]
+        if repeated:
+            errors.append(f"probe ids repeat: {', '.join(repeated)}; each kind at each "
+                          f"direction, scaled to unit length, must be a distinct probe")
     errors.extend(expect_errors(cfg))
     ladder = cfg["ladder"]
     if any(b != 2 * a for a, b in zip(ladder, ladder[1:])):
@@ -658,7 +664,7 @@ def cmd_reconstruct(args) -> int:
     _write_json(outdir / "report.json", payload)
     _write_ladder_csv(outdir / "ladders.csv", report.order0_ladders + report.order_m_ladders)
     outputs = [outdir / "report.json", outdir / "ladders.csv"]
-    order0 = {k: getattr(report.order0, k) for k in ("method", "passes", "final_change")}
+    order0 = {k: getattr(report.order0, k) for k in ("passes", "final_change")}
     calibration = report.calibration.ladders.values() if report.calibration else []
     flags = Counter(lr.extrapolation.flag for lr in report.order0_ladders
                     + report.order_m_ladders + [lr for lrs in calibration for lr in lrs])
@@ -666,7 +672,7 @@ def cmd_reconstruct(args) -> int:
                     {"order0": order0, **counters, "extrapolation_flags": flags})
     print(f"order-0: lambda = {report.order0.lam:.6f}, mu = {report.order0.mu:.6f}")
     for mode, r in report.order_m.items():
-        print(f"order-{r.m} [{mode:>16s}]: dlam = {r.dlam:+.6f}, dmu = {r.dmu:+.6f}")
+        print(f"order-{cfg['order']} [{mode:>16s}]: dlam = {r.dlam:+.6f}, dmu = {r.dmu:+.6f}")
     print(f"variant verdict: {report.variant_verdict}")
     for f in failures:
         print(f"EXPECT FAIL: {f}", file=sys.stderr)

@@ -1,6 +1,7 @@
 """N-ladders of localized pairings and recovery of moduli and derivatives.
 
-Three design matrices can drive the order-m recovery:
+Each order-m recovery solves with one design matrix of the table that
+:func:`reconstruct_profile` builds once per run:
 
 * two closed-form candidate coefficient tables (``plus_one`` / ``plus_a3_squared``),
   which square complex strain factors literally;
@@ -357,9 +358,9 @@ def _moduli(x) -> tuple[float, float]:
     return float(mu * x[0] / x[1]), float(mu)
 
 
-def recover_order0(limits, coeffs: np.ndarray | None = None) -> Order0Result:
-    """Least-squares (lam, mu) from (ProbeTemplate, limit) pairs; ``coeffs`` may
-    carry their :func:`order0_coefficients` when the same battery is solved repeatedly.
+def recover_order0(limits, C: np.ndarray) -> Order0Result:
+    """Least-squares (lam, mu) from (ProbeTemplate, limit) pairs, whose
+    :func:`order0_coefficients` are the rows ``C``.
 
     The limits are linear in x = (lam mu, mu^2)/(lam + 3 mu) (see
     :func:`order0_variables`), so the solve is one linear least-squares step
@@ -368,7 +369,6 @@ def recover_order0(limits, coeffs: np.ndarray | None = None) -> Order0Result:
     a residual within 1e-3 of the largest limit.
     """
     templates = [t for t, _ in limits]
-    C = order0_coefficients(templates) if coeffs is None else coeffs
     y = np.array([float(np.real(v)) for _, v in limits])
     x, residual, _, _ = _least_squares(C, y, templates, _UNSEPARABLE)
     admissible = x[1] > 0.0 and 3.0 * x[0] + 2.0 * x[1] > 0.0
@@ -403,13 +403,13 @@ def homogeneous_pairing_value(template: ProbeTemplate, N: int, rho_tilde: int,
 
 def refine_order0(
     ladders,
+    C: np.ndarray,
     cutoff: CutoffProfile,
     rho_tilde: int,
     quad: QuadratureSettings = DEFAULT_QUAD,
-    coeffs: np.ndarray | None = None,
 ) -> tuple[Order0Result, dict]:
-    """Order-0 recovery with model-deflated ladder extrapolation; ``coeffs`` is
-    the ladders' :func:`order0_coefficients`, computed when not given.
+    """Order-0 recovery with model-deflated ladder extrapolation; ``C`` is the
+    ladders' :func:`order0_coefficients`.
 
     The finite-N error of an order-0 ladder is dominated by the spectral
     spread of the probe acting on the homogeneous symbol |k| Z, which is
@@ -421,7 +421,6 @@ def refine_order0(
     pass whose x is inadmissible is still well defined. All ladders share one N-list.
     """
     templates = [lr.template for lr in ladders]
-    C = order0_coefficients(templates) if coeffs is None else coeffs
     N = ladders[0].N_values
     if any(not np.array_equal(lr.N_values, N) for lr in ladders):
         raise ValueError("refine_order0 needs ladders on one N-list")
@@ -460,10 +459,10 @@ def design_matrix(
     m: int,
     mode: str,
     base: tuple[float, float] = (1.0, 1.0),
-    calibration: "CalibrationResult | None" = None,
 ) -> np.ndarray:
-    """Rows of d(limit)/d(dlam, dmu) for each probe, per design-matrix mode; a
-    predicted row builds its probe's family jets once, for both columns."""
+    """Rows of d(limit)/d(dlam, dmu) for each probe in a computed mode: one of
+    ``VARIANTS``, or ``"predicted"`` (the family energy at ``base``, whose row
+    builds its probe's family jets once); the calibrated matrix is measured."""
     rows = []
     if mode in VARIANTS:
         for t in battery:
@@ -479,17 +478,11 @@ def design_matrix(
             jets = _family_jets(t.a, t.omega, *base)
             rows.append([_family_moment(jets, m, 1.0, 0.0), _family_moment(jets, m, 0.0, 1.0)])
         return np.array(rows)
-    if mode == "calibrated":
-        if calibration is None:
-            raise ValueError("calibrated mode requires a CalibrationResult")
-        return calibration.matrix.copy()
     raise ValueError(f"unknown design-matrix mode {mode!r}")
 
 
 @dataclass(frozen=True)
 class OrderMResult:
-    m: int
-    mode: str
     dlam: float
     dmu: float
     residual: float
@@ -497,29 +490,19 @@ class OrderMResult:
     noise_bound: tuple[float, float]
 
 
-def recover_order_m(
-    limits,
-    m: int,
-    mode: str,
-    base: tuple[float, float] = (1.0, 1.0),
-    calibration: "CalibrationResult | None" = None,
-    matrix: np.ndarray | None = None,
-) -> OrderMResult:
-    """Least-squares recovery of (d^m lam(0), d^m mu(0)) from ladder limits.
-
-    ``limits`` pairs ProbeTemplate with the extrapolated limit (optionally a
-    LadderResult, whose noise then propagates into ``noise_bound``).
-    ``matrix`` is the battery's :func:`design_matrix` in ``mode``, computed
-    when not given.
+def recover_order_m(ladders, A: np.ndarray, mode: str) -> OrderMResult:
+    """Least-squares recovery of (d^m lam(0), d^m mu(0)) from the limits of the
+    order-m ``ladders``, row i of the design matrix ``A`` being ladder i's
+    probe; each ladder's noise propagates into ``noise_bound``. ``mode`` names
+    ``A`` in the BatteryError of a rank-deficient matrix.
     """
-    battery = [t for t, _ in limits]
-    A = design_matrix(battery, m, mode, base, calibration) if matrix is None else matrix
-    b = np.array([complex(v.limit if isinstance(v, LadderResult) else v) for _, v in limits])
-    noises = np.array([v.noise if isinstance(v, LadderResult) else 0.0 for _, v in limits])
+    battery = [lr.template for lr in ladders]
+    b = np.array([lr.limit for lr in ladders])
+    noises = np.array([lr.noise for lr in ladders])
     x, resid, cond, pinv = _least_squares(A, b, battery,
                                           f"design matrix rank-deficient in mode {mode}")
     noise = np.sqrt((np.abs(pinv) ** 2) @ (noises**2))
-    return OrderMResult(m, mode, float(np.real(x[0])), float(np.real(x[1])), resid, cond,
+    return OrderMResult(float(np.real(x[0])), float(np.real(x[1])), resid, cond,
                         (float(noise[0]), float(noise[1])))
 
 
@@ -559,11 +542,11 @@ def calibrate_order_m(
     m: int,
     battery,
     N_list,
-    base: tuple[float, float] = (1.0, 1.0),
+    base: tuple[float, float],
+    matrices: dict,
     cutoff: CutoffProfile | None = None,
     rho_tilde: int | None = None,
     quad: QuadratureSettings = DEFAULT_QUAD,
-    matrices: dict | None = None,
 ) -> CalibrationResult:
     """Measure the order-m design matrix from the forward solver.
 
@@ -573,10 +556,10 @@ def calibrate_order_m(
     calibration). The three profiles are one ladder group: their symbols, with
     their one shared constant truncation, are one memo entry, integrated on one
     Riccati step sequence, so their integrator errors are correlated in the
-    linearity check. The verdict
-    names the closed-form variant closest to the measured matrix in relative
-    Frobenius distance; ``matrices`` maps each closed-form mode and
-    ``"predicted"`` to its :func:`design_matrix` at ``base``, computed when not given.
+    linearity check. ``distances`` holds the relative Frobenius distance of
+    each of ``matrices`` (mode -> the battery's design matrix at ``base``,
+    which holds both ``VARIANTS``) from the measured matrix; the verdict names
+    the closed-form variant closest to it.
     """
     profiles = {"lam": _unit_profile(base, m, 1.0, 0.0, "calib-lam"),
                 "mu": _unit_profile(base, m, 0.0, 1.0, "calib-mu"),
@@ -596,13 +579,9 @@ def calibrate_order_m(
             f"predicted {predicted_mix}, measured {cols['mixed']}"
         )
 
-    distances = {}
-    for mode in (*VARIANTS, "predicted"):
-        B = np.real(design_matrix(battery, m, mode, base) if matrices is None
-                    else matrices[mode])
-        distances[mode] = float(
-            np.linalg.norm(B - A) / max(np.linalg.norm(A), 1e-300)
-        )
+    scale = max(np.linalg.norm(A), 1e-300)
+    distances = {mode: float(np.linalg.norm(np.real(B) - A) / scale)
+                 for mode, B in matrices.items()}
     verdict = min(VARIANTS, key=lambda v: distances[v])
     return CalibrationResult(base, A, lin_err, distances, verdict, ladders)
 
@@ -622,7 +601,7 @@ class ReconstructionReport:
 
     order0: Order0Result
     order0_ladders: list
-    order_m: dict  # mode -> OrderMResult
+    order_m: dict  # mode -> OrderMResult, one per design matrix of the run
     order_m_ladders: list
     calibration: CalibrationResult | None
     variant_verdict: str  # see reconstruct_profile
@@ -654,7 +633,6 @@ class ReconstructionReport:
             },
             "order_m": {
                 mode: {
-                    "m": r.m,
                     "dlam": r.dlam,
                     "dmu": r.dmu,
                     "residual": r.residual,
@@ -691,8 +669,10 @@ def reconstruct_profile(
 ) -> ReconstructionReport:
     """Order-0 recovery followed by order-m recovery in every available mode;
     each order's rho_tilde (default as in run_ladder) serves all its ladders.
-    The battery's order-0 rows and design matrices are computed once and
-    handed on. Refined order-0 moduli that are inadmissible raise ForwardError.
+    The battery's order-0 rows ``C`` are built once, and so is one table of
+    design matrices (the computed modes at the recovered base, and the
+    calibration's ``"calibrated"`` when one ran), from which every order-m
+    solve reads. Refined order-0 moduli that are inadmissible raise ForwardError.
 
     The report's ``variant_verdict`` is ``"uncalibrated"`` when no calibration
     ran (order 0, or ``calibrate`` false), the closed-form variant nearest the
@@ -715,7 +695,7 @@ def reconstruct_profile(
         order0_ladders = serial_ladder_runner((profile,), battery, N_list, 0, cutoff, rt0,
                                               quad)[0]
     with stage("order0_solve"):
-        order0, refined_limits = refine_order0(order0_ladders, cutoff, rt0, quad, C)
+        order0, refined_limits = refine_order0(order0_ladders, C, cutoff, rt0, quad)
     base = (order0.lam, order0.mu)
     if not (base[1] > 0.0 and 3.0 * base[0] + 2.0 * base[1] > 0.0):
         raise ForwardError(f"order-0 recovery ended at inadmissible moduli lambda = {base[0]:.6g}, "
@@ -729,22 +709,21 @@ def reconstruct_profile(
         with stage("order_m_ladders"):
             order_m_ladders = serial_ladder_runner((profile,), battery, N_list, m, cutoff, rtm,
                                                    quad)[0]
-        pairs = [(lr.template, lr) for lr in order_m_ladders]
         with stage("order_m_solve"):
             matrices = {mode: design_matrix(battery, m, mode, base)
                         for mode in (*VARIANTS, "predicted")}
-            order_m = {mode: recover_order_m(pairs, m, mode, base, matrix=A)
-                       for mode, A in matrices.items()}
         if calibrate:
             with stage("calibration"):
-                calibration = calibrate_order_m(m, battery, N_list, base, cutoff=cutoff,
-                                                rho_tilde=rtm, quad=quad, matrices=matrices)
-            with stage("order_m_solve"):
-                order_m["calibrated"] = recover_order_m(pairs, m, "calibrated", base, calibration)
+                calibration = calibrate_order_m(m, battery, N_list, base, matrices, cutoff,
+                                                rtm, quad)
+            matrices["calibrated"] = calibration.matrix
             # a closed-form variant is "validated" only if it actually reproduces
             # the measured matrix; otherwise the calibration stands alone
             close = calibration.distances[calibration.verdict] <= 0.05
             verdict = calibration.verdict if close else "calibration-only"
+        with stage("order_m_solve"):
+            order_m = {mode: recover_order_m(order_m_ladders, A, mode)
+                       for mode, A in matrices.items()}
     return ReconstructionReport(
         order0=order0,
         order0_ladders=order0_ladders,

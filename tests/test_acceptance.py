@@ -30,6 +30,8 @@ from lame_edge.geometry import (
 from lame_edge.reconstruct import (
     ProbeTemplate,
     default_battery,
+    design_matrix,
+    order0_coefficients,
     recover_order_m,
     reconstruct_profile,
     refine_order0,
@@ -71,7 +73,7 @@ def hom21_order0(gauss):
                ProbeTemplate.named("sigma1", (1.0, 0.0))]
     t0 = time.perf_counter()
     (ladders,) = serial_ladder_runner((profile,), battery, LADDER, 0, gauss, 4, DEFAULT_QUAD)
-    order0, refined = refine_order0(ladders, gauss, 4)
+    order0, refined = refine_order0(ladders, order0_coefficients(battery), gauss, 4)
     elapsed = time.perf_counter() - t0
     return {"ladders": ladders, "order0": order0, "refined": refined,
             "elapsed": elapsed, "profile": profile, "battery": battery}
@@ -193,8 +195,8 @@ def test_criterion_04_order0_desk_scale(hom21_order0):
 def test_criterion_05_order1_null(hom21_null):
     ladders = hom21_null["ladders"]
     worst = max(float(np.abs(lr.values).max()) for lr in ladders)
-    pairs = [(lr.template, lr) for lr in ladders]
-    rec = recover_order_m(pairs, 1, "plus_a3_squared", base=(2.0, 1.0))
+    A = design_matrix([lr.template for lr in ladders], 1, "plus_a3_squared")
+    rec = recover_order_m(ladders, A, "plus_a3_squared")
     noise = np.maximum(np.asarray(rec.noise_bound), 1e-12)
     est = np.array([rec.dlam, rec.dmu])
     ok = worst <= 1e-6 and np.all(np.abs(est) <= 3.0 * noise)

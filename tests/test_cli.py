@@ -231,6 +231,24 @@ class TestValidate:
         assert main(["forward", "--config", str(path), "--out", str(tmp_path / "f")]) == EXIT_CONFIG
         assert "is zero" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("probes, repeated", [
+        ({"directions": [[1.0, 0.0], [1.0, 0.0]]}, "e3@(1,0), tangent@(1,0), sigma1@(1,0)"),
+        ({"directions": [[1.0, 0.0], [2.0, 0.0]]}, "e3@(1,0), tangent@(1,0), sigma1@(1,0)"),
+        ({"kinds": ["e3", "sigma1", "e3"]}, "e3@(1,0), e3@(0,1)"),
+    ], ids=["direction", "scaled-direction", "kind"])
+    def test_repeated_probe_ids_named(self, tmp_path, capsys, probes, repeated):
+        # a repeated probe would run its ladders twice, and the refined order-0
+        # limits, keyed by probe id, would keep one of each pair
+        path = write_config(tmp_path, probes=probes)
+        assert cross_field_errors(json.loads(path.read_text())) == [
+            f"probe ids repeat: {repeated}; each kind at each direction, "
+            f"scaled to unit length, must be a distinct probe"]
+        out = tmp_path / "r"
+        assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+        assert main(["reconstruct", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert f"probe ids repeat: {repeated};" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("tail_tol", [1.0, 2.0])
     def test_tail_tol_below_one(self, tmp_path, tail_tol):
         path = write_config(tmp_path, quadrature={"nodes": 48, "tail_tol": tail_tol})
@@ -454,7 +472,8 @@ class TestReconstructCommand:
         assert set(report["order_m"]) == {"plus_one", "plus_a3_squared", "predicted"}
         assert report["variant_verdict"] == "uncalibrated"
         order0 = json.loads((out1 / "manifest.json").read_text())["counters"]["order0"]
-        assert order0["method"] == report["order0"]["method"]
+        assert set(order0) == {"passes", "final_change"}  # the method is the report's
+        assert report["order0"]["method"] == "linear least squares"
         assert order0["passes"] >= 1 and order0["final_change"] <= 1e-12
         # each run loads its own cutoff, so it builds (and reuses) the same grids
         grids = [json.loads((o / "manifest.json").read_text())["counters"]["pairing_grids"]
@@ -557,7 +576,7 @@ class TestReconstructCommand:
         # order-m solve or calibration builds a profile on them
         from lame_edge import reconstruct
 
-        def refine(ladders, cutoff, rho_tilde, quad, coeffs=None):
+        def refine(ladders, C, cutoff, rho_tilde, quad):
             return reconstruct.Order0Result(-0.7, 1.0, 0.0, False, "linear least squares"), {}
 
         monkeypatch.setattr(reconstruct, "refine_order0", refine)

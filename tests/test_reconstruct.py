@@ -13,6 +13,8 @@ from lame_edge import cli, forward, reconstruct
 from lame_edge.forward import DEFAULT_QUAD, Z_ROWS_E1, _probe_coefficients, polar_grid
 from lame_edge.reconstruct import (
     BatteryError,
+    ExtrapolationResult,
+    LadderResult,
     ProbeTemplate,
     calibrate_order_m,
     default_battery,
@@ -31,7 +33,8 @@ from lame_edge.reconstruct import (
     serial_ladder_runner,
     reconstruct_profile,
 )
-from lame_edge.stroh import closed_form_response, impedance, quadratic_form, sigma_basis
+from lame_edge.stroh import (VARIANTS, closed_form_response, impedance, quadratic_form,
+                             sigma_basis)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -42,6 +45,26 @@ def random_admissible(rng):
     mu = rng.uniform(0.3, 2.5)
     lam = rng.uniform(-2.0 * mu / 3.0 + 0.1, 2.5)
     return lam, mu
+
+
+def solve_order0(limits):
+    """:func:`recover_order0` with the rows of the limits' own probes."""
+    return recover_order0(limits, order0_coefficients([t for t, _ in limits]))
+
+
+def fixed_ladders(limits, noises=None):
+    """Order-1 LadderResults whose limits are ``limits`` (probe, value) and
+    whose noises are ``noises`` (zero by default)."""
+    N = np.array([16, 32, 64, 128])
+    noises = [0.0] * len(limits) if noises is None else noises
+    return [LadderResult(t, 1, N, np.full(N.size, complex(v)),
+                         ExtrapolationResult(complex(v), "converged", e))
+            for (t, v), e in zip(limits, noises)]
+
+
+def computed_matrices(battery, m, base):
+    """The design matrices of every computed mode, as reconstruct_profile builds them."""
+    return {mode: design_matrix(battery, m, mode, base) for mode in (*VARIANTS, "predicted")}
 
 
 def laguerre_response(a, om, m, dlam, dmu, lam0, mu0, n=8):
@@ -139,7 +162,6 @@ class TestPrintedTableDepartures:
             cutoff=cli.cutoff_from_config(cfg), rho_tilde=cfg["rho_tilde"],
             quad=cli.quad_from_config(cfg), calibrate=False)
         base = (report.order0.lam, report.order0.mu)
-        pairs = [(lr.template, lr) for lr in report.order_m_ladders]
         matrices = {
             "plus_a3_squared": design_matrix(battery, 1, "plus_a3_squared"),
             "abs_squared": np.array([[abs_squared_table(t.a, t.omega, 1, 1.0, 0.0),
@@ -149,7 +171,7 @@ class TestPrintedTableDepartures:
         }
         errors = {}
         for mode, A in matrices.items():
-            r = recover_order_m(pairs, 1, mode, base, matrix=A)
+            r = recover_order_m(report.order_m_ladders, A, mode)
             errors[mode] = float(np.abs(np.array([r.dlam, r.dmu]) - [0.3, 0.2]).max() / 0.3)
         assert errors["plus_a3_squared"] > errors["abs_squared"] > errors["predicted"]
         assert errors == {"plus_a3_squared": pytest.approx(1.4743, rel=0.01),
@@ -254,7 +276,7 @@ class TestRecoverOrder0:
         battery = [ProbeTemplate.named("e3", (1.0, 0.0)),
                    ProbeTemplate.named("sigma1", (1.0, 0.0))]
         limits = [(t, quadratic_form(impedance(2.0, 1.0, t.omega), t.a)) for t in battery]
-        res = recover_order0(limits)
+        res = solve_order0(limits)
         assert res.ok
         assert res.lam == pytest.approx(2.0, abs=1e-8)
         assert res.mu == pytest.approx(1.0, abs=1e-8)
@@ -265,7 +287,7 @@ class TestRecoverOrder0:
         for _ in range(10):
             lam, mu = random_admissible(rng)
             limits = [(t, quadratic_form(impedance(lam, mu, t.omega), t.a)) for t in battery]
-            res = recover_order0(limits)
+            res = solve_order0(limits)
             assert res.ok
             assert res.lam == pytest.approx(lam, abs=1e-6)
             assert res.mu == pytest.approx(mu, abs=1e-6)
@@ -274,14 +296,14 @@ class TestRecoverOrder0:
         battery = default_battery()
         limits = [(t, quadratic_form(impedance(2.0, 1.0, t.omega), t.a)) for t in battery]
         limits[0] = (limits[0][0], limits[0][1] * 1.5)  # 50% perturbation
-        res = recover_order0(limits)
+        res = solve_order0(limits)
         assert not res.ok
         assert res.residual > 1e-3
 
     def test_needs_two_probes(self):
         t = ProbeTemplate.named("e3", (1.0, 0.0))
         with pytest.raises(BatteryError):
-            recover_order0([(t, 1.6)])
+            recover_order0([(t, 1.6)], np.array([[2.0, 4.0]]))
 
     def test_unidentifiable_battery_rejected(self):
         # e3 and tangent probes share the row (a^H Z_lam a, a^H Z_mu a) = (2, 4):
@@ -291,7 +313,9 @@ class TestRecoverOrder0:
                    ProbeTemplate.named("e3", (0.0, 1.0))]
         limits = [(t, order0_response(t.a, t.omega, 2.0, 1.0)) for t in battery]
         with pytest.raises(BatteryError, match="cannot separate lambda from mu"):
-            recover_order0(limits)
+            order0_coefficients(battery)
+        with pytest.raises(BatteryError, match="cannot separate lambda from mu"):
+            recover_order0(limits, np.array([[2.0, 4.0]] * 3))
 
     def test_complex_amplitude_closed_loop(self):
         # the model is the form a^H Z a that the pairing integrates, which
@@ -302,7 +326,7 @@ class TestRecoverOrder0:
         assert p[0] == pytest.approx(4.0, rel=1e-14)
         assert quadratic_form(impedance(2.0, 1.0, E1), mixed.a) == pytest.approx(4.0)
         limits = [(t, order0_response(t.a, t.omega, 2.0, 1.0)) for t in battery]
-        res = recover_order0(limits)
+        res = solve_order0(limits)
         assert res.ok
         assert res.lam == pytest.approx(2.0, rel=1e-10)
         assert res.mu == pytest.approx(1.0, rel=1e-10)
@@ -357,7 +381,7 @@ class TestOrder0Model:
     def test_closed_loop_recovery(self, lm, a):
         battery = default_battery() + [ProbeTemplate("a", a, np.array(E1))]
         limits = [(t, order0_response(t.a, t.omega, *lm)) for t in battery]
-        res = recover_order0(limits)
+        res = solve_order0(limits)
         scale = max(abs(lm[0]), lm[1])
         assert res.ok
         assert abs(res.lam - lm[0]) <= 1e-10 * scale
@@ -372,7 +396,7 @@ class TestOrder0Model:
         battery = default_battery()
         limits = [(t, order0_response(t.a, t.omega, *lm) * (1.0 + e))
                   for t, e in zip(battery, noise)]
-        res = recover_order0(limits)
+        res = solve_order0(limits)
         assume(res.mu > 0.0 and 3.0 * res.lam + 2.0 * res.mu > 0.0)
         y = np.array([v for _, v in limits])
         lam, mu = lm[0] + dl * lm[1], lm[1] * (1.0 + dm)
@@ -388,7 +412,7 @@ class TestRefineOrder0:
         prof = LameProfile.constant(2.0, 1.0, name="hom21-six")
         (ladders,) = serial_ladder_runner((prof,), default_battery(), [16, 32, 64, 128, 256], 0,
                                           cut, 4, DEFAULT_QUAD)
-        res, refined = refine_order0(ladders, cut, 4)
+        res, refined = refine_order0(ladders, order0_coefficients(default_battery()), cut, 4)
         assert res.ok
         assert res.lam == pytest.approx(2.0, rel=1e-5)
         assert res.mu == pytest.approx(1.0, rel=1e-5)
@@ -402,8 +426,9 @@ class TestRefineOrder0:
         prof = LameProfile.constant(2.0, 1.0, name="hom21-two-lists")
         ladders = [run_ladder(prof, ProbeTemplate.named(kind, (1.0, 0.0)), N_list, 0, cut, 4)
                    for kind, N_list in (("e3", [16, 32, 64, 128]), ("sigma1", [32, 64, 128, 256]))]
+        C = order0_coefficients([lr.template for lr in ladders])
         with pytest.raises(ValueError, match="one N-list"):
-            refine_order0(ladders, cut, 4)
+            refine_order0(ladders, C, cut, 4)
 
     def test_inadmissible_raw_solve_refines_to_truth(self):
         # near the bulk bound the raw ladder limits solve to 3 lam + 2 mu < 0:
@@ -413,11 +438,11 @@ class TestRefineOrder0:
         (ladders,) = serial_ladder_runner((prof,), default_battery(), [16, 32, 64, 128, 256], 0,
                                           cut, 4, DEFAULT_QUAD)
         limits = [(lr.template, lr.limit) for lr in ladders]
-        x = np.linalg.lstsq(order0_coefficients(default_battery()),
-                            [v.real for _, v in limits], rcond=None)[0]
+        C = order0_coefficients(default_battery())
+        x = np.linalg.lstsq(C, [v.real for _, v in limits], rcond=None)[0]
         assert x[1] > 0.0 and 3.0 * x[0] + 2.0 * x[1] < 0.0  # x1 < -2/3 x2
-        assert not recover_order0(limits).ok
-        res, _ = refine_order0(ladders, cut, 4)
+        assert not recover_order0(limits, C).ok
+        res, _ = refine_order0(ladders, C, cut, 4)
         assert res.ok and res.passes >= 1
         assert abs(res.lam + 0.66) <= 1e-10 and abs(res.mu - 1.0) <= 1e-10
 
@@ -429,7 +454,8 @@ class TestRecoverOrderM:
             limits = [
                 (t, closed_form_response(t.a, t.omega, 1, 0.3, 0.2, variant)) for t in battery
             ]
-            res = recover_order_m(limits, 1, variant)
+            res = recover_order_m(fixed_ladders(limits), design_matrix(battery, 1, variant),
+                                  variant)
             assert res.dlam == pytest.approx(0.3, abs=1e-12)
             assert res.dmu == pytest.approx(0.2, abs=1e-12)
             assert res.residual < 1e-12
@@ -440,7 +466,8 @@ class TestRecoverOrderM:
             (t, leading_order_response(t.a, t.omega, 1, 0.3, 0.2, 1.0, 1.0))
             for t in battery
         ]
-        res = recover_order_m(limits, 1, "predicted", base=(1.0, 1.0))
+        A = design_matrix(battery, 1, "predicted", (1.0, 1.0))
+        res = recover_order_m(fixed_ladders(limits), A, "predicted")
         assert res.dlam == pytest.approx(0.3, abs=1e-12)
         assert res.dmu == pytest.approx(0.2, abs=1e-12)
 
@@ -448,16 +475,36 @@ class TestRecoverOrderM:
         battery = [ProbeTemplate.named("sigma1", (1.0, 0.0)),
                    ProbeTemplate.named("sigma1", (0.0, 1.0))]
         limits = [(t, 0.1) for t in battery]
-        with pytest.raises(BatteryError, match="rank-deficient"):
-            recover_order_m(limits, 1, "plus_a3_squared")
+        with pytest.raises(BatteryError, match="rank-deficient in mode plus_a3_squared"):
+            recover_order_m(fixed_ladders(limits), design_matrix(battery, 1, "plus_a3_squared"),
+                            "plus_a3_squared")
 
     def test_condition_number_reported(self):
         battery = default_battery()
         A = design_matrix(battery, 1, "predicted", (1.0, 1.0))
         limits = [(t, 0.0) for t in battery]
-        res = recover_order_m(limits, 1, "predicted", (1.0, 1.0))
+        res = recover_order_m(fixed_ladders(limits), A, "predicted")
         sv = np.linalg.svd(np.real(A), compute_uv=False)
         assert res.condition == pytest.approx(sv[0] / sv[-1])
+
+    def test_ladder_noise_propagates_through_the_pseudo_inverse(self):
+        # noise_bound[i] = sqrt(sum_j |pinv_ij|^2 noise_j^2) for independent noises
+        battery = default_battery()
+        A = design_matrix(battery, 1, "predicted", (1.0, 1.0))
+        limits = [(t, leading_order_response(t.a, t.omega, 1, 0.3, 0.2, 1.0, 1.0))
+                  for t in battery]
+        noises = [1e-3, 2e-4, 5e-5, 3e-3, 7e-4, 1e-5]
+        res = recover_order_m(fixed_ladders(limits, noises), A, "predicted")
+        want = np.sqrt(np.abs(np.linalg.pinv(A)) ** 2 @ np.square(noises))
+        np.testing.assert_allclose(res.noise_bound, want, rtol=1e-12)
+        assert res.dlam == pytest.approx(0.3, abs=1e-12)
+        assert res.dmu == pytest.approx(0.2, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", ["calibrated", "unknown"])
+    def test_design_matrix_refuses_a_mode_it_does_not_compute(self, mode):
+        # the calibrated matrix is measured by calibrate_order_m, not computed
+        with pytest.raises(ValueError, match=f"unknown design-matrix mode '{mode}'"):
+            design_matrix(default_battery(), 1, mode, (1.0, 1.0))
 
 
 class TestLadders:
@@ -544,7 +591,7 @@ def test_gradient_pass_computes_shared_values_once(monkeypatch):
         battery=cli.battery_from_config(cfg), cutoff=cli.cutoff_from_config(cfg),
         rho_tilde=cfg["rho_tilde"], quad=cli.quad_from_config(cfg))
     assert calls == {"design_matrix plus_one": 1, "design_matrix plus_a3_squared": 1,
-                     "design_matrix predicted": 1, "design_matrix calibrated": 1,
+                     "design_matrix predicted": 1,
                      "order0_coefficients": 1, "_family_jets": 6, "polar_grid": 30}
     assert set(report.stage_seconds) == {"order0_ladders", "order0_solve", "order_m_ladders",
                                          "order_m_solve", "calibration"}
@@ -559,6 +606,7 @@ class TestCalibration:
         # difference of two solves with different step sequences
         base = (0.9999161175742259, 1.000014643959749)
         cals = [calibrate_order_m(1, default_battery(), [16, 32, 64, 128, 256], b,
+                                  computed_matrices(default_battery(), 1, b),
                                   cutoff=GaussianCutoff(), rho_tilde=4)
                 for b in (base, (base[0] * (1.0 - 5e-15), base[1]))]
         assert np.abs(cals[1].matrix / cals[0].matrix - 1.0).max() <= 1e-9
@@ -571,8 +619,9 @@ class TestCalibration:
         monkeypatch.setattr(reconstruct, "_LINEARITY_TOL", 1e-3)
         with pytest.raises(reconstruct.CalibrationError,
                            match=r"linearity violation 0\.126% exceeds 0\.1%"):
-            calibrate_order_m(1, default_battery(), [16, 32, 64, 128, 256],
-                              (0.9999161175742259, 1.000014643959749),
+            base = (0.9999161175742259, 1.000014643959749)
+            calibrate_order_m(1, default_battery(), [16, 32, 64, 128, 256], base,
+                              computed_matrices(default_battery(), 1, base),
                               cutoff=GaussianCutoff(), rho_tilde=4)
 
 
@@ -591,8 +640,9 @@ class TestCalibration:
             symbol_memo.clear()
             for prof in warm:
                 warm_tables(prof, DEFAULT_QUAD, 1)
-            cal = calibrate_order_m(1, default_battery(), ladder, base, cutoff=cutoff,
-                                    rho_tilde=4)
+            cal = calibrate_order_m(1, default_battery(), ladder, base,
+                                    computed_matrices(default_battery(), 1, base),
+                                    cutoff=cutoff, rho_tilde=4)
             ladders = [lr.values.tobytes()
                        for key in ("lam", "mu", "mixed") for lr in cal.ladders[key]]
             return (cal.matrix.tobytes(), cal.linearity_error.hex(), cal.verdict,
