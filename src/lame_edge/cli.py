@@ -306,6 +306,25 @@ def _reject_constant(name: str):
     raise ConfigError(f"config is not valid JSON: {name} is not a number")
 
 
+def _finite(literal: str, parse: Callable):
+    """``parse(literal)`` of a JSON number that is a finite double; ``float`` gives
+    inf for a literal past the double range, however long, so an integer too
+    large for ``int`` to parse is refused too."""
+    if not math.isfinite(float(literal)):
+        shown = literal if len(literal) <= 24 else f"{literal[:12]}... ({len(literal)} characters)"
+        raise ConfigError(f"config number {shown} is outside the double range")
+    return parse(literal)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose names are distinct (RFC 8259 leaves repeats undefined)."""
+    keys = Counter(key for key, _ in pairs)
+    repeated = [key for key, count in keys.items() if count > 1]
+    if repeated:
+        raise ConfigError(f"config is not valid JSON: key {repeated[0]!r} repeats in one object")
+    return dict(pairs)
+
+
 def load_config(path: str | Path) -> dict:
     """Load, schema-validate and cross-field-validate a config file."""
     try:
@@ -313,7 +332,9 @@ def load_config(path: str | Path) -> dict:
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     try:
-        cfg = json.loads(raw, parse_constant=_reject_constant)
+        cfg = json.loads(raw, parse_constant=_reject_constant, object_pairs_hook=_unique_keys,
+                         parse_float=lambda x: _finite(x, float),
+                         parse_int=lambda x: _finite(x, int))
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
     check_schema(cfg, CONFIG_SCHEMA)
@@ -376,10 +397,8 @@ def cross_field_errors(cfg: dict) -> list[str]:
 
 def profile_from_config(cfg: dict) -> LameProfile:
     p = cfg["profile"]
-    return LameProfile.from_polynomial(
-        p["lambda"], p["mu"], max_derivative_order=max(p["m"], 2),
-        holder_exponent=p["p"], name="config-profile",
-    )
+    return LameProfile.from_polynomial(p["lambda"], p["mu"], max_derivative_order=max(p["m"], 2),
+                                       holder_exponent=p["p"])
 
 
 def cutoff_from_config(cfg: dict):
@@ -458,9 +477,7 @@ def _counted(stage: str, run) -> tuple:
              **{f"weights_{k}": v - weights0[k] for k, v in interpolation_counts.items()},
              **{f"forms_{k}": v - forms0[k] for k, v in form_counts.items()}}
     symbols = {k: v - symbols0[k] for k, v in symbol_memo.counts.items()}
-    built = symbol_memo.accepted[built0:]
-    symbols["accepted_nodes"] = [n for n, _ in built]
-    symbols["refinements"] = [k for _, k in built]
+    symbols["accepted_nodes"] = symbol_memo.accepted[built0:]
     return result, stages, {"pairing_grids": grids, "symbols": symbols}
 
 

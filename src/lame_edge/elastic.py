@@ -117,7 +117,6 @@ class LameProfile:
         holder_exponent: float = 0.9,
         lam_coeffs: Sequence[float] | None = None,
         mu_coeffs: Sequence[float] | None = None,
-        name: str = "profile",
     ) -> None:
         if max_derivative_order < 0:
             raise ValueError("max_derivative_order must be >= 0")
@@ -129,7 +128,6 @@ class LameProfile:
         self.holder_exponent = float(holder_exponent)
         self.lam_coeffs = None if lam_coeffs is None else [float(c) for c in lam_coeffs]
         self.mu_coeffs = None if mu_coeffs is None else [float(c) for c in mu_coeffs]
-        self.name = name
         # the memo key: the coefficients without trailing zeros (None for callables)
         self.content = None if not self.is_polynomial else tuple(
             tuple(np.trim_zeros(np.array(c), "b")) for c in (self.lam_coeffs, self.mu_coeffs))
@@ -144,7 +142,6 @@ class LameProfile:
         mu_coeffs: Sequence[float],
         max_derivative_order: int = 2,
         holder_exponent: float = 0.9,
-        name: str = "profile",
     ) -> "LameProfile":
         """Profile from ascending polynomial coefficients in y3 (Horner evaluation)."""
         return LameProfile(
@@ -154,14 +151,13 @@ class LameProfile:
             holder_exponent,
             lam_coeffs=list(lam_coeffs),
             mu_coeffs=list(mu_coeffs),
-            name=name,
         )
 
     @staticmethod
-    def constant(lam: float, mu: float, name: str = "homogeneous") -> "LameProfile":
+    def constant(lam: float, mu: float) -> "LameProfile":
         """The homogeneous medium: its symbol is |k| Z(lam, mu) exactly, the
         case on which the tests check the half-space oracles."""
-        return LameProfile.from_polynomial([lam], [mu], name=name)
+        return LameProfile.from_polynomial([lam], [mu])
 
     @property
     def is_polynomial(self) -> bool:
@@ -271,7 +267,6 @@ def taylor_truncate(profile: LameProfile, m: int) -> LameProfile:
         mu_b,
         max_derivative_order=profile.max_derivative_order,
         holder_exponent=profile.holder_exponent,
-        name=f"{profile.name}|trunc{m}",
     )
 
 

@@ -36,12 +36,14 @@ and a flow evaluation builds the monomials and contracts them once.
 A profile's symbol (:class:`RadialSymbol`) serves every radius: it
 interpolates R(r) = M0(r) - r Z(lam(0), mu(0)), smooth in s = r / (r + 2) on
 [0, 1], from certified Chebyshev points in s (none for a constant profile).
-Symbols are memoised by request (the profiles' contents and derivative orders,
-and the tolerance). A request's group is its profiles (one, or the
-calibration's three) with each distinct admissible Taylor truncation of
-theirs, whatever the ladder's order, integrated as one batch per Chebyshev
-round; so all ladders of a profile, its order-m differences included, share
-one integration, and a symbol's value depends only on the request.
+Symbols are built only by :func:`_resolve`, for the memo, which holds them by
+request (the profiles' contents and derivative orders, and the tolerance);
+every ladder reads them through one door, :func:`warm_tables`. A request's
+group is its profiles (one, or the calibration's three) with each distinct
+admissible Taylor truncation of theirs, whatever the ladder's order,
+integrated as one batch per Chebyshev round; so all ladders of a profile, its
+order-m differences included, share one integration, and a symbol's value
+depends only on the request.
 :func:`dtn_symbol`, a direct batch of one, rotated, checks it; the
 orthonormalized subspace march on the full 6x3 system is the independent oracle.
 
@@ -80,7 +82,7 @@ __all__ = [
     "RadialDtnTable", "RadialSymbol", "difference_pairing", "dtn_symbol", "dtn_symbol_march",
     "form_counts", "half_space_impedance", "interpolation_counts", "ladder_pairings",
     "limit_quadrature",
-    "pairing", "polar_grid", "symbol_memo", "truncation_depth", "warm_group", "warm_tables",
+    "pairing", "polar_grid", "symbol_memo", "truncation_depth", "warm_tables",
 ]
 
 
@@ -577,33 +579,18 @@ _FIRST_POINTS, _MAX_POINTS = 48, 1296  # Chebyshev points in s: 48 * 3^k, k <= 3
 class RadialSymbol:
     """M0(r) of one profile at every r >= 0: rows(r) = r Z0 + R(s), s = r / (r + 2).
 
-    Z0 are the rows of Z(lam(0), mu(0)) at e1. The remainder R = M0 - r Z0 is
+    Z0 (``z0``) are the rows of Z(lam(0), mu(0)) at e1. The remainder R = M0 - r Z0 is
     bounded and smooth in s on [0, 1] (the algebraic map of the half-line; Boyd,
     Chebyshev and Fourier Spectral Methods, 2001, ch. 17), so it is held at
     first-kind Chebyshev points ``s`` and interpolated barycentrically (Berrut
-    & Trefethen, SIAM Review 2004). From 48 points the count triples (they
-    nest: solved values are kept) until the trailing third of R's Chebyshev
-    coefficients is below ``riccati_tol`` times max(max |R|, max |Z0|); one
-    still above it at 1296 points is refused. Constant profiles have R = 0 and
-    ``s`` None. A symbol is built alone or in a group (:meth:`group`), whose
-    unresolved members integrate each round's points as one batch of the
-    Riccati core. ``solves``: the integrations it took part in, each
-    (nodes of the whole batch, accepted, rejected, flow evaluations, capped steps).
+    & Trefethen, SIAM Review 2004) with ``weights``. A constant profile has
+    R = 0, and ``s``, ``weights`` and ``remainder`` None. Only :func:`_resolve`
+    builds symbols, for :class:`SymbolMemo`; every array is read-only.
     """
 
-    def __init__(self, profile: LameProfile, riccati_tol: float = 1e-10) -> None:
-        _check_admissible(validate_admissibility(profile, H_MAX))
-        _resolve((self,), (profile,), riccati_tol)
-
-    @classmethod
-    def group(cls, profiles, riccati_tol: float = 1e-10
-              ) -> tuple[tuple[RadialSymbol, ...], list[tuple[int, ...]]]:
-        """The symbols of ``profiles`` from one joint integration per Chebyshev
-        round, and those integrations, counted as in ``solves``. The profiles
-        must be admissible on [0, H_MAX]: :class:`SymbolMemo` decides that once
-        for each, where the constructor checks its one profile."""
-        members = tuple(cls.__new__(cls) for _ in profiles)
-        return members, _resolve(members, profiles, riccati_tol)
+    def __init__(self, z0: np.ndarray, s: np.ndarray | None = None,
+                 weights: np.ndarray | None = None, remainder: np.ndarray | None = None) -> None:
+        self.z0, self.s, self.weights, self.remainder = z0, s, weights, remainder
 
     def interpolation(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Barycentric data from the Chebyshev points to the 1-D radii ``r``:
@@ -630,45 +617,53 @@ class RadialSymbol:
         return rows + ((q @ self.remainder) / total).reshape(rows.shape)
 
 
-def _resolve(members, profiles, riccati_tol: float) -> list[tuple[int, ...]]:
-    """Fill in each :class:`RadialSymbol` of ``members`` for its (admissible)
-    profile; returns the joint integrations."""
-    for sym, profile in zip(members, profiles):
-        sym.z0 = _impedance_rows(float(profile.lam(0.0)), float(profile.mu(0.0)))
-        sym.s = sym.weights = sym.remainder = None
-        sym.solves = []
-    pending = [(sym, profile, np.empty((0, 4))) for sym, profile in zip(members, profiles)
-               if not (profile.is_polynomial
-                       and not any(profile.lam_coeffs[1:] + profile.mu_coeffs[1:]))]
+def _read_only(*arrays: np.ndarray) -> None:
+    for arr in arrays:
+        arr.setflags(write=False)
+
+
+def _resolve(profiles, riccati_tol: float) -> tuple[list[RadialSymbol], list[tuple[int, ...]]]:
+    """The :class:`RadialSymbol` of each of ``profiles`` (admissible on
+    [0, H_MAX]), and the joint integrations, each (nodes of the whole batch,
+    accepted, rejected, flow evaluations, capped steps).
+
+    From 48 Chebyshev points in s the count triples (they nest: solved values
+    are kept) until the trailing third of R's Chebyshev coefficients is below
+    ``riccati_tol`` times max(max |R|, max |Z0|); one still above it at 1296
+    points is refused. Each round integrates the unresolved profiles' new
+    points as one batch of the Riccati core."""
+    z0 = [_impedance_rows(float(p.lam(0.0)), float(p.mu(0.0))) for p in profiles]
+    _read_only(*z0)
+    symbols = [RadialSymbol(z) if p.is_polynomial and not any(p.lam_coeffs[1:] + p.mu_coeffs[1:])
+               else None for z, p in zip(z0, profiles)]  # a constant's is exact
+    pending = [(i, np.empty((0, 4))) for i, sym in enumerate(symbols) if sym is None]
     n, solves = _FIRST_POINTS, []
     while pending:
         theta = (2.0 * np.arange(n) + 1.0) * (math.pi / (2 * n))  # s ascending
         new = (np.arange(n) % 3 != 1) | (n == _FIRST_POINTS)  # the n / 3 solved ones are 1::3
         r = 2.0 * np.tan(0.5 * theta[new]) ** 2
-        rows, *steps = _radial_symbols([(profile, r) for _, profile, _ in pending], riccati_tol)
+        rows, *steps = _radial_symbols([(profiles[i], r) for i, _ in pending], riccati_tol)
         solves.append((r.size * len(pending), *steps))
         trailing = np.cos(np.outer(np.arange(n - n // 3, n), theta))
+        s = np.sin(0.5 * theta) ** 2
+        weights = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) * np.sin(theta)
+        _read_only(s, weights)
         unresolved = []
-        for (sym, profile, solved), reduced in zip(pending, rows):
-            sym.solves.append(solves[-1])
+        for (i, solved), reduced in zip(pending, rows):
             R = np.empty((n, 4))
-            R[new], R[~new] = reduced - r[:, None] * sym.z0, solved
+            R[new], R[~new] = reduced - r[:, None] * z0[i], solved
             tail = np.abs(trailing @ R * (2.0 / n)).max()
-            scale = max(np.abs(R).max(), np.abs(sym.z0).max())
+            scale = max(np.abs(R).max(), np.abs(z0[i]).max())
             if tail <= riccati_tol * scale:
-                sym.s, sym.remainder = np.sin(0.5 * theta) ** 2, R
-                sym.weights = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) * np.sin(theta)
-                for arr in (sym.s, sym.weights, sym.remainder):
-                    arr.setflags(write=False)
+                _read_only(R)
+                symbols[i] = RadialSymbol(z0[i], s, weights, R)
             elif 3 * n > _MAX_POINTS:
                 raise ForwardError(f"radial symbol not resolved by {n} Chebyshev points: tail "
                                    f"{tail / scale:.3g} of the row scale")
             else:
-                unresolved.append((sym, profile, R))
+                unresolved.append((i, R))
         pending, n = unresolved, 3 * n
-    for sym in members:
-        sym.z0.setflags(write=False)
-    return solves
+    return symbols, solves
 
 
 class SymbolMemo:
@@ -680,19 +675,20 @@ class SymbolMemo:
     report. A miss decides each distinct member's admissibility once, the
     requested profiles' first (an inadmissible one is refused before any
     integration), and builds the profiles and each distinct admissible
-    truncation as one group (:meth:`RadialSymbol.group`); a hit is one
+    truncation as one group (:func:`_resolve`); a hit is one
     lookup. So values depend only on the request, not on what the memo held
     before. Least recently used entries are dropped past ``maxsize``. Over the process,
-    ``counts`` sums the integrations (``riccati_solves``; ``nodes`` sums their
-    radii), ``accepted`` lists each integrated symbol's (Chebyshev points,
-    refinements), and ``seconds`` is the time spent building them."""
+    ``counts`` sums the integrations (``riccati_solves``) and their step counts,
+    ``accepted`` lists each integrated symbol's Chebyshev point count (48 3^k
+    after k triplings, which integrated that many radii), and ``seconds`` is the
+    time spent building them."""
 
     def __init__(self, maxsize: int) -> None:
         self.maxsize, self._groups = maxsize, OrderedDict()
         self.counts = Counter(dict.fromkeys(("riccati_solves", "exact_constants", "memo_hits",
-                                             "nodes", "steps_accepted", "steps_rejected",
+                                             "steps_accepted", "steps_rejected",
                                              "rhs_evaluations", "steps_capped"), 0))
-        self.accepted: list[tuple[int, int]] = []
+        self.accepted: list[int] = []
         self.seconds = 0.0
 
     def group(self, profiles, riccati_tol: float) -> tuple[tuple, ...]:
@@ -718,17 +714,16 @@ class SymbolMemo:
                         values[t.content] = report
                 ladders[-1].append(t.content)
         t0 = time.perf_counter()
-        symbols, solves = RadialSymbol.group(tuple(members.values()), riccati_tol)
+        symbols, solves = _resolve(tuple(members.values()), riccati_tol)
         self.seconds += time.perf_counter() - t0
-        for nodes, accepted, rejected, evaluations, capped in solves:
-            self.counts.update(riccati_solves=1, nodes=nodes, steps_accepted=accepted,
-                               steps_rejected=rejected, rhs_evaluations=evaluations,
-                               steps_capped=capped)
+        for _, accepted, rejected, evaluations, capped in solves:
+            self.counts.update(riccati_solves=1, steps_accepted=accepted, steps_rejected=rejected,
+                               rhs_evaluations=evaluations, steps_capped=capped)
         for symbol in symbols:
             if symbol.s is None:
                 self.counts["exact_constants"] += 1
             else:
-                self.accepted.append((symbol.s.size, len(symbol.solves) - 1))
+                self.accepted.append(symbol.s.size)
         values.update(zip(members, symbols))
         self._groups[key] = tuple(tuple([values[c] for c in ladder]) for ladder in ladders)
         if len(self._groups) > self.maxsize:
@@ -790,8 +785,7 @@ class PolarGrid:
         interpolation_counts["reused" if n in self.interpolations else "built"] += 1
         if n not in self.interpolations:
             self.interpolations[n] = symbol.interpolation(self.r)
-            for arr in self.interpolations[n]:
-                arr.setflags(write=False)
+            _read_only(*self.interpolations[n])
         return symbol.rows(self.r, self.interpolations[n])
 
     def form(self, symbols: tuple[RadialSymbol, ...]) -> np.ndarray:
@@ -884,28 +878,19 @@ def polar_grid(N: int, rho_tilde: int, cutoff, quad: QuadratureSettings) -> Pola
     moments = power @ (wt[:, None] * _harmonics(cos_phi, np.sin(phi)))
     moments *= (constant * N ** (2.0 * rho - 3.0) / (4.0 * math.pi**2) * wr * r)[:, None]
     moments[:, [2, 4]] = 0.0  # odd in phi: the mirrored nodes cancel them
-    for arr in (r, moments):
-        arr.setflags(write=False)
+    _read_only(r, moments)
     return PolarGrid(r, moments)
 
 
-def warm_tables(profile: LameProfile, quad: QuadratureSettings = DEFAULT_QUAD,
-                m: int = 0) -> tuple[RadialSymbol, ...]:
-    """The symbols of an order-m ladder: the profile's and, for m >= 1, its
-    order-m truncation's; read from the profile's memo entry (:func:`warm_group`),
-    so values do not depend on evaluation order or history, and every ladder of
-    a profile, whatever its order, shares them.
-    """
-    return warm_group((profile,), quad, m)[0]
-
-
-def warm_group(profiles, quad: QuadratureSettings = DEFAULT_QUAD,
-               m: int = 0) -> list[tuple[RadialSymbol, ...]]:
-    """:func:`warm_tables` of each of ``profiles``, read from their one memo
-    entry (:class:`SymbolMemo`), which does not depend on m: every order reads
-    the same symbols. m is checked against each profile's
-    ``max_derivative_order`` before the lookup; an order-m ladder whose
-    truncation is inadmissible is refused."""
+def warm_tables(profiles, quad: QuadratureSettings = DEFAULT_QUAD,
+                m: int = 0) -> list[tuple[RadialSymbol, ...]]:
+    """The symbols of an order-m ladder of each of ``profiles`` (one group): the
+    profile's and, for m >= 1, its order-m truncation's. They are read from
+    the group's one memo entry (:class:`SymbolMemo`), which does not depend on
+    m, so values do not depend on evaluation order or history, and every
+    ladder of a profile, whatever its order, shares them. m is checked against
+    each profile's ``max_derivative_order`` before the lookup; an order-m
+    ladder whose truncation is inadmissible is refused."""
     profiles = tuple(profiles)
     for p in profiles:
         _check_order(p, m)
@@ -951,7 +936,7 @@ def difference_pairing(profile: LameProfile, m: int, probe: ProbeSpec,
 def ladder_pairings(profiles, m: int, probes, N_values,
                     quad: QuadratureSettings = DEFAULT_QUAD) -> np.ndarray:
     """:func:`pairing` (m = 0) or :func:`difference_pairing` (m >= 1) values of
-    each of ``profiles`` (one group, :func:`warm_group`) for each of ``probes``
+    each of ``profiles`` (one group, :func:`warm_tables`) for each of ``probes``
     (one rho_tilde and cutoff) at each N of ``N_values``, real, shape
     (profile, probe, N): each member's N grids are looked up and its moment
     forms stacked, and every probe is contracted with all of them in one product."""
@@ -959,7 +944,7 @@ def ladder_pairings(profiles, m: int, probes, N_values,
     if any(p.rho_tilde != rho_tilde or p.cutoff is not cutoff for p in probes):
         raise ValueError("the probes of one battery share one rho_tilde and one cutoff")
     forms = np.stack([[polar_grid(int(n), rho_tilde, cutoff, quad).form(symbols)
-                       for n in N_values] for symbols in warm_group(profiles, quad, m)])
+                       for n in N_values] for symbols in warm_tables(profiles, quad, m)])
     return PolarGrid.contract(forms, [(p.a, p.omega) for p in probes]).swapaxes(0, 1)
 
 

@@ -522,7 +522,6 @@ _LINEARITY_TOL, _MIXED_DERIVATIVES = 0.03, (0.4, 0.5)
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    base: tuple[float, float]
     matrix: np.ndarray  # (n_probes, 2) real
     linearity_error: float
     distances: dict
@@ -530,12 +529,11 @@ class CalibrationResult:
     ladders: dict = field(repr=False, default_factory=dict)
 
 
-def _unit_profile(base, m, dlam, dmu, name) -> LameProfile:
+def _unit_profile(base, m, dlam, dmu) -> LameProfile:
     lam0, mu0 = base
     coeffs_l = [lam0] + [0.0] * (m - 1) + [dlam / math.factorial(m)]
     coeffs_m = [mu0] + [0.0] * (m - 1) + [dmu / math.factorial(m)]
-    return LameProfile.from_polynomial(coeffs_l, coeffs_m, max_derivative_order=max(m, 2),
-                                       name=name)
+    return LameProfile.from_polynomial(coeffs_l, coeffs_m, max_derivative_order=max(m, 2))
 
 
 def calibrate_order_m(
@@ -561,9 +559,8 @@ def calibrate_order_m(
     which holds both ``VARIANTS``) from the measured matrix; the verdict names
     the closed-form variant closest to it.
     """
-    profiles = {"lam": _unit_profile(base, m, 1.0, 0.0, "calib-lam"),
-                "mu": _unit_profile(base, m, 0.0, 1.0, "calib-mu"),
-                "mixed": _unit_profile(base, m, *_MIXED_DERIVATIVES, "calib-mixed")}
+    profiles = {"lam": _unit_profile(base, m, 1.0, 0.0), "mu": _unit_profile(base, m, 0.0, 1.0),
+                "mixed": _unit_profile(base, m, *_MIXED_DERIVATIVES)}
     ladders = dict(zip(profiles, serial_ladder_runner(profiles.values(), battery, N_list, m,
                                                       cutoff, rho_tilde, quad)))
     cols = {key: np.array([float(np.real(lr.limit)) for lr in lrs])
@@ -583,7 +580,7 @@ def calibrate_order_m(
     distances = {mode: float(np.linalg.norm(np.real(B) - A) / scale)
                  for mode, B in matrices.items()}
     verdict = min(VARIANTS, key=lambda v: distances[v])
-    return CalibrationResult(base, A, lin_err, distances, verdict, ladders)
+    return CalibrationResult(A, lin_err, distances, verdict, ladders)
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +649,6 @@ class ReconstructionReport:
                 "matrix": [[float(x) for x in row] for row in self.calibration.matrix],
                 "linearity_error": self.calibration.linearity_error,
                 "distances": self.calibration.distances,
-                "base": list(self.calibration.base),
             }
         return out
 

@@ -68,7 +68,7 @@ def gauss():
 @pytest.fixture(scope="module")
 def hom21_order0(gauss):
     """Criterion-4 data: homogeneous (2, 1), probes {e3, sigma1} at (1,0)."""
-    profile = LameProfile.constant(2.0, 1.0, name="acc-hom21")
+    profile = LameProfile.constant(2.0, 1.0)
     battery = [ProbeTemplate.named("e3", (1.0, 0.0)),
                ProbeTemplate.named("sigma1", (1.0, 0.0))]
     t0 = time.perf_counter()
@@ -82,7 +82,7 @@ def hom21_order0(gauss):
 @pytest.fixture(scope="module")
 def hom21_null(gauss):
     """Criterion-5 data: order-1 difference ladders on the homogeneous profile."""
-    profile = LameProfile.constant(2.0, 1.0, name="acc-hom21-null")
+    profile = LameProfile.constant(2.0, 1.0)
     battery = default_battery()
     ladders = [run_ladder(profile, t, LADDER, 1, cutoff=gauss, rho_tilde=4)
                for t in battery]
@@ -92,7 +92,7 @@ def hom21_null(gauss):
 @pytest.fixture(scope="module")
 def gradient_run(gauss):
     """Criterion-6 data: full reconstruction of the linear-gradient profile."""
-    profile = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2], name="acc-grad")
+    profile = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2])
     t0 = time.perf_counter()
     report = reconstruct_profile(
         profile, 1, LADDER, battery=default_battery(), cutoff=gauss,
@@ -155,7 +155,7 @@ def test_criterion_03_impedance_oracle_variant():
         kn = rng.uniform(0.4, 30.0)
         th = rng.uniform(0, 2 * np.pi)
         k = kn * np.array([np.cos(th), np.sin(th)])
-        prof = LameProfile.constant(lam, mu, name=f"acc3-{trial}")
+        prof = LameProfile.constant(lam, mu)
         M = dtn_symbol(prof, k)
         errs = {}
         for variant in ("iota_squared", "iota_linear"):

@@ -24,6 +24,7 @@ from lame_edge.forward import (
     _assemble,
     _dop853,
     _radial_symbols,
+    _resolve,
     _form_coefficients,
     _harmonics,
     _probe_coefficients,
@@ -31,7 +32,6 @@ from lame_edge.forward import (
     ForwardError,
     QuadratureSettings,
     RadialDtnTable,
-    RadialSymbol,
     Z_ROWS_E1,
     difference_pairing,
     dtn_symbol,
@@ -45,7 +45,6 @@ from lame_edge.forward import (
     polar_grid,
     symbol_memo,
     truncation_depth,
-    warm_group,
     warm_tables,
 )
 from lame_edge.reconstruct import (_MIXED_DERIVATIVES, ProbeTemplate, _unit_profile,
@@ -61,13 +60,13 @@ def random_admissible(rng):
     return lam, mu
 
 
-def random_profile(rng, name="rand"):
+def random_profile(rng):
     # gentle slopes keep admissibility on [0, H_max]
     lam0, mu0 = random_admissible(rng)
     lam0 = abs(lam0) + 0.2
     s1 = rng.uniform(-0.1, 0.3)
     s2 = rng.uniform(-0.05, 0.3)
-    return LameProfile.from_polynomial([lam0, s1], [mu0, s2], name=name)
+    return LameProfile.from_polynomial([lam0, s1], [mu0, s2])
 
 
 class TestIntegrator:
@@ -159,7 +158,7 @@ def kernel_of(profile, nodes):
 
 # an elementwise lam and a mu that returns a scalar, which the kernel broadcasts
 WAVY = LameProfile(lambda y, o: 1.0 + 0.2 * np.sin(y) if o == 0 else 0.2 * np.cos(y),
-                   lambda y, o: 1.5 if o == 0 else 0.0, max_derivative_order=1, name="wavy")
+                   lambda y, o: 1.5 if o == 0 else 0.0, max_derivative_order=1)
 
 
 class TestRiccatiKernel:
@@ -310,7 +309,7 @@ class TestDtnSymbol:
     def test_riccati_vs_subspace_march(self):
         rng = np.random.default_rng(4)
         for trial in range(20):
-            prof = random_profile(rng, f"rand{trial}")
+            prof = random_profile(rng)
             # log-uniform over both bands: physical depth (|k| <= efolds/H_max = 7)
             # and scaled depth
             kn = np.exp(rng.uniform(np.log(0.5), np.log(300.0)))
@@ -343,7 +342,13 @@ moduli = st.tuples(st.floats(0.2, 3.0), st.floats(-7.0, 1.5)).map(
 )
 slopes = st.floats(-0.4, 0.4)
 STEEP = LameProfile(lambda y, o=0: 1.0 + 2.0 * np.exp(-20.0 * y),
-                    lambda y, o=0: 1.0 + np.exp(-30.0 * y), name="steep")  # needs 144 points
+                    lambda y, o=0: 1.0 + np.exp(-30.0 * y))  # needs 144 points
+
+
+def symbol_of(profile):
+    """The profile's own symbol, as its ladders read it from the memo."""
+    (symbol,), = warm_tables((profile,))
+    return symbol
 
 
 class TestRadialTable:
@@ -351,8 +356,8 @@ class TestRadialTable:
 
     def test_table_matches_direct_solves(self):
         # the interpolant against one-node solves at the ladder's radii, both bands
-        prof = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2], name="grad")
-        sym, = warm_tables(prof)
+        prof = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2])
+        sym = symbol_of(prof)
         radii = np.concatenate([polar_grid(n, 4, GaussianCutoff(), QuadratureSettings()).r
                                 for n in LADDER])
         for r in radii[::40]:
@@ -361,9 +366,9 @@ class TestRadialTable:
             assert np.abs(Md - Mt).max() <= 1e-8 * max(np.abs(Md).max(), 1e-3)
 
     def test_rotation_equivariance(self):
-        prof = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2], name="grad")
+        prof = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2])
         ks = ((30.0, 40.0), (-5.0, 2.0), (60.0, -80.0))
-        sym = RadialSymbol(prof)
+        sym = symbol_of(prof)
         rng = np.random.default_rng(5)
         a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         for k in ks:
@@ -378,23 +383,27 @@ class TestRadialTable:
         # and 256 of a 512-point grid on [0, 2]; the exact check still sees it
         prof = LameProfile.from_polynomial([1.0], [1e4 - 1e-3, -2e4, 1e4])
         with pytest.raises(ForwardError, match="inadmissible"):
-            RadialSymbol(prof)
+            symbol_of(prof)
 
     def test_nodes_sorted_and_distinct(self):
         # first-kind Chebyshev points in s, ascending in (0, 1); a refinement
         # triples them, and the solved points are every third of the new set
-        sym = RadialSymbol(STEEP)
-        assert [n for n, *_ in sym.solves] == [48, 96]
+        (sym,), solves = _resolve((STEEP,), 1e-10)
+        assert [n for n, *_ in solves] == [48, 96]
         assert sym.s.size == 144 and 0.0 < sym.s[0] and sym.s[-1] < 1.0
         assert np.all(np.diff(sym.s) > 0.0)
-        np.testing.assert_allclose(sym.s[1::3], RadialSymbol(GRAD).s, rtol=1e-14)
-        assert RadialSymbol(LameProfile.constant(1.0, 1.0)).s is None
+        np.testing.assert_allclose(sym.s[1::3], symbol_of(GRAD).s, rtol=1e-14)
+        assert symbol_of(LameProfile.constant(1.0, 1.0)).s is None
 
     def test_steps_sized_for_the_weight_ahead(self):
         # the damping weights grow toward the surface: steps sized for the
         # weight at their own end failed every other attempt there (4 of 19)
-        (_, accepted, rejected, *_), = RadialSymbol(GRAD).solves
-        assert (accepted, rejected) == (16, 0)
+        symbol_memo.clear()
+        before = dict(symbol_memo.counts)
+        symbol_of(GRAD)
+        delta = {k: v - before[k] for k, v in symbol_memo.counts.items()}
+        assert (delta["riccati_solves"], delta["steps_accepted"], delta["steps_rejected"]) == (
+            1, 16, 0)
 
     def test_table_build_leaves_numpy_ma_unloaded(self):
         # np.unique imports numpy.ma on first use, inside the first timed pass
@@ -402,7 +411,7 @@ class TestRadialTable:
                 "from lame_edge.elastic import LameProfile; "
                 "from lame_edge.forward import warm_tables; "
                 "prof = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2]); "
-                "warm_tables(prof, m=1); "
+                "warm_tables((prof,), m=1); "
                 "print('numpy.ma' in sys.modules)")
         src = Path(__file__).resolve().parent.parent / "src"
         out = subprocess.run([sys.executable, "-c", code, str(src)],
@@ -413,10 +422,11 @@ class TestRadialTable:
         # a symbol whose Chebyshev tail stays above the tolerance at the cap is
         # refused, never accepted; a resolved one answers at every r >= 0; the
         # joint solve under it takes radii in [0, k_max] only
+        symbol_memo.clear()
         with mock.patch("lame_edge.forward._MAX_POINTS", 48):
             with pytest.raises(ForwardError, match="not resolved"):
-                RadialSymbol(STEEP)
-        rows = RadialSymbol(GRAD).rows(np.array([0.0, 5.5, 50.0, 1e6]))
+                symbol_of(STEEP)
+        rows = symbol_of(GRAD).rows(np.array([0.0, 5.5, 50.0, 1e6]))
         assert np.all(np.isfinite(rows)) and np.abs(rows[0]).max() <= 1e-10
         with pytest.raises(ValueError, match="k_max"):
             RadialDtnTable(GRAD, 10.0, [1.0, 50.0])
@@ -426,8 +436,10 @@ class TestRadialTable:
         # lam = 1 + c y: the remainder R = M0 - r Z0 is small, so any drift of
         # the integrated r Z0 shows in its Chebyshev tail and forces refinement
         prof = LameProfile.from_polynomial([1.0, c], [1.0])
-        sym = RadialSymbol(prof)
-        assert sym.s.size == 48 and len(sym.solves) == 1
+        symbol_memo.clear()
+        before = symbol_memo.counts["riccati_solves"]
+        sym = symbol_of(prof)
+        assert sym.s.size == 48 and symbol_memo.counts["riccati_solves"] == before + 1
         radii = np.array([0.5, 3.0, 6.9, 7.5, 40.0, 300.0, 5000.0])
         rows = sym.rows(radii)
         direct = np.array([dtn_symbol(prof, (r, 0.0)) for r in radii])
@@ -442,7 +454,7 @@ class TestRadialTable:
         # relative to the row scale max(|rows(r)|, |Z0|)
         prof = LameProfile.from_polynomial([lm[0], *c[:3]], [lm[1], *c[3:]])
         assume(validate_admissibility(prof, H_MAX).passed)
-        sym = RadialSymbol(prof)
+        sym = symbol_of(prof)
         r = np.array(radii)
         (direct,), *_ = _radial_symbols([(prof, r)], 1e-12)
         rows = sym.rows(r)
@@ -464,7 +476,7 @@ class TestReducedCore:
         lam0, mu0 = lm
         prof = LameProfile.from_polynomial([lam0, l1, l2], [mu0, m1, m2])
         assume(validate_admissibility(prof, H_MAX).passed)
-        sym = RadialSymbol(prof)
+        sym = symbol_of(prof)
         V = _assemble(sym.rows(RADII))
         assert sym.s is None or sym.s.max() > 48.0 / 50.0  # both bands: nodes beyond r = 48
         assert np.all(V[:, [0, 1, 1, 2], [1, 0, 2, 1]] == 0.0)
@@ -476,7 +488,7 @@ class TestReducedCore:
     @settings(max_examples=12, deadline=None)
     @given(moduli)
     def test_constant_profile_is_degree_one_impedance(self, lm):
-        rows = RadialSymbol(LameProfile.constant(*lm)).rows(RADII)
+        rows = symbol_of(LameProfile.constant(*lm)).rows(RADII)
         exact = RADII[:, None, None] * impedance(*lm, E1)
         assert np.abs(_assemble(rows) - exact).max() <= 1e-9 * np.abs(exact).max()
 
@@ -500,7 +512,7 @@ class TestReducedCore:
 
     @pytest.mark.parametrize("prof", [WAVY, STEEP] + [LameProfile.from_polynomial(
         [r, 0.3 * (1.0 + abs(r)), -0.1], [1.0, 0.2, 0.1]) for r in (-0.66, 1.0, 20.0, 200.0)],
-        ids=lambda prof: prof.name if not prof.is_polynomial else f"lam0={prof.lam_coeffs[0]}")
+        ids=["wavy", "steep", "lam0=-0.66", "lam0=1.0", "lam0=20.0", "lam0=200.0"])
     def test_every_node_within_tolerance_at_the_surface_examples(self, prof):
         assert surface_error(prof) <= 0.1 * 1e-10
 
@@ -561,7 +573,7 @@ PINNED_REMAINDER = {
 }
 TRIO = [LameProfile.from_polynomial([1.1, 1.0], [0.9]), LameProfile.from_polynomial([1.1], [0.9, 1.0]),
         LameProfile.from_polynomial([1.1, 0.4], [0.9, 0.5])]
-QUADRATIC = LameProfile.from_polynomial([1.0, 0.3, -0.1], [1.0, 0.2, 0.15], name="quadratic")
+QUADRATIC = LameProfile.from_polynomial([1.0, 0.3, -0.1], [1.0, 0.2, 0.15])
 # multi-part batches at the radii of PINNED_DIRECT: a quadratic profile with its
 # linear truncation (a sweep profile's group) and the three linear parts of the
 # calibration trio's shape; their step counts, then every row of each part
@@ -621,7 +633,8 @@ class TestSymbolGroups:
         (rows,), *_ = _radial_symbols([(prof, radii)], 1e-10)
         for i, row in PINNED_DIRECT[name].items():
             assert [v.hex() for v in rows[i]] == list(row)
-        remainder = RadialSymbol(prof).remainder
+        (symbol,), _ = _resolve((prof,), 1e-10)
+        remainder = symbol.remainder
         for i, row in PINNED_REMAINDER[name].items():
             assert [v.hex() for v in remainder[i]] == list(row)
 
@@ -650,14 +663,12 @@ class TestSymbolGroups:
             assert err.max() <= tol
 
     def test_group_is_one_integration_per_round(self):
-        members, solves = RadialSymbol.group(TRIO + [LameProfile.constant(1.1, 0.9)])
+        members, solves = _resolve(TRIO + [LameProfile.constant(1.1, 0.9)], 1e-10)
         assert [n for n, *_ in solves] == [3 * 48]
         assert [m.s.size for m in members[:3]] == [48] * 3 and members[3].s is None
-        assert all(m.solves == solves for m in members[:3]) and members[3].solves == []
         # a member that needs a second round takes it alone
-        members, solves = RadialSymbol.group([GRAD, STEEP])
+        members, solves = _resolve([GRAD, STEEP], 1e-10)
         assert [n for n, *_ in solves] == [2 * 48, 96]
-        assert (members[0].solves, members[1].solves) == (solves[:1], solves)
         assert (members[0].s.size, members[1].s.size) == (48, 144)
 
     def test_memo_keys_groups_by_request(self):
@@ -665,7 +676,7 @@ class TestSymbolGroups:
         # profile's order-2 truncation is the profile, and the trio's one
         # shared constant order-1 truncation is exact
         symbol_memo.clear()
-        before = dict(symbol_memo.counts)
+        before, built = dict(symbol_memo.counts), len(symbol_memo.accepted)
         group = symbol_memo.group(TRIO, 1e-10)
         assert symbol_memo.group(TRIO, 1e-10) is group
         assert all(ladder[2] is ladder[0] and ladder[0].s.size == 48 for ladder in group)
@@ -673,7 +684,8 @@ class TestSymbolGroups:
         alone, = symbol_memo.group(TRIO[:1], 1e-10)
         assert alone[0] is not group[0][0]
         delta = {k: v - before[k] for k, v in symbol_memo.counts.items()}
-        assert (delta["riccati_solves"], delta["nodes"], delta["memo_hits"]) == (2, 4 * 48, 1)
+        assert (delta["riccati_solves"], sum(symbol_memo.accepted[built:]), delta["memo_hits"]) == (
+            2, 4 * 48, 1)
         assert delta["exact_constants"] == 2
 
     @pytest.mark.parametrize("m", [3, -1])
@@ -683,7 +695,7 @@ class TestSymbolGroups:
         symbol_memo.clear()
         before = dict(symbol_memo.counts)
         with pytest.raises(ValueError, match=f"derivatives to order 2, got m = {m}"):
-            warm_tables(prof, m=m)
+            warm_tables((prof,), m=m)
         assert dict(symbol_memo.counts) == before
 
     def test_hit_rebuilds_no_truncation(self, monkeypatch):
@@ -692,14 +704,14 @@ class TestSymbolGroups:
         import lame_edge.forward as forward
 
         prof = LameProfile.from_polynomial([1.0, 0.3, -0.1], [1.0, 0.2, 0.15])
-        first = [warm_tables(prof, m=m) for m in (0, 1, 2)]
+        first = [warm_tables((prof,), m=m) for m in (0, 1, 2)]
         calls = []
         for name in ("taylor_truncate", "validate_admissibility"):
             original = getattr(forward, name)
             monkeypatch.setattr(forward, name, lambda *args, name=name, original=original,
                                 **kw: calls.append(name) or original(*args, **kw))
         hits = symbol_memo.counts["memo_hits"]
-        assert [warm_tables(prof, m=m) for m in (0, 1, 2)] == first
+        assert [warm_tables((prof,), m=m) for m in (0, 1, 2)] == first
         assert calls == [] and symbol_memo.counts["memo_hits"] == hits + 3
         assert not hasattr(prof, "truncations")
 
@@ -726,13 +738,14 @@ class TestSymbolGroups:
         # truncation (the first holds only the constant order-1 one)
         lam, mu = [1.0, 0.3, -0.1], [1.0, 0.2, 0.15]
         symbol_memo.clear()
-        before = dict(symbol_memo.counts)
-        low = warm_tables(LameProfile.from_polynomial(lam, mu, max_derivative_order=1), m=1)
+        before, built = dict(symbol_memo.counts), len(symbol_memo.accepted)
+        (low,) = warm_tables((LameProfile.from_polynomial(lam, mu, max_derivative_order=1),), m=1)
         assert low[1].s is None
-        high = warm_tables(LameProfile.from_polynomial(lam, mu, max_derivative_order=2), m=2)
+        (high,) = warm_tables((LameProfile.from_polynomial(lam, mu, max_derivative_order=2),), m=2)
         assert high[1].s.size == 48 and high[0] is not low[0]
         delta = {k: v - before[k] for k, v in symbol_memo.counts.items()}
-        assert (delta["riccati_solves"], delta["nodes"], delta["memo_hits"]) == (2, 48 + 96, 0)
+        assert (delta["riccati_solves"], sum(symbol_memo.accepted[built:]), delta["memo_hits"]) == (
+            2, 48 + 96, 0)
 
 
 @pytest.fixture(scope="module")
@@ -756,7 +769,7 @@ class TestPairing:
     def test_equal_slot_real_positive(self, gauss):
         rng = np.random.default_rng(6)
         for trial in range(8):
-            prof = random_profile(rng, f"pp{trial}")
+            prof = random_profile(rng)
             a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             th = rng.uniform(0, 2 * np.pi)
             probe = ProbeSpec(a, (np.cos(th), np.sin(th), 0.0), 32, 4, 0, gauss)
@@ -764,14 +777,14 @@ class TestPairing:
             assert type(res) is float and res > 0.0
 
     def test_grid_refinement_stability(self, gauss):
-        prof = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2], name="gridref")
+        prof = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2])
         probe = ProbeSpec(np.array([0, 0, 1.0]), E1, 64, 4, 0, gauss)
         v1 = pairing(prof, probe, QuadratureSettings(nodes=96))
         v2 = pairing(prof, probe, QuadratureSettings(nodes=192))
         assert abs(v1 - v2) <= 1e-6 * abs(v1)
 
     def test_table_refinement_stability(self, gauss):
-        prof = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2], name="tabref")
+        prof = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2])
         probe = ProbeSpec(np.array([0, 0, 1.0]), E1, 64, 4, 0, gauss)
         v1 = pairing(prof, probe, QuadratureSettings())
         v2 = pairing(prof, probe, QuadratureSettings(riccati_tol=1e-12))
@@ -784,7 +797,7 @@ class TestPairing:
         assert type(res) is float and res > 0.0
 
 
-GRAD = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2], name="grad-contract")
+GRAD = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2])
 GAUSS = GaussianCutoff()
 reals = st.floats(-3.0, 3.0)
 complex_amplitudes = st.tuples(*[reals] * 6).map(
@@ -894,13 +907,13 @@ class TestReducedContraction:
         # read one symbol: the memo keys it by content and tolerance alone
         prof = LameProfile.from_polynomial([1.1, 0.3], [0.9, 0.2])
         symbol_memo.clear()
-        before = dict(symbol_memo.counts)
+        before, built = dict(symbol_memo.counts), len(symbol_memo.accepted)
         for m, rt in ((0, 4), (0, 5), (1, 4)):
             run_ladder(prof, ProbeTemplate.named("e3", (1.0, 0.0)), LADDER, m,
                        cutoff=GAUSS, rho_tilde=rt)
         delta = {k: v - before[k] for k, v in symbol_memo.counts.items()}
         assert (delta["riccati_solves"], delta["exact_constants"]) == (1, 1)
-        assert delta["nodes"] == 48 and delta["memo_hits"] == 2
+        assert sum(symbol_memo.accepted[built:]) == 48 and delta["memo_hits"] == 2
 
     def test_sweep_integrates_each_profile_once(self):
         # a quadratic profile's ladders of every order read one group: the
@@ -912,14 +925,15 @@ class TestReducedContraction:
 
         def sweep(orders):
             symbol_memo.clear()
-            before = dict(symbol_memo.counts)
+            before, built = dict(symbol_memo.counts), len(symbol_memo.accepted)
             bits = {(i, m, t.name): run_ladder(p, t, LADDER, m, cutoff=GAUSS).values.tobytes()
                     for i, p in enumerate(profiles) for m in orders for t in default_battery()}
-            return bits, {k: v - before[k] for k, v in symbol_memo.counts.items()}
+            delta = {k: v - before[k] for k, v in symbol_memo.counts.items()}
+            return bits, delta, symbol_memo.accepted[built:]
 
-        ascending, delta = sweep((0, 1, 2))
-        assert (delta["riccati_solves"], delta["nodes"], delta["exact_constants"]) == (2, 192, 2)
-        descending, delta = sweep((2, 1, 0))
+        ascending, delta, accepted = sweep((0, 1, 2))
+        assert (delta["riccati_solves"], sum(accepted), delta["exact_constants"]) == (2, 192, 2)
+        descending, delta, _ = sweep((2, 1, 0))
         assert descending == ascending and delta["riccati_solves"] == 2
 
     def test_inadmissible_truncation_refused_at_its_order_only(self):
@@ -995,7 +1009,7 @@ class TestMomentForms:
         # leaves the memo frees its forms, and no later symbol can read them
         grid = polar_grid(64, 4, GaussianCutoff(), QuadratureSettings())  # a fresh grid
         symbol_memo.clear()
-        symbols = warm_tables(LameProfile.from_polynomial([1.2, 0.1], [0.8, 0.05]), m=1)
+        (symbols,) = warm_tables((LameProfile.from_polynomial([1.2, 0.1], [0.8, 0.05]),), m=1)
         built, reused = form_counts["built"], form_counts["reused"]
         G = grid.form(symbols)
         assert grid.form(symbols) is G and not G.flags.writeable
@@ -1056,8 +1070,8 @@ class TestBatteryPath:
         # contraction before batteries were batched
         battery = default_battery(((1.0, 0.0), (0.6, 0.8)))
         rt = ProbeSpec.auto_rho_tilde(m, profile.holder_exponent)
-        forms = np.stack([polar_grid(n, rt, GAUSS, DEFAULT_QUAD).form(warm_tables(profile, m=m))
-                          for n in LADDER])
+        (symbols,) = warm_tables((profile,), m=m)
+        forms = np.stack([polar_grid(n, rt, GAUSS, DEFAULT_QUAD).form(symbols) for n in LADDER])
         (together,) = serial_ladder_runner((profile,), battery, LADDER, m, GAUSS)
         assert [lr.template for lr in together] == battery
         for t, lr in zip(battery, together):
@@ -1075,19 +1089,20 @@ class TestBatteryPath:
         # Chebyshev round (at m = 2 the mu profile takes a second round), their
         # shared truncation exact; each member's values are, bit for bit, each
         # probe's own sum over that member's forms
-        profiles = [_unit_profile((1.2, 0.9), m, *d, f"group-{i}") for i, d in
-                    enumerate(((1.0, 0.0), (0.0, 1.0), _MIXED_DERIVATIVES))]
+        profiles = [_unit_profile((1.2, 0.9), m, *d)
+                    for d in ((1.0, 0.0), (0.0, 1.0), _MIXED_DERIVATIVES)]
         battery = default_battery(((1.0, 0.0), (0.6, 0.8)))
         rt = ProbeSpec.auto_rho_tilde(m, profiles[0].holder_exponent)
         symbol_memo.clear()
         before, built = dict(symbol_memo.counts), len(symbol_memo.accepted)
         group = serial_ladder_runner(profiles, battery, LADDER, m, GAUSS)
         delta = {k: v - before[k] for k, v in symbol_memo.counts.items()}
-        rounds = 1 + max(k for _, k in symbol_memo.accepted[built:])
+        # the hardest member's points, 48 3^k after k triplings, set the rounds
+        rounds = 1 + round(math.log(max(symbol_memo.accepted[built:]) / 48, 3))
         assert (delta["riccati_solves"], delta["exact_constants"]) == (rounds, 1)
         assert rounds == m
         assert [[lr.template for lr in ladders] for ladders in group] == [battery] * 3
-        for symbols, ladders in zip(warm_group(profiles, m=m), group):
+        for symbols, ladders in zip(warm_tables(profiles, m=m), group):
             forms = np.stack([polar_grid(n, rt, GAUSS, DEFAULT_QUAD).form(symbols)
                               for n in LADDER])
             for t, lr in zip(battery, ladders):
@@ -1133,7 +1148,7 @@ class TestDifferencePairing:
     def test_gradient_limit_matches_family_energy(self, gauss):
         from lame_edge.reconstruct import leading_order_response
 
-        prof = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2], name="grad-lim")
+        prof = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2])
         probe = ProbeSpec(np.array([0, 0, 1.0]), E1, 128, 4, 1, gauss)
         val = 128 * difference_pairing(prof, 1, probe)
         predicted = leading_order_response((0, 0, 1.0), E1, 1, 0.3, 0.2, 1.0, 1.0)

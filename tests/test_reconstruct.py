@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -409,7 +410,7 @@ class TestOrder0Model:
 class TestRefineOrder0:
     def test_fixed_point_on_homogeneous_ladders(self):
         cut = GaussianCutoff()
-        prof = LameProfile.constant(2.0, 1.0, name="hom21-six")
+        prof = LameProfile.constant(2.0, 1.0)
         (ladders,) = serial_ladder_runner((prof,), default_battery(), [16, 32, 64, 128, 256], 0,
                                           cut, 4, DEFAULT_QUAD)
         res, refined = refine_order0(ladders, order0_coefficients(default_battery()), cut, 4)
@@ -423,7 +424,7 @@ class TestRefineOrder0:
     def test_ladders_on_different_n_lists_rejected(self):
         # one ladder-fit pseudo-inverse serves every ladder of a refine
         cut = GaussianCutoff()
-        prof = LameProfile.constant(2.0, 1.0, name="hom21-two-lists")
+        prof = LameProfile.constant(2.0, 1.0)
         ladders = [run_ladder(prof, ProbeTemplate.named(kind, (1.0, 0.0)), N_list, 0, cut, 4)
                    for kind, N_list in (("e3", [16, 32, 64, 128]), ("sigma1", [32, 64, 128, 256]))]
         C = order0_coefficients([lr.template for lr in ladders])
@@ -434,7 +435,7 @@ class TestRefineOrder0:
         # near the bulk bound the raw ladder limits solve to 3 lam + 2 mu < 0:
         # that solve is not ok, the passes deflate from it all the same
         cut = GaussianCutoff()
-        prof = LameProfile.constant(-0.66, 1.0, name="near-bulk-bound")
+        prof = LameProfile.constant(-0.66, 1.0)
         (ladders,) = serial_ladder_runner((prof,), default_battery(), [16, 32, 64, 128, 256], 0,
                                           cut, 4, DEFAULT_QUAD)
         limits = [(lr.template, lr.limit) for lr in ladders]
@@ -509,7 +510,7 @@ class TestRecoverOrderM:
 
 class TestLadders:
     def test_homogeneous_difference_ladder_is_null(self):
-        prof = LameProfile.constant(1.3, 0.9, name="null")
+        prof = LameProfile.constant(1.3, 0.9)
         t = ProbeTemplate.named("e3", (1.0, 0.0))
         lr = run_ladder(prof, t, [16, 32, 64, 128], 1, cutoff=GaussianCutoff())
         assert np.abs(lr.values).max() <= 1e-6
@@ -542,7 +543,7 @@ class TestLadders:
         from lame_edge.ansatz import ProbeSpec
 
         cut = GaussianCutoff()
-        prof = LameProfile.constant(1.4, 0.8, name="hom-model")
+        prof = LameProfile.constant(1.4, 0.8)
         t = ProbeTemplate.named("tangent", (1.0, 0.0))
         for N in (16, 64):
             model = homogeneous_pairing_value(t, N, 4, cut, 1.4, 0.8)
@@ -599,6 +600,23 @@ def test_gradient_pass_computes_shared_values_once(monkeypatch):
     assert "stage_seconds" not in report.to_dict()
 
 
+def test_gradient_pass_reads_symbols_through_one_door():
+    # each ladder battery of one gradient pass (order 0, order 1, the
+    # calibration's three profiles) takes its symbols from forward.warm_tables,
+    # and nothing else asks the memo for them
+    cfg = cli.load_config(REPO / "configs" / "gradient.json")
+    forward.symbol_memo.clear()
+    with mock.patch.object(forward, "warm_tables", wraps=forward.warm_tables) as door, \
+            mock.patch.object(forward.symbol_memo, "group",
+                              wraps=forward.symbol_memo.group) as memo:
+        reconstruct_profile(
+            cli.profile_from_config(cfg), cfg["order"], cfg["ladder"],
+            battery=cli.battery_from_config(cfg), cutoff=cli.cutoff_from_config(cfg),
+            rho_tilde=cfg["rho_tilde"], quad=cli.quad_from_config(cfg))
+    assert door.call_count == memo.call_count == 3
+    assert sorted(len(call.args[0]) for call in door.call_args_list) == [1, 1, 3]
+
+
 class TestCalibration:
     def test_rounding_change_of_base_leaves_matrix(self):
         # the order-1 truncations are constant, so exact: a rounding-level move
@@ -633,13 +651,13 @@ class TestCalibration:
         from lame_edge.reconstruct import _MIXED_DERIVATIVES, _unit_profile
 
         base, cutoff, ladder = (1.1, 0.9), GaussianCutoff(), [16, 32, 64, 128]
-        trio = [_unit_profile(base, 1, 1.0, 0.0, "lam"), _unit_profile(base, 1, 0.0, 1.0, "mu"),
-                _unit_profile(base, 1, *_MIXED_DERIVATIVES, "mixed")]
+        trio = [_unit_profile(base, 1, 1.0, 0.0), _unit_profile(base, 1, 0.0, 1.0),
+                _unit_profile(base, 1, *_MIXED_DERIVATIVES)]
 
         def calibration_bits(warm):
             symbol_memo.clear()
             for prof in warm:
-                warm_tables(prof, DEFAULT_QUAD, 1)
+                warm_tables((prof,), DEFAULT_QUAD, 1)
             cal = calibrate_order_m(1, default_battery(), ladder, base,
                                     computed_matrices(default_battery(), 1, base),
                                     cutoff=cutoff, rho_tilde=4)
@@ -660,8 +678,7 @@ class TestOrderTwoEndToEnd:
         still lands; tolerance 20%."""
         from lame_edge.reconstruct import reconstruct_profile
 
-        prof = LameProfile.from_polynomial([1.0, 0.0, 0.1], [1.0, 0.0, 0.05],
-                                           name="quad-e2e")
+        prof = LameProfile.from_polynomial([1.0, 0.0, 0.1], [1.0, 0.0, 0.05])
         report = reconstruct_profile(
             prof, 2, [16, 32, 64, 128, 256], battery=default_battery(),
             cutoff=GaussianCutoff(), calibrate=True,
@@ -693,7 +710,7 @@ class TestSymbolAsymptotics:
         fact = 1.0 if m == 1 else 2.0
         lam_coeffs = [1.0] + [0.0] * (m - 1) + [dcoeffs[0] / fact]
         mu_coeffs = [1.0] + [0.0] * (m - 1) + [dcoeffs[1] / fact]
-        prof = LameProfile.from_polynomial(lam_coeffs, mu_coeffs, name=f"sym-m{m}")
+        prof = LameProfile.from_polynomial(lam_coeffs, mu_coeffs)
         trunc = taylor_truncate(prof, m)
         radii = np.array([512.0, 1024.0, 2048.0])
         for kind in ("e3", "tangent", "sigma1"):
