@@ -157,6 +157,14 @@ class GaussianCutoff(CutoffProfile):
 
     def _derivative_factory(self, beta):
         s2 = math.sqrt(2.0) * self.sigma
+        try:
+            scale_x, scale_y = ((-1.0 / s2) ** b for b in beta)
+        except OverflowError:
+            from .elastic import NumericalDiagnostic
+
+            raise NumericalDiagnostic(
+                f"cutoff width sigma = {self.sigma}: the factor (-1/(sqrt(2) sigma))^"
+                f"{max(beta)} of its derivative {beta} overflows a double") from None
 
         def herm(order: int):
             c = np.zeros(order + 1)
@@ -168,8 +176,8 @@ class GaussianCutoff(CutoffProfile):
         def fn(pts: np.ndarray) -> np.ndarray:
             pts = np.asarray(pts, dtype=float)
             x, y = pts[..., 0], pts[..., 1]
-            gx = np.polynomial.hermite.hermval(x / s2, hx) * (-1.0 / s2) ** beta[0]
-            gy = np.polynomial.hermite.hermval(y / s2, hy) * (-1.0 / s2) ** beta[1]
+            gx = np.polynomial.hermite.hermval(x / s2, hx) * scale_x
+            gy = np.polynomial.hermite.hermval(y / s2, hy) * scale_y
             return self.amplitude * gx * gy * np.exp(-(x**2 + y**2) / (2.0 * self.sigma**2))
 
         return fn

@@ -172,7 +172,6 @@ class AnsatzSolution:
     probe: ProbeSpec
     lam0: float
     mu0: float
-    c_sigma: tuple[complex, complex, complex]
     stack: list  # list[np.ndarray]
     operators: list = field(default_factory=list, repr=False)
 
@@ -206,12 +205,12 @@ class AnsatzSolution:
 
 def leading_profile(probe: ProbeSpec, lam0: float, mu0: float) -> AnsatzSolution:
     """V^0 only: exp(-z3) eta(z') (a + i c3 z3 sigma_2)."""
-    c1, c2, c3 = sigma_expand(probe.a, lam0, mu0, probe.omega)
+    c3 = sigma_expand(probe.a, lam0, mu0, probe.omega)[2]
     S = sigma_basis(lam0, mu0, probe.omega)
     P = np.zeros((2, 1, 1, 3), dtype=complex)
     P[0, 0, 0] = probe.a
     P[1, 0, 0] = 1.0j * c3 * S[:, 1]
-    return AnsatzSolution(probe, lam0, mu0, (c1, c2, c3), [_trim(P)])
+    return AnsatzSolution(probe, lam0, mu0, [_trim(P)])
 
 
 def _assemble_operators(probe: ProbeSpec, profile: LameProfile, s_max: int) -> list:
@@ -274,8 +273,7 @@ def evaluate_ansatz(stack: AnsatzSolution, probe: ProbeSpec, y: np.ndarray) -> n
         )
         if not same:
             raise ValueError("stack was built for a different probe template")
-        stack = AnsatzSolution(probe, stack.lam0, stack.mu0, stack.c_sigma,
-                               stack.stack, stack.operators)
+        stack = AnsatzSolution(probe, stack.lam0, stack.mu0, stack.stack, stack.operators)
     return stack.evaluate(y)
 
 

@@ -345,6 +345,11 @@ def load_config(path: str | Path) -> dict:
     return cfg
 
 
+# the Gaussian cutoff widths whose squares the cutoff and its pairing grids can
+# form: sigma^2 a normal double and (4 sigma)^2 finite
+_SIGMA_RANGE = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max) / 4.0)
+
+
 def cross_field_errors(cfg: dict) -> list[str]:
     """Named cross-field constraint violations (empty list when valid)."""
     errors: list[str] = []
@@ -368,6 +373,10 @@ def cross_field_errors(cfg: dict) -> list[str]:
     cutoff = cfg.get("cutoff", {})
     if cutoff.get("kind") == "bump" and "sigma" in cutoff:
         errors.append("cutoff.sigma applies only to kind 'gaussian'; the bump has a fixed width")
+    elif "sigma" in cutoff and not _SIGMA_RANGE[0] <= cutoff["sigma"] <= _SIGMA_RANGE[1]:
+        errors.append(f"cutoff.sigma {cutoff['sigma']:g} is outside [{_SIGMA_RANGE[0]:.4g}, "
+                      f"{_SIGMA_RANGE[1]:.4g}], where sigma^2 is a normal double and the "
+                      f"Gaussian's spectral constant 4 pi sigma^2 stays finite")
     zero = [d for d in cfg.get("probes", {}).get("directions", []) if math.hypot(*d) == 0.0]
     errors.extend(f"probe direction {d} is zero: a direction must be a nonzero tangent"
                   for d in zero)
@@ -508,18 +517,18 @@ def cmd_stroh(args) -> int:
     lam0, mu0 = float(profile.lam(0.0)), float(profile.mu(0.0))
     omega = tuple(battery_from_config(cfg)[0].omega.tolist())
     K = stroh_matrix(lam0, mu0, omega)
-    spec = eigen_jordan(K)
+    residuals = eigen_jordan(lam0, mu0, omega)[1]
     q1, q2, q3 = reference_chain(lam0, mu0, omega)
-    evals = np.linalg.eigvals(K.matrix)
+    evals = np.linalg.eigvals(K)
     Zs = impedance(lam0, mu0, omega, "iota_squared")
     Zl = impedance(lam0, mu0, omega, "iota_linear")
 
     print(f"lambda(0) = {lam0:g}, mu(0) = {mu0:g}, omega = ({omega[0]:g}, {omega[1]:g})")
-    _print_complex("\nK (6x6):", K.matrix)
+    _print_complex("\nK (6x6):", K)
     print("\neigenvalues:", ", ".join(f"{v:.6f}" for v in np.sort_complex(evals)))
     for name, q in (("q1", q1), ("q2", q2), ("q3", q3)):
         print(f"{name}: " + "  ".join(f"{v.real:+.4f}{v.imag:+.4f}j" for v in q))
-    print("chain residuals:", {k: f"{v:.2e}" for k, v in spec.residuals.items()})
+    print("chain residuals:", {k: f"{v:.2e}" for k, v in residuals.items()})
     _print_complex("\nZ (iota_squared):", Zs)
     _print_complex("Z (iota_linear):", Zl)
 
@@ -527,8 +536,8 @@ def cmd_stroh(args) -> int:
         "lambda0": lam0,
         "mu0": mu0,
         "omega": [omega[0], omega[1]],
-        "K_re": K.matrix.real.tolist(),
-        "K_im": K.matrix.imag.tolist(),
+        "K_re": K.real.tolist(),
+        "K_im": K.imag.tolist(),
         "eigenvalues_re": np.sort_complex(evals).real.tolist(),
         "eigenvalues_im": np.sort_complex(evals).imag.tolist(),
         "chain": {
@@ -539,7 +548,7 @@ def cmd_stroh(args) -> int:
             "iota_squared": {"re": Zs.real.tolist(), "im": Zs.imag.tolist()},
             "iota_linear": {"re": Zl.real.tolist(), "im": Zl.imag.tolist()},
         },
-        "residuals": spec.residuals,
+        "residuals": residuals,
     }
     if args.out:
         outdir = Path(args.out)

@@ -6,7 +6,7 @@ tangentially varying coefficients are out of scope for the whole package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "AdmissibilityError",
     "AdmissibilityReport",
-    "DisplacementJet",
     "LameProfile",
     "NumericalDiagnostic",
     "check_admissible",
@@ -64,29 +63,17 @@ def tensor_components(lam: float, mu: float) -> np.ndarray:
     return isotropic_components(lam, mu)
 
 
-@dataclass(frozen=True)
-class DisplacementJet:
-    """Gradient of a displacement field at a point (complex allowed), with its
-    strain and divergence computed once."""
-
-    gradient: np.ndarray  # (3, 3), entry [k, l] = d u_k / d y_l
-    strain: np.ndarray = field(init=False, repr=False)
-    div: complex = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        g = np.asarray(self.gradient, dtype=complex)
-        if g.shape != (3, 3):
-            raise ValueError(f"gradient must be 3x3, got {g.shape}")
-        object.__setattr__(self, "gradient", g)
-        object.__setattr__(self, "strain", 0.5 * (g + g.T))
-        object.__setattr__(self, "div", complex(g[0, 0] + g[1, 1] + g[2, 2]))
-
-
-def energy_density(lam, mu, ju: DisplacementJet, jv: DisplacementJet) -> complex:
-    """Sesquilinear energy density lam div(u) conj(div v) + 2 mu eps(u):conj(eps(v)),
+def energy_density(lam, mu, gu, gv) -> complex:
+    """Sesquilinear energy density lam div(u) conj(div v) + 2 mu eps(u):conj(eps(v))
+    of the displacement gradients ``gu``, ``gv`` at a point (3x3, entry [k, l] =
+    d u_k / d y_l, complex allowed), with eps = (g + g^T)/2 and div the trace;
     unchecked: linear in (lam, mu), so it also takes modulus derivatives."""
-    return complex(lam * ju.div * jv.div.conjugate()
-                   + 2.0 * mu * np.vdot(jv.strain, ju.strain))
+    gu, gv = np.asarray(gu, dtype=complex), np.asarray(gv, dtype=complex)
+    if gu.shape != (3, 3) or gv.shape != (3, 3):
+        raise ValueError(f"gradients must be 3x3, got {gu.shape} and {gv.shape}")
+    div_u, div_v = (complex(g[0, 0] + g[1, 1] + g[2, 2]) for g in (gu, gv))
+    return complex(lam * div_u * div_v.conjugate()
+                   + 2.0 * mu * np.vdot(0.5 * (gv + gv.T), 0.5 * (gu + gu.T)))
 
 
 class LameProfile:
@@ -272,20 +259,16 @@ def taylor_truncate(profile: LameProfile, m: int) -> LameProfile:
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """Minima of mu and 3*lambda + 2*mu on [0, H].
-
-    Exact for polynomial profiles (``n_samples`` = 0); otherwise taken over
-    ``n_samples`` equispaced samples.
-    """
+    """Minima of mu and 3*lambda + 2*mu on [0, H]: exact for polynomial
+    profiles, otherwise over equispaced samples (see :func:`validate_admissibility`)."""
 
     H: float
-    n_samples: int
     min_mu: float
     min_bulk: float  # min of 3*lambda + 2*mu
-    passed: bool = field(init=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "passed", self.min_mu > 0.0 and self.min_bulk > 0.0)
+    @property
+    def passed(self) -> bool:
+        return self.min_mu > 0.0 and self.min_bulk > 0.0
 
 
 def _polynomial_min(c: np.ndarray, H: float) -> float:
@@ -321,7 +304,6 @@ def validate_admissibility(
         lam, mu = (np.array(c, dtype=float) for c in (profile.lam_coeffs, profile.mu_coeffs))
         return AdmissibilityReport(
             H=float(H),
-            n_samples=0,
             min_mu=_polynomial_min(mu, H),
             min_bulk=_polynomial_min(
                 _polyadd(_trimseq(3.0 * _trimseq(lam)), _trimseq(2.0 * _trimseq(mu))), H),
@@ -331,7 +313,6 @@ def validate_admissibility(
     mu = np.asarray(profile.mu(y), dtype=float)
     return AdmissibilityReport(
         H=float(H),
-        n_samples=int(n_samples),
         min_mu=float(mu.min()),
         min_bulk=float((3.0 * lam + 2.0 * mu).min()),
     )

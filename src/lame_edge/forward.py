@@ -844,6 +844,8 @@ def polar_grid(N: int, rho_tilde: int, cutoff, quad: QuadratureSettings) -> Pola
     [0, pi] is evaluated, each node with its mirror's weight.
     Cutoffs key the memo by identity. A run's ladders share one cutoff, so
     the 64 entries hold every grid of a run with up to 64 (N, rho_tilde) pairs.
+    A grid whose squared radii (r + N)^2 overflow is refused (ForwardError):
+    past that cutoff width its weights would drop the spectrum unseen.
     The weights need only kappa^2 = N^{2 rho - 2} |k - N e1|^2: a grid allocates
     one (radius, angle) array, which holds kappa^2 and then |eta_hat|^2 over a
     constant (:meth:`~lame_edge.ansatz.CutoffProfile.fourier_power`). Its
@@ -855,6 +857,11 @@ def polar_grid(N: int, rho_tilde: int, cutoff, quad: QuadratureSettings) -> Pola
     W = cutoff.spectral_halfwidth(quad.tail_tol)
     spread = W * N ** (1.0 - rho)
     r_lo, r_hi = max(0.0, N - spread), N + spread
+    if not (r_hi + N) * (r_hi + N) < math.inf:  # bounds every r^2 + N^2 - 2 N r cos(phi)
+        raise ForwardError(
+            f"cutoff width sigma = {getattr(cutoff, 'sigma', None)} takes the N = {N}, "
+            f"rho_tilde = {rho_tilde} pairing grid to radius {r_hi:.3g}, whose squared "
+            f"wavenumbers overflow a double")
     x, w = gauss_legendre(2 * quad.nodes)
     r = 0.5 * (r_hi - r_lo) * x + 0.5 * (r_hi + r_lo)
     wr = 0.5 * (r_hi - r_lo) * w
@@ -917,32 +924,33 @@ def pairing(profile: LameProfile, probe: ProbeSpec,
     over the polar grid, wide enough that the excluded spectral tail is below
     quad.tail_tol of the cutoff mass; real, as M(k) is Hermitian.
     """
-    return float(ladder_pairings((profile,), 0, (probe,), (probe.N,), quad)[0, 0, 0])
+    return float(ladder_pairings((profile,), 0, (probe,), (probe.N,), probe.rho_tilde,
+                                 probe.cutoff, quad)[0, 0, 0])
 
 
-def difference_pairing(profile: LameProfile, m: int, probe: ProbeSpec,
+def difference_pairing(profile: LameProfile, probe: ProbeSpec,
                        quad: QuadratureSettings = DEFAULT_QUAD) -> float:
-    """pairing(profile) - pairing(truncated profile), on one shared grid.
+    """pairing(profile) - pairing(order-m truncated profile) at the probe's
+    order m >= 1, on one shared grid.
 
     The shared nodes (same polar grid, same radial radii) make the correlated
     part of the quadrature error cancel, which matters because the m-th order
     signal is O(N^-m) relative to each term.
     """
-    if m < 1:
+    if probe.m < 1:
         raise ValueError("difference pairing requires m >= 1 (m = 0 is pairing)")
-    return float(ladder_pairings((profile,), m, (probe,), (probe.N,), quad)[0, 0, 0])
+    return float(ladder_pairings((profile,), probe.m, (probe,), (probe.N,), probe.rho_tilde,
+                                 probe.cutoff, quad)[0, 0, 0])
 
 
-def ladder_pairings(profiles, m: int, probes, N_values,
+def ladder_pairings(profiles, m: int, probes, N_values, rho_tilde: int, cutoff,
                     quad: QuadratureSettings = DEFAULT_QUAD) -> np.ndarray:
     """:func:`pairing` (m = 0) or :func:`difference_pairing` (m >= 1) values of
     each of ``profiles`` (one group, :func:`warm_tables`) for each of ``probes``
-    (one rho_tilde and cutoff) at each N of ``N_values``, real, shape
-    (profile, probe, N): each member's N grids are looked up and its moment
-    forms stacked, and every probe is contracted with all of them in one product."""
-    rho_tilde, cutoff = probes[0].rho_tilde, probes[0].cutoff
-    if any(p.rho_tilde != rho_tilde or p.cutoff is not cutoff for p in probes):
-        raise ValueError("the probes of one battery share one rho_tilde and one cutoff")
+    (only their a and omega are read) at each N of ``N_values``, on the grids
+    of the battery's one ``rho_tilde`` and ``cutoff``, real, shape (profile,
+    probe, N): each member's N grids are looked up and its moment forms
+    stacked, and every probe is contracted with all of them in one product."""
     forms = np.stack([[polar_grid(int(n), rho_tilde, cutoff, quad).form(symbols)
                        for n in N_values] for symbols in warm_tables(profiles, quad, m)])
     return PolarGrid.contract(forms, [(p.a, p.omega) for p in probes]).swapaxes(0, 1)

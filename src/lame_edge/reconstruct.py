@@ -29,8 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .ansatz import CutoffProfile, GaussianCutoff, ProbeSpec
-from .elastic import (DisplacementJet, LameProfile, NumericalDiagnostic, check_admissible,
-                      energy_density)
+from .elastic import LameProfile, NumericalDiagnostic, check_admissible, energy_density
 from .forward import (
     DEFAULT_QUAD,
     ForwardError,
@@ -81,8 +80,8 @@ class BatteryError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _family_jets(a, omega, lam0: float, mu0: float) -> tuple[DisplacementJet, DisplacementJet]:
-    """Gradient jets (G0, G1) of the decaying family of the medium (lam0, mu0).
+def _family_jets(a, omega, lam0: float, mu0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients (G0, G1) of the decaying family of the medium (lam0, mu0).
 
     With sigma_2 and the sigma_3 coordinate c3 of a from stroh.sigma_basis (one
     solve; cascade.sigma_expand adds a residual check and a second basis, at twice
@@ -95,7 +94,7 @@ def _family_jets(a, omega, lam0: float, mu0: float) -> tuple[DisplacementJet, Di
     a = np.asarray(a, dtype=complex).ravel()
     d = 1j * S[:, 1]
     b = np.linalg.solve(S, a)[2] * d
-    return DisplacementJet(np.outer(a, d) + np.outer(b, _E3)), DisplacementJet(np.outer(b, d))
+    return np.outer(a, d) + np.outer(b, _E3), np.outer(b, d)
 
 
 def _family_moment(jets, m: int, lam, mu) -> float:
@@ -106,9 +105,9 @@ def _family_moment(jets, m: int, lam, mu) -> float:
         sum_jk E_jk int_0^inf y3^(m+j+k)/m! exp(-2 y3) dy3
             = sum_jk E_jk (m+j+k)! / (m! 2^(m+j+k+1)).
     """
-    return sum(energy_density(lam, mu, ju, jv).real
+    return sum(energy_density(lam, mu, gu, gv).real
                * math.factorial(m + j + k) / (math.factorial(m) * 2.0 ** (m + j + k + 1))
-               for j, ju in enumerate(jets) for k, jv in enumerate(jets))
+               for j, gu in enumerate(jets) for k, gv in enumerate(jets))
 
 
 def order0_response(a, omega, lam0: float, mu0: float) -> float:
@@ -276,7 +275,7 @@ def serial_ladder_runner(
         raise ValueError("the profiles of one group share one holder_exponent")
     rt = rho_tilde if rho_tilde is not None else ProbeSpec.auto_rho_tilde(m, p)
     probes = [ProbeSpec(t.a, t.omega, int(N[0]), rt, m, cutoff, p) for t in battery]
-    vals = N**m * ladder_pairings(profiles, m, probes, N, quad).astype(complex)
+    vals = N**m * ladder_pairings(profiles, m, probes, N, rt, cutoff, quad).astype(complex)
     return [[LadderResult(t, m, N, v, extrapolate(N, v, rho=1.0 / rt))
              for t, v in zip(battery, member)] for member in vals]
 
@@ -525,7 +524,6 @@ class CalibrationResult:
     matrix: np.ndarray  # (n_probes, 2) real
     linearity_error: float
     distances: dict
-    verdict: str
     ladders: dict = field(repr=False, default_factory=dict)
 
 
@@ -556,8 +554,7 @@ def calibrate_order_m(
     Riccati step sequence, so their integrator errors are correlated in the
     linearity check. ``distances`` holds the relative Frobenius distance of
     each of ``matrices`` (mode -> the battery's design matrix at ``base``,
-    which holds both ``VARIANTS``) from the measured matrix; the verdict names
-    the closed-form variant closest to it.
+    which holds both ``VARIANTS``) from the measured matrix.
     """
     profiles = {"lam": _unit_profile(base, m, 1.0, 0.0), "mu": _unit_profile(base, m, 0.0, 1.0),
                 "mixed": _unit_profile(base, m, *_MIXED_DERIVATIVES)}
@@ -579,8 +576,7 @@ def calibrate_order_m(
     scale = max(np.linalg.norm(A), 1e-300)
     distances = {mode: float(np.linalg.norm(np.real(B) - A) / scale)
                  for mode, B in matrices.items()}
-    verdict = min(VARIANTS, key=lambda v: distances[v])
-    return CalibrationResult(A, lin_err, distances, verdict, ladders)
+    return CalibrationResult(A, lin_err, distances, ladders)
 
 
 # ---------------------------------------------------------------------------
@@ -715,8 +711,8 @@ def reconstruct_profile(
             matrices["calibrated"] = calibration.matrix
             # a closed-form variant is "validated" only if it actually reproduces
             # the measured matrix; otherwise the calibration stands alone
-            close = calibration.distances[calibration.verdict] <= 0.05
-            verdict = calibration.verdict if close else "calibration-only"
+            nearest = min(VARIANTS, key=calibration.distances.get)
+            verdict = nearest if calibration.distances[nearest] <= 0.05 else "calibration-only"
         with stage("order_m_solve"):
             order_m = {mode: recover_order_m(order_m_ladders, A, mode)
                        for mode, A in matrices.items()}

@@ -12,13 +12,15 @@ algebraic multiplicity 3 and geometric multiplicity 2, for every admissible
 isotropic medium. (The sign of the top-right block is forced by this spectrum;
 see the eigen tests.)
 
+Every function returns plain values: :func:`stroh_matrix` the 6x6 K itself,
+:func:`eigen_jordan` the +i chain (q1, q2, q3) with its residual norms (the -i
+chain is its conjugate).
+
 The paper's printed closed forms sit here too: the order-0 impedance Z with its
 two iota variants, and the order-m limit table with its two VARIANTS.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +28,6 @@ from .elastic import NumericalDiagnostic, check_admissible
 
 __all__ = [
     "ChainError",
-    "StrohMatrix",
-    "StrohSpectrum",
     "characteristic_det",
     "characteristic_det_factored",
     "closed_form_response",
@@ -103,21 +103,10 @@ def first_order_matrix(T: np.ndarray, A: np.ndarray, Q: np.ndarray) -> np.ndarra
     return K
 
 
-@dataclass(frozen=True)
-class StrohMatrix:
-    """6x6 first-order matrix K with its tangential direction."""
-
-    matrix: np.ndarray
-    omega: np.ndarray
-    lam: float
-    mu: float
-
-
-def stroh_matrix(lam: float, mu: float, omega) -> StrohMatrix:
-    """Assemble K for an admissible medium and unit tangent omega."""
+def stroh_matrix(lam: float, mu: float, omega) -> np.ndarray:
+    """The 6x6 K of an admissible medium and unit tangent omega."""
     check_admissible(lam, mu)
-    w = _as_tangent(omega)
-    return StrohMatrix(first_order_matrix(*_taq(lam, mu, w)), w, lam, mu)
+    return first_order_matrix(*_taq(lam, mu, _as_tangent(omega)))
 
 
 def characteristic_det(lam: float, mu: float, omega, sigma: complex) -> complex:
@@ -179,21 +168,12 @@ def reference_chain(lam: float, mu: float, omega) -> tuple[np.ndarray, np.ndarra
     return q1, q2, q3
 
 
-@dataclass(frozen=True)
-class StrohSpectrum:
-    """Degenerate spectrum of K: eigenvalue +-i with a one-link Jordan chain.
-
-    plus_family holds (q1, q2, q3) for +i with K q_{1,2} = i q_{1,2} and
-    K q3 - i q3 = q2; minus_family is the entrywise conjugate.
-    """
-
-    plus_family: tuple[np.ndarray, np.ndarray, np.ndarray]
-    minus_family: tuple[np.ndarray, np.ndarray, np.ndarray]
-    residuals: dict[str, float]
-
-
-def eigen_jordan(K: StrohMatrix, rank_tol: float = 1e-8) -> StrohSpectrum:
-    """Null-space construction of the +i chain of K.
+def eigen_jordan(lam: float, mu: float, omega, rank_tol: float = 1e-8
+                 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], dict[str, float]]:
+    """Null-space construction of the +i chain of K = :func:`stroh_matrix`:
+    ((q1, q2, q3), residuals), with K q_{1,2} = i q_{1,2} and K q3 - i q3 = q2,
+    and the norms of those three residuals. The -i chain is the entrywise
+    conjugate.
 
     The spectrum is known exactly (+-i), so eigenvectors are extracted as the
     null space of (K - iI) and the generalized vector from null((K - iI)^2),
@@ -202,7 +182,7 @@ def eigen_jordan(K: StrohMatrix, rank_tol: float = 1e-8) -> StrohSpectrum:
     generalized vector has its eigenvector components projected out, then is
     scaled to unit displacement norm against sigma_3.
     """
-    Km = K.matrix
+    Km = stroh_matrix(lam, mu, omega)
     scale = np.linalg.norm(Km)
     B = Km - 1.0j * np.eye(6)
     u, s, vh = np.linalg.svd(B)
@@ -219,7 +199,7 @@ def eigen_jordan(K: StrohMatrix, rank_tol: float = 1e-8) -> StrohSpectrum:
         )
 
     # gauge-fix eigenvectors against the reference tops
-    ref1, ref2, ref3 = reference_chain(K.lam, K.mu, K.omega)
+    ref1, ref2, ref3 = reference_chain(lam, mu, omega)
     coef = np.linalg.lstsq(null1, np.column_stack([ref1, ref2]), rcond=None)[0]
     q1 = null1 @ coef[:, 0]
     q2 = null1 @ coef[:, 1]
@@ -243,9 +223,7 @@ def eigen_jordan(K: StrohMatrix, rank_tol: float = 1e-8) -> StrohSpectrum:
         "q2": float(np.linalg.norm(Km @ q2 - 1.0j * q2)),
         "chain": float(np.linalg.norm(Km @ q3 - 1.0j * q3 - q2)),
     }
-    plus = (q1, q2, q3)
-    minus = tuple(np.conj(q) for q in plus)
-    return StrohSpectrum(plus_family=plus, minus_family=minus, residuals=res)
+    return (q1, q2, q3), res
 
 
 def impedance_basis(omega, variant: str = "iota_squared") -> tuple[np.ndarray, np.ndarray]:
@@ -277,12 +255,15 @@ def closed_form_response(a, omega, m: int, dlam: float, dmu: float, variant: str
     """Printed order-m limit formula, evaluated literally (squares, not |.|^2).
 
     variant selects the trailing bracket term: 1 (``plus_one``) or a3^2
-    (``plus_a3_squared``).
+    (``plus_a3_squared``). ``a`` must be a 3-vector and ``omega`` a unit
+    tangent, as for :func:`impedance`.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     a = np.asarray(a, dtype=complex).ravel()
-    w = np.asarray(omega, dtype=float).ravel()[:2]
+    if a.shape != (3,):
+        raise ValueError("amplitude a must be a 3-vector")
+    w = _as_tangent(omega)
     lam_factor = (1j * (a[0] * w[0] + a[1] * w[1]) - a[2]) ** 2
     shear = sum(
         ((a[i] * w[j] + a[j] * w[i]) / 2.0) ** 2 for i in range(2) for j in range(2)

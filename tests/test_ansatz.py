@@ -24,7 +24,7 @@ from lame_edge.cascade import (
     residual_decay,
     sigma_expand,
 )
-from lame_edge.elastic import LameProfile, isotropic_components
+from lame_edge.elastic import LameProfile, NumericalDiagnostic, isotropic_components
 from lame_edge.stroh import sigma_basis
 
 E1 = (1.0, 0.0, 0.0)
@@ -123,6 +123,13 @@ class TestCutoffs:
     def test_unit_l2_mass(self, bump, gauss):
         assert abs(bump.l2_mass() - 1.0) < 1e-8
         assert abs(gauss.l2_mass() - 1.0) < 1e-8
+
+    def test_derivative_overflow_is_a_diagnostic(self):
+        # (-1/(sqrt(2) sigma))^4 overflows at sigma = 1e-100: a one-line
+        # diagnostic, not an OverflowError from deep inside the cascade
+        with pytest.raises(NumericalDiagnostic, match="sigma = 1e-100: the factor"):
+            GaussianCutoff(1e-100).derivative((0, 4))
+        assert np.isfinite(GaussianCutoff(1e-100).derivative((1, 1))(np.zeros(2)))
 
     def test_bump_range_and_support(self, bump):
         pts = np.array([[0.0, 0.0], [0.5, 0.3], [0.999, 0.0], [1.0, 0.0], [1.4, 0.2]])
@@ -426,7 +433,7 @@ class TestResidualDecay:
 
         def l2_norm(N, b):
             probe = replace(probe0, N=N)
-            s = AnsatzSolution(probe, 1.0, 1.0, sol.c_sigma, sol.stack, sol.operators)
+            s = AnsatzSolution(probe, 1.0, 1.0, sol.stack, sol.operators)
             rho = probe.rho
             L = probe.support_radius * gauss.support_radius
             xs = np.linspace(-L, L, 48)

@@ -452,6 +452,40 @@ class TestAnsatzCheck:
         assert "numerical diagnostic: stacked cascade solve" in capsys.readouterr().err
 
 
+class TestCutoffWidth:
+    """A Gaussian width whose squares leave the double range is refused by a
+    stated rule, with exit 3 or a one-line diagnostic (exit 4), never run into
+    nan values or a traceback."""
+
+    @pytest.mark.parametrize("command", ["validate", "forward", "reconstruct", "ansatz-check"])
+    @pytest.mark.parametrize("config", ["homogeneous", "gradient"])
+    def test_degenerate_width_refused(self, tmp_path, capsys, config, command):
+        # sigma = 1e-300 once wrote nan in every forward row with exit 0,
+        # ended reconstruct at "inadmissible moduli lambda = nan" and raised an
+        # OverflowError in ansatz-check
+        path = tmp_path / "config.json"
+        path.write_text((REPO / "configs" / f"{config}.json").read_text().replace(
+            '"sigma": 0.3333333333333333', '"sigma": 1e-300'))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert ("cutoff.sigma 1e-300 is outside [1.492e-154, 3.352e+153]"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command, message", [
+        ("forward", "cutoff width sigma = 1e-153 takes the N = 8, rho_tilde = 4 pairing grid"),
+        ("reconstruct", "cutoff width sigma = 1e-153 takes the N = 8, rho_tilde = 4 pairing grid"),
+        ("ansatz-check", "cutoff width sigma = 1e-153: the factor (-1/(sqrt(2) sigma))^"),
+    ])
+    def test_narrow_width_exits_numerical(self, tmp_path, capsys, command, message):
+        # a width that validates, but whose grids' squared radii (or whose
+        # derivatives) overflow: one line, exit 4
+        path = write_config(tmp_path, cutoff={"kind": "gaussian", "sigma": 1e-153})
+        assert main(["validate", "--config", str(path)]) == EXIT_OK
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == (
+            EXIT_NUMERICAL)
+        err = capsys.readouterr().err
+        assert f"numerical diagnostic: {message}" in err and len(err.splitlines()) == 1
+
+
 def strict_json(text: str):
     """RFC 8259 JSON: the NaN and Infinity literals that json.loads accepts are rejected."""
     def reject(name):

@@ -39,7 +39,6 @@ from lame_edge.forward import (
     form_counts,
     half_space_impedance,
     interpolation_counts,
-    ladder_pairings,
     limit_quadrature,
     pairing,
     polar_grid,
@@ -341,8 +340,15 @@ moduli = st.tuples(st.floats(0.2, 3.0), st.floats(-7.0, 1.5)).map(
     lambda x: (x[0] * (-2.0 / 3.0 + 10.0 ** x[1]), x[0])  # lam/mu down to -2/3 + 1e-7
 )
 slopes = st.floats(-0.4, 0.4)
-STEEP = LameProfile(lambda y, o=0: 1.0 + 2.0 * np.exp(-20.0 * y),
-                    lambda y, o=0: 1.0 + np.exp(-30.0 * y))  # needs 144 points
+
+
+def _exponential(c, rate):
+    """1 + c exp(-rate y3) with its exact order-o derivatives."""
+    return lambda y, o=0: float(o == 0) + c * (-rate) ** o * np.exp(-rate * y)
+
+
+# needs 144 points; its order-2 truncation (3 - 40 y3, 2 - 30 y3) is inadmissible
+STEEP = LameProfile(_exponential(2.0, 20.0), _exponential(1.0, 30.0))
 
 
 def symbol_of(profile):
@@ -633,8 +639,7 @@ class TestSymbolGroups:
         (rows,), *_ = _radial_symbols([(prof, radii)], 1e-10)
         for i, row in PINNED_DIRECT[name].items():
             assert [v.hex() for v in rows[i]] == list(row)
-        (symbol,), _ = _resolve((prof,), 1e-10)
-        remainder = symbol.remainder
+        remainder = symbol_of(prof).remainder
         for i, row in PINNED_REMAINDER[name].items():
             assert [v.hex() for v in remainder[i]] == list(row)
 
@@ -775,6 +780,20 @@ class TestPairing:
             probe = ProbeSpec(a, (np.cos(th), np.sin(th), 0.0), 32, 4, 0, gauss)
             res = pairing(prof, probe)
             assert type(res) is float and res > 0.0
+
+    def test_narrow_width_scales_until_its_grid_is_refused(self):
+        # a narrow Gaussian's pairing scales like 1/sigma while the grid's
+        # squared radii stay finite; one decade narrower they overflow, where
+        # the values fell off 1/sigma (0.611 / sigma at 1e-153, 0 at 1e-160)
+        prof = LameProfile.constant(2.0, 1.0)
+
+        def scaled(sigma):
+            probe = ProbeSpec(np.array([0, 0, 1.0]), E1, 16, 4, 0, GaussianCutoff(sigma))
+            return sigma * pairing(prof, probe)
+
+        assert scaled(1e-152) == pytest.approx(scaled(1e-10), rel=1e-9)
+        with pytest.raises(ForwardError, match="sigma = 1e-153 takes the N = 16, rho_tilde = 4"):
+            scaled(1e-153)
 
     def test_grid_refinement_stability(self, gauss):
         prof = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2])
@@ -1053,7 +1072,7 @@ def pairing_bits(Ns, rho_tildes) -> dict:
     for rt in rho_tildes:
         for n in Ns:
             p = ProbeSpec(a, (0.6, 0.8, 0.0), n, rt, 1, GAUSS)
-            out[f"{rt}/{n}"] = [pairing(GRAD, p).hex(), difference_pairing(GRAD, 1, p).hex()]
+            out[f"{rt}/{n}"] = [pairing(GRAD, p).hex(), difference_pairing(GRAD, p).hex()]
     return out
 
 
@@ -1067,9 +1086,16 @@ class TestBatteryPath:
     def test_battery_equals_its_ladders_one_by_one(self, profile, m):
         # values, limits, flags and noise, bit for bit; and the values
         # equal each probe's own sum over its (4, 5) coefficients, the
-        # contraction before batteries were batched
+        # contraction before batteries were batched. STEEP's order-2
+        # truncation is inadmissible: both paths refuse it
         battery = default_battery(((1.0, 0.0), (0.6, 0.8)))
         rt = ProbeSpec.auto_rho_tilde(m, profile.holder_exponent)
+        if profile is STEEP and m == 2:
+            with pytest.raises(ForwardError, match="inadmissible"):
+                serial_ladder_runner((profile,), battery, LADDER, m, GAUSS)
+            with pytest.raises(ForwardError, match="inadmissible"):
+                run_ladder(profile, battery[0], LADDER, m, cutoff=GAUSS)
+            return
         (symbols,) = warm_tables((profile,), m=m)
         forms = np.stack([polar_grid(n, rt, GAUSS, DEFAULT_QUAD).form(symbols) for n in LADDER])
         (together,) = serial_ladder_runner((profile,), battery, LADDER, m, GAUSS)
@@ -1120,37 +1146,32 @@ class TestBatteryPath:
             serial_ladder_runner(profiles, default_battery(), LADDER, 1, GAUSS)
         assert symbol_memo.counts["riccati_solves"] == before
 
-    def test_battery_shares_one_grid_and_cutoff(self):
-        probes = [ProbeSpec(np.array([0.0, 0.0, 1.0]), E1, 16, rt, 0, GAUSS) for rt in (4, 5)]
-        with pytest.raises(ValueError, match="one rho_tilde and one cutoff"):
-            ladder_pairings((GRAD,), 0, probes, LADDER)
-
 
 class TestDifferencePairing:
     def test_polynomial_below_order_gives_zero(self, gauss):
         prof = LameProfile.constant(1.3, 0.9)
         probe = ProbeSpec(np.array([0, 0, 1.0]), E1, 64, 4, 1, gauss)
-        val = difference_pairing(prof, 1, probe)
+        val = difference_pairing(prof, probe)
         assert abs(val) <= 1e-8
 
     def test_linear_profile_order2_gives_zero(self, gauss):
         prof = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2])
         probe = ProbeSpec(np.array([0, 0, 1.0]), E1, 64, 5, 2, gauss)
-        val = difference_pairing(prof, 2, probe)
+        val = difference_pairing(prof, probe)
         assert abs(val) <= 1e-8
 
     def test_requires_positive_order(self, gauss):
         prof = LameProfile.constant(1.0, 1.0)
         probe = ProbeSpec(np.array([0, 0, 1.0]), E1, 16, 4, 0, gauss)
         with pytest.raises(ValueError, match="m >= 1"):
-            difference_pairing(prof, 0, probe)
+            difference_pairing(prof, probe)
 
     def test_gradient_limit_matches_family_energy(self, gauss):
         from lame_edge.reconstruct import leading_order_response
 
         prof = LameProfile.from_polynomial([1.0, 0.3], [1.0, 0.2])
         probe = ProbeSpec(np.array([0, 0, 1.0]), E1, 128, 4, 1, gauss)
-        val = 128 * difference_pairing(prof, 1, probe)
+        val = 128 * difference_pairing(prof, probe)
         predicted = leading_order_response((0, 0, 1.0), E1, 1, 0.3, 0.2, 1.0, 1.0)
         assert predicted == pytest.approx(0.30625)
         assert abs(val - predicted) <= 0.01 * predicted

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lame_edge.ansatz import GaussianCutoff
-from lame_edge.elastic import DisplacementJet, LameProfile, energy_density
+from lame_edge.elastic import LameProfile, energy_density
 from lame_edge import cli, forward, reconstruct
 from lame_edge.forward import DEFAULT_QUAD, Z_ROWS_E1, _probe_coefficients, polar_grid
 from lame_edge.reconstruct import (
@@ -86,10 +86,9 @@ def laguerre_response(a, om, m, dlam, dmu, lam0, mu0, n=8):
         y3 = tk / 2.0  # exp(-2 y3) dy3 = exp(-t) dt / 2; exp(-y3) leaves the gradient
         u = a + y3 * b
         grad = np.column_stack([1j * w[0] * u, 1j * w[1] * u, b - u])  # [k, l] = d_l u_k
-        jet = DisplacementJet(grad)
         weight = wk / 2.0 * y3**m / math.factorial(m)
-        value += weight * energy_density(dlam, dmu, jet, jet).real
-        scale += weight * energy_density(abs(dlam), abs(dmu), jet, jet).real
+        value += weight * energy_density(dlam, dmu, grad, grad).real
+        scale += weight * energy_density(abs(dlam), abs(dmu), grad, grad).real
     return value, scale
 
 
@@ -145,7 +144,7 @@ class TestPrintedTableDepartures:
             lam0, mu0 = random_admissible(rng)
             m = int(rng.integers(1, 3))
             sigma2 = sigma_basis(lam0, mu0, om)[:, 1]
-            jets = (DisplacementJet(np.outer(a, 1j * sigma2)), DisplacementJet(np.zeros((3, 3))))
+            jets = (np.outer(a, 1j * sigma2), np.zeros((3, 3)))
             for dlam, dmu in ((1.0, 0.0), (0.0, 1.0)):
                 table = abs_squared_table(a, om, m, dlam, dmu)
                 energy = reconstruct._family_moment(jets, m, dlam, dmu)
@@ -663,7 +662,8 @@ class TestCalibration:
                                     cutoff=cutoff, rho_tilde=4)
             ladders = [lr.values.tobytes()
                        for key in ("lam", "mu", "mixed") for lr in cal.ladders[key]]
-            return (cal.matrix.tobytes(), cal.linearity_error.hex(), cal.verdict,
+            nearest = min(VARIANTS, key=cal.distances.get)
+            return (cal.matrix.tobytes(), cal.linearity_error.hex(), nearest,
                     {k: v.hex() for k, v in cal.distances.items()}, ladders)
 
         cold = calibration_bits([])

@@ -6,6 +6,7 @@ from lame_edge.stroh import (
     acoustic_bracket,
     characteristic_det,
     characteristic_det_factored,
+    closed_form_response,
     eigen_jordan,
     first_order_matrix,
     impedance,
@@ -73,7 +74,7 @@ class TestAcousticBlocks:
 
 class TestStrohMatrix:
     def test_block_structure(self):
-        K = stroh_matrix(1.0, 1.0, E1).matrix
+        K = stroh_matrix(1.0, 1.0, E1)
         T = acoustic_bracket(1.0, 1.0, E3, E3)
         A = acoustic_bracket(1.0, 1.0, E3, np.array(E1))
         Q = acoustic_bracket(1.0, 1.0, np.array(E1), np.array(E1))
@@ -91,7 +92,7 @@ class TestStrohMatrix:
         rng = np.random.default_rng(6)
         for _ in range(30):
             lam, mu, om = random_admissible(rng)
-            K = stroh_matrix(lam, mu, om).matrix
+            K = stroh_matrix(lam, mu, om)
             ev = np.sort_complex(np.linalg.eigvals(K))
             assert np.allclose(ev.real, 0.0, atol=1e-6)
             assert np.allclose(np.sort(ev.imag), [-1, -1, -1, 1, 1, 1], atol=1e-6)
@@ -100,13 +101,13 @@ class TestStrohMatrix:
         rng = np.random.default_rng(7)
         for _ in range(10):
             lam, mu, om = random_admissible(rng)
-            K = stroh_matrix(lam, mu, om).matrix
+            K = stroh_matrix(lam, mu, om)
             s = np.linalg.svd(K - 1j * np.eye(6), compute_uv=False)
             assert np.sum(s < 1e-8 * s[0]) == 2
 
     def test_axis_swap_equivariance(self):
-        K1 = stroh_matrix(1.0, 1.0, E1).matrix
-        K2 = stroh_matrix(1.0, 1.0, (0.0, 1.0, 0.0)).matrix
+        K1 = stroh_matrix(1.0, 1.0, E1)
+        K2 = stroh_matrix(1.0, 1.0, (0.0, 1.0, 0.0))
         S = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         P = np.block([[S, np.zeros((3, 3))], [np.zeros((3, 3)), S]])
         assert np.allclose(K2, P @ K1 @ P, atol=1e-13)
@@ -119,7 +120,7 @@ class TestStrohMatrix:
         K = first_order_matrix(*_taq(lam, mu, om))
         assert K.shape == (2, 3, 6, 6)
         for Ki, (l, m) in zip(K.reshape(6, 6, 6), media):
-            assert np.allclose(Ki, stroh_matrix(l, m, om).matrix, rtol=1e-15, atol=1e-15)
+            assert np.allclose(Ki, stroh_matrix(l, m, om), rtol=1e-15, atol=1e-15)
 
     def test_requires_unit_tangent(self):
         with pytest.raises(ValueError):
@@ -161,7 +162,7 @@ class TestJordanChain:
         rng = np.random.default_rng(10)
         for _ in range(20):
             lam, mu, om = random_admissible(rng)
-            K = stroh_matrix(lam, mu, om).matrix
+            K = stroh_matrix(lam, mu, om)
             q1, q2, q3 = reference_chain(lam, mu, om)
             scale = np.linalg.norm(K)
             assert np.linalg.norm(K @ q1 - 1j * q1) <= 1e-10 * scale
@@ -173,37 +174,34 @@ class TestJordanChain:
         for _ in range(20):
             lam, mu, om = random_admissible(rng)
             K = stroh_matrix(lam, mu, om)
-            spec = eigen_jordan(K)
-            scale = np.linalg.norm(K.matrix)
-            assert max(spec.residuals.values()) <= 1e-10 * scale
-            for plus, minus in zip(spec.plus_family, spec.minus_family):
-                assert np.allclose(minus, np.conj(plus))
-            # minus family solves the conjugate eigenproblem
-            m1 = spec.minus_family[0]
-            assert np.linalg.norm(K.matrix @ m1 + 1j * m1) <= 1e-9 * scale
+            plus, residuals = eigen_jordan(lam, mu, om)
+            scale = np.linalg.norm(K)
+            assert max(residuals.values()) <= 1e-10 * scale
+            # the conjugate of the plus family solves the conjugate eigenproblem
+            m1 = np.conj(plus[0])
+            assert np.linalg.norm(K @ m1 + 1j * m1) <= 1e-9 * scale
 
     def test_gauge_matches_reference_tops(self):
-        spec = eigen_jordan(stroh_matrix(1.0, 1.0, E1))
+        plus, _ = eigen_jordan(1.0, 1.0, E1)
         q1, q2, q3 = reference_chain(1.0, 1.0, E1)
-        assert np.allclose(spec.plus_family[0], q1, atol=1e-9)
-        assert np.allclose(spec.plus_family[1], q2, atol=1e-9)
-        assert np.allclose(spec.plus_family[2], q3, atol=1e-9)
+        assert np.allclose(plus[0], q1, atol=1e-9)
+        assert np.allclose(plus[1], q2, atol=1e-9)
+        assert np.allclose(plus[2], q3, atol=1e-9)
 
     @pytest.mark.parametrize("ratio", [-0.6666, 0.0, 1.0, 100.0, 300.0, 1e3, 3e3, 1e4, 1e8])
     def test_chain_resolved_at_lame_ratio(self, ratio):
         # the rank test of (K - iI)^2 sits above its rounding, so the
         # generalized eigenspace has dimension 3 up to lam/mu = 1e8
         for om in (E1, (0.6, 0.8, 0.0)):
-            K = stroh_matrix(ratio, 1.0, om)
-            spec = eigen_jordan(K)
+            residuals = eigen_jordan(ratio, 1.0, om)[1]
             if ratio <= 1e4:
-                assert max(spec.residuals.values()) <= 1e-12 * np.linalg.norm(K.matrix)
+                assert max(residuals.values()) <= 1e-12 * np.linalg.norm(stroh_matrix(ratio, 1.0, om))
 
     def test_inconclusive_rank_raises_with_dimensions(self):
         from lame_edge.stroh import ChainError
 
         with pytest.raises(ChainError, match="eigenspace dimensions"):
-            eigen_jordan(stroh_matrix(2.0, 1.0, E1), rank_tol=10.0)
+            eigen_jordan(2.0, 1.0, E1, rank_tol=10.0)
 
 
 class TestImpedance:
@@ -255,3 +253,19 @@ class TestSigmaBasis:
         assert np.allclose(S[:, 0], [0.0, -1.0, 0.0])
         assert np.allclose(S[:, 1], [1.0, 0.0, 1.0j])
         assert np.allclose(S[:, 2], [0.0, 0.0, -2.0])
+
+
+class TestClosedFormResponse:
+    @pytest.mark.parametrize("a, omega", [
+        ((1.0, 0.0, 0.0), (2.0, 0.0)),  # read as -1 where (1, 0) gives -0.25
+        ((1.0, 0.0, 0.0), (1.0, 0.0, 5.0)),  # silently cut to (1, 0)
+        ((1.0, 0.0), (1.0, 0.0)),  # an IndexError
+    ], ids=["long-omega", "normal-omega", "2-vector-a"])
+    def test_refuses_what_impedance_refuses(self, a, omega):
+        # omega must be a unit tangent and a a 3-vector, as for impedance,
+        # sigma_basis and ProbeSpec
+        with pytest.raises(ValueError):
+            closed_form_response(a, omega, 1, 0.3, 0.2, "plus_one")
+        if len(a) == 3:
+            with pytest.raises(ValueError):
+                impedance(1.0, 1.0, omega)
