@@ -176,9 +176,13 @@ class GaussianCutoff(CutoffProfile):
         def fn(pts: np.ndarray) -> np.ndarray:
             pts = np.asarray(pts, dtype=float)
             x, y = pts[..., 0], pts[..., 1]
-            gx = np.polynomial.hermite.hermval(x / s2, hx) * scale_x
-            gy = np.polynomial.hermite.hermval(y / s2, hy) * scale_y
-            return self.amplitude * gx * gy * np.exp(-(x**2 + y**2) / (2.0 * self.sigma**2))
+            # at a narrow width a huge factor meets a vanishing Gaussian: the
+            # product is not a number, which the residual test of
+            # cascade.residual_decay refuses
+            with np.errstate(over="ignore", invalid="ignore"):
+                gx = np.polynomial.hermite.hermval(x / s2, hx) * scale_x
+                gy = np.polynomial.hermite.hermval(y / s2, hy) * scale_y
+                return self.amplitude * gx * gy * np.exp(-(x**2 + y**2) / (2.0 * self.sigma**2))
 
         return fn
 

@@ -124,7 +124,8 @@ def _field(cutoff: CutoffProfile, P: np.ndarray, zp: np.ndarray, z3: np.ndarray)
 
 
 class CascadeError(NumericalDiagnostic):
-    """The stacked cascade solve failed its residual test."""
+    """The stacked cascade solve failed its residual test, or the residual
+    norms of :func:`residual_decay` carry no correct digit."""
 
 
 def _solve_l0(op0: list, rhs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -367,7 +368,9 @@ def residual_decay(probes: list[ProbeSpec], profile: LameProfile) -> DecayFit:
     by the probe amplitude N^{1/2 - rho} so the fitted slope is comparable
     with the unnormalized bound N^{2 - m - rho}. A step-halving disagreement
     at the largest N is reported; values above ~10% of the norm indicate the
-    finite-difference error dominates.
+    finite-difference error dominates. Norms with no correct leading digit (one
+    that is 0 or not finite, or a disagreement of 1 or more) raise CascadeError
+    before any fit.
     """
     if len(probes) < 4:
         raise ValueError("need at least 4 ladder probes")
@@ -396,8 +399,14 @@ def residual_decay(probes: list[ProbeSpec], profile: LameProfile) -> DecayFit:
 
     Ns = np.array([p.N for p in probes], dtype=float)
     norms = np.array([sup_norm(p, _FD_DELTA) for p in probes])
-    check = sup_norm(probes[-1], _FD_DELTA / 2.0)
-    fd_disagreement = abs(check - norms[-1]) / max(norms[-1], 1e-300)
+    check, last = sup_norm(probes[-1], _FD_DELTA / 2.0), float(norms[-1])
+    if not (np.all(norms > 0.0) and np.all(np.isfinite(norms)) and abs(check - last) < last):
+        raise CascadeError(
+            f"residual norms {', '.join(f'{v:.3g}' for v in norms)} at N = "
+            f"{', '.join(f'{n:g}' for n in Ns)}, and {check:.3g} at half the step: a norm "
+            f"that is 0 or not finite, or a step-halving disagreement of 1 or more, has "
+            f"no correct leading digit")
+    fd_disagreement = abs(check - last) / last
     raw_slope = float(np.polyfit(np.log(Ns), np.log(norms), 1)[0])
     q, coeffs = _two_term_exponent(Ns, norms, template.rho)
     return DecayFit(Ns, norms, q, raw_slope, coeffs, float(fd_disagreement))

@@ -30,7 +30,8 @@ from .ansatz import BumpCutoff, GaussianCutoff, ProbeSpec, smallness_ok
 from .elastic import LameProfile, NumericalDiagnostic, taylor_truncate, validate_admissibility
 from .forward import (H_MAX, QuadratureSettings, form_counts, interpolation_counts, polar_grid,
                       symbol_memo)
-from .reconstruct import BatteryError, default_battery, reconstruct_profile, serial_ladder_runner
+from .reconstruct import (BatteryError, default_battery, order0_coefficients, reconstruct_profile,
+                          serial_ladder_runner)
 from .stroh import (VARIANTS, closed_form_response, eigen_jordan, impedance, reference_chain,
                     stroh_matrix)
 
@@ -497,9 +498,13 @@ def _counted(stage: str, run) -> tuple:
 
 def cmd_validate(args) -> int:
     try:
-        load_config(args.config)
+        cfg = load_config(args.config)
+        order0_coefficients(battery_from_config(cfg))  # the rank rule of reconstruct
     except ConfigError as e:
         print(f"config invalid: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except BatteryError as e:  # forward and ansatz-check need no rank, and run it
+        print(f"config invalid: {e}; reconstruct refuses this battery", file=sys.stderr)
         return EXIT_CONFIG
     print("config valid")
     return EXIT_OK

@@ -493,13 +493,19 @@ def recover_order_m(ladders, A: np.ndarray, mode: str) -> OrderMResult:
     """Least-squares recovery of (d^m lam(0), d^m mu(0)) from the limits of the
     order-m ``ladders``, row i of the design matrix ``A`` being ladder i's
     probe; each ladder's noise propagates into ``noise_bound``. ``mode`` names
-    ``A`` in the BatteryError of a rank-deficient matrix.
+    ``A`` in the error of a rank-deficient matrix: a BatteryError for a computed
+    matrix, which the config decides, a CalibrationError for the measured one.
     """
     battery = [lr.template for lr in ladders]
     b = np.array([lr.limit for lr in ladders])
     noises = np.array([lr.noise for lr in ladders])
-    x, resid, cond, pinv = _least_squares(A, b, battery,
-                                          f"design matrix rank-deficient in mode {mode}")
+    try:
+        x, resid, cond, pinv = _least_squares(A, b, battery,
+                                              f"design matrix rank-deficient in mode {mode}")
+    except BatteryError as e:
+        if mode != "calibrated":
+            raise
+        raise CalibrationError(f"measured {e}") from None
     noise = np.sqrt((np.abs(pinv) ** 2) @ (noises**2))
     return OrderMResult(float(np.real(x[0])), float(np.real(x[1])), resid, cond,
                         (float(noise[0]), float(noise[1])))
@@ -511,7 +517,8 @@ def recover_order_m(ladders, A: np.ndarray, mode: str) -> OrderMResult:
 
 
 class CalibrationError(NumericalDiagnostic):
-    """Linearity of the measured response failed its tolerance."""
+    """Linearity of the measured response failed its tolerance, or its matrix
+    is rank-deficient."""
 
 
 # the calibration's third profile has (d^m lam, d^m mu) = _MIXED_DERIVATIVES; its
@@ -570,7 +577,7 @@ def calibrate_order_m(
     if lin_err > _LINEARITY_TOL:
         raise CalibrationError(
             f"linearity violation {lin_err:.3%} exceeds {_LINEARITY_TOL:.1%}: "
-            f"predicted {predicted_mix}, measured {cols['mixed']}"
+            f"predicted {predicted_mix.tolist()}, measured {cols['mixed'].tolist()}"
         )
 
     scale = max(np.linalg.norm(A), 1e-300)

@@ -1,14 +1,18 @@
+import contextlib
+import copy
 import csv
+import io
 import json
 import math
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from lame_edge import cli
@@ -246,7 +250,7 @@ class TestValidate:
         out = tmp_path / "r"
         assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
         assert main(["reconstruct", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
-        assert f"probe ids repeat: {repeated};" in capsys.readouterr().err
+        assert capsys.readouterr().err.count(f"probe ids repeat: {repeated};") == 2
         assert not out.exists()
 
     @pytest.mark.parametrize("tail_tol", [1.0, 2.0])
@@ -277,9 +281,15 @@ class TestValidate:
         # an integral float would pass a Draft 2020-12 validator, then crash the run;
         # a negative tolerance would pass the schema, then fail every run
         path = write_config(tmp_path, **overrides)
+        words = ("-0.01 is less than the minimum of 0" if "order0_rtol" in where
+                 else "is not of type 'integer'")
+        assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
         rc = main(["reconstruct", "--config", str(path), "--out", str(tmp_path / "out")])
         assert rc == EXIT_CONFIG
-        assert f"config error: schema violation at {where}: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        for prefix in ("config invalid", "config error"):
+            assert re.search(f"^{prefix}: schema violation at {re.escape(where)}: .*{words}$",
+                             err, re.M)
 
     def test_non_finite_number_rejected(self, tmp_path):
         # json.loads accepts NaN and Infinity, which would pass every schema bound
@@ -444,6 +454,20 @@ class TestAnsatzCheck:
         assert main(["ansatz-check", "--config", str(path), "--out", str(tmp_path / "a")]) == EXIT_OK
         assert "(bound exponent 1.8)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("sigma", [0.03, 0.01, 0.003, 0.001])
+    def test_unresolved_residuals_exit_numerical(self, tmp_path, capsys, sigma):
+        # on the gradient config the step-halving disagreement reads 7.7 at
+        # sigma = 0.03 and 8.7e51 at 0.003, and every norm is 0 at 0.001; each
+        # once exited 0, the last with a slope of -3 fitted to log(0)
+        cfg = json.loads((REPO / "configs" / "gradient.json").read_text())
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(cfg, cutoff={"kind": "gaussian", "sigma": sigma})))
+        rc = main(["ansatz-check", "--config", str(path), "--out", str(tmp_path / "a")])
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical diagnostic: residual norms ") and len(err.splitlines()) == 1
+        assert err.endswith("has no correct leading digit\n")
+
     def test_cascade_failure_exits_numerical(self, tmp_path, capsys):
         # at lam/mu = 1e8 the order-1 cascade solve fails its residual test
         path = write_config(tmp_path, profile={"lambda": [1e8], "mu": [1.0], "m": 2, "p": 0.9})
@@ -452,10 +476,11 @@ class TestAnsatzCheck:
         assert "numerical diagnostic: stacked cascade solve" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestCutoffWidth:
     """A Gaussian width whose squares leave the double range is refused by a
     stated rule, with exit 3 or a one-line diagnostic (exit 4), never run into
-    nan values or a traceback."""
+    nan values, a traceback or a RuntimeWarning."""
 
     @pytest.mark.parametrize("command", ["validate", "forward", "reconstruct", "ansatz-check"])
     @pytest.mark.parametrize("config", ["homogeneous", "gradient"])
@@ -467,18 +492,21 @@ class TestCutoffWidth:
         path.write_text((REPO / "configs" / f"{config}.json").read_text().replace(
             '"sigma": 0.3333333333333333', '"sigma": 1e-300'))
         assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-        assert ("cutoff.sigma 1e-300 is outside [1.492e-154, 3.352e+153]"
+        prefix = "config invalid" if command == "validate" else "config error"
+        assert (f"{prefix}: cutoff.sigma 1e-300 is outside [1.492e-154, 3.352e+153]"
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command, message", [
         ("forward", "cutoff width sigma = 1e-153 takes the N = 8, rho_tilde = 4 pairing grid"),
         ("reconstruct", "cutoff width sigma = 1e-153 takes the N = 8, rho_tilde = 4 pairing grid"),
         ("ansatz-check", "cutoff width sigma = 1e-153: the factor (-1/(sqrt(2) sigma))^"),
+        ("ansatz-check", "cutoff width sigma = 1e-100: the factor (-1/(sqrt(2) sigma))^4"),
     ])
     def test_narrow_width_exits_numerical(self, tmp_path, capsys, command, message):
         # a width that validates, but whose grids' squared radii (or whose
-        # derivatives) overflow: one line, exit 4
-        path = write_config(tmp_path, cutoff={"kind": "gaussian", "sigma": 1e-153})
+        # derivatives) overflow: one line, exit 4, and no overflow warning first
+        sigma = float(message.split()[4].rstrip(":"))
+        path = write_config(tmp_path, cutoff={"kind": "gaussian", "sigma": sigma})
         assert main(["validate", "--config", str(path)]) == EXIT_OK
         assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == (
             EXIT_NUMERICAL)
@@ -495,16 +523,42 @@ def strict_json(text: str):
 
 class TestReconstructCommand:
     def test_bundled_outputs_are_strict_json(self, tmp_path):
-        # the homogeneous run's six order-1 null ladders converge exactly
+        # every subcommand that writes runs on both bundled configs: each exits
+        # 0 but reconstruct on the gradient one (criterion 06b), and each writes
+        # strict JSON; the homogeneous run's six order-1 null ladders converge exactly
         converged = {}
         for name in ("homogeneous", "gradient"):
-            out = tmp_path / name
-            main(["reconstruct", "--config", str(REPO / "configs" / f"{name}.json"),
-                  "--out", str(out)])
-            report = strict_json((out / "report.json").read_text())
-            strict_json((out / "manifest.json").read_text())
+            symbol_memo.clear()  # forward counts as in a fresh process
+            codes = {cmd: main([cmd, "--config", str(REPO / "configs" / f"{name}.json"),
+                                "--out", str(tmp_path / name / cmd)])
+                     for cmd in ("forward", "stroh", "ansatz-check", "geometry-check",
+                                 "reconstruct")}
+            assert codes == {**dict.fromkeys(codes, EXIT_OK),
+                             "reconstruct": EXIT_ACCEPTANCE if name == "gradient" else EXIT_OK}
+            written = {str(p.relative_to(tmp_path / name)): strict_json(p.read_text())
+                       for p in (tmp_path / name).glob("*/*.json")}
+            assert len(written) == 7 and "stroh/stroh.json" in written
+            report = written["reconstruct/report.json"]
             converged[name] = [lr for lr in report["ladders"] if lr["fit_flag"] == "converged"]
             assert all(lr["m"] == 1 for lr in converged[name])
+            # an order-m block holds no order, the calibration no base, and the
+            # manifest no order-0 method (the report's)
+            assert report["order0"]["method"] == "linear least squares"
+            assert all(set(block) == {"dlam", "dmu", "residual", "condition", "noise_bound"}
+                       for block in report["order_m"].values())
+            assert set(report["calibration"]) == {"matrix", "linearity_error", "distances"}
+            order0 = written["reconstruct/manifest.json"]["counters"]["order0"]
+            assert set(order0) == {"passes", "final_change"}
+        # the gradient forward run: the order-0 and order-1 batteries on one set
+        # of grids, and one integration (the profile) with its exact order-1
+        # truncation, looked up once per battery
+        forward = strict_json((tmp_path / "gradient" / "forward" / "manifest.json").read_text())
+        symbols = forward["counters"]["symbols"]
+        assert (symbols["riccati_solves"], symbols["exact_constants"], symbols["memo_hits"]) == (
+            1, 1, 1)
+        assert forward["counters"]["pairing_grids"] == {
+            "built": 5, "reused": 5, "weights_built": 5, "weights_reused": 5,
+            "forms_built": 10, "forms_reused": 0}
         assert (len(converged["homogeneous"]), len(converged["gradient"])) == (6, 0)
 
     @pytest.mark.parametrize("overrides", [{"order": 0}, {"order": 1, "calibrate": False}],
@@ -535,8 +589,6 @@ class TestReconstructCommand:
         assert set(report["order_m"]) == {"plus_one", "plus_a3_squared", "predicted"}
         assert report["variant_verdict"] == "uncalibrated"
         order0 = json.loads((out1 / "manifest.json").read_text())["counters"]["order0"]
-        assert set(order0) == {"passes", "final_change"}  # the method is the report's
-        assert report["order0"]["method"] == "linear least squares"
         assert order0["passes"] >= 1 and order0["final_change"] <= 1e-12
         # each run loads its own cutoff, so it builds (and reuses) the same grids
         grids = [json.loads((o / "manifest.json").read_text())["counters"]["pairing_grids"]
@@ -579,18 +631,22 @@ class TestReconstructCommand:
         main(["reconstruct", "--config", str(REPO / "configs" / "gradient.json"),
               "--out", str(out3)])
         counters = json.loads((out3 / "manifest.json").read_text())["counters"]
-        symbols = counters["symbols"]
-        assert (symbols["riccati_solves"], symbols["exact_constants"]) == (2, 2)
         # each symbol resolved at 48 points, 20x fewer integrated radii than
-        # the 960 per ladder grid set of a table at the quadrature radii
-        assert symbols["accepted_nodes"] == [48] * 4
-        assert sum(symbols["accepted_nodes"]) == 192
-        # DOP853 evaluates the flow twice to start a solve, 11 times per
-        # attempted step and once more (first same as last) per accepted one
-        assert symbols["rhs_evaluations"] == (2 * symbols["riccati_solves"]
-                                              + 12 * symbols["steps_accepted"]
-                                              + 11 * symbols["steps_rejected"])
-        assert 0 <= symbols["steps_capped"] <= symbols["steps_accepted"]
+        # the 960 per ladder grid set of a table at the quadrature radii; the
+        # step counts pinned, so that an edit of the integrator's kernels cannot
+        # change its step control unseen: DOP853 evaluates the flow twice to
+        # start a solve, 11 times per attempted step and once more (first same
+        # as last) per accepted one, 2 x 2 + 12 x 44 = 532; one lookup per
+        # battery, the order-1 battery reading the order-0 battery's group
+        assert counters["symbols"] == {
+            "riccati_solves": 2, "exact_constants": 2, "memo_hits": 1,
+            "accepted_nodes": [48] * 4, "steps_accepted": 44, "steps_rejected": 0,
+            "steps_capped": 0, "rhs_evaluations": 532}
+        # 5 grids and weight sets built and reused by every later ladder, and
+        # 25 moment forms, so that grid, weight and form reuse cannot regress unseen
+        assert counters["pairing_grids"] == {
+            "built": 5, "reused": 25, "weights_built": 5, "weights_reused": 20,
+            "forms_built": 25, "forms_reused": 0}
         assert sum(counters["extrapolation_flags"].values()) == 6 + 6 + 3 * 6
 
     def test_null_rho_tilde_follows_holder_exponent(self, tmp_path):
@@ -627,12 +683,22 @@ class TestReconstructCommand:
         assert symbols["accepted_nodes"] == [48]
 
     def test_unidentifiable_battery_exits_config(self, tmp_path, capsys):
-        # e3 and tangent probes see the same combination of lambda and mu
-        path = write_config(tmp_path, order=0,
-                            probes={"kinds": ["e3", "tangent"], "directions": [[1.0, 0.0]]})
-        rc = main(["reconstruct", "--config", str(path), "--out", str(tmp_path / "rank")])
-        assert rc == EXIT_CONFIG
-        assert "config error: order-0 battery cannot separate" in capsys.readouterr().err
+        # e3 and tangent probes see the same combination of lambda and mu;
+        # validate once passed such a battery, which forward and ansatz-check,
+        # needing no rank, still run
+        for kinds in (["e3", "tangent"], ["e3"]):
+            path = write_config(tmp_path, order=0, probes={"kinds": kinds,
+                                                           "directions": [[1.0, 0.0]]})
+            assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+            rc = main(["reconstruct", "--config", str(path), "--out", str(tmp_path / "rank")])
+            assert rc == EXIT_CONFIG
+            invalid, error = capsys.readouterr().err.splitlines()
+            assert invalid == error.replace("config error", "config invalid", 1) + (
+                "; reconstruct refuses this battery")
+            assert error.startswith("config error: order-0 battery cannot separate")
+            for command in ("forward", "ansatz-check"):
+                out = tmp_path / command
+                assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_OK
 
     def test_inadmissible_order0_exits_numerical(self, tmp_path, capsys, monkeypatch):
         # a refine that ends at inadmissible moduli stops the run before any
@@ -649,6 +715,19 @@ class TestReconstructCommand:
         err = capsys.readouterr().err
         assert "numerical diagnostic: order-0 recovery ended at inadmissible moduli" in err
 
+    def test_rank_deficient_calibration_exits_numerical(self, tmp_path, capsys):
+        # at sigma = 1e-100 the measured calibration matrix is rank-deficient:
+        # once exit 3, a config error, for a config that validates and forwards
+        cfg = json.loads((REPO / "configs" / "homogeneous.json").read_text())
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(cfg, cutoff={"kind": "gaussian", "sigma": 1e-100})))
+        assert main(["validate", "--config", str(path)]) == EXIT_OK
+        rc = main(["reconstruct", "--config", str(path), "--out", str(tmp_path / "r")])
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical diagnostic: measured design matrix rank-deficient in "
+                              "mode calibrated for probes [e3@(1,0), ") and len(err.splitlines()) == 1
+
     def test_linearity_violation_exits_numerical(self, tmp_path, capsys, monkeypatch):
         # the gradient config's calibration measures a linearity error of 1.26e-3
         from lame_edge import reconstruct
@@ -659,6 +738,19 @@ class TestReconstructCommand:
         assert rc == EXIT_NUMERICAL
         assert ("numerical diagnostic: linearity violation 0.126% exceeds 0.1%"
                 in capsys.readouterr().err)
+
+    def test_linearity_diagnostic_is_one_line(self, tmp_path, capsys):
+        # at order 2 and sigma = 1e-6 the homogeneous calibration is 16% off
+        # linear; numpy once wrapped the six measured values over three lines
+        cfg = json.loads((REPO / "configs" / "homogeneous.json").read_text())
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(cfg, order=2, rho_tilde=None, ladder=[16, 32, 64, 128],
+                                        cutoff={"kind": "gaussian", "sigma": 1e-6}, expect={})))
+        rc = main(["reconstruct", "--config", str(path), "--out", str(tmp_path / "r")])
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical diagnostic: linearity violation 16.098% exceeds 3.0%")
+        assert len(err.splitlines()) == 1
 
     def test_expect_breach_exits_2(self, tmp_path):
         path = write_config(
@@ -752,3 +844,75 @@ class TestExpectRules:
             assert keys.strip().endswith(default)
             assert re.findall(r"`([^`]+)`", when) == list(rule.when) or (
                 when.strip() == "always" and not rule.when)
+
+
+BUNDLED = {name: json.loads((REPO / "configs" / f"{name}.json").read_text())
+           for name in ("homogeneous", "gradient")}
+RUNS = ("stroh", "forward", "ansatz-check", "geometry-check", "reconstruct")
+
+
+@st.composite
+def perturbed_configs(draw):
+    """A bundled config with its run settings redrawn, on a four-rung ladder;
+    each sampled setting's first choice is the bundled one."""
+    cfg = copy.deepcopy(BUNDLED[draw(st.sampled_from(sorted(BUNDLED)))])
+    start = draw(st.sampled_from([16, 8, 4]))
+    cfg["ladder"] = [start * 2**k for k in range(4)]
+    cfg["quadrature"] = {"nodes": draw(st.sampled_from([96, 48, 24, 8])),
+                         "tail_tol": draw(st.sampled_from([1e-8, 1e-3, 1e-12])),
+                         "riccati_tol": draw(st.sampled_from([1e-10, 1e-6, 1e-13]))}
+    cfg["rho_tilde"] = draw(st.sampled_from([4, None, 8]))
+    # a Gaussian width from below the accepted range to 1e4 or near the
+    # bundled 1/3, or the bump
+    exponent = draw(st.one_of(st.floats(-154.0, 4.0), st.floats(-1.5, 0.5), st.none()))
+    cfg["cutoff"] = ({"kind": "bump"} if exponent is None
+                     else {"kind": "gaussian", "sigma": 10.0**exponent})
+    # e3 and tangent alone cannot separate lambda from mu
+    kinds = draw(st.sampled_from([["e3", "tangent", "sigma1"], ["sigma1", "e3"],
+                                  ["tangent", "sigma1"], ["e3", "tangent"], ["sigma1"]]))
+    directions = draw(st.permutations([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8], [-1.0, 2.0]]))
+    cfg["probes"] = {"kinds": kinds, "directions": directions[:draw(st.sampled_from([2, 1]))]}
+    slopes = st.lists(st.floats(-0.3, 0.3), max_size=2)
+    cfg["profile"]["lambda"] = [draw(st.floats(0.5, 4.0)), *draw(slopes)]
+    cfg["profile"]["mu"] = [draw(st.floats(0.5, 2.0)), *draw(slopes)]
+    cfg["order"] = draw(st.sampled_from([1, 0, 2]))
+    cfg["calibrate"] = draw(st.sampled_from([True, False]))
+    if cfg["order"] != 1 or draw(st.booleans()):  # the expect blocks are the order-1 runs'
+        del cfg["expect"]
+    return cfg
+
+
+def run_main(argv: list) -> tuple[int, str, str]:
+    """main(argv) in-process: the exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestExitCodeContract:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=6, deadline=None, database=None)
+    @seed(20260811)
+    @given(cfg=perturbed_configs())
+    # widths and a battery that once broke the contract, each with its named test
+    @example(cfg=dict(BUNDLED["gradient"], probes={"kinds": ["e3"], "directions": [[1.0, 0.0]]}))
+    @example(cfg=dict(BUNDLED["gradient"], cutoff={"kind": "gaussian", "sigma": 1e-3}))
+    @example(cfg=dict(BUNDLED["homogeneous"], cutoff={"kind": "gaussian", "sigma": 1e-100}))
+    def test_perturbed_bundled_configs(self, cfg):
+        # every run exits 0, 2, 3 or 4; exits 3 only where validate does; warns
+        # nothing; refuses in one line; and writes and prints finite numbers
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(cfg))
+            valid = run_main(["validate", "--config", str(path)])[0]
+            for cmd in RUNS:
+                out = Path(tmp) / cmd
+                code, stdout, stderr = run_main([cmd, "--config", str(path), "--out", str(out)])
+                assert code in (EXIT_OK, EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_NUMERICAL)
+                if code in (EXIT_CONFIG, EXIT_NUMERICAL):
+                    assert len(stderr.splitlines()) == 1, stderr
+                    assert code == EXIT_NUMERICAL or valid == EXIT_CONFIG, stderr
+                    continue
+                for text in (stdout, *(f.read_text() for f in out.iterdir())):
+                    assert not re.search(r"\b(nan|inf|infinity)\b", text, re.I), (cmd, text)
