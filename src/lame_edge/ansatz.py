@@ -1,4 +1,4 @@
-"""Oscillating boundary probes: the cutoffs, the probe specification and its datum.
+"""Oscillating boundary probes: the cutoffs and the probe specification.
 
 A probe is phi^N(y') = N^{1/2-rho} eta(N^{1-rho} y') exp(i N y'.omega) a with a
 smooth cutoff eta normalized to unit L2 mass, so the probe itself carries L2
@@ -17,7 +17,7 @@ import numpy as np
 
 from .stroh import _as_tangent
 
-__all__ = ["BumpCutoff", "GaussianCutoff", "ProbeSpec", "boundary_datum", "gauss_legendre"]
+__all__ = ["BumpCutoff", "GaussianCutoff", "ProbeSpec", "gauss_legendre"]
 
 
 # the first ten positive zeros j_{0,k} of the Bessel function J0
@@ -128,7 +128,7 @@ class CutoffProfile:
 
     def l2_mass(self, n: int = 800) -> float:
         """Quadrature check of the normalization integral of eta^2: the tests
-        hold it to 1, and :func:`lame_edge.forward.limit_quadrature` scales by it."""
+        hold it to 1, and :func:`lame_edge.oracles.limit_quadrature` scales by it."""
         x, w = gauss_legendre(n)
         r = 0.5 * (x + 1.0) * self.support_radius
         wr = 0.5 * self.support_radius * w
@@ -351,7 +351,7 @@ class ProbeSpec:
     @property
     def support_radius(self) -> float:
         """Support radius N^(rho-1) of the probe (compact cutoffs), the scale on
-        which the tests check :func:`boundary_datum` and the ansatz."""
+        which the tests check :func:`lame_edge.oracles.boundary_datum` and the ansatz."""
         return self.N ** (self.rho - 1.0)
 
     @staticmethod
@@ -364,22 +364,3 @@ class ProbeSpec:
                 return rt
         raise ValueError(f"no admissible rho_tilde for m={m}, p={p}")
 
-
-def boundary_datum(probe: ProbeSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """phi^N(y') = N^{1/2-rho} eta(N^{1-rho} y') exp(i N y'.omega') a.
-
-    Oracle: the ansatz's trace at y3 = 0 must equal it, and its mass and
-    support are checked against the probe normalization."""
-    N, rho = probe.N, probe.rho
-    amp = N ** (0.5 - rho)
-    scale = N ** (1.0 - rho)
-    w2 = probe.omega[:2]
-    eta = probe.cutoff.derivative((0, 0))
-
-    def phi(yprime: np.ndarray) -> np.ndarray:
-        yp = np.asarray(yprime, dtype=float)
-        envelope = amp * eta(scale * yp)
-        phase = np.exp(1j * N * (yp @ w2))
-        return (envelope * phase)[..., None] * probe.a
-
-    return phi

@@ -356,6 +356,7 @@ def _two_term_exponent(N: np.ndarray, norms: np.ndarray, rho: float):
 
 
 _FD_DELTA = 0.08  # finite-difference step in stretched coordinates (z', z3)
+_FD_BOUND = 0.1  # step-halving disagreement past which the finite-difference error dominates
 _N_ZPRIME, _N_DEPTH = 12, 14  # tangential sample points and depths of the residual grid
 
 
@@ -367,10 +368,10 @@ def residual_decay(probes: list[ProbeSpec], profile: LameProfile) -> DecayFit:
     graded to resolve exp(-N y3), with step ``_FD_DELTA``; norms are divided
     by the probe amplitude N^{1/2 - rho} so the fitted slope is comparable
     with the unnormalized bound N^{2 - m - rho}. A step-halving disagreement
-    at the largest N is reported; values above ~10% of the norm indicate the
-    finite-difference error dominates. Norms with no correct leading digit (one
-    that is 0 or not finite, or a disagreement of 1 or more) raise CascadeError
-    before any fit.
+    at the largest N is reported. Before any fit, CascadeError refuses norms
+    with no correct leading digit (one that is 0 or not finite, or a
+    disagreement of 1 or more), then a disagreement of ``_FD_BOUND`` (10%) or
+    more, past which the finite-difference error dominates.
     """
     if len(probes) < 4:
         raise ValueError("need at least 4 ladder probes")
@@ -407,6 +408,10 @@ def residual_decay(probes: list[ProbeSpec], profile: LameProfile) -> DecayFit:
             f"that is 0 or not finite, or a step-halving disagreement of 1 or more, has "
             f"no correct leading digit")
     fd_disagreement = abs(check - last) / last
+    if fd_disagreement >= _FD_BOUND:
+        raise CascadeError(f"step-halving disagreement {fd_disagreement:.3g} of the residual norm "
+                           f"at N = {Ns[-1]:g} is not below the bound {_FD_BOUND:g}, past which "
+                           f"the finite-difference error dominates the decay fit")
     raw_slope = float(np.polyfit(np.log(Ns), np.log(norms), 1)[0])
     q, coeffs = _two_term_exponent(Ns, norms, template.rho)
     return DecayFit(Ns, norms, q, raw_slope, coeffs, float(fd_disagreement))

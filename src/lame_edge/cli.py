@@ -395,13 +395,8 @@ def cross_field_errors(cfg: dict) -> list[str]:
     checked = {"profile": profile}
     if order >= 1:  # an order-m run also subtracts the symbol of the order-m truncation
         checked[f"order-{order} Taylor truncation of the profile"] = taylor_truncate(profile, order)
-    for name, prof in checked.items():
-        rep = validate_admissibility(prof, H=H_MAX)
-        if not rep.passed:
-            errors.append(
-                f"{name} inadmissible on [0, {H_MAX:g}]: min mu = {rep.min_mu:.4g}, "
-                f"min 3*lambda + 2*mu = {rep.min_bulk:.4g}"
-            )
+    reports = {name: validate_admissibility(prof, H=H_MAX) for name, prof in checked.items()}
+    errors.extend(rep.message(name) for name, rep in reports.items() if not rep.passed)
     return errors
 
 

@@ -270,6 +270,11 @@ class AdmissibilityReport:
     def passed(self) -> bool:
         return self.min_mu > 0.0 and self.min_bulk > 0.0
 
+    def message(self, name: str = "profile") -> str:
+        """The one-line refusal of ``name`` when the report has not passed."""
+        return (f"{name} inadmissible on [0, {self.H:g}]: min mu = {self.min_mu:.4g}, "
+                f"min 3*lambda + 2*mu = {self.min_bulk:.4g}")
+
 
 def _polynomial_min(c: np.ndarray, H: float) -> float:
     """Exact minimum on [0, H] of the polynomial with ascending coefficients c:

@@ -44,8 +44,9 @@ admissible Taylor truncation of theirs, whatever the ladder's order,
 integrated as one batch per Chebyshev round; so all ladders of a profile, its
 order-m differences included, share one integration, and a symbol's value
 depends only on the request.
-:func:`dtn_symbol`, a direct batch of one, rotated, checks it; the
-orthonormalized subspace march on the full 6x3 system is the independent oracle.
+Its references, one radius of :class:`RadialDtnTable` rotated and the
+orthonormalized subspace march on the full 6x3 system, are in
+:mod:`lame_edge.oracles`, which the run path never loads.
 
 Pairings never assemble the 3x3 symbol: with b = R(theta)^T a and
 rows = (M11, M22, M33, Im M13), a^H M(k) a = rows(|k|) . C(a) f(theta), where
@@ -75,14 +76,12 @@ import numpy as np
 
 from .ansatz import ProbeSpec, gauss_legendre
 from .elastic import LameProfile, NumericalDiagnostic, taylor_truncate, validate_admissibility
-from .stroh import _taq, first_order_matrix, impedance_basis, reference_chain
+from .stroh import impedance_basis
 
 __all__ = [
-    "EFOLDS", "ForwardError", "H_MAX", "QuadratureSettings",
-    "RadialDtnTable", "RadialSymbol", "difference_pairing", "dtn_symbol", "dtn_symbol_march",
-    "form_counts", "half_space_impedance", "interpolation_counts", "ladder_pairings",
-    "limit_quadrature",
-    "pairing", "polar_grid", "symbol_memo", "truncation_depth", "warm_tables",
+    "EFOLDS", "ForwardError", "H_MAX", "QuadratureSettings", "RadialDtnTable", "RadialSymbol",
+    "difference_pairing", "form_counts", "interpolation_counts", "ladder_pairings", "pairing",
+    "polar_grid", "symbol_memo", "warm_tables",
 ]
 
 
@@ -91,33 +90,9 @@ class ForwardError(NumericalDiagnostic):
 
 
 H_MAX, EFOLDS = 2.0, 14.0  # the Riccati flow starts at depth min(H_MAX, EFOLDS / |k|)
-
-
-def truncation_depth(k) -> float:
-    """H(k) = min(H_MAX, EFOLDS / |k|), and H_MAX at k = 0."""
-    kn = float(np.linalg.norm(k))
-    return H_MAX if kn == 0.0 else min(H_MAX, EFOLDS / kn)
-
-
-def _unit_tangent(k) -> tuple[float, np.ndarray]:
-    """(|k|, k/|k| as a 3-vector; e1 at k = 0) for the single-frequency oracles."""
-    k = np.asarray(k, dtype=float).ravel()
-    if k.size == 3:
-        if abs(k[2]) > 1e-14:
-            raise ValueError("tangential frequency must have k3 = 0")
-        k = k[:2]
-    if k.shape != (2,):
-        raise ValueError("k must be a 2-vector")
-    kn = float(np.hypot(k[0], k[1]))
-    if kn == 0.0:
-        return 0.0, np.array([1.0, 0.0, 0.0])
-    return kn, np.array([k[0] / kn, k[1] / kn, 0.0])
-
-
-_E1 = np.array([1.0, 0.0, 0.0])
 # (Z_lam, Z_mu)(e1) of stroh.impedance_basis as reduced rows, shape (2, 4)
 Z_ROWS_E1 = np.array([[B[0, 0].real, B[1, 1].real, B[2, 2].real, B[0, 2].imag]
-                      for B in impedance_basis(_E1)])
+                      for B in impedance_basis((1.0, 0.0))])
 Z_ROWS_E1.setflags(write=False)
 
 
@@ -125,50 +100,6 @@ def _impedance_rows(lam, mu) -> np.ndarray:
     """Rows of Z(lam, mu) at e1, trailing axis 4, for moduli of one shape."""
     lam, mu = np.asarray(lam, dtype=float)[..., None], np.asarray(mu, dtype=float)[..., None]
     return mu / (lam + 3.0 * mu) * (lam * Z_ROWS_E1[0] + mu * Z_ROWS_E1[1])
-
-
-def half_space_impedance(lam: float, mu: float, k) -> np.ndarray:
-    """Homogeneous half-space DtN symbol M with traction = M . displacement.
-
-    Oracle: on a constant profile the Riccati symbol must equal it (the
-    flow's fixed point), and it starts :func:`dtn_symbol_march`. Built from
-    the decaying (+i) Jordan family: surface states q_g = [u_g; w_g] carry
-    traction density tau = i w, and the traction with respect to the outward
-    normal is -tau, so M = -|k| i W U^{-1}. Hermitian positive definite and
-    degree-1 homogeneous in k.
-    """
-    kn, what = _unit_tangent(k)
-    if kn == 0.0:
-        return np.zeros((3, 3), dtype=complex)
-    q1, q2, q3 = reference_chain(lam, mu, what)
-    U = np.column_stack([q1[:3], q2[:3], q3[:3]])
-    W = np.column_stack([q1[3:], q2[3:], q3[3:]])
-    return -kn * 1.0j * W @ np.linalg.inv(U)
-
-
-def _assemble(s: np.ndarray) -> np.ndarray:
-    """3x3 Hermitian symbols from reduced rows (M11, M22, M33, Im M13) on the last axis."""
-    M = np.zeros(s.shape[:-1] + (3, 3), dtype=complex)
-    M[..., [0, 1, 2], [0, 1, 2]] = s[..., :3]
-    M[..., 0, 2] = 1.0j * s[..., 3]
-    M[..., 2, 0] = -1.0j * s[..., 3]
-    return M
-
-
-def _form_coefficients(a) -> np.ndarray:
-    """C(a), shape (4, 5): C(a) f(theta) = Phi(theta) for b = R(theta)^T a (module docstring)."""
-    return np.array(_form_rows(*np.asarray(a, dtype=complex).tolist()))
-
-
-def _form_rows(a0: complex, a1: complex, a2: complex) -> list[list[float]]:
-    """C(a) as nested lists, from the components of a as Python numbers: for 20
-    entries, plain arithmetic costs a fraction of numpy's per-scalar calls."""
-    n0, n1 = abs(a0) ** 2, abs(a1) ** 2
-    h, d = 0.5 * (n0 + n1), 0.5 * (n0 - n1)
-    x = (a0.conjugate() * a1).real
-    u, v = (a0.conjugate() * a2).imag, (a1.conjugate() * a2).imag
-    return [[h, 0.0, 0.0, d, x], [h, 0.0, 0.0, -d, -x],
-            [abs(a2) ** 2, 0.0, 0.0, 0.0, 0.0], [0.0, -2.0 * u, -2.0 * v, 0.0, 0.0]]
 
 
 def _harmonics(c, s) -> np.ndarray:
@@ -222,8 +153,7 @@ def _node_norm(x: np.ndarray) -> float:
 
 
 def _dop853(coefficients, flow, t0: float, t1: float, y0: np.ndarray, tol: float,
-            rate: np.ndarray, stage: np.ndarray | None = None
-            ) -> tuple[np.ndarray, int, int, int, int]:
+            rate: np.ndarray, stage: np.ndarray) -> tuple[np.ndarray, int, int, int, int]:
     """y(t1) for y' = f(t, y), split into depth coefficients and an in-place flow.
 
     ``coefficients(taus)`` returns the depth-only coefficients at the 1-D
@@ -233,7 +163,7 @@ def _dop853(coefficients, flow, t0: float, t1: float, y0: np.ndarray, tol: float
     once, at all 12 stage times t + C[1:12] h and at t_new (exactly: the
     first-same-as-last evaluation that starts the next step), and takes
     h (A; B) once: each stage state is y + (h A[s, :s]) @ K[:s] in one
-    preallocated buffer, ``stage`` when given (C-contiguous, shape of y0), so
+    preallocated buffer, ``stage`` (C-contiguous, shape of y0), so
     a flow that keeps its state there reads each stage in place. The
     increment is summed before it meets y, so y is rounded once per stage.
 
@@ -269,7 +199,6 @@ def _dop853(coefficients, flow, t0: float, t1: float, y0: np.ndarray, tol: float
     y = np.array(y0, dtype=float, order="C")  # the reshaped buffers below are views
     K = np.empty((12,) + y.shape)
     Kf = K.reshape(12, -1)
-    stage = np.empty_like(y) if stage is None else stage
     stage_f = stage.reshape(-1)
     taus, hAB = np.empty(12), np.empty_like(_DOP_AB)  # each attempt's times and h (A; B)
     stages = [(s - 1, hAB[s, :s], Kf[:s], K[s]) for s in range(1, 12)]
@@ -356,8 +285,7 @@ def _dop853(coefficients, flow, t0: float, t1: float, y0: np.ndarray, tol: float
 def _check_admissible(report) -> None:
     """Refuse a failed :func:`validate_admissibility` report."""
     if not report.passed:
-        raise ForwardError(f"profile inadmissible on [0, {report.H}]: min mu = {report.min_mu}, "
-                           f"min 3lam+2mu = {report.min_bulk}")
+        raise ForwardError(report.message())
 
 
 def _radial_symbols(parts, tol: float) -> tuple[list[np.ndarray], int, int, int, int]:
@@ -391,7 +319,7 @@ def _radial_symbols(parts, tol: float) -> tuple[list[np.ndarray], int, int, int,
     callable profile calls each part's profile, whose evaluations allocate
     temporaries. The integrator writes each stage state straight into the
     monomials' first rows, so a flow evaluation builds the other monomials in
-    place and contracts them once. Depths follow :func:`truncation_depth`. A
+    place and contracts them once. Depths are H(r) = min(H_MAX, EFOLDS / r). A
     batch of one part is that part's own integration; parts integrated
     together share the step sequence, which the hardest node sets, so their
     integrator errors are correlated.
@@ -502,57 +430,6 @@ def _radial_symbols(parts, tol: float) -> tuple[list[np.ndarray], int, int, int,
     return [rows[sl] for sl in spans], *counts
 
 
-def dtn_symbol(profile: LameProfile, k, tol: float = 1e-10) -> np.ndarray:
-    """Surface DtN symbol M(k) = R(theta) M0(|k|) R(theta)^T by stable impedance marching.
-
-    Oracle: a direct batch of one on the Riccati core, rotated, against which
-    criterion 3 picks the impedance variant and the tests check
-    :class:`RadialSymbol`'s interpolated rows at any k. The
-    core integrates the impedance flow from the truncation depth (initialized
-    with the frozen-coefficient half-space impedance) to the surface. The flow
-    contracts toward the decaying-family impedance, so truncation and
-    initialization errors decay like exp(-2 |k| (H - y3)).
-    """
-    kn, what = _unit_tangent(k)
-    _check_admissible(validate_admissibility(profile, truncation_depth(k)))
-    (M0,), *_ = _radial_symbols([(profile, np.array([kn]))], tol)
-    c, s = what[0], what[1]
-    R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])  # takes e1 to k/|k|
-    return R @ _assemble(M0[0]) @ R.T
-
-
-def dtn_symbol_march(profile: LameProfile, k, n_steps: int = 600) -> np.ndarray:
-    """Independent oracle: orthonormalized marching of the decaying subspace.
-
-    The tests check :func:`dtn_symbol` against it on random graded profiles
-    in both depth bands. Fixed-grid RK4 on the full 6x3 linear system
-    dW/dt = i K W in scaled depth t = |k| y3, with per-step QR
-    re-orthonormalization; M is recovered from the surface trace pair (the
-    traction is i times the lower block).
-    """
-    kn, what = _unit_tangent(k)
-    if kn == 0.0:
-        return np.zeros((3, 3), dtype=complex)
-    H = truncation_depth(k)
-    # i K at every RK4 stage depth, t = |k| H down to 0 in half steps
-    y3 = H * (1.0 - np.arange(2 * n_steps + 1) / (2 * n_steps))
-    iK = 1.0j * first_order_matrix(*_taq(profile.lam(y3), profile.mu(y3), what))
-
-    lamH = float(profile.lam(H))
-    muH = float(profile.mu(H))
-    S_H = -half_space_impedance(lamH, muH, kn * what[:2]) / kn
-    W = np.vstack([np.eye(3, dtype=complex), -1.0j * S_H])
-    # the RK4 step of a linear system is a matrix: W -> P W, all steps at once
-    dt, eye = -kn * H / n_steps, np.eye(6)
-    K0, Kh, K1 = iK[:-1:2], iK[1::2], iK[2::2]
-    k2 = Kh @ (eye + dt / 2 * K0)
-    k3 = Kh @ (eye + dt / 2 * k2)
-    k4 = K1 @ (eye + dt * k3)
-    for P in eye + dt / 6 * (K0 + 2 * k2 + 2 * k3 + k4):
-        W, _ = np.linalg.qr(P @ W)
-    return -kn * 1.0j * W[3:] @ np.linalg.inv(W[:3])
-
-
 # ---------------------------------------------------------------------------
 # radial symbols (isotropy + depth-only coefficients => M(k) = R M0(|k|) R^T)
 # ---------------------------------------------------------------------------
@@ -562,7 +439,8 @@ class RadialDtnTable:
     """M0 of one profile at explicit radii in [0, k_max], from one joint Riccati
     solve: rows (M11, M22, M33, Im M13) ``reduced`` at ``nodes``, each within
     ``riccati_tol``, and ``steps`` (accepted, rejected, flow evaluations,
-    steps set by the stability cap)."""
+    steps set by the stability cap). No run builds one: it stays for perfbench,
+    which traces it, until ROADMAP item 4, and for ``oracles.dtn_symbol``."""
 
     def __init__(self, profile: LameProfile, k_max: float, radii,
                  riccati_tol: float = 1e-10) -> None:
@@ -818,14 +696,22 @@ class PolarGrid:
 
 
 def _probe_coefficients(a, omega) -> list[list[float]]:
-    """C(a') of a probe as nested lists, a' = R(theta0)^T a for theta0 the angle
-    of omega; each component of a' is the full row sum of the rotation, zero
-    terms included, as the product R @ a forms it, so zeros keep its signs."""
+    """C(a') of a probe as nested lists (module docstring), a' = R(theta0)^T a
+    for theta0 the angle of omega; each component of a' is the full row sum of
+    the rotation, zero terms included, as the product R @ a forms it, so zeros
+    keep its signs. From Python numbers: for 20 entries, plain arithmetic costs
+    a fraction of numpy's per-scalar calls."""
     theta0 = math.atan2(omega[1], omega[0])
     c, s = math.cos(theta0), math.sin(theta0)
-    a0, a1, a2 = np.asarray(a, dtype=complex).tolist()
-    return _form_rows(*[r0 * a0 + r1 * a1 + r2 * a2
-                        for r0, r1, r2 in ((c, s, 0.0), (-s, c, 0.0), (0.0, 0.0, 1.0))])
+    a = np.asarray(a, dtype=complex).tolist()
+    a0, a1, a2 = [r0 * a[0] + r1 * a[1] + r2 * a[2]
+                  for r0, r1, r2 in ((c, s, 0.0), (-s, c, 0.0), (0.0, 0.0, 1.0))]
+    n0, n1 = abs(a0) ** 2, abs(a1) ** 2
+    h, d = 0.5 * (n0 + n1), 0.5 * (n0 - n1)
+    x = (a0.conjugate() * a1).real
+    u, v = (a0.conjugate() * a2).imag, (a1.conjugate() * a2).imag
+    return [[h, 0.0, 0.0, d, x], [h, 0.0, 0.0, -d, -x],
+            [abs(a2) ** 2, 0.0, 0.0, 0.0, 0.0], [0.0, -2.0 * u, -2.0 * v, 0.0, 0.0]]
 
 
 # over the process: PolarGrid.rows data per (grid, point count), forms per (grid, symbols)
@@ -900,7 +786,9 @@ def warm_tables(profiles, quad: QuadratureSettings = DEFAULT_QUAD,
     ladder whose truncation is inadmissible is refused."""
     profiles = tuple(profiles)
     for p in profiles:
-        _check_order(p, m)
+        if not 0 <= m <= p.max_derivative_order:
+            raise ValueError(f"profile carries derivatives to order {p.max_derivative_order}, "
+                             f"got m = {m}")
     out = []
     for symbols in symbol_memo.group(profiles, quad.riccati_tol):
         if not isinstance(symbols[m], RadialSymbol):
@@ -909,20 +797,14 @@ def warm_tables(profiles, quad: QuadratureSettings = DEFAULT_QUAD,
     return out
 
 
-def _check_order(profile: LameProfile, m: int) -> None:
-    if not 0 <= m <= profile.max_derivative_order:
-        raise ValueError(
-            f"profile carries derivatives to order {profile.max_derivative_order}, got m = {m}"
-        )
-
-
 def pairing(profile: LameProfile, probe: ProbeSpec,
             quad: QuadratureSettings = DEFAULT_QUAD) -> float:
     """<Lambda_C phi^N, conj(phi^N)> via the tangential-Fourier identity.
 
     value = (2 pi)^-2 N^{2 rho - 3} int |eta_hat(kappa(k))|^2 a^H M(k) a dk
     over the polar grid, wide enough that the excluded spectral tail is below
-    quad.tail_tol of the cutoff mass; real, as M(k) is Hermitian.
+    quad.tail_tol of the cutoff mass; real, as M(k) is Hermitian. Runs call
+    :func:`ladder_pairings`; this stays for perfbench until ROADMAP item 4.
     """
     return float(ladder_pairings((profile,), 0, (probe,), (probe.N,), probe.rho_tilde,
                                  probe.cutoff, quad)[0, 0, 0])
@@ -935,7 +817,8 @@ def difference_pairing(profile: LameProfile, probe: ProbeSpec,
 
     The shared nodes (same polar grid, same radial radii) make the correlated
     part of the quadrature error cancel, which matters because the m-th order
-    signal is O(N^-m) relative to each term.
+    signal is O(N^-m) relative to each term. Like :func:`pairing`, it stays
+    for perfbench until ROADMAP item 4.
     """
     if probe.m < 1:
         raise ValueError("difference pairing requires m >= 1 (m = 0 is pairing)")
@@ -955,36 +838,3 @@ def ladder_pairings(profiles, m: int, probes, N_values, rho_tilde: int, cutoff,
                        for n in N_values] for symbols in warm_tables(profiles, quad, m)])
     return PolarGrid.contract(forms, [(p.a, p.omega) for p in probes]).swapaxes(0, 1)
 
-
-# ---------------------------------------------------------------------------
-# the localized limit quadrature (depth-only integrand)
-# ---------------------------------------------------------------------------
-
-
-def limit_quadrature(
-    f,
-    taylor_coeffs,
-    k_order: int,
-    N: int,
-    cutoff=None,
-) -> float:
-    """N^{2+k} int_0^{1/(2 sqrt N)} int (eta^N)^2 e^{-2 N y3} (f - f^k) dy' dy3.
-
-    Oracle of criterion 8: the localized limit that the pairing ladders
-    approach, on a depth-only integrand, with no symbol or polar grid.
-    ``f`` is a depth-only integrand, ``taylor_coeffs`` its surface Taylor
-    coefficients of orders 0..k-1 defining f^k. The tangential factor
-    integrates exactly to (cutoff L2 mass)/N under the probe normalization.
-    For f in C^k the value converges to d^k f(0) / 2^{k+1} as N grows.
-    """
-    mass = 1.0 if cutoff is None else cutoff.l2_mass()
-    upper = 0.5 / math.sqrt(N)
-    x, w = gauss_legendre(240)
-    y3 = 0.5 * upper * (x + 1.0)
-    wy = 0.5 * upper * w
-    fk = np.zeros_like(y3)
-    for n, c in enumerate(taylor_coeffs[:k_order]):
-        fk += c * y3**n
-    vals = (np.asarray(f(y3), dtype=float) - fk) * np.exp(-2.0 * N * y3)
-    integral = float(np.sum(wy * vals))
-    return N ** (2 + k_order) * (mass / N) * integral

@@ -37,11 +37,11 @@ from .forward import (
     QuadratureSettings,
     Z_ROWS_E1,
     ladder_pairings,
-    pairing,  # noqa: F401 (perfbench wraps it under this name too)
+    pairing,  # noqa: F401 (perfbench wraps it under this name too, until ROADMAP item 4)
     polar_grid,
 )
 from .stroh import VARIANTS, closed_form_response, impedance_basis, sigma_basis
-from .stroh import impedance  # noqa: F401 (perfbench wraps impedance)
+from .stroh import impedance  # noqa: F401 (perfbench wraps impedance, until ROADMAP item 4)
 
 __all__ = [
     "BatteryError",
@@ -58,7 +58,6 @@ __all__ = [
     "homogeneous_pairing_value",
     "leading_order_response",
     "order0_coefficients",
-    "order0_response",
     "order0_variables",
     "recover_order0",
     "recover_order_m",
@@ -110,21 +109,13 @@ def _family_moment(jets, m: int, lam, mu) -> float:
                for j, gu in enumerate(jets) for k, gv in enumerate(jets))
 
 
-def order0_response(a, omega, lam0: float, mu0: float) -> float:
-    """Predicted order-0 pairing limit: the family energy at (lam0, mu0), m = 0.
-
-    Oracle: the tests check that it equals the impedance quadratic form
-    a^H Z a, which ties the family energy that order m uses to order 0.
-    """
-    return _family_moment(_family_jets(a, omega, lam0, mu0), 0, lam0, mu0)
-
-
 def leading_order_response(
     a, omega, m: int, dlam: float, dmu: float, lam0: float, mu0: float
 ) -> float:
     """Predicted order-m difference-pairing limit (corrector-inclusive): the
     family energy of (lam0, mu0) at (d^m lam, d^m mu) = (dlam, dmu), weighted by
-    y3^m / m! (see :func:`_family_moment`)."""
+    y3^m / m! (see :func:`_family_moment`). Runs use :func:`design_matrix`;
+    this stays for perfbench until ROADMAP item 4."""
     if m < 1:
         raise ValueError("m >= 1; use order0_response for the plain pairing limit")
     return _family_moment(_family_jets(a, omega, lam0, mu0), m, dlam, dmu)
@@ -347,7 +338,7 @@ def order0_coefficients(templates) -> np.ndarray:
 def order0_variables(lam: float, mu: float) -> np.ndarray:
     """x = (lam mu, mu^2)/(lam + 3 mu), in which a probe's order-0 limit
     a^H Z a = mu (alpha lam + beta mu)/(lam + 3 mu) is the linear form (alpha, beta) . x
-    (the tests check that form against :func:`order0_response`)."""
+    (the tests check that form against :func:`lame_edge.oracles.order0_response`)."""
     return np.array([lam * mu, mu * mu]) / (lam + 3.0 * mu)
 
 
@@ -394,7 +385,8 @@ def homogeneous_pairing_value(template: ProbeTemplate, N: int, rho_tilde: int,
     exactly computable part of the finite-N error of a pairing ladder.
 
     Oracle: the tests check it against the forward pairing of a constant
-    profile, which validates the moments that :func:`refine_order0` deflates by."""
+    profile, which validates the moments that :func:`refine_order0` deflates by.
+    It stays here for perfbench, which wraps it, until ROADMAP item 4."""
     check_admissible(lam, mu)
     G = _pairing_moments((template,), (N,), rho_tilde, cutoff, quad)[0, 0]
     return float(G @ order0_variables(lam, mu))

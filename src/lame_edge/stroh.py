@@ -28,8 +28,6 @@ from .elastic import NumericalDiagnostic, check_admissible
 
 __all__ = [
     "ChainError",
-    "characteristic_det",
-    "characteristic_det_factored",
     "closed_form_response",
     "eigen_jordan",
     "first_order_matrix",
@@ -107,24 +105,6 @@ def stroh_matrix(lam: float, mu: float, omega) -> np.ndarray:
     """The 6x6 K of an admissible medium and unit tangent omega."""
     check_admissible(lam, mu)
     return first_order_matrix(*_taq(lam, mu, _as_tangent(omega)))
-
-
-def characteristic_det(lam: float, mu: float, omega, sigma: complex) -> complex:
-    """det[T s^2 + (A + A^T) s + Q] for the quadratic pencil at s = sigma.
-
-    Oracle of criterion 1: assembled from the brackets, it must equal
-    :func:`characteristic_det_factored`, whose roots +-i give K its spectrum."""
-    check_admissible(lam, mu)
-    w = _as_tangent(omega)
-    T, A, Q = _taq(lam, mu, w)
-    P = T * sigma**2 + (A + A.T) * sigma + Q
-    return complex(np.linalg.det(P))
-
-
-def characteristic_det_factored(lam: float, mu: float, sigma: complex) -> complex:
-    """mu^2 (lam + 2 mu) (1 + sigma^2)^3, the closed factorization of the pencil
-    (criterion 1 checks :func:`characteristic_det` against it)."""
-    return mu**2 * (lam + 2.0 * mu) * (1.0 + sigma**2) ** 3
 
 
 def sigma_basis(lam: float, mu: float, omega) -> np.ndarray:
@@ -242,7 +222,8 @@ def impedance_basis(omega, variant: str = "iota_squared") -> tuple[np.ndarray, n
 
 
 def impedance(lam: float, mu: float, omega, variant: str = "iota_squared") -> np.ndarray:
-    """Surface impedance tensor Z (3x3, Hermitian); see :func:`impedance_basis`."""
+    """Surface impedance tensor Z (3x3, Hermitian); see :func:`impedance_basis`.
+    perfbench wraps it here and in ``reconstruct`` until ROADMAP item 4."""
     check_admissible(lam, mu)
     Z_lam, Z_mu = impedance_basis(omega, variant)
     return mu / (lam + 3.0 * mu) * (lam * Z_lam + mu * Z_mu)
@@ -279,7 +260,8 @@ def quadratic_form(Z: np.ndarray, a) -> float:
     """Real Hermitian form a^H Z a = sum_ij conj(a_i) Z_ij a_j, the pairing's limit.
 
     Oracle: the order-0 limit that the tests and the benchmark's reference
-    check pairings, ladders and the order-0 solve against."""
+    check pairings, ladders and the order-0 solve against. It stays here for
+    perfbench, which wraps it, until ROADMAP item 4."""
     a = np.asarray(a, dtype=complex).ravel()
     val = complex(np.vdot(a, np.asarray(Z) @ a))
     if abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):

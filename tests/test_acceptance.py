@@ -18,7 +18,7 @@ from conftest import record_criterion
 from lame_edge.ansatz import GaussianCutoff, ProbeSpec
 from lame_edge.cascade import residual_decay
 from lame_edge.elastic import LameProfile
-from lame_edge.forward import DEFAULT_QUAD, dtn_symbol, limit_quadrature
+from lame_edge.forward import DEFAULT_QUAD
 from lame_edge.geometry import (
     FlatPatch,
     ParaboloidPatch,
@@ -27,6 +27,8 @@ from lame_edge.geometry import (
     first_order_nonflat,
     push_forward,
 )
+from lame_edge.oracles import (characteristic_det, characteristic_det_factored, dtn_symbol,
+                               limit_quadrature)
 from lame_edge.reconstruct import (
     ProbeTemplate,
     default_battery,
@@ -39,8 +41,6 @@ from lame_edge.reconstruct import (
     serial_ladder_runner,
 )
 from lame_edge.stroh import (
-    characteristic_det,
-    characteristic_det_factored,
     closed_form_response,
     eigen_jordan,
     impedance,

@@ -11,7 +11,6 @@ from lame_edge.ansatz import (
     BumpCutoff,
     GaussianCutoff,
     ProbeSpec,
-    boundary_datum,
     gauss_legendre,
     smallness_ok,
 )
@@ -25,6 +24,7 @@ from lame_edge.cascade import (
     sigma_expand,
 )
 from lame_edge.elastic import LameProfile, NumericalDiagnostic, isotropic_components
+from lame_edge.oracles import boundary_datum
 from lame_edge.stroh import sigma_basis
 
 E1 = (1.0, 0.0, 0.0)

@@ -90,12 +90,14 @@ def test_config_loading_leaves_jsonschema_unloaded():
     assert out.stdout.splitlines()[-1] == "[]"
 
 
-def test_run_path_leaves_cascade_and_geometry_unloaded(tmp_path):
-    # forward and reconstruct load neither the corrector cascade nor the chart algebra
+def test_run_path_leaves_cascade_geometry_and_oracles_unloaded(tmp_path):
+    # forward and reconstruct load neither the corrector cascade, nor the chart
+    # algebra, nor the references that the tests check them against
     code = ("import sys; sys.path.insert(0, sys.argv[1]); from lame_edge.cli import main; "
             "print([main([cmd, '--config', sys.argv[2], '--out', sys.argv[3] + cmd]) "
             "for cmd in ('reconstruct', 'forward')]); "
-            "print([m for m in sys.modules if m in ('lame_edge.cascade', 'lame_edge.geometry')])")
+            "print([m for m in sys.modules "
+            "if m in ('lame_edge.cascade', 'lame_edge.geometry', 'lame_edge.oracles')])")
     out = subprocess.run([sys.executable, "-c", code, str(REPO / "src"),
                           str(REPO / "configs" / "gradient.json"), str(tmp_path / "out-")],
                          capture_output=True, text=True, check=True)
@@ -468,6 +470,22 @@ class TestAnsatzCheck:
         assert err.startswith("numerical diagnostic: residual norms ") and len(err.splitlines()) == 1
         assert err.endswith("has no correct leading digit\n")
 
+    @pytest.mark.parametrize("config, disagreement", [("homogeneous", "0.8"),
+                                                      ("gradient", "0.802")])
+    def test_untrustworthy_fit_exits_numerical(self, tmp_path, capsys, config, disagreement):
+        # with the bump cutoff both bundled configs read a step-halving
+        # disagreement of 0.80, where the finite-difference error dominates the
+        # fit; it once exited 0
+        cfg = json.loads((REPO / "configs" / f"{config}.json").read_text())
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(cfg, cutoff={"kind": "bump"})))
+        rc = main(["ansatz-check", "--config", str(path), "--out", str(tmp_path / "a")])
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err == (f"numerical diagnostic: step-halving disagreement {disagreement} of the "
+                       f"residual norm at N = 256 is not below the bound 0.1, past which the "
+                       f"finite-difference error dominates the decay fit\n")
+
     def test_cascade_failure_exits_numerical(self, tmp_path, capsys):
         # at lam/mu = 1e8 the order-1 cascade solve fails its residual test
         path = write_config(tmp_path, profile={"lambda": [1e8], "mu": [1.0], "m": 2, "p": 0.9})
@@ -476,7 +494,6 @@ class TestAnsatzCheck:
         assert "numerical diagnostic: stacked cascade solve" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestCutoffWidth:
     """A Gaussian width whose squares leave the double range is refused by a
     stated rule, with exit 3 or a one-line diagnostic (exit 4), never run into
@@ -701,19 +718,24 @@ class TestReconstructCommand:
                 assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_OK
 
     def test_inadmissible_order0_exits_numerical(self, tmp_path, capsys, monkeypatch):
-        # a refine that ends at inadmissible moduli stops the run before any
-        # order-m solve or calibration builds a profile on them
+        # a refine that ends at inadmissible moduli (3 lam + 2 mu = -0.1) stops
+        # the run: at order 0 nothing else would keep it from the report, and at
+        # order 1 it comes before any order-m solve or calibration builds a
+        # profile on them
         from lame_edge import reconstruct
 
         def refine(ladders, C, cutoff, rho_tilde, quad):
             return reconstruct.Order0Result(-0.7, 1.0, 0.0, False, "linear least squares"), {}
 
         monkeypatch.setattr(reconstruct, "refine_order0", refine)
-        path = write_config(tmp_path)
-        rc = main(["reconstruct", "--config", str(path), "--out", str(tmp_path / "r")])
-        assert rc == EXIT_NUMERICAL
-        err = capsys.readouterr().err
-        assert "numerical diagnostic: order-0 recovery ended at inadmissible moduli" in err
+        for order in (0, 1):
+            path = write_config(tmp_path, order=order)
+            out = tmp_path / f"r{order}"
+            assert main(["reconstruct", "--config", str(path), "--out", str(out)]) == EXIT_NUMERICAL
+            assert capsys.readouterr().err == (
+                "numerical diagnostic: order-0 recovery ended at inadmissible moduli "
+                "lambda = -0.7, mu = 1: the ladders admit no elastic half-space\n")
+            assert not out.exists()
 
     def test_rank_deficient_calibration_exits_numerical(self, tmp_path, capsys):
         # at sigma = 1e-100 the measured calibration matrix is rank-deficient:
@@ -891,7 +913,6 @@ def run_main(argv: list) -> tuple[int, str, str]:
 
 
 class TestExitCodeContract:
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=6, deadline=None, database=None)
     @seed(20260811)
     @given(cfg=perturbed_configs())

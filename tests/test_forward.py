@@ -21,11 +21,9 @@ from lame_edge.forward import (
     _DOP_B,
     _DOP_C,
     _DOP_STABILITY,
-    _assemble,
     _dop853,
     _radial_symbols,
     _resolve,
-    _form_coefficients,
     _harmonics,
     _probe_coefficients,
     DEFAULT_QUAD,
@@ -34,18 +32,15 @@ from lame_edge.forward import (
     RadialDtnTable,
     Z_ROWS_E1,
     difference_pairing,
-    dtn_symbol,
-    dtn_symbol_march,
     form_counts,
-    half_space_impedance,
     interpolation_counts,
-    limit_quadrature,
     pairing,
     polar_grid,
     symbol_memo,
-    truncation_depth,
     warm_tables,
 )
+from lame_edge.oracles import (_assemble, dtn_symbol, dtn_symbol_march, half_space_impedance,
+                               limit_quadrature, truncation_depth)
 from lame_edge.reconstruct import (_MIXED_DERIVATIVES, ProbeTemplate, _unit_profile,
                                    default_battery, run_ladder, serial_ladder_runner)
 from lame_edge.stroh import impedance
@@ -78,7 +73,7 @@ class TestIntegrator:
         # a growing flow: no damping to weight by (rate 0) and no cap
         y, accepted, rejected, evaluations, capped = _dop853(
             lambda taus: np.broadcast_to(-rates, (taus.size, 3)), decay,
-            1.0, 0.0, np.ones((4, 3)), 1e-10, np.zeros(3))
+            1.0, 0.0, np.ones((4, 3)), 1e-10, np.zeros(3), np.empty((4, 3)))
         assert np.abs(y / np.exp(np.arange(1, 4)) - 1.0).max() <= 1e-9 and accepted > 0
         assert evaluations == 2 + 12 * accepted + 11 * rejected and capped == 0
 
@@ -86,7 +81,8 @@ class TestIntegrator:
             return np.where(taus > 0.5, -1.0, np.inf)[:, None]
 
         with pytest.raises(ForwardError, match="step size"), np.errstate(invalid="ignore"):
-            _dop853(blows_up, decay, 1.0, 0.0, np.ones((4, 3)), 1e-10, np.zeros(3))
+            _dop853(blows_up, decay, 1.0, 0.0, np.ones((4, 3)), 1e-10, np.zeros(3),
+                    np.empty((4, 3)))
 
     def test_damping_weights_and_stability_cap(self):
         # y' = rate (y - 1) contracts toward y = 1 at `rate` on the way to t = 0
@@ -105,14 +101,14 @@ class TestIntegrator:
         # surface value still within the tolerance
         exact = 1.0 + np.exp(-rates)
         unweighted, weighted = (_dop853(coefficients, relax, 1.0, 0.0, np.full((4, 3), 2.0),
-                                        1e-10, r) for r in (np.zeros(3), rates))
+                                        1e-10, r, np.empty((4, 3))) for r in (np.zeros(3), rates))
         assert weighted[1] < unweighted[1]
         assert np.abs(weighted[0] - exact).max() <= 1e-10
         # on the fixed point the error estimate is 0, so only the cap limits the
         # step: half of DOP853's stability interval over the largest rate
         steps.clear()
         y, accepted, rejected, evaluations, capped = _dop853(
-            coefficients, relax, 1.0, 0.0, np.ones((4, 3)), 1e-10, rates)
+            coefficients, relax, 1.0, 0.0, np.ones((4, 3)), 1e-10, rates, np.empty((4, 3)))
         cap = 0.5 * _DOP_STABILITY / rates.max()
         assert np.all(y == 1.0) and len(steps) == accepted
         assert max(steps) <= cap * (1.0 + 1e-12)
@@ -143,11 +139,11 @@ def reference_terms(profile, nodes, tau, y):
 
 def kernel_of(profile, nodes):
     """What the Riccati core hands to its integrator: coefficients, flow,
-    initial state and rates, by name."""
+    initial state, rates and stage buffer, by name."""
     seen = {}
 
-    def capture(coefficients, flow, t0, t1, y0, tol, rate, stage=None):
-        seen.update(coefficients=coefficients, flow=flow, y0=y0, rate=rate)
+    def capture(coefficients, flow, t0, t1, y0, tol, rate, stage):
+        seen.update(coefficients=coefficients, flow=flow, y0=y0, rate=rate, stage=stage)
         return y0, 0, 0, 0, 0
 
     with mock.patch("lame_edge.forward._dop853", capture):
@@ -238,7 +234,7 @@ class TestRiccatiKernel:
         for tau0 in np.linspace(0.02, 0.6, 30):
             def surface(y):
                 return _dop853(kernel["coefficients"], kernel["flow"], tau0, 0.0, y, 1e-13,
-                               kernel["rate"])[0]
+                               kernel["rate"], kernel["stage"])[0]
 
             base, delta = surface(fixed), 1e-5 * np.abs(fixed).max(axis=0)
             # the propagator's columns, one component perturbed at a time
@@ -381,7 +377,7 @@ class TestRadialTable:
             direct = dtn_symbol(prof, k)
             fd = complex(np.einsum("ij,i,j->", direct, a.conj(), a))
             c, s = np.array(k) / np.hypot(*k)
-            ft = sym.rows(np.hypot(*k)) @ _form_coefficients(a) @ _harmonics(c, s)
+            ft = sym.rows(np.hypot(*k)) @ np.array(_probe_coefficients(a, E1)) @ _harmonics(c, s)
             assert abs(fd - ft) <= 1e-8 * abs(fd)
 
     def test_narrow_dip_between_samples_rejected(self):
@@ -833,7 +829,7 @@ class TestReducedContraction:
         c, s = np.cos(theta), np.sin(theta)
         b = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]]) @ a  # R(theta)^T a
         full = np.vdot(b, _assemble(rows) @ b).real
-        reduced = rows @ _form_coefficients(a) @ _harmonics(c, s)
+        reduced = rows @ np.array(_probe_coefficients(a, E1)) @ _harmonics(c, s)  # C(a)
         scale = np.abs(rows).sum() * np.vdot(a, a).real
         assert abs(reduced - full) <= 1e-13 * max(scale, 1e-300)
 
@@ -1002,7 +998,7 @@ class TestMomentForms:
         grid = polar_grid(*n_rt, GAUSS, QuadratureSettings())
         rows = np.random.default_rng(seed).normal(size=(grid.r.size, 4))
         c, s = np.cos(theta), np.sin(theta)
-        C = _form_coefficients(np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]]) @ a)
+        C = np.array(_probe_coefficients(a, (c, s)))  # C(R(theta)^T a)
         terms = rows[:, :, None] * grid.moments[:, None, :] * C  # (r, row, harmonic)
         direct = np.sum(rows * (grid.moments @ C.T))
         form = grid.contract((rows.T @ grid.moments)[None], [(a, (c, s))])[0, 0]

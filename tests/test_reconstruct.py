@@ -12,6 +12,7 @@ from lame_edge.ansatz import GaussianCutoff
 from lame_edge.elastic import LameProfile, energy_density
 from lame_edge import cli, forward, reconstruct
 from lame_edge.forward import DEFAULT_QUAD, Z_ROWS_E1, _probe_coefficients, polar_grid
+from lame_edge.oracles import dtn_symbol, order0_response
 from lame_edge.reconstruct import (
     BatteryError,
     ExtrapolationResult,
@@ -25,7 +26,6 @@ from lame_edge.reconstruct import (
     leading_order_response,
     order0_coefficients,
     _pairing_moments,
-    order0_response,
     order0_variables,
     recover_order0,
     recover_order_m,
@@ -705,7 +705,6 @@ class TestSymbolAsymptotics:
     @pytest.mark.parametrize("m,dcoeffs", [(1, (0.3, 0.2)), (2, (0.2, 0.1))])
     def test_family_energy_coefficients(self, m, dcoeffs):
         from lame_edge.elastic import taylor_truncate
-        from lame_edge.forward import dtn_symbol
 
         fact = 1.0 if m == 1 else 2.0
         lam_coeffs = [1.0] + [0.0] * (m - 1) + [dcoeffs[0] / fact]

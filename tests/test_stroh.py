@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
+from lame_edge.oracles import characteristic_det, characteristic_det_factored
 from lame_edge.stroh import (
     _taq,
     acoustic_bracket,
-    characteristic_det,
-    characteristic_det_factored,
     closed_form_response,
     eigen_jordan,
     first_order_matrix,
